@@ -305,10 +305,11 @@ inline ExecPairResult measure_exec_kernel_pair(std::int64_t grid, int image,
   return result;
 }
 
-inline std::chrono::steady_clock::time_point& host_clock_mark() {
-  static auto mark = std::chrono::steady_clock::now();
-  return mark;
-}
+/// Start of the next host row. Set during static initialization — before
+/// any row's work runs — and advanced by every register_sim, so the first
+/// row measures its own work like every other row.
+inline std::chrono::steady_clock::time_point host_clock_mark =
+    std::chrono::steady_clock::now();
 
 /// One recorded frame profile: a representative frame's bottleneck
 /// attribution, emitted into the JSON "profile" section so the perf gate
@@ -355,9 +356,9 @@ inline void register_sim(
     std::vector<std::pair<std::string, double>> counters = {}) {
   const auto now = std::chrono::steady_clock::now();
   host_rows().push_back(HostRow{
-      name, std::chrono::duration<double, std::milli>(now - host_clock_mark())
+      name, std::chrono::duration<double, std::milli>(now - host_clock_mark)
                 .count()});
-  host_clock_mark() = now;
+  host_clock_mark = now;
   sim_rows().push_back(SimRow{name, seconds, counters});
   benchmark::RegisterBenchmark(
       name.c_str(),
@@ -376,16 +377,6 @@ inline void register_sim(
 
 namespace detail {
 
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 inline std::string json_number(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.9g", v);
@@ -396,17 +387,17 @@ inline std::string json_number(double v) {
 
 /// Renders the recorded rows + config as a JSON document.
 inline std::string bench_json(const std::string& name) {
-  std::string out = "{\n  \"bench\": \"" + detail::json_escape(name) +
+  std::string out = "{\n  \"bench\": \"" + pvr::obs::json_escape(name) +
                     "\",\n  \"schema_version\": " +
                     std::to_string(kBenchSchemaVersion) +
                     ",\n  \"git_describe\": \"" +
-                    detail::json_escape(PVR_GIT_DESCRIBE) +
+                    pvr::obs::json_escape(PVR_GIT_DESCRIBE) +
                     "\",\n  \"config\": {";
   bool first = true;
   for (const auto& [key, value] : bench_config()) {
     out += first ? "\n" : ",\n";
-    out += "    \"" + detail::json_escape(key) + "\": \"" +
-           detail::json_escape(value) + "\"";
+    out += "    \"" + pvr::obs::json_escape(key) + "\": \"" +
+           pvr::obs::json_escape(value) + "\"";
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
@@ -414,10 +405,10 @@ inline std::string bench_json(const std::string& name) {
   first = true;
   for (const SimRow& row : sim_rows()) {
     out += first ? "\n" : ",\n";
-    out += "    {\"name\": \"" + detail::json_escape(row.name) +
+    out += "    {\"name\": \"" + pvr::obs::json_escape(row.name) +
            "\", \"seconds\": " + detail::json_number(row.seconds);
     for (const auto& [key, value] : row.counters) {
-      out += ", \"" + detail::json_escape(key) +
+      out += ", \"" + pvr::obs::json_escape(key) +
              "\": " + detail::json_number(value);
     }
     out += "}";
@@ -430,7 +421,7 @@ inline std::string bench_json(const std::string& name) {
   first = true;
   for (const ProfileRow& prof : profile_rows()) {
     out += first ? "\n" : ",\n";
-    out += "    {\"label\": \"" + detail::json_escape(prof.label) +
+    out += "    {\"label\": \"" + pvr::obs::json_escape(prof.label) +
            "\", \"total_s\": " +
            detail::json_number(prof.attribution.total_seconds()) +
            ", \"buckets\": {";
@@ -451,13 +442,13 @@ inline std::string bench_json(const std::string& name) {
   for (const HostRow& row : host_rows()) total_ms += row.wall_ms;
   out += "\n  \"host\": {\n    \"threads\": " +
          std::to_string(pvr::par::resolve_threads(0)) +
-         ",\n    \"git\": \"" + detail::json_escape(PVR_GIT_DESCRIBE) +
+         ",\n    \"git\": \"" + pvr::obs::json_escape(PVR_GIT_DESCRIBE) +
          "\",\n    \"total_wall_ms\": " + detail::json_number(total_ms) +
          ",\n    \"wall_ms\": [";
   first = true;
   for (const HostRow& row : host_rows()) {
     out += first ? "\n" : ",\n";
-    out += "      {\"name\": \"" + detail::json_escape(row.name) +
+    out += "      {\"name\": \"" + pvr::obs::json_escape(row.name) +
            "\", \"ms\": " + detail::json_number(row.wall_ms) + "}";
     first = false;
   }
@@ -471,8 +462,8 @@ inline std::string bench_json(const std::string& name) {
     const double speedup =
         row.simd_ms > 0.0 ? row.scalar_ms / row.simd_ms : 0.0;
     out += first ? "\n" : ",\n";
-    out += "      {\"name\": \"" + detail::json_escape(row.name) +
-           "\", \"kernel\": \"" + detail::json_escape(row.kernel) +
+    out += "      {\"name\": \"" + pvr::obs::json_escape(row.name) +
+           "\", \"kernel\": \"" + pvr::obs::json_escape(row.kernel) +
            "\", \"scalar_ms\": " + detail::json_number(row.scalar_ms) +
            ", \"simd_ms\": " + detail::json_number(row.simd_ms) +
            ", \"speedup\": " + detail::json_number(speedup) + "}";

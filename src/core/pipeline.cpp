@@ -336,12 +336,18 @@ compose::CompositeStats ParallelVolumeRenderer::model_composite_configured(
 }
 
 FrameStats ParallelVolumeRenderer::model_frame() {
-  if (config_.runtime_mode == runtime::RuntimeMode::kAsync &&
-      config_.dependency == runtime::DependencyMode::kFree) {
-    return model_frame_async(nullptr, /*insitu=*/false,
-                             /*readahead_seconds=*/0.0);
-  }
-  return model_frame_superstep(nullptr, /*insitu=*/false);
+  return price_frame(nullptr, /*insitu=*/false, /*readahead_seconds=*/0.0);
+}
+
+FrameStats ParallelVolumeRenderer::model_frame_with_faults(
+    const fault::FaultPlan& plan) {
+  return price_frame(plan.empty() ? nullptr : &plan, /*insitu=*/false,
+                     /*readahead_seconds=*/0.0);
+}
+
+FrameStats ParallelVolumeRenderer::model_insitu_frame() {
+  // No I/O stage: the simulation's data is already in each rank's memory.
+  return price_frame(nullptr, /*insitu=*/true, /*readahead_seconds=*/0.0);
 }
 
 namespace {
@@ -478,23 +484,14 @@ AsyncChain schedule_async_frame(const AsyncInputs& in,
 
 }  // namespace
 
-FrameStats ParallelVolumeRenderer::model_frame_with_faults(
-    const fault::FaultPlan& plan) {
-  if (plan.empty()) return model_frame();
-  if (config_.runtime_mode == runtime::RuntimeMode::kAsync &&
-      config_.dependency == runtime::DependencyMode::kFree) {
-    return model_frame_async(&plan, /*insitu=*/false,
-                             /*readahead_seconds=*/0.0);
-  }
-  return model_frame_superstep(&plan, /*insitu=*/false);
-}
-
-FrameStats ParallelVolumeRenderer::model_frame_superstep(
-    const fault::FaultPlan* plan, bool insitu) {
+FrameStats ParallelVolumeRenderer::price_frame(const fault::FaultPlan* plan,
+                                               bool insitu,
+                                               double readahead_seconds) {
   runtime::Runtime& rt = model_rt();
   const bool faulty = plan != nullptr;
-  const bool want_graph =
-      config_.runtime_mode == runtime::RuntimeMode::kAsync;
+  const bool async = config_.runtime_mode == runtime::RuntimeMode::kAsync;
+  const bool free_graph =
+      async && config_.dependency == runtime::DependencyMode::kFree;
   FrameStats stats;
   std::optional<FaultScope> scope;
   if (faulty) {
@@ -513,176 +510,11 @@ FrameStats ParallelVolumeRenderer::model_frame_superstep(
          {"degraded_servers", double(stats.faults.degraded_servers)}});
   }
 
-  // --- Stage 1: collective read; dead ranks request nothing. In-situ
-  // frames skip the stage entirely. ---
-  if (!insitu) {
-    obs::ScopedSpan stage(tracer_, "stage.io", obs::Category::kIo);
-    if (!faulty) {
-      stats.io = model_io();
-    } else {
-      auto blocks = io_blocks();
-      const std::size_t before = blocks.size();
-      std::erase_if(blocks, [&](const iolib::RankBlock& b) {
-        return plan->rank_failed(b.rank, *partition_);
-      });
-      stats.faults.dropped_blocks += std::int64_t(before - blocks.size());
-      if (tracer_ != nullptr && before != blocks.size()) {
-        tracer_->instant("fault.blocks_dropped", obs::Category::kFault,
-                         {{"blocks", double(before - blocks.size())}});
-      }
-      iolib::CollectiveReader reader(rt, *storage_, config_.hints);
-      stats.io = reader.read(*layout_, variable_, blocks, nullptr, {});
-    }
-    stats.io_seconds = stats.io.seconds;
-  }
-
-  // --- Stage 2: dead ranks render nothing; degraded-but-alive ranks render
-  // slower; the straggler is the worst weighted live rank. With stealing
-  // enabled, live idle ranks first claim scanline chunks from the slowest
-  // live ranks (dead ranks are neither victims nor thieves), so the
-  // straggler term shrinks to the post-schedule worst. ---
-  std::function<double(std::int64_t)> slowdown;
-  if (faulty) {
-    slowdown = [this, plan](std::int64_t rank) {
-      if (plan->rank_failed(rank, *partition_)) return 0.0;
-      return plan->rank_degrade(rank, *partition_);
-    };
-  }
-  steal::StealSchedule sched;
-  std::vector<double> rank_render;
-  {
-    obs::ScopedSpan stage(tracer_, "stage.render", obs::Category::kRender);
-    const render::RenderModel rmodel(config_.machine);
-    stats.render = rmodel.estimate_degraded(*decomp_, config_.num_ranks,
-                                            camera_, config_.render, slowdown);
-    if (config_.steal.enabled()) {
-      sched = steal_stage(rt, slowdown, &stats);
-      if (!sched.empty()) {
-        stats.render.max_rank_samples = sched.max_rank_samples_after;
-        stats.render.seconds = sched.worst_after_seconds *
-                               (1.0 + config_.machine.render_imbalance);
-        stats.render.straggler_rank = sched.worst_after_rank;
-      }
-    }
-    stats.render_seconds = stats.render.seconds + stats.steal.steal_seconds;
-    if (tracer_ != nullptr) {
-      stage.arg("total_samples", double(stats.render.total_samples));
-      stage.arg("max_rank_samples", double(stats.render.max_rank_samples));
-      stage.arg("ranks", double(config_.num_ranks));
-      stage.arg("straggler_rank", double(stats.render.straggler_rank));
-      tracer_->advance(stats.render.seconds);
-    }
-    if (want_graph) {
-      if (!sched.empty()) {
-        rank_render.resize(sched.rank_seconds_after.size());
-        for (std::size_t r = 0; r < rank_render.size(); ++r) {
-          rank_render[r] = sched.rank_seconds_after[r] *
-                           (1.0 + config_.machine.render_imbalance);
-        }
-      } else {
-        rank_render = rmodel.rank_seconds(*decomp_, config_.num_ranks,
-                                          camera_, config_.render, slowdown);
-      }
-    }
-  }
-
-  // --- Stage 3: the configured compositor reads the fault state from the
-  // runtime — direct-send reassigns dead tiles, binary swap and radix-k
-  // substitute live proxies for dead partners; all report coverage. ---
-  compose::DirectSendDetail detail;
-  {
-    obs::ScopedSpan stage(tracer_, "stage.composite",
-                          obs::Category::kComposite);
-    stats.composite = model_composite_configured(want_graph ? &detail
-                                                            : nullptr);
-    stats.composite_seconds = stats.composite.seconds;
-  }
-  if (faulty && tracer_ != nullptr) {
-    tracer_->instant("fault.recovery_complete", obs::Category::kFault,
-                     {{"retries", double(stats.faults.retries)},
-                      {"coverage", stats.faults.coverage}});
-  }
-
-  if (want_graph) {
-    // kChained (kFree never reaches the superstep): build the barrier-edged
-    // graph and assert — exact floating-point equality — that its critical
-    // path reproduces the superstep stage times. This is the determinism
-    // anchor of DESIGN.md §9: the async scheduler with explicit barrier
-    // dependencies IS the BSP schedule, bit for bit.
-    AsyncInputs in;
-    in.has_io = !insitu;
-    in.io_seconds = stats.io_seconds;
-    in.has_steal = !sched.empty();
-    in.steal_seconds = stats.steal.steal_seconds;
-    in.render_seconds = std::move(rank_render);
-    in.live.assign(std::size_t(config_.num_ranks), 1);
-    if (faulty) {
-      for (std::int64_t r = 0; r < config_.num_ranks; ++r) {
-        in.live[std::size_t(r)] = slowdown(r) > 0.0 ? 1 : 0;
-      }
-    }
-    in.exchange_seconds = stats.composite.exchange.seconds;
-    const double bps = partition_->config().blends_per_second;
-    in.blend_seconds.resize(detail.blend_pixels.size());
-    for (std::size_t c = 0; c < detail.blend_pixels.size(); ++c) {
-      in.blend_seconds[c] = double(detail.blend_pixels[c]) / bps;
-    }
-    in.detail = &detail;
-    in.chained = true;
-    const AsyncChain chain = schedule_async_frame(in, config_.num_ranks);
-    PVR_REQUIRE(chain.io_seg == stats.io_seconds,
-                "chained async graph must reproduce the BSP io stage "
-                "bitwise");
-    PVR_REQUIRE(chain.steal_seg == stats.steal.steal_seconds,
-                "chained async graph must reproduce the BSP steal phase "
-                "bitwise");
-    PVR_REQUIRE(chain.render_seg == stats.render.seconds,
-                "chained async graph must reproduce the BSP render stage "
-                "bitwise");
-    PVR_REQUIRE(chain.composite_seg == stats.composite.seconds,
-                "chained async graph must reproduce the BSP composite stage "
-                "bitwise");
-    stats.async.enabled = true;
-    stats.async.dependency = runtime::DependencyMode::kChained;
-    stats.async.tasks = chain.tasks;
-    stats.async.edges = chain.edges;
-    stats.async.bsp_seconds = stats.total_seconds();
-    stats.async.reclaimed_seconds = 0.0;
-    stats.async.lane_wait_seconds = chain.sched.lane_wait_seconds;
-  }
-
-  if (tracer_ != nullptr) {
-    stats.trace = obs::summarize_frame(*tracer_, frame.close());
-  }
-  return stats;
-}
-
-FrameStats ParallelVolumeRenderer::model_frame_async(
-    const fault::FaultPlan* plan, bool insitu, double readahead_seconds) {
-  runtime::Runtime& rt = model_rt();
-  const bool faulty = plan != nullptr;
-  FrameStats stats;
-  std::optional<FaultScope> scope;
-  if (faulty) {
-    stats.faults = plan->census();
-    scope.emplace(rt, *plan, &stats.faults);
-  }
-
-  obs::ScopedSpan frame(tracer_, "frame", obs::Category::kFrame);
-  if (faulty && tracer_ != nullptr) {
-    tracer_->instant(
-        "fault.plan_armed", obs::Category::kFault,
-        {{"failed_nodes", double(stats.faults.failed_nodes)},
-         {"failed_links", double(stats.faults.failed_links)},
-         {"failed_ions", double(stats.faults.failed_ions)},
-         {"failed_servers", double(stats.faults.failed_servers)},
-         {"degraded_servers", double(stats.faults.degraded_servers)}});
-  }
-
-  // --- Stage 1: collective read. Under a read-ahead window (model_run),
-  // frame t+1's storage fetch was issued while frame t composited, so this
-  // frame is charged only the unhidden remainder — reclaimed overlap that
-  // stays on the books (stats.async.readahead_seconds). ---
+  // --- Stage 1: collective read; dead ranks request nothing, and in-situ
+  // frames skip the stage. Under a read-ahead window (free-running
+  // model_run) this frame's storage fetch was issued while the previous
+  // frame composited, so it is charged only the unhidden remainder, kept
+  // on the books as stats.async.readahead_seconds. ---
   double readahead_credit = 0.0;
   if (!insitu) {
     obs::ScopedSpan stage(tracer_, "stage.io", obs::Category::kIo);
@@ -699,15 +531,14 @@ FrameStats ParallelVolumeRenderer::model_frame_async(
       }
     }
     iolib::CollectiveReader reader(rt, *storage_, config_.hints);
-    if (readahead_seconds <= 0.0) {
-      stats.io = reader.read(*layout_, variable_, blocks, nullptr, {});
-      stats.io_seconds = stats.io.seconds;
-    } else {
-      // Price the read untraced, then emit a synthetic fetch/shuffle split:
-      // only the open + storage portion can hide under the previous frame
-      // (the shuffle needs the renderers themselves).
-      rt.set_tracer(nullptr);
-      stats.io = reader.read(*layout_, variable_, blocks, nullptr, {});
+    // A read-ahead read is priced untraced and traced as a synthetic
+    // fetch/shuffle split: only the open + storage portion can hide under
+    // the previous frame (the shuffle needs the renderers themselves).
+    const bool split = readahead_seconds > 0.0;
+    if (split) rt.set_tracer(nullptr);
+    stats.io = reader.read(*layout_, variable_, blocks, nullptr, {});
+    stats.io_seconds = stats.io.seconds;
+    if (split) {
       rt.set_tracer(tracer_);
       const double fetch =
           std::min(stats.io.seconds,
@@ -735,8 +566,7 @@ FrameStats ParallelVolumeRenderer::model_frame_async(
     }
   }
 
-  // --- Stages 2+3, priced together: the free graph needs the composite's
-  // per-rank structure before the frame's render charge is known. ---
+  // Dead ranks render nothing; degraded-but-alive ranks render slower.
   std::function<double(std::int64_t)> slowdown;
   if (faulty) {
     slowdown = [this, plan](std::int64_t rank) {
@@ -744,26 +574,12 @@ FrameStats ParallelVolumeRenderer::model_frame_async(
       return plan->rank_degrade(rank, *partition_);
     };
   }
+  steal::StealSchedule sched;
   compose::DirectSendDetail detail;
-  AsyncChain chain;
-  double bsp_total = 0.0;
-  double exchange_overlapped = 0.0;
-  {
-    obs::ScopedSpan stage(tracer_, "stage.render", obs::Category::kRender);
-    const render::RenderModel rmodel(config_.machine);
-    stats.render = rmodel.estimate_degraded(*decomp_, config_.num_ranks,
-                                            camera_, config_.render, slowdown);
-    steal::StealSchedule sched;
-    if (config_.steal.enabled()) {
-      sched = steal_stage(rt, slowdown, &stats);
-      if (!sched.empty()) {
-        stats.render.max_rank_samples = sched.max_rank_samples_after;
-        stats.render.seconds = sched.worst_after_seconds *
-                               (1.0 + config_.machine.render_imbalance);
-        stats.render.straggler_rank = sched.worst_after_rank;
-      }
-    }
-
+  // Task-graph fold (kAsync only): per-rank render, per-compositor exchange
+  // + blend, and the shared io/steal gates become one DAG whose
+  // critical-path segments are the frame's stage charges.
+  const auto fold_graph = [&](bool chained, double exchange_seconds) {
     AsyncInputs in;
     in.has_io = !insitu;
     in.io_seconds = stats.io_seconds;
@@ -776,51 +592,70 @@ FrameStats ParallelVolumeRenderer::model_frame_async(
       }
     }
     if (!sched.empty()) {
-      in.render_seconds.resize(sched.rank_seconds_after.size());
-      for (std::size_t r = 0; r < in.render_seconds.size(); ++r) {
-        in.render_seconds[r] = sched.rank_seconds_after[r] *
-                               (1.0 + config_.machine.render_imbalance);
+      in.render_seconds = sched.rank_seconds_after;
+      for (double& s : in.render_seconds) {
+        s *= 1.0 + config_.machine.render_imbalance;
       }
     } else {
-      in.render_seconds = rmodel.rank_seconds(*decomp_, config_.num_ranks,
-                                              camera_, config_.render,
-                                              slowdown);
+      in.render_seconds = render::RenderModel(config_.machine)
+                              .rank_seconds(*decomp_, config_.num_ranks,
+                                            camera_, config_.render, slowdown);
     }
-
-    // Price the composite once, untraced: in the free graph its exchange
-    // and blending overlap rendering, and the frame's composite charge is
-    // whatever lands on the critical chain (synthetic spans below).
-    rt.set_tracer(nullptr);
-    stats.composite = model_composite_configured(&detail);
-    rt.set_tracer(tracer_);
-    // Overlapped semantics: dependency-priced traffic pays routing,
-    // serialization, and contention, never the barrier-close skew.
-    exchange_overlapped = stats.composite.exchange.seconds -
-                          stats.composite.exchange.skew_seconds;
-    in.exchange_seconds = exchange_overlapped;
+    in.exchange_seconds = exchange_seconds;
     const double bps = partition_->config().blends_per_second;
-    in.blend_seconds.resize(detail.blend_pixels.size());
-    for (std::size_t c = 0; c < detail.blend_pixels.size(); ++c) {
-      in.blend_seconds[c] = double(detail.blend_pixels[c]) / bps;
+    in.blend_seconds.reserve(detail.blend_pixels.size());
+    for (const std::int64_t pixels : detail.blend_pixels) {
+      in.blend_seconds.push_back(double(pixels) / bps);
     }
     in.detail = &detail;
-    in.chained = false;
-    chain = schedule_async_frame(in, config_.num_ranks);
+    in.chained = chained;
+    return schedule_async_frame(in, config_.num_ranks);
+  };
 
-    // BSP reference price of the same frame, composed exactly as
-    // FrameStats::total_seconds() composes it: every async term is <= its
-    // BSP term and FP addition is monotone, so reclaimed >= 0 bitwise.
-    const double bsp_render_stage =
-        stats.render.seconds + stats.steal.steal_seconds;
-    bsp_total =
-        stats.io.seconds + bsp_render_stage + stats.composite.seconds;
-
-    // The frame's render charge is the chain's render segment: the rank
-    // whose finish actually bound the last compositor, not the global
-    // straggler.
-    stats.render.seconds = chain.render_seg;
-    if (chain.render_rank >= 0) {
-      stats.render.straggler_rank = chain.render_rank;
+  // --- Stage 2: the straggler is the worst weighted live rank. With
+  // stealing enabled, live idle ranks first claim scanline chunks from the
+  // slowest live ranks (dead ranks are neither victims nor thieves), so the
+  // straggler term shrinks to the post-schedule worst. The free graph needs
+  // the composite's per-rank structure before the frame's render charge is
+  // known, so kFree prices the composite here, untraced. ---
+  AsyncChain chain;
+  double bsp_seconds = 0.0;
+  double exchange_overlapped = 0.0;
+  {
+    obs::ScopedSpan stage(tracer_, "stage.render", obs::Category::kRender);
+    const render::RenderModel rmodel(config_.machine);
+    stats.render = rmodel.estimate_degraded(*decomp_, config_.num_ranks,
+                                            camera_, config_.render, slowdown);
+    if (config_.steal.enabled()) {
+      sched = steal_stage(rt, slowdown, &stats);
+      if (!sched.empty()) {
+        stats.render.max_rank_samples = sched.max_rank_samples_after;
+        stats.render.seconds = sched.worst_after_seconds *
+                               (1.0 + config_.machine.render_imbalance);
+        stats.render.straggler_rank = sched.worst_after_rank;
+      }
+    }
+    if (free_graph) {
+      rt.set_tracer(nullptr);
+      stats.composite = model_composite_configured(&detail);
+      rt.set_tracer(tracer_);
+      // Overlapped semantics: dependency-priced traffic pays routing,
+      // serialization, and contention, never the barrier-close skew.
+      exchange_overlapped = stats.composite.exchange.seconds -
+                            stats.composite.exchange.skew_seconds;
+      chain = fold_graph(/*chained=*/false, exchange_overlapped);
+      // BSP reference price of the same frame, composed exactly as
+      // FrameStats::total_seconds() composes it: every async term is <= its
+      // BSP term and FP addition is monotone, so reclaimed >= 0 bitwise.
+      bsp_seconds = stats.io.seconds +
+                    (stats.render.seconds + stats.steal.steal_seconds) +
+                    stats.composite.seconds;
+      // The render charge is the chain's render segment: the rank whose
+      // finish actually bound the last compositor, not the global straggler.
+      stats.render.seconds = chain.render_seg;
+      if (chain.render_rank >= 0) {
+        stats.render.straggler_rank = chain.render_rank;
+      }
     }
     stats.render_seconds = stats.render.seconds + stats.steal.steal_seconds;
     if (tracer_ != nullptr) {
@@ -832,59 +667,65 @@ FrameStats ParallelVolumeRenderer::model_frame_async(
     }
   }
 
-  // --- Stage 3 trace + stats rewrite: the composite charge is the chain
-  // compositor's exchange + blend; message counts and wire bytes (the
-  // physical facts) keep their full-frame values. ---
+  // --- Stage 3: the configured compositor reads the fault state from the
+  // runtime — direct-send reassigns dead tiles, binary swap and radix-k
+  // substitute live proxies for dead partners; all report coverage. Under
+  // kFree the composite charge is the chain compositor's exchange + blend,
+  // traced as synthetic spans; message counts and wire bytes (the physical
+  // facts) keep their full-frame values. ---
   {
     obs::ScopedSpan stage(tracer_, "stage.composite",
                           obs::Category::kComposite);
-    double blend_chain = 0.0;
-    double exchange_chain = 0.0;
-    if (chain.composite_rank >= 0) {
-      blend_chain =
-          double(detail.blend_pixels[std::size_t(chain.composite_rank)]) /
-          partition_->config().blends_per_second;
-      exchange_chain = exchange_overlapped;
-      if (tracer_ != nullptr) {
-        const net::ExchangeCost& cost = stats.composite.exchange;
-        {
-          obs::ScopedSpan ex(tracer_, "net.exchange",
-                             obs::Category::kExchange);
-          ex.arg("messages", double(cost.messages));
-          ex.arg("local_messages", double(cost.local_messages));
-          ex.arg("bytes", double(cost.total_bytes));
-          ex.arg("rounds", 1.0);
-          ex.arg("max_hops", double(cost.max_hops));
-          ex.arg("congestion_factor", cost.congestion_factor);
-          ex.arg("link_seconds", cost.link_seconds);
-          ex.arg("endpoint_seconds", cost.endpoint_seconds);
-          ex.arg("latency_seconds", cost.latency_seconds);
-          ex.arg("skew_seconds", 0.0);
-          ex.arg("bottleneck_link", double(cost.bottleneck_link));
-          ex.arg("bottleneck_node", double(cost.bottleneck_node));
-          ex.arg("overlapped", 1.0);
-          if (faulty) ex.arg("retry_seconds", cost.retry_seconds);
-          tracer_->advance(exchange_chain);
-        }
-        {
-          obs::ScopedSpan blend_span(tracer_, "composite.blend",
-                                     obs::Category::kCompute);
-          blend_span.arg(
-              "worst_blend_pixels",
-              double(detail.blend_pixels[std::size_t(chain.composite_rank)]));
-          tracer_->advance(blend_chain);
+    if (!free_graph) {
+      stats.composite = model_composite_configured(async ? &detail : nullptr);
+    } else {
+      double blend_chain = 0.0;
+      double exchange_chain = 0.0;
+      if (chain.composite_rank >= 0) {
+        const std::int64_t worst_pixels =
+            detail.blend_pixels[std::size_t(chain.composite_rank)];
+        blend_chain =
+            double(worst_pixels) / partition_->config().blends_per_second;
+        exchange_chain = exchange_overlapped;
+        if (tracer_ != nullptr) {
+          const net::ExchangeCost& cost = stats.composite.exchange;
+          {
+            obs::ScopedSpan ex(tracer_, "net.exchange",
+                               obs::Category::kExchange);
+            ex.arg("messages", double(cost.messages));
+            ex.arg("local_messages", double(cost.local_messages));
+            ex.arg("bytes", double(cost.total_bytes));
+            ex.arg("rounds", 1.0);
+            ex.arg("max_hops", double(cost.max_hops));
+            ex.arg("congestion_factor", cost.congestion_factor);
+            ex.arg("link_seconds", cost.link_seconds);
+            ex.arg("endpoint_seconds", cost.endpoint_seconds);
+            ex.arg("latency_seconds", cost.latency_seconds);
+            ex.arg("skew_seconds", 0.0);
+            ex.arg("bottleneck_link", double(cost.bottleneck_link));
+            ex.arg("bottleneck_node", double(cost.bottleneck_node));
+            ex.arg("overlapped", 1.0);
+            if (faulty) ex.arg("retry_seconds", cost.retry_seconds);
+            tracer_->advance(exchange_chain);
+          }
+          {
+            obs::ScopedSpan blend_span(tracer_, "composite.blend",
+                                       obs::Category::kCompute);
+            blend_span.arg("worst_blend_pixels", double(worst_pixels));
+            tracer_->advance(blend_chain);
+          }
         }
       }
+      if (tracer_ != nullptr) {
+        stage.arg("compositors", double(stats.composite.num_compositors));
+        stage.arg("messages", double(stats.composite.messages));
+        stage.arg("bytes", double(stats.composite.bytes));
+      }
+      stats.composite.exchange.seconds = exchange_chain;
+      stats.composite.exchange.skew_seconds = 0.0;
+      stats.composite.blend_seconds = blend_chain;
+      stats.composite.seconds = chain.composite_seg;
     }
-    if (tracer_ != nullptr) {
-      stage.arg("compositors", double(stats.composite.num_compositors));
-      stage.arg("messages", double(stats.composite.messages));
-      stage.arg("bytes", double(stats.composite.bytes));
-    }
-    stats.composite.exchange.seconds = exchange_chain;
-    stats.composite.exchange.skew_seconds = 0.0;
-    stats.composite.blend_seconds = blend_chain;
-    stats.composite.seconds = chain.composite_seg;
     stats.composite_seconds = stats.composite.seconds;
   }
   if (faulty && tracer_ != nullptr) {
@@ -893,17 +734,43 @@ FrameStats ParallelVolumeRenderer::model_frame_async(
                       {"coverage", stats.faults.coverage}});
   }
 
-  stats.async.enabled = true;
-  stats.async.dependency = runtime::DependencyMode::kFree;
-  stats.async.tasks = chain.tasks;
-  stats.async.edges = chain.edges;
-  stats.async.bsp_seconds = bsp_total;
-  stats.async.reclaimed_seconds = bsp_total - stats.total_seconds();
-  stats.async.lane_wait_seconds = chain.sched.lane_wait_seconds;
-  stats.async.readahead_seconds = readahead_credit;
+  if (async) {
+    if (!free_graph) {
+      // kChained: fold the same stage inputs through the barrier-edged
+      // graph and assert — exact floating-point equality — that its
+      // critical path reproduces the barrier stage times. This is the
+      // determinism anchor of DESIGN.md §9: the task graph with explicit
+      // barrier dependencies IS the BSP schedule, bit for bit.
+      chain = fold_graph(/*chained=*/true, stats.composite.exchange.seconds);
+      PVR_REQUIRE(chain.io_seg == stats.io_seconds,
+                  "chained async graph must reproduce the BSP io stage "
+                  "bitwise");
+      PVR_REQUIRE(chain.steal_seg == stats.steal.steal_seconds,
+                  "chained async graph must reproduce the BSP steal phase "
+                  "bitwise");
+      PVR_REQUIRE(chain.render_seg == stats.render.seconds,
+                  "chained async graph must reproduce the BSP render stage "
+                  "bitwise");
+      PVR_REQUIRE(chain.composite_seg == stats.composite.seconds,
+                  "chained async graph must reproduce the BSP composite "
+                  "stage bitwise");
+      bsp_seconds = stats.total_seconds();
+    }
+    stats.async.enabled = true;
+    stats.async.dependency = config_.dependency;
+    stats.async.tasks = chain.tasks;
+    stats.async.edges = chain.edges;
+    stats.async.bsp_seconds = bsp_seconds;
+    stats.async.reclaimed_seconds = bsp_seconds - stats.total_seconds();
+    stats.async.lane_wait_seconds = chain.sched.lane_wait_seconds;
+    stats.async.readahead_seconds = readahead_credit;
+  }
+
   if (tracer_ != nullptr) {
-    frame.arg("overlap_reclaimed_seconds", stats.async.reclaimed_seconds);
-    frame.arg("bsp_seconds", bsp_total);
+    if (free_graph) {
+      frame.arg("overlap_reclaimed_seconds", stats.async.reclaimed_seconds);
+      frame.arg("bsp_seconds", bsp_seconds);
+    }
     stats.trace = obs::summarize_frame(*tracer_, frame.close());
   }
   return stats;
@@ -938,7 +805,7 @@ RunStats ParallelVolumeRenderer::model_run(
   if (async_free && n_frames > 1) {
     steady_credit = healthy.composite_seconds;
     set_tracer(nullptr);
-    steady = model_frame_async(nullptr, /*insitu=*/false, steady_credit);
+    steady = price_frame(nullptr, /*insitu=*/false, steady_credit);
     set_tracer(tracer);
   }
   run.ideal_seconds =
@@ -999,26 +866,22 @@ RunStats ParallelVolumeRenderer::model_run(
       }
     }
 
-    FrameStats stats;
+    // Frame f's read-ahead window is the previous frame's composite tail.
     const double credit =
         (async_free && f > 0) ? run.frames.back().composite_seconds : 0.0;
-    if (arrival != nullptr && !(async_free && arrival->plan.empty())) {
-      stats = async_free
-                  ? model_frame_async(&arrival->plan, /*insitu=*/false,
-                                      credit)
-                  : model_frame_with_faults(arrival->plan);
-    } else if (tracer_ == nullptr) {
-      if (!async_free || f == 0) {
-        stats = healthy;  // bit-identical to model_frame() by determinism
-      } else if (credit == steady_credit) {
-        stats = steady;  // same read-ahead window: bit-identical
-      } else {
-        stats = model_frame_async(nullptr, /*insitu=*/false, credit);
-      }
-    } else if (async_free) {
-      stats = model_frame_async(nullptr, /*insitu=*/false, credit);
+    const fault::FaultPlan* plan =
+        arrival != nullptr && !arrival->plan.empty() ? &arrival->plan
+                                                     : nullptr;
+    // Untraced fault-free frames reuse the reference frames above, which
+    // determinism makes bit-identical; traced frames emit their own spans.
+    const bool cached = plan == nullptr && tracer_ == nullptr;
+    FrameStats stats;
+    if (cached && credit == 0.0) {
+      stats = healthy;
+    } else if (cached && credit == steady_credit) {
+      stats = steady;
     } else {
-      stats = model_frame();  // traced frames must emit their own spans
+      stats = price_frame(plan, /*insitu=*/false, credit);
     }
 
     // Checkpoint after the frame per policy; the final frame never
@@ -1194,16 +1057,6 @@ FrameStats ParallelVolumeRenderer::execute_frame(const std::string& path,
     stats.trace = obs::summarize_frame(*tracer_, frame.close());
   }
   return stats;
-}
-
-FrameStats ParallelVolumeRenderer::model_insitu_frame() {
-  // No I/O stage: the simulation's data is already in each rank's memory.
-  if (config_.runtime_mode == runtime::RuntimeMode::kAsync &&
-      config_.dependency == runtime::DependencyMode::kFree) {
-    return model_frame_async(nullptr, /*insitu=*/true,
-                             /*readahead_seconds=*/0.0);
-  }
-  return model_frame_superstep(nullptr, /*insitu=*/true);
 }
 
 FrameStats ParallelVolumeRenderer::execute_frame_bivariate(

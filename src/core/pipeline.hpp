@@ -310,21 +310,19 @@ class ParallelVolumeRenderer {
   /// for the async task graph; the priced stats are identical either way.
   compose::CompositeStats model_composite_configured(
       compose::DirectSendDetail* detail = nullptr);
-  /// The BSP superstep frame: stage barriers, shared by model_frame /
-  /// model_frame_with_faults (non-empty `plan`) / model_insitu_frame
-  /// (`insitu`). Under RuntimeMode::kAsync + DependencyMode::kChained it
-  /// additionally builds the chained task graph and verifies — exact
-  /// floating-point equality — that the graph's critical-path segments
-  /// reproduce the superstep stage times (fills stats.async).
-  FrameStats model_frame_superstep(const fault::FaultPlan* plan, bool insitu);
-  /// The free-running async frame (RuntimeMode::kAsync +
-  /// DependencyMode::kFree): prices the same stages, builds the dependency
-  /// graph, and charges the frame the graph's critical path — skew between
-  /// ranks is reclaimed as overlap instead of paid at a barrier.
-  /// `readahead_seconds` is the window (the previous frame's composite
-  /// tail in model_run) that frame's collective-read fetch may hide under.
-  FrameStats model_frame_async(const fault::FaultPlan* plan, bool insitu,
-                               double readahead_seconds);
+  /// The one model-mode frame pricer behind model_frame,
+  /// model_frame_with_faults (non-null `plan`), model_insitu_frame
+  /// (`insitu`) and model_run (`readahead_seconds` > 0: the previous
+  /// frame's composite tail, under which this frame's collective-read fetch
+  /// may hide). Every mode runs one stage order — arm faults, I/O, render
+  /// estimate and steal, per-rank task inputs (kAsync only), composite —
+  /// and folds the stages into a frame time: barrier maxima (kBsp); the
+  /// free dependency graph's critical path, reclaiming skew as overlap
+  /// (kAsync + kFree); or both (kAsync + kChained), verifying with exact
+  /// floating-point equality that the barrier-chained graph reproduces the
+  /// barrier stage times. kAsync frames fill stats.async.
+  FrameStats price_frame(const fault::FaultPlan* plan, bool insitu,
+                         double readahead_seconds);
   /// Shared execute-mode stages 2+3: render the bricks, composite, fill
   /// stats.render/composite; `out` receives the image if non-null.
   void execute_render_and_composite(std::span<Brick> bricks,

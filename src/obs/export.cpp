@@ -22,27 +22,6 @@ std::string fmt_double(double v) {
 /// Simulated seconds -> trace microseconds (Chrome trace time unit).
 std::string fmt_us(double seconds) { return fmt_double(seconds * 1e6); }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void append_args(std::string* out,
                  const std::vector<std::pair<std::string, double>>& args) {
   *out += "\"args\":{";
@@ -71,6 +50,27 @@ std::int64_t event_pid(const std::vector<std::pair<std::string, double>>& args) 
 std::int64_t event_tid(Category cat) { return std::int64_t(cat); }
 
 }  // namespace
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 std::string to_chrome_trace_json(const Tracer& tracer) {
   // Metadata pass: name every (pid, tid) lane the events will use, so

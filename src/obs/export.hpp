@@ -23,6 +23,10 @@
 
 namespace pvr::obs {
 
+/// Escapes `s` for use inside a JSON string literal: quote, backslash, and
+/// every control character below 0x20, so any label yields valid JSON.
+std::string json_escape(const std::string& s);
+
 /// Renders the tracer's spans and instants as Chrome trace_event JSON.
 std::string to_chrome_trace_json(const Tracer& tracer);
 

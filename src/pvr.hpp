@@ -63,9 +63,6 @@
 #include "runtime/runtime.hpp"
 #include "serve/cache.hpp"
 #include "serve/serve.hpp"
-#include "sim/clock.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/resource.hpp"
 #include "steal/steal.hpp"
 #include "storage/access_log.hpp"
 #include "storage/storage_model.hpp"

@@ -2,8 +2,8 @@
 // the chained-mode byte-identity to BSP (stats, trace, image) across
 // healthy/faulty/stealing frames and host thread counts, free-mode overlap
 // reclamation with exact bookkeeping, the overlapped-exchange skew
-// attribution regression, model_run read-ahead, and the mixed-mode scaling
-// decomposition clamp.
+// attribution regression, model_run read-ahead, the pinned free-mode span
+// structure, and the mixed-mode scaling decomposition clamp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -515,6 +515,106 @@ TEST(AsyncFreeTest, FreeRunSurvivesAFaultArrival) {
   EXPECT_TRUE(run.frames[1].async.enabled);
   EXPECT_GT(run.frames[1].async.reclaimed_seconds, 0.0);
   EXPECT_GT(run.frames[1].total_seconds(), run.frames[2].total_seconds());
+}
+
+/// The trace's structure without its floating-point seconds: one line per
+/// span ("name category depth" plus its integer-valued message/byte/rank
+/// args), then one line per instant ("name category").
+std::vector<std::string> span_structure(const obs::Tracer& tracer) {
+  static const char* const kIntArgs[] = {"messages", "bytes", "ranks",
+                                         "straggler_rank", "claims"};
+  std::vector<std::string> lines;
+  for (const obs::Span& span : tracer.spans()) {
+    std::string line = span.name + " " + obs::to_string(span.cat) + " " +
+                       std::to_string(span.depth);
+    for (const char* key : kIntArgs) {
+      if (const double* v = span_arg(span, key)) {
+        line += std::string(" ") + key + "=" +
+                std::to_string(std::int64_t(*v));
+      }
+    }
+    lines.push_back(std::move(line));
+  }
+  for (const obs::Instant& instant : tracer.instants()) {
+    lines.push_back(instant.name + " " + obs::to_string(instant.cat));
+  }
+  return lines;
+}
+
+// Pins the free-mode timeline shape: the stage tree, the synthetic
+// io.fetch/io.shuffle read-ahead split, and the synthetic net.exchange /
+// composite.blend composite spans, with their integer args. Seconds are
+// deliberately not pinned (torus congestion goes through libm's pow).
+TEST(AsyncFreeTest, FreeFrameSpanStructureIsPinned) {
+  auto cfg = async_config(runtime::DependencyMode::kFree);
+  cfg.steal.policy = steal::StealPolicy::kScanlineChunks;
+  core::ParallelVolumeRenderer frame_pvr(cfg);
+  obs::Tracer frame_tracer;
+  frame_pvr.set_tracer(&frame_tracer);
+  frame_pvr.model_frame_with_faults(degrade_rank0(frame_pvr.partition(), 4.0));
+  const std::vector<std::string> frame_expected{
+      "frame frame 0",
+      "stage.io io 1",
+      "io.collective_read io 2",
+      "io.open storage 3 ranks=64",
+      "io.storage storage 3",
+      "net.exchange exchange 3 messages=224 bytes=1372000",
+      "stage.render render 1 ranks=64 straggler_rank=57",
+      "steal.claim steal 2 claims=87",
+      "net.exchange exchange 3 messages=87 bytes=5568",
+      "stage.composite composite 1 messages=488 bytes=221872",
+      "net.exchange exchange 2 messages=488 bytes=221872",
+      "composite.blend compute 2",
+      "fault.plan_armed fault",
+      "fault.recovery_complete fault",
+  };
+  EXPECT_EQ(span_structure(frame_tracer), frame_expected);
+
+  core::ParallelVolumeRenderer run_pvr(
+      async_config(runtime::DependencyMode::kFree));
+  fault::FaultTimeline timeline;
+  fault::FaultArrival arrival;
+  arrival.frame = 1;
+  arrival.plan = degrade_rank0(run_pvr.partition(), 4.0);
+  timeline.add(arrival);
+  obs::Tracer run_tracer;
+  run_pvr.set_tracer(&run_tracer);
+  run_pvr.model_run(3, timeline);
+  const std::vector<std::string> run_expected{
+      "frame frame 0",
+      "stage.io io 1",
+      "io.collective_read io 2",
+      "io.open storage 3 ranks=64",
+      "io.storage storage 3",
+      "net.exchange exchange 3 messages=224 bytes=1372000",
+      "stage.render render 1 ranks=64 straggler_rank=63",
+      "stage.composite composite 1 messages=488 bytes=221872",
+      "net.exchange exchange 2 messages=488 bytes=221872",
+      "composite.blend compute 2",
+      "ckpt.lost_work ckpt 0",
+      "frame frame 0",
+      "stage.io io 1",
+      "io.fetch storage 2",
+      "io.shuffle exchange 2 bytes=1372000",
+      "stage.render render 1 ranks=64 straggler_rank=3",
+      "stage.composite composite 1 messages=488 bytes=221872",
+      "net.exchange exchange 2 messages=488 bytes=221872",
+      "composite.blend compute 2",
+      "frame frame 0",
+      "stage.io io 1",
+      "io.fetch storage 2",
+      "io.shuffle exchange 2 bytes=1372000",
+      "stage.render render 1 ranks=64 straggler_rank=63",
+      "stage.composite composite 1 messages=488 bytes=221872",
+      "net.exchange exchange 2 messages=488 bytes=221872",
+      "composite.blend compute 2",
+      "fault.arrival fault",
+      "fault.plan_armed fault",
+      "io.readahead io",
+      "fault.recovery_complete fault",
+      "io.readahead io",
+  };
+  EXPECT_EQ(span_structure(run_tracer), run_expected);
 }
 
 // --- mixed-mode scaling decomposition (satellite bugfix) --------------------
