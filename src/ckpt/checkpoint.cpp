@@ -117,6 +117,16 @@ CheckpointIo CheckpointCodec::read(const format::VolumeLayout& layout,
                   std::to_string(stored_state) + " state bytes, layout "
                   "expects " + std::to_string(state_bytes));
     }
+    if (ck.frame_index < 0) {
+      throw Error("checkpoint restart failed: trailer records frame " +
+                  std::to_string(ck.frame_index));
+    }
+    const std::int64_t payload = file->size() - state_bytes - kTrailerBytes;
+    if (image_bytes < 0 || image_bytes > payload) {
+      throw Error("checkpoint restart failed: trailer records a " +
+                  std::to_string(image_bytes) + "-byte image, the file "
+                  "holds " + std::to_string(payload) + " bytes past it");
+    }
   }
   iolib::CollectiveReader reader(*rt_, *storage_, hints_);
   ck.io = reader.read(layout, /*var=*/0, blocks, file, bricks);

@@ -5,7 +5,9 @@
 #include <unistd.h>
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <vector>
 
@@ -170,6 +172,27 @@ TEST(CheckpointCodecTest, RestartRejectsForeignAndTruncatedFiles) {
   format::MemoryFile bad_magic(std::vector<std::byte>(
       std::size_t(layout.file_bytes() + ckpt::CheckpointCodec::kTrailerBytes)));
   EXPECT_THROW(codec.read(layout, blocks, &bad_magic, restored), Error);
+
+  // A valid checkpoint without an image payload whose trailer then carries
+  // a hostile frame index (byte 8) or image size (byte 24).
+  const auto hostile = [&](std::int64_t field_offset, std::int64_t value) {
+    format::MemoryFile file;
+    codec.write(layout, blocks, /*frame_index=*/3, /*image_bytes=*/0, &file,
+                bricks);
+    std::array<std::byte, 8> bytes{};
+    std::memcpy(bytes.data(), &value, 8);
+    file.write_at(layout.file_bytes() + field_offset, bytes);
+    return file;
+  };
+  format::MemoryFile negative_frame = hostile(8, -1);
+  EXPECT_THROW(codec.read(layout, blocks, &negative_frame, restored), Error);
+  for (const std::int64_t image_bytes :
+       {std::int64_t{-1000}, std::int64_t{9223372036854775800},
+        std::int64_t{5000}}) {
+    format::MemoryFile file = hostile(24, image_bytes);
+    EXPECT_THROW(codec.read(layout, blocks, &file, restored), Error)
+        << "image_bytes " << image_bytes;
+  }
 }
 
 TEST(CheckpointCodecTest, ModelModeWritePricesStateTrailerAndBarrier) {

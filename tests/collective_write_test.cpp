@@ -172,6 +172,64 @@ TEST(CollectiveWriteTest, ReadModifyWritePreservesOtherVariables) {
   }
 }
 
+TEST(CollectiveWriteTest, ReadModifyWriteKeepsLiveBytesPastEndOfFile) {
+  // A record file that holds only its header grows one variable at a time.
+  // Writing variable 1 read-modify-writes spans that straddle the current
+  // end of file; the variable-0 bytes already inside them must survive.
+  TempDir dir;
+  const format::DatasetDesc desc =
+      format::supernova_desc(format::FileFormat::kNetcdfRecord, 12);
+  const format::VolumeLayout layout(desc);
+  const std::string path = dir.file("vol.nc");
+  {
+    format::DiskFile file(path, format::DiskFile::OpenMode::kTruncate);
+    write_header(layout, &file);
+  }
+
+  Env env(4);
+  render::Decomposition decomp(desc.dims, 4);
+  const data::SupernovaField field(1530);
+  std::vector<RankBlock> blocks;
+  for (std::int64_t b = 0; b < 4; ++b) {
+    blocks.push_back(RankBlock{b, decomp.block_box(b)});
+  }
+  const auto variable = [&](int var) {
+    return data::variable_from_name(desc.variables[std::size_t(var)]);
+  };
+  const auto write = [&](int var) {
+    std::vector<Brick> bricks;
+    for (const RankBlock& b : blocks) {
+      Brick brick(b.box);
+      field.fill_brick(variable(var), desc.dims, &brick);
+      bricks.push_back(std::move(brick));
+    }
+    format::DiskFile file(path, format::DiskFile::OpenMode::kReadWrite);
+    CollectiveWriter writer(env.execute_rt, env.storage, Hints::untuned());
+    writer.write(layout, var, blocks, &file, bricks);
+  };
+  const auto wrong_voxels = [&](int var) {
+    format::DiskFile file(path, format::DiskFile::OpenMode::kRead);
+    Brick got;
+    data::read_variable(layout, var, file, &got);
+    std::int64_t wrong = 0;
+    for (std::int64_t z = 0; z < 12; ++z) {
+      for (std::int64_t y = 0; y < 12; ++y) {
+        for (std::int64_t x = 0; x < 12; ++x) {
+          wrong += got.at(x, y, z) !=
+                   field.at_voxel(variable(var), {x, y, z}, desc.dims);
+        }
+      }
+    }
+    return wrong;
+  };
+
+  write(0);
+  EXPECT_EQ(wrong_voxels(0), 0);
+  write(1);
+  EXPECT_EQ(wrong_voxels(0), 0);
+  EXPECT_EQ(wrong_voxels(1), 0);
+}
+
 TEST(CollectiveWriteTest, RoundTripThroughCollectiveRead) {
   TempDir dir;
   const format::DatasetDesc desc =

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <ostream>
 
 #include "data/synthetic.hpp"
 #include "data/writers.hpp"
 #include "iolib/collective_read.hpp"
+#include "iolib/collective_write.hpp"
 #include "iolib/independent_read.hpp"
 #include "render/decomposition.hpp"
 #include "util/rng.hpp"
@@ -149,34 +151,121 @@ INSTANTIATE_TEST_SUITE_P(AllFormats, IndependentReadFormats,
                                            format::FileFormat::kNetcdf64,
                                            format::FileFormat::kShdf));
 
-TEST(CollectiveReadTest, ModelAndExecuteProduceSameAccessPattern) {
+/// One model-vs-execute agreement case: a format and a direction.
+struct AgreementCase {
+  format::FileFormat format = format::FileFormat::kRaw;
+  bool read = true;
+};
+
+void PrintTo(const AgreementCase& c, std::ostream* os) {
+  *os << "(" << format::format_name(c.format) << ", "
+      << (c.read ? "read" : "write") << ")";
+}
+
+std::vector<AgreementCase> agreement_cases() {
+  std::vector<AgreementCase> cases;
+  for (const format::FileFormat fmt :
+       {format::FileFormat::kRaw, format::FileFormat::kNetcdfRecord,
+        format::FileFormat::kNetcdf64, format::FileFormat::kShdf}) {
+    cases.push_back({fmt, true});
+    cases.push_back({fmt, false});
+  }
+  return cases;
+}
+
+class ModelExecuteAgreement : public ::testing::TestWithParam<AgreementCase> {
+};
+
+TEST_P(ModelExecuteAgreement, SameAccessPatternAndResult) {
+  // Model mode prices exactly the accesses execute mode performs, in both
+  // directions and for every format.
+  const bool read = GetParam().read;
   TempDir dir;
   const format::DatasetDesc desc =
-      format::supernova_desc(format::FileFormat::kNetcdfRecord, 16);
-  const std::string path = dir.file("vol.nc");
+      format::supernova_desc(GetParam().format, 16);
+  const std::string path = dir.file("vol.dat");
   data::write_supernova_file(desc, path);
 
   Env env(8);
   const format::VolumeLayout layout(desc);
-  const auto blocks = make_blocks(desc.dims, 8);
+  // Reads take ghosted blocks like the pipeline; writes need a tiling.
+  const auto blocks = make_blocks(desc.dims, 8, read ? 1 : 0);
+  std::vector<Brick> bricks;
+  for (const auto& b : blocks) bricks.push_back(Brick(b.box));
 
+  const auto run = [&](runtime::Runtime& rt, format::FileHandle* file,
+                       std::span<Brick> out, storage::AccessLog* log) {
+    if (read) {
+      return CollectiveReader(rt, env.storage, Hints::untuned())
+          .read(layout, 0, blocks, file, out, log);
+    }
+    return CollectiveWriter(rt, env.storage, Hints::untuned())
+        .write(layout, 0, blocks, file, out, log);
+  };
   storage::AccessLog model_log, exec_log;
-  {
-    CollectiveReader reader(env.model_rt, env.storage, Hints::untuned());
-    reader.read(layout, 0, blocks, nullptr, {}, &model_log);
-  }
-  {
-    std::vector<Brick> bricks;
-    for (const auto& b : blocks) bricks.push_back(Brick(b.box));
-    format::DiskFile file(path, format::DiskFile::OpenMode::kRead);
-    CollectiveReader reader(env.execute_rt, env.storage, Hints::untuned());
-    reader.read(layout, 0, blocks, &file, bricks, &exec_log);
-  }
+  const ReadResult model = run(env.model_rt, nullptr, {}, &model_log);
+  format::DiskFile file(path, format::DiskFile::OpenMode::kReadWrite);
+  const ReadResult exec = run(env.execute_rt, &file, bricks, &exec_log);
+
   ASSERT_EQ(model_log.accesses().size(), exec_log.accesses().size());
   for (std::size_t i = 0; i < model_log.accesses().size(); ++i) {
     EXPECT_EQ(model_log.accesses()[i].offset, exec_log.accesses()[i].offset);
     EXPECT_EQ(model_log.accesses()[i].bytes, exec_log.accesses()[i].bytes);
+    EXPECT_EQ(model_log.accesses()[i].client_rank,
+              exec_log.accesses()[i].client_rank);
   }
+  EXPECT_EQ(model_log.stats().useful_bytes, exec_log.stats().useful_bytes);
+  EXPECT_EQ(model.seconds, exec.seconds);
+  EXPECT_EQ(model.accesses, exec.accesses);
+  EXPECT_EQ(model.physical_bytes, exec.physical_bytes);
+  EXPECT_EQ(model.useful_bytes, exec.useful_bytes);
+  EXPECT_EQ(model.shuffle_cost.messages, exec.shuffle_cost.messages);
+  EXPECT_GT(model.accesses, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFormatsBothDirections, ModelExecuteAgreement,
+                         ::testing::ValuesIn(agreement_cases()));
+
+TEST(CollectiveIoTest, WindowKeysDoNotAliasAcrossDomains) {
+  // 4 ranks on one ION with 2 aggregators split a 256^3 raw file into two
+  // 32 MiB domains (ranks 0 and 2). One-byte buffers give each domain 2^25
+  // windows, so domain 0's window 2^24 + 20 and domain 1's window 20 must
+  // stay distinct windows of distinct aggregators.
+  Env env(4);
+  const format::VolumeLayout layout(
+      format::supernova_desc(format::FileFormat::kRaw, 256));
+  const auto voxel_at = [](std::int64_t byte) {
+    const std::int64_t i = byte / 4;
+    const Vec3i lo{i % 256, i / 256 % 256, i / 65536};
+    return Box3i{lo, lo + Vec3i{1, 1, 1}};
+  };
+  const std::int64_t domain = std::int64_t(1) << 25;
+  const std::vector<RankBlock> blocks = {
+      {0, voxel_at(0)},
+      {1, voxel_at((std::int64_t(1) << 24) + 20)},
+      {2, voxel_at(domain + 20)},
+      {3, voxel_at(layout.file_bytes() - 4)}};
+  Hints hints;
+  hints.cb_buffer_bytes = 1;
+  hints.aggregators_per_ion = 2;
+
+  const auto check = [&](const ReadResult& r, const storage::AccessLog& log) {
+    EXPECT_EQ(r.useful_bytes, 16);
+    EXPECT_EQ(r.physical_bytes, 16);
+    ASSERT_EQ(log.accesses().size(), 16u);
+    for (const storage::PhysicalAccess& a : log.accesses()) {
+      EXPECT_EQ(a.bytes, 1);
+      EXPECT_EQ(a.client_rank, a.offset < domain ? 0 : 2)
+          << "offset " << a.offset;
+    }
+  };
+  storage::AccessLog read_log, write_log;
+  check(CollectiveReader(env.model_rt, env.storage, hints)
+            .read(layout, 0, blocks, nullptr, {}, &read_log),
+        read_log);
+  check(CollectiveWriter(env.model_rt, env.storage, hints)
+            .write(layout, 0, blocks, nullptr, {}, &write_log),
+        write_log);
 }
 
 TEST(CollectiveReadTest, RawReadIsDense) {
