@@ -223,7 +223,7 @@ CompositeStats BinarySwapCompositor::run(
     // consume writes only buffers[rank] (kept/pos are read-only here), so
     // rank inboxes may drain in parallel.
     stats.exchange.seconds +=
-        rt_->exchange_messages(std::move(messages), consume, /*rounds=*/1,
+        rt_->exchange_messages(std::move(messages), consume,
                                runtime::Runtime::ConsumePolicy::kParallelRanks)
             .seconds;
     if (faulty && redirected > 0) {

@@ -219,7 +219,7 @@ CompositeStats DirectSendCompositor::run(
   }
 
   stats.exchange = rt_->exchange_messages(
-      std::move(messages), consume, /*rounds=*/1,
+      std::move(messages), consume,
       runtime::Runtime::ConsumePolicy::kParallelRanks);
 
   const std::int64_t worst_blend =

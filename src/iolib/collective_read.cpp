@@ -9,9 +9,10 @@
 #include "iolib/collective_write.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <limits>
-#include <map>
+#include <memory>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -21,38 +22,82 @@ namespace pvr::iolib {
 
 namespace {
 
-/// One z-slice of one block's request, tagged with its owner.
+/// One z-slice of one block's request. The slice's row shape and owner are
+/// its brick's (TwoPhasePlan::bricks), so an entry is 16 bytes.
 struct SlabEntry {
-  format::SlabRequest slab;
-  std::int32_t brick_index = 0;  ///< into the (block, variable) brick array
-  std::int64_t z = 0;
+  std::int64_t first;        ///< file offset of the slice's first row
+  std::int32_t brick_index;  ///< into the (block, variable) brick array
+  std::int32_t z;
+};
+static_assert(sizeof(SlabEntry) == 16);
+
+/// What every z-slice of one (block, variable) shares: its row shape and
+/// the rank that owns the block.
+struct BrickRows {
+  std::int64_t row_bytes = 0, row_stride = 0, nrows = 0;
+  std::int64_t rank = 0;
 };
 
 /// One cb_buffer_bytes window of a file domain that holds wanted bytes.
 struct Window {
   std::int64_t lo = 0, hi = 0;  ///< window extent
+  std::int64_t agg = 0;         ///< its domain's aggregator rank
   std::int64_t wanted = 0;      ///< wanted bytes inside the window
   std::int64_t trim_lo = std::numeric_limits<std::int64_t>::max();
   std::int64_t trim_hi = 0;     ///< [first, last) wanted byte
   std::vector<std::int32_t> entries;  ///< execute mode only
 };
 
-/// Bytes one slab entry exchanges with one domain's aggregator.
+/// Bytes one brick exchanges with one aggregator (one run of them).
 struct PairBytes {
-  std::int64_t agg = 0, rank = 0, bytes = 0;
+  std::int32_t agg = 0, rank = 0;
+  std::int64_t bytes = 0;
 };
 
 /// The two-phase plan of one collective operation, direction-independent.
 struct TwoPhasePlan {
   std::vector<SlabEntry> entries;  ///< sorted by file offset
+  std::vector<BrickRows> bricks;   ///< per brick index
   std::int64_t useful_bytes = 0;
   std::int64_t num_aggs = 0;
   std::vector<std::int64_t> domain_agg;  ///< aggregator rank per domain
-  /// Keyed by (domain, window within the domain): file order.
-  std::map<std::pair<std::int64_t, std::int64_t>, Window> windows;
+  /// Windows in (domain, window within the domain) order: file order. A
+  /// window's `lo` identifies it, since domains never overlap.
+  std::vector<Window> windows;
   std::vector<PairBytes> pairs;
-  int rounds = 1;  ///< cb-buffer rounds of the largest domain
+  std::int64_t rounds = 1;  ///< cb-buffer rounds of the largest domain
+
+  format::SlabRequest slab(const SlabEntry& e) const {
+    const BrickRows& s = bricks[std::size_t(e.brick_index)];
+    return format::SlabRequest{e.first, s.row_bytes, s.row_stride, s.nrows};
+  }
 };
+
+/// Stable LSD radix sort of `entries` by file offset, 11 bits of
+/// (offset - lo) per pass, where lo..hi bounds the offsets: entries with
+/// equal offsets (overlapping blocks) keep their generation order.
+void sort_by_offset(std::vector<SlabEntry>& entries, std::int64_t lo,
+                    std::int64_t hi) {
+  constexpr int kBits = 11;
+  constexpr std::uint64_t kMask = (std::uint64_t(1) << kBits) - 1;
+  const std::size_t n = entries.size();
+  const auto spare = std::make_unique_for_overwrite<SlabEntry[]>(n);
+  SlabEntry* from = entries.data();
+  SlabEntry* to = spare.get();
+  const auto span = std::uint64_t(hi - lo);
+  for (int shift = 0; shift < 64 && (span >> shift) != 0; shift += kBits) {
+    const auto digit = [&](const SlabEntry& e) {
+      return std::size_t((std::uint64_t(e.first - lo) >> shift) & kMask);
+    };
+    std::array<std::size_t, kMask + 1> start{};
+    for (std::size_t i = 0; i < n; ++i) ++start[digit(from[i])];
+    std::size_t sum = 0;
+    for (std::size_t& s : start) sum += std::exchange(s, sum);
+    for (std::size_t i = 0; i < n; ++i) to[start[digit(from[i])]++] = from[i];
+    std::swap(from, to);
+  }
+  if (from != entries.data()) std::copy(from, from + n, entries.data());
+}
 
 TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
                             const storage::StorageModel& sm,
@@ -61,41 +106,59 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
                             std::span<const int> vars,
                             std::span<const RankBlock> blocks, bool execute) {
   TwoPhasePlan p;
+  const auto& part = rt.partition();
+  constexpr std::int64_t kMax32 = std::numeric_limits<std::int32_t>::max();
+  PVR_REQUIRE(std::int64_t(blocks.size() * vars.size()) <= kMax32 &&
+                  part.num_ranks() <= kMax32 &&
+                  layout.desc().dims.z <= kMax32,
+              "two-phase plan indexes bricks, ranks and slices with 32 bits");
   // ---- Phase 1: the global request as sorted slab entries; one entry per
   // (block, variable, z slice).
+  const Box3i volume{{0, 0, 0}, layout.desc().dims};
+  std::size_t num_entries = 0;
+  for (const RankBlock& b : blocks) {
+    const Box3i clipped = b.box.intersect(volume);
+    if (!clipped.empty()) {
+      num_entries += std::size_t(clipped.hi.z - clipped.lo.z) * vars.size();
+    }
+  }
+  p.entries.reserve(num_entries);
+  p.bricks.resize(blocks.size() * vars.size());
+  std::int64_t range_lo = std::numeric_limits<std::int64_t>::max();
+  std::int64_t range_hi = 0;
+  std::int64_t last_first = 0;  ///< the largest entry offset
   std::vector<format::SlabRequest> slabs;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
-    const Box3i clipped =
-        blocks[i].box.intersect(Box3i{{0, 0, 0}, layout.desc().dims});
+    const Box3i clipped = blocks[i].box.intersect(volume);
     for (std::size_t v = 0; v < vars.size(); ++v) {
       slabs.clear();
       layout.subvolume_slabs(vars[v], blocks[i].box, &slabs);
+      if (slabs.empty()) continue;
+      const std::size_t b = i * vars.size() + v;
+      BrickRows& shape = p.bricks[b];
+      shape = {slabs[0].row_bytes, slabs[0].row_stride, slabs[0].nrows,
+               blocks[i].rank};
       for (std::size_t s = 0; s < slabs.size(); ++s) {
+        PVR_ASSERT(slabs[s].row_bytes == shape.row_bytes &&
+                   slabs[s].row_stride == shape.row_stride &&
+                   slabs[s].nrows == shape.nrows);
         p.useful_bytes += slabs[s].useful_bytes();
-        p.entries.push_back(
-            SlabEntry{slabs[s], std::int32_t(i * vars.size() + v),
-                      clipped.lo.z + std::int64_t(s)});
+        range_lo = std::min(range_lo, slabs[s].first);
+        range_hi = std::max(range_hi, slabs[s].hull_end());
+        last_first = std::max(last_first, slabs[s].first);
+        const auto z = std::int32_t(clipped.lo.z + std::int64_t(s));
+        p.entries.push_back(SlabEntry{slabs[s].first, std::int32_t(b), z});
       }
     }
   }
   if (p.entries.empty()) return p;
-  std::sort(p.entries.begin(), p.entries.end(),
-            [](const SlabEntry& a, const SlabEntry& b) {
-              return a.slab.first < b.slab.first;
-            });
+  sort_by_offset(p.entries, range_lo, last_first);
 
   // ---- Phase 2: file domains over the aggregators, stripe-aligned.
-  const auto& part = rt.partition();
   const std::int64_t stripe = sm.config().stripe_bytes;
   p.num_aggs =
       std::clamp<std::int64_t>(part.num_ions() * hints.aggregators_per_ion,
                                1, part.num_ranks());
-  std::int64_t range_lo = std::numeric_limits<std::int64_t>::max();
-  std::int64_t range_hi = 0;
-  for (const SlabEntry& e : p.entries) {
-    range_lo = std::min(range_lo, e.slab.first);
-    range_hi = std::max(range_hi, e.slab.hull_end());
-  }
   // Domain boundaries: an even split, aligned down to stripe boundaries
   // when domains are large enough that alignment cannot collapse them.
   const bool align = (range_hi - range_lo) >= p.num_aggs * 2 * stripe;
@@ -136,23 +199,79 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
   }
 
   // ---- Phase 3: every (domain, window) holding wanted bytes, plus the
-  // bytes each slab entry exchanges with each domain's aggregator.
+  // bytes each slab entry exchanges with each domain's aggregator. Entries
+  // arrive in offset order, so the domain and the window holding an entry's
+  // first byte only move forward: `dom` is the last domain starting at or
+  // before it, [win_lo, win_hi) its window there, and windows before `live`
+  // are final.
   const std::int64_t cb = hints.cb_buffer_bytes;
-  const auto domain_of = [&](std::int64_t offset) {
-    const auto it =
-        std::upper_bound(dom_start.begin(), dom_start.end() - 1, offset);
-    return std::int64_t(it - dom_start.begin()) - 1;
+  p.pairs.reserve(p.entries.size());
+  // A brick's entries arrive in offset order, so its bytes for one
+  // aggregator come in a row: they fold into the brick's last pair.
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> last_pair(p.bricks.size(), kNone);
+  const auto add_pair = [&](std::size_t brick, std::int64_t agg,
+                            std::int64_t bytes) {
+    std::size_t& last = last_pair[brick];
+    if (last != kNone && p.pairs[last].agg == agg) {
+      p.pairs[last].bytes += bytes;
+      return;
+    }
+    last = p.pairs.size();
+    p.pairs.push_back(PairBytes{std::int32_t(agg),
+                                std::int32_t(p.bricks[brick].rank), bytes});
   };
+  std::size_t dom = 0;
+  std::int64_t win_lo = 0;
+  std::int64_t win_hi = 0;
+  std::size_t live = 0;
   for (std::size_t ei = 0; ei < p.entries.size(); ++ei) {
     const SlabEntry& e = p.entries[ei];
-    const std::int64_t h_lo = e.slab.first;
-    const std::int64_t h_hi = e.slab.hull_end();
-    const std::int64_t rank =
-        blocks[std::size_t(e.brick_index) / vars.size()].rank;
-    for (std::int64_t d = domain_of(h_lo);
-         d < p.num_aggs && dom_start[std::size_t(d)] < h_hi; ++d) {
-      const std::int64_t d_lo = dom_start[std::size_t(d)];
-      const std::int64_t d_hi = dom_start[std::size_t(d) + 1];
+    const format::SlabRequest slab = p.slab(e);
+    const std::int64_t h_lo = slab.first;
+    const std::int64_t h_hi = slab.hull_end();
+    while (dom + 1 < std::size_t(p.num_aggs) && dom_start[dom + 1] <= h_lo) {
+      ++dom;
+      win_hi = 0;
+    }
+    if (h_lo >= win_hi) {
+      win_lo = dom_start[dom] + (h_lo - dom_start[dom]) / cb * cb;
+      win_hi = std::min(dom_start[dom + 1], win_lo + cb);
+      while (live < p.windows.size() && p.windows[live].lo < win_lo) ++live;
+    }
+    // Adds wanted bytes [fw, lw) to the window [w_lo, w_hi) of domain d,
+    // creating it in file order; `w` walks forward over the entry's windows.
+    std::size_t w = live;
+    const auto add = [&](std::size_t d, std::int64_t w_lo, std::int64_t w_hi,
+                         std::int64_t fw, std::int64_t lw,
+                         std::int64_t wanted) {
+      while (w < p.windows.size() && p.windows[w].lo < w_lo) ++w;
+      if (w == p.windows.size() || p.windows[w].lo != w_lo) {
+        Window fresh;
+        fresh.lo = w_lo;
+        fresh.hi = w_hi;
+        fresh.agg = p.domain_agg[d];
+        p.windows.insert(p.windows.begin() + std::ptrdiff_t(w),
+                         std::move(fresh));
+      }
+      Window& win = p.windows[w];
+      win.wanted += wanted;
+      win.trim_lo = std::min(win.trim_lo, fw);
+      win.trim_hi = std::max(win.trim_hi, lw);
+      if (execute) win.entries.push_back(std::int32_t(ei));
+    };
+    if (h_hi <= win_hi) {
+      // The hull lies inside one window: all of it is wanted there, exactly
+      // what the per-window queries below would return.
+      add(dom, win_lo, win_hi, h_lo, h_hi, slab.useful_bytes());
+      add_pair(std::size_t(e.brick_index), p.domain_agg[dom],
+               slab.useful_bytes());
+      continue;
+    }
+    for (std::size_t d = dom;
+         d < std::size_t(p.num_aggs) && dom_start[d] < h_hi; ++d) {
+      const std::int64_t d_lo = dom_start[d];
+      const std::int64_t d_hi = dom_start[d + 1];
       const std::int64_t o_lo = std::max(h_lo, d_lo);
       const std::int64_t o_hi = std::min(h_hi, d_hi);
       if (o_lo >= o_hi) continue;
@@ -161,24 +280,16 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
            ++c) {
         const std::int64_t w_lo = d_lo + c * cb;
         const std::int64_t w_hi = std::min(d_hi, w_lo + cb);
-        const std::int64_t fw = e.slab.first_wanted_at_or_after(
-            std::max(w_lo, h_lo));
-        const std::int64_t lw =
-            e.slab.last_wanted_before(std::min(w_hi, h_hi));
+        const std::int64_t fw =
+            slab.first_wanted_at_or_after(std::max(w_lo, h_lo));
+        const std::int64_t lw = slab.last_wanted_before(std::min(w_hi, h_hi));
         if (fw >= lw) continue;  // a hole-only window
-        const std::int64_t wanted = e.slab.useful_bytes_in(w_lo, w_hi);
-        Window& w = p.windows[{d, c}];
-        w.lo = w_lo;
-        w.hi = w_hi;
-        w.wanted += wanted;
-        w.trim_lo = std::min(w.trim_lo, fw);
-        w.trim_hi = std::max(w.trim_hi, lw);
-        if (execute) w.entries.push_back(std::int32_t(ei));
+        const std::int64_t wanted = slab.useful_bytes_in(w_lo, w_hi);
+        add(d, w_lo, w_hi, fw, lw, wanted);
         slab_agg_bytes += wanted;
       }
       if (slab_agg_bytes > 0) {
-        p.pairs.push_back(
-            PairBytes{p.domain_agg[std::size_t(d)], rank, slab_agg_bytes});
+        add_pair(std::size_t(e.brick_index), p.domain_agg[d], slab_agg_bytes);
       }
     }
   }
@@ -189,7 +300,7 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
   for (std::size_t d = 0; d + 1 < dom_start.size(); ++d) {
     max_domain = std::max(max_domain, dom_start[d + 1] - dom_start[d]);
   }
-  p.rounds = int(std::max<std::int64_t>(1, ceil_div(max_domain, cb)));
+  p.rounds = std::max<std::int64_t>(1, ceil_div(max_domain, cb));
   return p;
 }
 
@@ -250,43 +361,66 @@ void price_storage(runtime::Runtime& rt, const storage::StorageModel& sm,
   }
 }
 
-/// Prices the shuffle on the torus: one message per (aggregator, rank)
-/// pair, ordered by (source, destination). Reads ship aggregator -> rank,
-/// writes rank -> aggregator.
-net::ExchangeCost price_shuffle(runtime::Runtime& rt, TwoPhasePlan& p,
-                                bool to_aggregators) {
-  const auto ends = [to_aggregators](const PairBytes& b) {
-    return to_aggregators ? std::pair(b.rank, b.agg) : std::pair(b.agg, b.rank);
-  };
-  std::sort(p.pairs.begin(), p.pairs.end(),
-            [&](const PairBytes& a, const PairBytes& b) {
-              return ends(a) < ends(b);
-            });
-  std::vector<runtime::Message> shuffle;
-  for (std::size_t i = 0; i < p.pairs.size();) {
-    const auto [src, dst] = ends(p.pairs[i]);
-    std::int64_t bytes = 0;
-    for (; i < p.pairs.size() && ends(p.pairs[i]) == std::pair(src, dst); ++i) {
-      bytes += p.pairs[i].bytes;
-    }
-    shuffle.push_back(runtime::Message{src, dst, 0, bytes, {}});
-  }
-  return rt.exchange_messages(std::move(shuffle), nullptr, p.rounds);
+/// Stable counting sort of `in` into `out` by key(pair) in [0, keys).
+template <class Key>
+void counting_sort(std::span<const PairBytes> in, std::span<PairBytes> out,
+                   std::int64_t keys, Key&& key) {
+  std::vector<std::size_t> start(std::size_t(keys) + 1, 0);
+  for (const PairBytes& b : in) ++start[std::size_t(key(b)) + 1];
+  for (std::size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
+  for (const PairBytes& b : in) out[start[std::size_t(key(b))]++] = b;
 }
 
-/// Calls copy(buffer byte, brick voxel, floats) for every row of `e` inside
-/// the window buffer that covers file range [buf_lo, buf_hi).
+/// Prices the shuffle on the torus: one message per (aggregator, rank)
+/// pair, ordered by (source, destination). Reads ship aggregator -> rank,
+/// writes rank -> aggregator. Two stable counting passes (by destination,
+/// then by source) order the pairs in O(pairs + ranks); equal pairs then
+/// coalesce straight into the transfer list.
+net::ExchangeCost price_shuffle(runtime::Runtime& rt, TwoPhasePlan& p,
+                                bool to_aggregators) {
+  const auto src = [to_aggregators](const PairBytes& b) {
+    return to_aggregators ? b.rank : b.agg;
+  };
+  const auto dst = [to_aggregators](const PairBytes& b) {
+    return to_aggregators ? b.agg : b.rank;
+  };
+  {
+    const auto by_dst = std::make_unique_for_overwrite<PairBytes[]>(
+        p.pairs.size());
+    const std::span<PairBytes> spare(by_dst.get(), p.pairs.size());
+    counting_sort(p.pairs, spare, rt.num_ranks(), dst);
+    counting_sort(spare, p.pairs, rt.num_ranks(), src);
+  }
+  std::vector<net::Transfer> shuffle;
+  shuffle.reserve(p.pairs.size());
+  for (std::size_t i = 0; i < p.pairs.size();) {
+    const std::int32_t s = src(p.pairs[i]);
+    const std::int32_t d = dst(p.pairs[i]);
+    std::int64_t bytes = 0;
+    for (; i < p.pairs.size() && src(p.pairs[i]) == s && dst(p.pairs[i]) == d;
+         ++i) {
+      bytes += p.pairs[i].bytes;
+    }
+    shuffle.push_back(net::Transfer{s, d, bytes});
+  }
+  std::vector<PairBytes>().swap(p.pairs);  // not needed past this point
+  return rt.exchange_transfers(shuffle, p.rounds);
+}
+
+/// Calls copy(buffer byte, brick voxel, floats) for every row of `slab`
+/// (z-slice `z` of `brick`) inside the window buffer that covers file range
+/// [buf_lo, buf_hi).
 template <class Copy>
-void for_each_row(const SlabEntry& e, std::int64_t buf_lo,
-                  std::int64_t buf_hi, const Brick& brick, Copy&& copy) {
-  const format::SlabRequest& slab = e.slab;
+void for_each_row(const format::SlabRequest& slab, std::int64_t z,
+                  std::int64_t buf_lo, std::int64_t buf_hi,
+                  const Brick& brick, Copy&& copy) {
   for (std::int64_t r = 0; r < slab.nrows; ++r) {
     const std::int64_t row_start = slab.first + r * slab.row_stride;
     const std::int64_t s = std::max(row_start, buf_lo);
     const std::int64_t end = std::min(row_start + slab.row_bytes, buf_hi);
     if (s >= end) continue;
     copy(std::size_t(s - buf_lo),
-         brick.row_index(brick.box().lo.y + r, e.z) +
+         brick.row_index(brick.box().lo.y + r, z) +
              std::size_t((s - row_start) / 4),
          std::size_t((end - s) / 4));
   }
@@ -381,22 +515,21 @@ ReadResult CollectiveReader::read_vars(const format::VolumeLayout& layout,
   // (paper Fig 9).
   std::vector<storage::PhysicalAccess> accesses;
   accesses.reserve(p.windows.size());
-  for (const auto& [key, w] : p.windows) {
-    accesses.push_back(storage::PhysicalAccess{
-        w.lo, w.hi - w.lo, p.domain_agg[std::size_t(key.first)]});
+  for (const Window& w : p.windows) {
+    accesses.push_back(storage::PhysicalAccess{w.lo, w.hi - w.lo, w.agg});
   }
   price_storage(*rt_, *storage_, accesses, log, &result);
   result.shuffle_cost = price_shuffle(*rt_, p, /*to_aggregators=*/false);
 
   if (execute) {
     std::vector<std::byte> buf;
-    for (const auto& [key, w] : p.windows) {
+    for (const Window& w : p.windows) {
       buf.resize(std::size_t(w.hi - w.lo));
       file->read_at(w.lo, buf);
       for (const std::int32_t ei : w.entries) {
         const SlabEntry& e = p.entries[std::size_t(ei)];
         Brick& brick = bricks[std::size_t(e.brick_index)];
-        for_each_row(e, w.lo, w.hi, brick,
+        for_each_row(p.slab(e), e.z, w.lo, w.hi, brick,
                      [&](std::size_t at, std::size_t voxel, std::size_t n) {
                        float* dst = brick.data().data() + voxel;
                        if (layout.big_endian_data()) {
@@ -460,9 +593,9 @@ ReadResult CollectiveWriter::write_vars(const format::VolumeLayout& layout,
   // fully cover is one pure write; a partially covered one needs
   // read-modify-write sieving: read the span, merge, write it back.
   std::vector<storage::PhysicalAccess> accesses;
-  for (const auto& [key, w] : p.windows) {
+  for (const Window& w : p.windows) {
     const storage::PhysicalAccess span{w.trim_lo, w.trim_hi - w.trim_lo,
-                                       p.domain_agg[std::size_t(key.first)]};
+                                       w.agg};
     if (w.wanted < span.bytes) accesses.push_back(span);
     accesses.push_back(span);
   }
@@ -470,7 +603,7 @@ ReadResult CollectiveWriter::write_vars(const format::VolumeLayout& layout,
 
   if (execute) {
     std::vector<std::byte> buf;
-    for (const auto& [key, w] : p.windows) {
+    for (const Window& w : p.windows) {
       const std::int64_t len = w.trim_hi - w.trim_lo;
       buf.resize(std::size_t(len));
       if (w.wanted < len) {
@@ -484,7 +617,7 @@ ReadResult CollectiveWriter::write_vars(const format::VolumeLayout& layout,
       for (const std::int32_t ei : w.entries) {
         const SlabEntry& e = p.entries[std::size_t(ei)];
         const Brick& brick = bricks[std::size_t(e.brick_index)];
-        for_each_row(e, w.trim_lo, w.trim_hi, brick,
+        for_each_row(p.slab(e), e.z, w.trim_lo, w.trim_hi, brick,
                      [&](std::size_t at, std::size_t voxel, std::size_t n) {
                        const float* src = brick.data().data() + voxel;
                        if (layout.big_endian_data()) {

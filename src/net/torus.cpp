@@ -8,7 +8,12 @@
 namespace pvr::net {
 
 TorusModel::TorusModel(const machine::Partition& partition)
-    : partition_(&partition) {}
+    : partition_(&partition) {
+  coords_.reserve(std::size_t(partition.num_nodes()));
+  for (std::int64_t node = 0; node < partition.num_nodes(); ++node) {
+    coords_.push_back(partition.coords_of_node(node));
+  }
+}
 
 std::int64_t TorusModel::neighbor(std::int64_t node, int dim, int dir) const {
   const auto& part = *partition_;
@@ -80,12 +85,13 @@ double TorusModel::peak_aggregate_bandwidth(double message_bytes) const {
 }
 
 ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
-                                  int rounds) const {
+                                  std::int64_t rounds) const {
   return exchange(transfers, rounds, nullptr, nullptr);
 }
 
 ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
-                                  int rounds, const fault::FaultPlan* plan,
+                                  std::int64_t rounds,
+                                  const fault::FaultPlan* plan,
                                   fault::FaultStats* stats,
                                   obs::MetricsRegistry* metrics,
                                   par::ThreadPool* pool) const {
@@ -120,8 +126,13 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
     std::int64_t local_bytes = 0;
     std::int64_t failed_sends = 0;  ///< undeliverable messages, live sender
   };
+  struct LinkLoad {
+    std::int64_t bytes = 0, msgs = 0;
+  };
   struct Tally {
-    std::vector<std::int64_t> link_bytes, link_msgs;
+    /// Per-link totals; in a healthy exchange, ring difference arrays
+    /// until the prefix sum after the merge.
+    std::vector<LinkLoad> link;
     std::vector<NodeLoad> node;
     std::int64_t messages = 0, local_messages = 0, total_bytes = 0;
     std::int64_t max_hops = 0;
@@ -130,8 +141,7 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
   };
   const auto make_tally = [&] {
     Tally t;
-    t.link_bytes.assign(static_cast<std::size_t>(num_links()), 0);
-    t.link_msgs.assign(static_cast<std::size_t>(num_links()), 0);
+    t.link.assign(static_cast<std::size_t>(num_links()), LinkLoad{});
     t.node.assign(static_cast<std::size_t>(nodes), NodeLoad{});
     return t;
   };
@@ -142,16 +152,58 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
   std::vector<std::uint8_t> delivered;
   if (faulty) delivered.assign(static_cast<std::size_t>(n), 1);
 
+  // Tallies one healthy route into `tally`'s difference arrays; returns
+  // its hop count. A dimension-ordered route is at most one run per
+  // dimension, and each run covers a cyclic interval [lo, lo + steps) of
+  // positions on one ring of one (dim, dir). Run d's ring holds the
+  // coordinates below d at the destination's and those above d at the
+  // source's, exactly the nodes route() walks. The interval adds +1 at lo
+  // and -1 one past its end; a run that wraps past the ring's last position
+  // splits in two.
+  const Vec3i dims = part.torus_dims();
+  const auto tally_runs = [&](std::int64_t src, std::int64_t dst,
+                              std::int64_t bytes, Tally& tally) {
+    const Vec3i& a = coords_[static_cast<std::size_t>(src)];
+    const Vec3i& b = coords_[static_cast<std::size_t>(dst)];
+    Vec3i at = a;  // run d's ring, at position at[d]
+    std::int64_t hops = 0;
+    for (int d = 0; d < 3; ++d) {
+      const std::int64_t dim = dims[d];
+      const std::int64_t delta = b[d] - a[d];
+      const std::int64_t fwd = delta < 0 ? delta + dim : delta;
+      const bool go_plus = fwd <= dim - fwd;  // prefer + on ties
+      const std::int64_t steps = go_plus ? fwd : dim - fwd;
+      if (steps > 0) {
+        hops += steps;
+        const int dir = go_plus ? 0 : 1;
+        const auto add = [&](std::int64_t pos, std::int64_t sign) {
+          at[d] = pos;
+          LinkLoad& l = tally.link[static_cast<std::size_t>(
+              link_index({part.node_of_coords(at), d, dir}))];
+          l.bytes += sign * bytes;
+          l.msgs += sign;
+        };
+        std::int64_t lo = go_plus ? a[d] : a[d] - steps + 1;
+        if (lo < 0) lo += dim;
+        add(lo, 1);
+        const std::int64_t end = lo + steps;
+        if (end < dim) {
+          add(end, -1);
+        } else if (end > dim) {  // wraps past position dim - 1
+          add(0, 1);
+          add(end - dim, -1);
+        }
+      }
+      at[d] = b[d];
+    }
+    return hops;
+  };
+
   // Routes one transfer into `tally`; returns false when undeliverable.
   const auto process = [&](const Transfer& t, Tally& tally) -> bool {
     PVR_ASSERT(t.bytes >= 0);
     const std::int64_t src = part.node_of_rank(t.src_rank);
     const std::int64_t dst = part.node_of_rank(t.dst_rank);
-    const auto visit = [&tally, &t, this](const LinkId& link) {
-      const auto li = static_cast<std::size_t>(link_index(link));
-      tally.link_bytes[li] += t.bytes;
-      ++tally.link_msgs[li];
-    };
     std::int64_t hops = 0;
     if (faulty) {
       // A message to (or from) a dead rank, or one cut off from its
@@ -160,7 +212,11 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
       bool undeliverable = plan->node_failed(src) || plan->node_failed(dst);
       FaultRoute fr;
       if (!undeliverable && src != dst) {
-        fr = route_with_faults(src, dst, *plan, visit);
+        fr = route_with_faults(src, dst, *plan, [&](const LinkId& link) {
+          LinkLoad& l = tally.link[static_cast<std::size_t>(link_index(link))];
+          l.bytes += t.bytes;
+          ++l.msgs;
+        });
         undeliverable = !fr.reachable;
       }
       if (undeliverable) {
@@ -190,15 +246,20 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
     sl.send_bytes += t.bytes;
     ++dl.recv_msgs;
     dl.recv_bytes += t.bytes;
-    if (!faulty) {
-      hops = route(src, dst, visit);
-    }
+    if (!faulty) hops = tally_runs(src, dst, t.bytes, tally);
     tally.max_hops = std::max(tally.max_hops, hops);
     return true;
   };
 
+  // Chunk boundaries depend only on n, the partition and the fault plan,
+  // never on the thread count (DESIGN.md §8). A healthy chunk tallies each
+  // transfer in O(1), so it takes at least 8 transfers per link to keep
+  // zero-filling and merging its private tally below its routing. A faulty
+  // transfer walks its path hop by hop and may search a detour, so faulty
+  // exchanges keep the finer grain of 64 for thread scaling.
+  const par::ChunkPlan cp = par::plan_chunks(
+      n, faulty ? 64 : std::max<std::int64_t>(64, 8 * num_links()));
   Tally total = make_tally();
-  const par::ChunkPlan cp = par::plan_chunks(n, /*min_grain=*/64);
   if (pool == nullptr || pool->threads() <= 1 || cp.count <= 1) {
     for (std::int64_t i = 0; i < n; ++i) {
       if (!process(transfers[std::size_t(i)], total) && faulty) {
@@ -218,9 +279,9 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
       parts[static_cast<std::size_t>(c)] = std::move(t);
     });
     for (const Tally& t : parts) {
-      for (std::size_t i = 0; i < total.link_bytes.size(); ++i) {
-        total.link_bytes[i] += t.link_bytes[i];
-        total.link_msgs[i] += t.link_msgs[i];
+      for (std::size_t i = 0; i < total.link.size(); ++i) {
+        total.link[i].bytes += t.link[i].bytes;
+        total.link[i].msgs += t.link[i].msgs;
       }
       for (std::size_t i = 0; i < total.node.size(); ++i) {
         total.node[i].send_msgs += t.node[i].send_msgs;
@@ -238,6 +299,27 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
       total.retries += t.retries;
       total.rerouted_messages += t.rerouted_messages;
       total.rerouted_hops += t.rerouted_hops;
+    }
+  }
+  if (!faulty) {
+    // Prefix-sum every ring's difference arrays into per-link totals,
+    // walking each ring from position 0.
+    for (std::int64_t node = 0; node < nodes; ++node) {
+      const Vec3i& first = coords_[static_cast<std::size_t>(node)];
+      for (int d = 0; d < 3; ++d) {
+        if (first[d] != 0) continue;
+        Vec3i at = first;
+        for (int dir = 0; dir < 2; ++dir) {
+          LinkLoad sum{};
+          for (at[d] = 0; at[d] < dims[d]; ++at[d]) {
+            LinkLoad& l = total.link[static_cast<std::size_t>(
+                link_index({part.node_of_coords(at), d, dir}))];
+            sum.bytes += l.bytes;
+            sum.msgs += l.msgs;
+            l = sum;
+          }
+        }
+      }
     }
   }
 
@@ -284,10 +366,10 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
   // Worst per-link serialization, derated by small-message efficiency.
   double worst_link = 0.0;
   double busiest_link_bytes = 0.0;
-  for (std::size_t i = 0; i < total.link_bytes.size(); ++i) {
-    if (total.link_msgs[i] == 0) continue;
-    const double bytes = double(total.link_bytes[i]);
-    const double avg_msg = bytes / double(total.link_msgs[i]);
+  for (std::size_t i = 0; i < total.link.size(); ++i) {
+    if (total.link[i].msgs == 0) continue;
+    const double bytes = double(total.link[i].bytes);
+    const double avg_msg = bytes / double(total.link[i].msgs);
     const double bw = cfg.torus_link_bw * message_efficiency(avg_msg);
     if (bytes / bw > worst_link) {  // strict: lowest link id wins ties
       worst_link = bytes / bw;
@@ -296,7 +378,7 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
     busiest_link_bytes = std::max(busiest_link_bytes, bytes);
     if (metrics != nullptr) {
       metrics->indexed("net.link_bytes")
-          .add(std::int64_t(i), total.link_bytes[i]);
+          .add(std::int64_t(i), total.link[i].bytes);
     }
   }
   cost.link_seconds = worst_link;

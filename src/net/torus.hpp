@@ -27,7 +27,10 @@
 // so the priced cost is bit-identical for any host thread count (DESIGN.md
 // §8). route()/route_with_faults() are templated on the visitor, so hot
 // callers pay neither a std::function allocation nor a per-hop indirect
-// call.
+// call. The healthy exchange does not walk hops at all: a dimension-ordered
+// route is at most one contiguous run per ring, tallied in O(1) per
+// dimension into difference arrays that one prefix sum turns into per-link
+// totals; route() stays the per-hop reference.
 #pragma once
 
 #include <algorithm>
@@ -144,7 +147,7 @@ class TorusModel {
   /// rounds (as two-phase I/O does), which divides the instantaneous
   /// congestion pressure without changing total per-message or wire costs.
   ExchangeCost exchange(std::span<const Transfer> transfers,
-                        int rounds = 1) const;
+                        std::int64_t rounds = 1) const;
 
   /// Fault-aware exchange: routes detour around failed links/nodes (extra
   /// hops are charged), undeliverable messages cost their sender the
@@ -157,8 +160,8 @@ class TorusModel {
   /// from the calling thread in transfer order. `pool`, if non-null and
   /// multi-threaded, routes the transfers in parallel chunks; the priced
   /// cost is bit-identical to the serial run for any thread count.
-  ExchangeCost exchange(std::span<const Transfer> transfers, int rounds,
-                        const fault::FaultPlan* plan,
+  ExchangeCost exchange(std::span<const Transfer> transfers,
+                        std::int64_t rounds, const fault::FaultPlan* plan,
                         fault::FaultStats* stats,
                         obs::MetricsRegistry* metrics = nullptr,
                         par::ThreadPool* pool = nullptr) const;
@@ -181,6 +184,9 @@ class TorusModel {
               const fault::FaultPlan& plan, std::vector<LinkId>* path) const;
 
   const machine::Partition* partition_;
+  /// Torus coordinates of every node, so the exchange reads a table
+  /// instead of dividing twice per message endpoint.
+  std::vector<Vec3i> coords_;
 };
 
 }  // namespace pvr::net

@@ -33,34 +33,31 @@ net::ExchangeCost Runtime::exchange(const ProduceFn& produce,
     Sender sender(r, num_ranks(), &messages);
     produce(r, sender);
   }
-  return exchange_messages(std::move(messages), consume, /*rounds=*/1, policy);
+  return exchange_messages(std::move(messages), consume, policy);
 }
 
 net::ExchangeCost Runtime::exchange_messages(std::vector<Message> messages,
                                              const ConsumeFn& consume,
-                                             int rounds,
                                              ConsumePolicy policy) {
-  return exchange_messages_impl(std::move(messages), consume, rounds, policy,
+  return exchange_messages_impl(std::move(messages), consume, policy,
                                 /*overlapped=*/false);
 }
 
 net::ExchangeCost Runtime::exchange_messages_overlapped(
-    std::vector<Message> messages, const ConsumeFn& consume, int rounds,
+    std::vector<Message> messages, const ConsumeFn& consume,
     ConsumePolicy policy) {
-  return exchange_messages_impl(std::move(messages), consume, rounds, policy,
+  return exchange_messages_impl(std::move(messages), consume, policy,
                                 /*overlapped=*/true);
 }
 
-net::ExchangeCost Runtime::exchange_messages_impl(std::vector<Message> messages,
-                                                  const ConsumeFn& consume,
-                                                  int rounds,
-                                                  ConsumePolicy policy,
-                                                  bool overlapped) {
-  std::vector<net::Transfer> transfers;
-  transfers.reserve(messages.size());
-  for (const Message& m : messages) {
-    transfers.push_back(net::Transfer{m.src_rank, m.dst_rank, m.bytes});
-  }
+net::ExchangeCost Runtime::exchange_transfers(
+    std::span<const net::Transfer> transfers, std::int64_t rounds) {
+  return price_transfers(transfers, rounds, /*overlapped=*/false);
+}
+
+net::ExchangeCost Runtime::price_transfers(
+    std::span<const net::Transfer> transfers, std::int64_t rounds,
+    bool overlapped) {
   obs::ScopedSpan span(tracer_, "net.exchange", obs::Category::kExchange);
   const fault::FaultStats fault_before =
       (tracer_ != nullptr && fault_stats_ != nullptr) ? *fault_stats_
@@ -102,6 +99,20 @@ net::ExchangeCost Runtime::exchange_messages_impl(std::vector<Message> messages,
     }
     tracer_->advance(cost.seconds);
   }
+  return cost;
+}
+
+net::ExchangeCost Runtime::exchange_messages_impl(std::vector<Message> messages,
+                                                  const ConsumeFn& consume,
+                                                  ConsumePolicy policy,
+                                                  bool overlapped) {
+  std::vector<net::Transfer> transfers;
+  transfers.reserve(messages.size());
+  for (const Message& m : messages) {
+    transfers.push_back(net::Transfer{m.src_rank, m.dst_rank, m.bytes});
+  }
+  const net::ExchangeCost cost =
+      price_transfers(transfers, /*rounds=*/1, overlapped);
 
   if (consume != nullptr) {
     if (fault_plan_ != nullptr && !fault_plan_->empty()) {

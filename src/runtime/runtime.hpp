@@ -133,10 +133,16 @@ class Runtime {
 
   /// Prices an explicit message list (schedule-driven phases that already
   /// built their messages). Consumes inboxes if `consume` is non-null.
-  /// `rounds` models pipelined issue (see TorusModel::exchange).
   net::ExchangeCost exchange_messages(
       std::vector<Message> messages, const ConsumeFn& consume = nullptr,
-      int rounds = 1, ConsumePolicy policy = ConsumePolicy::kSerial);
+      ConsumePolicy policy = ConsumePolicy::kSerial);
+
+  /// Prices a payload-free transfer list (phases that only size their
+  /// traffic, like the two-phase I/O shuffle): the same net.exchange span,
+  /// args, and ledger charge as exchange_messages, with nothing delivered.
+  /// `rounds` models pipelined issue (see TorusModel::exchange).
+  net::ExchangeCost exchange_transfers(std::span<const net::Transfer> transfers,
+                                       std::int64_t rounds = 1);
 
   /// Like exchange_messages, but priced as traffic overlapped with an
   /// enclosing phase: routing, serialization, contention, and fault
@@ -146,7 +152,7 @@ class Runtime {
   /// as render-stage work stealing (pvr::steal).
   net::ExchangeCost exchange_messages_overlapped(
       std::vector<Message> messages, const ConsumeFn& consume = nullptr,
-      int rounds = 1, ConsumePolicy policy = ConsumePolicy::kSerial);
+      ConsumePolicy policy = ConsumePolicy::kSerial);
 
   /// Compute phase: runs `body` on every rank; the phase costs the maximum
   /// of the reported per-rank durations. `body` returns its rank's modeled
@@ -166,8 +172,12 @@ class Runtime {
  private:
   net::ExchangeCost exchange_messages_impl(std::vector<Message> messages,
                                            const ConsumeFn& consume,
-                                           int rounds, ConsumePolicy policy,
+                                           ConsumePolicy policy,
                                            bool overlapped);
+  /// The one pricing path: the net.exchange span, the torus price, and the
+  /// ledger charge.
+  net::ExchangeCost price_transfers(std::span<const net::Transfer> transfers,
+                                    std::int64_t rounds, bool overlapped);
   double charge_collective(const char* name, std::int64_t bytes,
                            double seconds);
 

@@ -9,6 +9,7 @@
 
 #include "data/synthetic.hpp"
 #include "data/writers.hpp"
+#include "fault/fault_plan.hpp"
 #include "iolib/collective_read.hpp"
 #include "iolib/collective_write.hpp"
 #include "iolib/independent_read.hpp"
@@ -151,26 +152,74 @@ INSTANTIATE_TEST_SUITE_P(AllFormats, IndependentReadFormats,
                                            format::FileFormat::kNetcdf64,
                                            format::FileFormat::kShdf));
 
-/// One model-vs-execute agreement case: a format and a direction.
+/// What the two-phase plan prices for one agreement case, pinned so that
+/// changes to how the plan is computed keep every modeled number.
+struct Pinned {
+  double seconds = 0.0;
+  std::int64_t accesses = 0, physical_bytes = 0, useful_bytes = 0;
+  std::int64_t shuffle_messages = 0, shuffle_bytes = 0, max_hops = 0;
+};
+
+/// One model-vs-execute agreement case: a format, a direction, the block
+/// ghost width, how many variables move in one pass, and whether node 1
+/// (the aggregators of domains 4-7) is dead.
 struct AgreementCase {
   format::FileFormat format = format::FileFormat::kRaw;
   bool read = true;
+  int ghost = 1;
+  int variables = 1;
+  bool dead_aggregator = false;
+  Pinned pinned;
 };
 
+/// Names a case by what sets it apart from a ghosted single-variable read
+/// or a tiled single-variable write.
 void PrintTo(const AgreementCase& c, std::ostream* os) {
   *os << "(" << format::format_name(c.format) << ", "
-      << (c.read ? "read" : "write") << ")";
+      << (c.read ? "read" : "write");
+  if (c.ghost != (c.read ? 1 : 0)) {
+    *os << (c.ghost > 0 ? ", ghosted" : ", tiled");
+  }
+  if (c.variables > 1) *os << ", " << c.variables << " variables";
+  if (c.dead_aggregator) *os << ", dead aggregator";
+  *os << ")";
 }
 
 std::vector<AgreementCase> agreement_cases() {
-  std::vector<AgreementCase> cases;
-  for (const format::FileFormat fmt :
-       {format::FileFormat::kRaw, format::FileFormat::kNetcdfRecord,
-        format::FileFormat::kNetcdf64, format::FileFormat::kShdf}) {
-    cases.push_back({fmt, true});
-    cases.push_back({fmt, false});
-  }
-  return cases;
+  using format::FileFormat;
+  // Reads take ghosted blocks like the pipeline, writes a tiling; then
+  // writes of ghosted (overlapping) blocks, a three-variable read, and a
+  // write whose aggregators on node 1 fail over.
+  return {
+      {FileFormat::kRaw, true, 1, 1, false,
+       {0x1.95d2475004f7p-3, 8, 16384, 23328, 40, 23328, 1}},
+      {FileFormat::kRaw, false, 0, 1, false,
+       {0x1.93d003b5ab166p-3, 8, 16384, 16384, 32, 16384, 0}},
+      {FileFormat::kNetcdfRecord, true, 1, 1, false,
+       {0x1.96fb0dcd3805bp-3, 8, 77824, 23328, 40, 23328, 1}},
+      {FileFormat::kNetcdfRecord, false, 0, 1, false,
+       {0x1.d60c39a9d9f96p-3, 16, 98304, 16384, 32, 16384, 0}},
+      {FileFormat::kNetcdf64, true, 1, 1, false,
+       {0x1.96a3fe675dd92p-3, 8, 16384, 23328, 40, 23328, 1}},
+      {FileFormat::kNetcdf64, false, 0, 1, false,
+       {0x1.93d003b5ab166p-3, 8, 16384, 16384, 32, 16384, 0}},
+      {FileFormat::kShdf, true, 1, 1, false,
+       {0x1.9ed52550d6ae2p-3, 8, 16384, 23328, 40, 23328, 1}},
+      {FileFormat::kShdf, false, 0, 1, false,
+       {0x1.93d003b5ab166p-3, 8, 16384, 16384, 32, 16384, 0}},
+      {FileFormat::kRaw, false, 1, 1, false,
+       {0x1.95d2475004f7p-3, 8, 16384, 23328, 40, 23328, 1}},
+      {FileFormat::kNetcdfRecord, false, 1, 1, false,
+       {0x1.d80e7d4433dap-3, 16, 98304, 23328, 40, 23328, 1}},
+      {FileFormat::kNetcdf64, false, 1, 1, false,
+       {0x1.95d2475004f7p-3, 8, 16384, 23328, 40, 23328, 1}},
+      {FileFormat::kShdf, false, 1, 1, false,
+       {0x1.95d2475004f7p-3, 8, 16384, 23328, 40, 23328, 1}},
+      {FileFormat::kNetcdfRecord, true, 1, 3, false,
+       {0x1.9666fa0d845cp-3, 8, 79872, 69984, 40, 69984, 1}},
+      {FileFormat::kNetcdf64, false, 0, 1, true,
+       {0x1.94cbac3815bf5p-3, 8, 16384, 16384, 16, 8192, 0}},
+  };
 }
 
 class ModelExecuteAgreement : public ::testing::TestWithParam<AgreementCase> {
@@ -178,29 +227,39 @@ class ModelExecuteAgreement : public ::testing::TestWithParam<AgreementCase> {
 
 TEST_P(ModelExecuteAgreement, SameAccessPatternAndResult) {
   // Model mode prices exactly the accesses execute mode performs, in both
-  // directions and for every format.
-  const bool read = GetParam().read;
+  // directions and for every format, and both price what the case pins.
+  const AgreementCase& c = GetParam();
+  const bool read = c.read;
   TempDir dir;
-  const format::DatasetDesc desc =
-      format::supernova_desc(GetParam().format, 16);
+  const format::DatasetDesc desc = format::supernova_desc(c.format, 16);
   const std::string path = dir.file("vol.dat");
   data::write_supernova_file(desc, path);
 
   Env env(8);
+  fault::FaultPlan plan;
+  fault::FaultStats model_faults, exec_faults;
+  if (c.dead_aggregator) {
+    plan.fail_node(1);
+    env.model_rt.set_faults(&plan, &model_faults);
+    env.execute_rt.set_faults(&plan, &exec_faults);
+  }
   const format::VolumeLayout layout(desc);
-  // Reads take ghosted blocks like the pipeline; writes need a tiling.
-  const auto blocks = make_blocks(desc.dims, 8, read ? 1 : 0);
+  const auto blocks = make_blocks(desc.dims, 8, c.ghost);
+  std::vector<int> vars;
+  for (int v = 0; v < c.variables; ++v) vars.push_back(v);
   std::vector<Brick> bricks;
-  for (const auto& b : blocks) bricks.push_back(Brick(b.box));
+  for (const auto& b : blocks) {
+    for (int v = 0; v < c.variables; ++v) bricks.push_back(Brick(b.box));
+  }
 
   const auto run = [&](runtime::Runtime& rt, format::FileHandle* file,
                        std::span<Brick> out, storage::AccessLog* log) {
     if (read) {
       return CollectiveReader(rt, env.storage, Hints::untuned())
-          .read(layout, 0, blocks, file, out, log);
+          .read_vars(layout, vars, blocks, file, out, log);
     }
     return CollectiveWriter(rt, env.storage, Hints::untuned())
-        .write(layout, 0, blocks, file, out, log);
+        .write_vars(layout, vars, blocks, file, out, log);
   };
   storage::AccessLog model_log, exec_log;
   const ReadResult model = run(env.model_rt, nullptr, {}, &model_log);
@@ -221,6 +280,15 @@ TEST_P(ModelExecuteAgreement, SameAccessPatternAndResult) {
   EXPECT_EQ(model.useful_bytes, exec.useful_bytes);
   EXPECT_EQ(model.shuffle_cost.messages, exec.shuffle_cost.messages);
   EXPECT_GT(model.accesses, 0);
+
+  const Pinned& pin = c.pinned;
+  EXPECT_EQ(model.seconds, pin.seconds);
+  EXPECT_EQ(model.accesses, pin.accesses);
+  EXPECT_EQ(model.physical_bytes, pin.physical_bytes);
+  EXPECT_EQ(model.useful_bytes, pin.useful_bytes);
+  EXPECT_EQ(model.shuffle_cost.messages, pin.shuffle_messages);
+  EXPECT_EQ(model.shuffle_cost.total_bytes, pin.shuffle_bytes);
+  EXPECT_EQ(model.shuffle_cost.max_hops, pin.max_hops);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormatsBothDirections, ModelExecuteAgreement,
@@ -266,6 +334,31 @@ TEST(CollectiveIoTest, WindowKeysDoNotAliasAcrossDomains) {
   check(CollectiveWriter(env.model_rt, env.storage, hints)
             .write(layout, 0, blocks, nullptr, {}, &write_log),
         write_log);
+}
+
+TEST(CollectiveIoTest, ShuffleRoundCountPastIntRange) {
+  // One aggregator with one-byte buffers over a 4 GiB domain (the first and
+  // the last voxel of a 1024^3 raw file) pipelines its shuffle over 2^32
+  // rounds, one more than an int holds.
+  Env env(4);
+  const format::VolumeLayout layout(
+      format::supernova_desc(format::FileFormat::kRaw, 1024));
+  const std::vector<RankBlock> blocks = {
+      {0, Box3i{{0, 0, 0}, {1, 1, 1}}},
+      {3, Box3i{{1023, 1023, 1023}, {1024, 1024, 1024}}}};
+  Hints hints;
+  hints.cb_buffer_bytes = 1;
+  hints.aggregators_per_ion = 1;
+
+  const ReadResult read = CollectiveReader(env.model_rt, env.storage, hints)
+                              .read(layout, 0, blocks);
+  const ReadResult write = CollectiveWriter(env.model_rt, env.storage, hints)
+                               .write(layout, 0, blocks);
+  for (const ReadResult& r : {read, write}) {
+    EXPECT_EQ(r.useful_bytes, 8);
+    EXPECT_EQ(r.physical_bytes, 8);
+    EXPECT_GT(r.shuffle_cost.seconds, 0.0);
+  }
 }
 
 TEST(CollectiveReadTest, RawReadIsDense) {

@@ -2,12 +2,18 @@
 // fault-aware routing and exchange pricing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <map>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
 #include "machine/partition.hpp"
 #include "net/torus.hpp"
 #include "net/tree.hpp"
+#include "par/thread_pool.hpp"
+#include "util/rng.hpp"
 
 namespace pvr::net {
 namespace {
@@ -295,6 +301,155 @@ TEST(TorusFaultTest, DetouredExchangeChargesTheExtraHops) {
   EXPECT_EQ(stats.rerouted_hops, 3);
   EXPECT_EQ(cost.max_hops, 3);
   EXPECT_EQ(cost.messages, 1);
+}
+
+/// A healthy exchange priced from route()'s per-hop visitor: the reference
+/// the exchange's ring-interval link tallies must reproduce bit for bit.
+struct HopReference {
+  ExchangeCost cost;
+  std::map<std::int64_t, std::int64_t> link_bytes;  ///< links with traffic
+};
+
+HopReference per_hop_exchange(const TorusModel& torus,
+                              const std::vector<Transfer>& transfers,
+                              std::int64_t rounds) {
+  const machine::Partition& part = torus.partition();
+  const machine::MachineConfig& cfg = part.config();
+  const auto nodes = std::size_t(part.num_nodes());
+  std::vector<std::int64_t> link_bytes(std::size_t(torus.num_links()));
+  std::vector<std::int64_t> link_msgs(link_bytes.size());
+  std::vector<std::int64_t> send_msgs(nodes), recv_msgs(nodes);
+  std::vector<std::int64_t> send_bytes(nodes), recv_bytes(nodes);
+  std::vector<std::int64_t> local_bytes(nodes);
+  HopReference ref;
+  ExchangeCost& c = ref.cost;
+  double pressure_events = 0.0;
+  for (const Transfer& t : transfers) {
+    const auto src = std::size_t(part.node_of_rank(t.src_rank));
+    const auto dst = std::size_t(part.node_of_rank(t.dst_rank));
+    ++c.messages;
+    c.total_bytes += t.bytes;
+    pressure_events += 2.0 * cfg.small_msg_pressure_bytes /
+                       (cfg.small_msg_pressure_bytes + double(t.bytes));
+    if (src == dst) {
+      ++c.local_messages;
+      local_bytes[src] += t.bytes;
+      continue;
+    }
+    ++send_msgs[src];
+    send_bytes[src] += t.bytes;
+    ++recv_msgs[dst];
+    recv_bytes[dst] += t.bytes;
+    const std::int64_t hops = torus.route(
+        std::int64_t(src), std::int64_t(dst), [&](const LinkId& l) {
+          link_bytes[std::size_t(torus.link_index(l))] += t.bytes;
+          ++link_msgs[std::size_t(torus.link_index(l))];
+        });
+    c.max_hops = std::max(c.max_hops, hops);
+  }
+  const double pressure =
+      pressure_events / double(nodes) / double(rounds);
+  c.congestion_factor =
+      1.0 + std::min(cfg.congestion_max,
+                     std::pow(pressure / cfg.congestion_kappa,
+                              cfg.congestion_gamma));
+  for (std::size_t i = 0; i < link_bytes.size(); ++i) {
+    if (link_msgs[i] == 0) continue;
+    ref.link_bytes[std::int64_t(i)] = link_bytes[i];
+    const double bytes = double(link_bytes[i]);
+    const double bw = cfg.torus_link_bw *
+                      torus.message_efficiency(bytes / double(link_msgs[i]));
+    if (bytes / bw > c.link_seconds) {
+      c.link_seconds = bytes / bw;
+      c.bottleneck_link = std::int64_t(i);
+    }
+  }
+  for (std::size_t n = 0; n < nodes; ++n) {
+    const bool hot = double(recv_msgs[n]) > cfg.hotspot_indegree;
+    const double msg_cost =
+        cfg.msg_overhead * c.congestion_factor *
+        (double(send_msgs[n]) +
+         double(recv_msgs[n]) * (hot ? cfg.hotspot_factor : 1.0));
+    const double wire =
+        double(send_bytes[n] + recv_bytes[n]) / cfg.torus_link_bw +
+        double(local_bytes[n]) / (4.0 * cfg.torus_link_bw);
+    const double endpoint = msg_cost + wire + 0.0;  // no retries
+    if (endpoint > c.endpoint_seconds) {
+      c.endpoint_seconds = endpoint;
+      c.bottleneck_node = std::int64_t(n);
+    }
+  }
+  c.latency_seconds = cfg.torus_max_latency;
+  c.skew_seconds =
+      cfg.sync_skew_base +
+      cfg.sync_skew_per_log2 * std::log2(std::max<double>(2.0, double(nodes)));
+  c.seconds = std::max(c.link_seconds, c.endpoint_seconds) +
+              c.latency_seconds + c.skew_seconds;
+  return ref;
+}
+
+void expect_bitwise_equal(const ExchangeCost& got, const ExchangeCost& want) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(got.seconds), bits(want.seconds));
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.local_messages, want.local_messages);
+  EXPECT_EQ(got.total_bytes, want.total_bytes);
+  EXPECT_EQ(got.max_hops, want.max_hops);
+  EXPECT_EQ(bits(got.congestion_factor), bits(want.congestion_factor));
+  EXPECT_EQ(bits(got.link_seconds), bits(want.link_seconds));
+  EXPECT_EQ(bits(got.endpoint_seconds), bits(want.endpoint_seconds));
+  EXPECT_EQ(bits(got.latency_seconds), bits(want.latency_seconds));
+  EXPECT_EQ(bits(got.skew_seconds), bits(want.skew_seconds));
+  EXPECT_EQ(bits(got.retry_seconds), bits(want.retry_seconds));
+  EXPECT_EQ(got.bottleneck_link, want.bottleneck_link);
+  EXPECT_EQ(got.bottleneck_node, want.bottleneck_node);
+}
+
+TEST(TorusExchangeTest, LinkTalliesMatchPerHopRoutes) {
+  // Torus dims of 1, 2, odd and even sizes: 1 node is 1x1x1, 2 is 1x1x2,
+  // 12 is 2x2x3, 30 is 2x3x5, and 60 is 3x4x5. Enough transfers that the
+  // pooled exchange splits them over several chunks.
+  par::ThreadPool pool(3);
+  for (const std::int64_t nodes : {1, 2, 12, 30, 60}) {
+    SCOPED_TRACE(nodes);
+    const auto part = make_partition(nodes * 4);
+    const TorusModel torus(part);
+    const Vec3i dims = part.torus_dims();
+    Rng rng{std::uint64_t(nodes)};
+    std::vector<Transfer> transfers;
+    const auto rank_on = [&](const Vec3i& c) {
+      return part.node_of_coords(c) * 4 + std::int64_t(rng.next_below(4));
+    };
+    for (std::int64_t i = 0; i < 3 * 8 * torus.num_links() + 17; ++i) {
+      const auto bytes = std::int64_t(rng.next_below(8192));
+      const auto src = std::int64_t(rng.next_below(std::uint64_t(nodes * 4)));
+      switch (i % 4) {
+        case 0:  // src == dst
+          transfers.push_back({src, src, bytes});
+          break;
+        case 1: {  // half-way round every ring: fwd == D - fwd where D is even
+          Vec3i c = part.coords_of_node(part.node_of_rank(src));
+          for (int d = 0; d < 3; ++d) c[d] = (c[d] + dims[d] / 2) % dims[d];
+          transfers.push_back({src, rank_on(c), bytes});
+          break;
+        }
+        default:
+          transfers.push_back(
+              {src, std::int64_t(rng.next_below(std::uint64_t(nodes * 4))),
+               bytes});
+      }
+    }
+    const std::int64_t rounds = 3;
+    const HopReference want = per_hop_exchange(torus, transfers, rounds);
+    for (par::ThreadPool* p : {static_cast<par::ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(p == nullptr ? "serial" : "pool");
+      obs::MetricsRegistry metrics;
+      const ExchangeCost got =
+          torus.exchange(transfers, rounds, nullptr, nullptr, &metrics, p);
+      expect_bitwise_equal(got, want.cost);
+      EXPECT_EQ(metrics.indexed("net.link_bytes").by_index, want.link_bytes);
+    }
+  }
 }
 
 TEST(TreeModelTest, DepthAndBarrier) {
