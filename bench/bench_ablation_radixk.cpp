@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
     for (const int k : {2, 4, 8, 16, 32}) {
       const auto radices = RadixKCompositor::factor(n, k);
       const auto stats = renderer.model_radix_k(k);
-      table.add_row({"radix-" + pvr::fmt_int(k),
+      table.add_row({k == 2 ? std::string("binary swap (= radix-2)")
+                            : "radix-" + pvr::fmt_int(k),
                      pvr::fmt_int(std::int64_t(radices.size())),
                      pvr::fmt_f(stats.seconds, 3),
                      pvr::fmt_int(stats.messages)});
@@ -34,10 +35,6 @@ int main(int argc, char** argv) {
                        pvr::fmt_int(k),
                    stats.seconds, {{"messages", double(stats.messages)}});
     }
-    const auto bswap = renderer.model_binary_swap();
-    table.add_row({"binary swap (= radix-2)", pvr::fmt_int(pvr::ilog2(n)),
-                   pvr::fmt_f(bswap.seconds, 3),
-                   pvr::fmt_int(bswap.messages)});
     table.print();
     std::puts("");
   }

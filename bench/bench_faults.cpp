@@ -85,8 +85,9 @@ int main(int argc, char** argv) {
   }
 
   // --- Sweep 3: failure rate x compositing algorithm at 4096 procs. ---
-  // Direct-send recovers by tile reassignment; binary swap and radix-k by
-  // partner substitution. Same plan, same coverage — the price differs.
+  // Direct-send recovers by tile reassignment; radix-k (binary swap is
+  // radix 2) by partner substitution. Same plan, same coverage — the price
+  // differs.
   {
     pvr::TextTable table(
         "Faults F3 — compositor recovery, 4096 procs, 1120^3/1600^2");
@@ -95,14 +96,16 @@ int main(int argc, char** argv) {
     struct Algo {
       const char* name;
       pvr::compose::CompositeAlgorithm algorithm;
+      int radix;  ///< radix-k only
     };
     const Algo algos[] = {
-        {"direct_send", pvr::compose::CompositeAlgorithm::kDirectSend},
-        {"binary_swap", pvr::compose::CompositeAlgorithm::kBinarySwap},
-        {"radix_k", pvr::compose::CompositeAlgorithm::kRadixK}};
+        {"direct_send", pvr::compose::CompositeAlgorithm::kDirectSend, 8},
+        {"binary_swap", pvr::compose::CompositeAlgorithm::kRadixK, 2},
+        {"radix_k", pvr::compose::CompositeAlgorithm::kRadixK, 8}};
     for (const Algo& algo : algos) {
       ExperimentConfig cfg = paper_config(4096, 1120, 1600);
       cfg.composite.algorithm = algo.algorithm;
+      cfg.composite.radix = algo.radix;
       ParallelVolumeRenderer renderer(cfg);
       for (const double rate : {0.005, 0.01, 0.02}) {
         FaultSpec spec;

@@ -9,12 +9,11 @@
 namespace pvr::compose {
 
 /// Compositing exchange pattern. Direct-send is the paper's studied
-/// algorithm; binary swap and radix-k are the classic recursive schedules it
-/// is compared against (§III-B.3).
+/// algorithm; radix-k is the recursive schedule family it is compared
+/// against (§III-B.3). Binary swap is kRadixK with radix 2.
 enum class CompositeAlgorithm {
   kDirectSend,  ///< renderer -> tile-owner fragments, one round
-  kBinarySwap,  ///< log2(n) pairwise halving rounds (n must be a power of 2)
-  kRadixK,      ///< mixed-radix rounds; generalizes binary swap
+  kRadixK,      ///< mixed-radix rounds; radix 2 is binary swap
 };
 
 enum class CompositorPolicy {

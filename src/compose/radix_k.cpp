@@ -107,7 +107,7 @@ CompositeStats RadixKCompositor::run(
   CompositeStats stats;
   stats.num_compositors = n;
 
-  // Visibility order (near to far), as in binary swap.
+  // Visibility order (near to far); ties break by rank.
   std::vector<std::int64_t> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::int64_t a, std::int64_t b) {
@@ -121,11 +121,11 @@ CompositeStats RadixKCompositor::run(
     pos[std::size_t(order[std::size_t(i)])] = i;
   }
 
-  // Fault recovery (model mode): partner substitution, exactly as in
-  // binary swap — a deterministic live proxy absorbs each dead position's
-  // role (receives the group's pieces for it, performs its blends, carries
-  // its region through later rounds); the dead rank's own contribution is
-  // dropped and reported via coverage.
+  // Fault recovery (model mode): partner substitution — a deterministic
+  // live proxy absorbs each dead position's role (receives the group's
+  // pieces for it, performs its blends, carries its region through later
+  // rounds); the dead rank's own contribution is dropped and reported via
+  // coverage.
   std::vector<std::int64_t> actor;  // position -> acting rank
   if (faulty) {
     actor = substitute_positions(order, radices_, *plan, mpart);

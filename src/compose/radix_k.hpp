@@ -1,10 +1,16 @@
 // Radix-k compositing — the direct successor of this paper's compositing
 // work (Peterka, Goodell, Ross, Shen, Thakur: "A configurable algorithm for
 // parallel image-compositing applications", SC'09). It generalizes both
-// baselines in this repository:
+// classic schedules:
 //
-//   * binary swap  == radix-k with every round radix 2,
+//   * binary swap  == radix-k with every round radix 2 (Ma et al. 1994);
+//                     this class is the repository's binary swap, written
+//                     CompositeAlgorithm::kRadixK with radix 2,
 //   * direct-send  == radix-k with a single round of radix n.
+//
+// Each round prices k x kept pixels of blending per rank: every piece a
+// rank blends, its own included — what the execute path does, and how
+// direct-send prices its fragments.
 //
 // n ranks are factored into rounds n = k_1 * k_2 * ... * k_r. Ranks are
 // sorted into visibility order; in round i, groups of k_i ranks (positions

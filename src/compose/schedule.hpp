@@ -43,7 +43,7 @@ std::vector<ScheduledMessage> build_direct_send_schedule(
 std::int64_t total_scheduled_pixels(
     std::span<const ScheduledMessage> schedule);
 
-// --- fault-path helpers shared by all three compositors ---
+// --- fault-path helpers shared by both compositors ---
 
 /// Scheduled-vs-delivered pixel tally: the single coverage metric every
 /// compositor reports under fault injection.
@@ -55,8 +55,8 @@ struct PixelTally {
 /// Tally over block footprints (clipped to the image): every block's
 /// footprint is scheduled, blocks on live ranks are delivered. Because the
 /// direct-send schedule covers each footprint pixel exactly once, this
-/// equals direct-send's per-message tally — so binary swap and radix-k
-/// report the same coverage for the same dead-renderer set.
+/// equals direct-send's per-message tally — so radix-k reports the same
+/// coverage as direct-send for the same dead-renderer set.
 PixelTally tally_block_pixels(std::span<const BlockScreenInfo> blocks,
                               int width, int height,
                               const fault::FaultPlan& plan,
@@ -68,10 +68,10 @@ PixelTally tally_block_pixels(std::span<const BlockScreenInfo> blocks,
 /// are a no-op.
 void fold_coverage(const PixelTally& tally, fault::FaultStats* stats);
 
-/// Partner substitution for recursive exchange schedules (binary swap,
-/// radix-k). `order` maps visibility position -> rank; `round_sizes` are
-/// the per-round exchange-group sizes (all 2 for binary swap, the radices
-/// for radix-k; their product must be order.size()). For each position held
+/// Partner substitution for recursive exchange schedules (radix-k, of which
+/// binary swap is the all-2 case). `order` maps visibility position -> rank;
+/// `round_sizes` are the per-round exchange-group sizes (the radices; their
+/// product must be order.size()). For each position held
 /// by a dead rank, the substituting actor is chosen group-scoped: the next
 /// live rank in visibility-position order (cyclic) within the smallest
 /// round-prefix group that still has a live member. Returns actor[pos], the

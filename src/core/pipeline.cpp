@@ -41,24 +41,19 @@ void validate(const ExperimentConfig& config) {
     fail("composite.radix", config.composite.radix,
          "radix-k compositing needs a target radix of at least 2");
   }
-  if (config.composite.algorithm == compose::CompositeAlgorithm::kBinarySwap &&
-      !is_pow2(config.num_ranks)) {
-    fail("num_ranks", config.num_ranks,
-         "binary-swap compositing requires a power-of-two rank count; use "
-         "radix-k or direct-send otherwise");
-  }
   if (config.composite.algorithm != compose::CompositeAlgorithm::kDirectSend &&
       config.blocks_per_rank != 1) {
     fail("blocks_per_rank", config.blocks_per_rank,
-         "binary swap and radix-k composite exactly one block per rank; use "
-         "direct-send for multi-block decompositions");
+         "radix-k compositing (binary swap is radix 2) composites exactly "
+         "one block per rank; use direct-send for multi-block "
+         "decompositions");
   }
   if (config.runtime_mode == runtime::RuntimeMode::kAsync &&
       config.composite.algorithm != compose::CompositeAlgorithm::kDirectSend) {
     fail("composite.algorithm", int(config.composite.algorithm),
          "the async task-graph runtime (runtime_mode == kAsync) derives "
          "per-compositor dependencies from the direct-send schedule; use "
-         "RuntimeMode::kBsp with binary-swap/radix-k");
+         "RuntimeMode::kBsp with radix-k");
   }
   if (config.host_threads < 0 || config.host_threads > par::kMaxThreads) {
     fail("host_threads", config.host_threads,
@@ -305,12 +300,6 @@ compose::CompositeStats ParallelVolumeRenderer::model_composite(
   return compositor.model(blocks, config_.image_width, config_.image_height);
 }
 
-compose::CompositeStats ParallelVolumeRenderer::model_binary_swap() {
-  compose::BinarySwapCompositor compositor(model_rt(), config_.composite);
-  const auto blocks = screen_blocks();
-  return compositor.model(blocks, config_.image_width, config_.image_height);
-}
-
 compose::CompositeStats ParallelVolumeRenderer::model_radix_k(int radix) {
   compose::RadixKCompositor compositor(
       model_rt(), config_.composite,
@@ -319,20 +308,30 @@ compose::CompositeStats ParallelVolumeRenderer::model_radix_k(int radix) {
   return compositor.model(blocks, config_.image_width, config_.image_height);
 }
 
-compose::CompositeStats ParallelVolumeRenderer::model_composite_configured(
+compose::CompositeStats ParallelVolumeRenderer::composite_configured(
+    runtime::Runtime& rt, std::span<const compose::BlockScreenInfo> blocks,
+    std::span<const render::SubImage> subimages, Image* out,
     compose::DirectSendDetail* detail) {
+  const int width = config_.image_width;
+  const int height = config_.image_height;
+  const bool execute = rt.mode() == runtime::Mode::kExecute;
   switch (config_.composite.algorithm) {
-    case compose::CompositeAlgorithm::kBinarySwap:
-      return model_binary_swap();
-    case compose::CompositeAlgorithm::kRadixK:
-      return model_radix_k(config_.composite.radix);
+    case compose::CompositeAlgorithm::kRadixK: {
+      compose::RadixKCompositor compositor(
+          rt, config_.composite,
+          compose::RadixKCompositor::factor(config_.num_ranks,
+                                            config_.composite.radix));
+      return execute ? compositor.execute(blocks, subimages, width, height,
+                                          out)
+                     : compositor.model(blocks, width, height);
+    }
     case compose::CompositeAlgorithm::kDirectSend:
       break;
   }
-  compose::DirectSendCompositor compositor(model_rt(), config_.composite);
-  const auto blocks = screen_blocks();
-  return compositor.model(blocks, config_.image_width, config_.image_height,
-                          detail);
+  compose::DirectSendCompositor compositor(rt, config_.composite);
+  return execute
+             ? compositor.execute(blocks, subimages, width, height, out)
+             : compositor.model(blocks, width, height, detail);
 }
 
 FrameStats ParallelVolumeRenderer::model_frame() {
@@ -637,7 +636,8 @@ FrameStats ParallelVolumeRenderer::price_frame(const fault::FaultPlan* plan,
     }
     if (free_graph) {
       rt.set_tracer(nullptr);
-      stats.composite = model_composite_configured(&detail);
+      stats.composite = composite_configured(rt, screen_blocks(), {},
+                                             nullptr, &detail);
       rt.set_tracer(tracer_);
       // Overlapped semantics: dependency-priced traffic pays routing,
       // serialization, and contention, never the barrier-close skew.
@@ -668,8 +668,8 @@ FrameStats ParallelVolumeRenderer::price_frame(const fault::FaultPlan* plan,
   }
 
   // --- Stage 3: the configured compositor reads the fault state from the
-  // runtime — direct-send reassigns dead tiles, binary swap and radix-k
-  // substitute live proxies for dead partners; all report coverage. Under
+  // runtime — direct-send reassigns dead tiles, radix-k substitutes live
+  // proxies for dead partners; both report coverage. Under
   // kFree the composite charge is the chain compositor's exchange + blend,
   // traced as synthetic spans; message counts and wire bytes (the physical
   // facts) keep their full-frame values. ---
@@ -677,7 +677,9 @@ FrameStats ParallelVolumeRenderer::price_frame(const fault::FaultPlan* plan,
     obs::ScopedSpan stage(tracer_, "stage.composite",
                           obs::Category::kComposite);
     if (!free_graph) {
-      stats.composite = model_composite_configured(async ? &detail : nullptr);
+      stats.composite = composite_configured(rt, screen_blocks(), {},
+                                             nullptr,
+                                             async ? &detail : nullptr);
     } else {
       double blend_chain = 0.0;
       double exchange_chain = 0.0;
@@ -1022,13 +1024,11 @@ void ParallelVolumeRenderer::execute_render_and_composite(
     }
   }
 
-  // --- Stage 3: direct-send compositing with real pixels. ---
+  // --- Stage 3: the configured compositor with real pixels. ---
   {
     obs::ScopedSpan stage(tracer_, "stage.composite",
                           obs::Category::kComposite);
-    compose::DirectSendCompositor compositor(rt, config_.composite);
-    stats->composite = compositor.execute(
-        infos, subimages, config_.image_width, config_.image_height, out);
+    stats->composite = composite_configured(rt, infos, subimages, out);
     stats->composite_seconds = stats->composite.seconds;
   }
 }
@@ -1121,10 +1121,7 @@ FrameStats ParallelVolumeRenderer::execute_frame_bivariate(
   {
     obs::ScopedSpan stage(tracer_, "stage.composite",
                           obs::Category::kComposite);
-    compose::DirectSendCompositor compositor(rt, config_.composite);
-    stats.composite = compositor.execute(infos, subimages,
-                                         config_.image_width,
-                                         config_.image_height, out);
+    stats.composite = composite_configured(rt, infos, subimages, out);
     stats.composite_seconds = stats.composite.seconds;
   }
   if (tracer_ != nullptr) {

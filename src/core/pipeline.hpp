@@ -27,7 +27,6 @@
 #include <string>
 
 #include "ckpt/checkpoint.hpp"
-#include "compose/binary_swap.hpp"
 #include "compose/direct_send.hpp"
 #include "compose/radix_k.hpp"
 #include "data/synthetic.hpp"
@@ -242,8 +241,8 @@ class ParallelVolumeRenderer {
   render::RenderEstimate model_render() const;
   compose::CompositeStats model_composite(compose::CompositorPolicy policy,
                                           std::int64_t fixed_m = 0);
-  compose::CompositeStats model_binary_swap();
-  /// Radix-k compositing with rounds of (at most) the given radix.
+  /// Radix-k compositing with rounds of (at most) the given radix; radix 2
+  /// is binary swap.
   compose::CompositeStats model_radix_k(int radix);
   FrameStats model_frame();
 
@@ -253,8 +252,8 @@ class ParallelVolumeRenderer {
   /// storage failures are retried/failed-over — all priced into the stage
   /// times. The compositing stage honours config().composite.algorithm:
   /// direct-send reassigns dead compositors' tiles to the next live rank;
-  /// binary swap and radix-k substitute a live proxy for each dead
-  /// exchange partner. An empty plan returns exactly model_frame().
+  /// radix-k (binary swap at radix 2) substitutes a live proxy for each
+  /// dead exchange partner. An empty plan returns exactly model_frame().
   /// Deterministic for a given plan.
   FrameStats model_frame_with_faults(const fault::FaultPlan& plan);
 
@@ -303,12 +302,17 @@ class ParallelVolumeRenderer {
  private:
   runtime::Runtime& model_rt();
   runtime::Runtime& execute_rt();
-  /// The compositing stage as configured: dispatches on
-  /// config().composite.algorithm (direct-send, binary swap, or radix-k).
-  /// Used by every model-mode frame method, healthy or faulty. A non-null
-  /// `detail` (direct-send only) receives the per-rank message structure
-  /// for the async task graph; the priced stats are identical either way.
-  compose::CompositeStats model_composite_configured(
+  /// The compositing stage as configured, for every frame method, model or
+  /// execute, healthy or faulty: dispatches on config().composite.algorithm
+  /// (direct-send, or radix-k with rounds of at most composite.radix). A
+  /// model-mode `rt` prices the schedule of `blocks`; a non-null `detail`
+  /// (direct-send only) receives the per-rank message structure for the
+  /// async task graph, and the priced stats are identical either way. An
+  /// execute-mode `rt` composites `subimages` (one per block) and, if `out`
+  /// is non-null, assembles the image into it.
+  compose::CompositeStats composite_configured(
+      runtime::Runtime& rt, std::span<const compose::BlockScreenInfo> blocks,
+      std::span<const render::SubImage> subimages, Image* out,
       compose::DirectSendDetail* detail = nullptr);
   /// The one model-mode frame pricer behind model_frame,
   /// model_frame_with_faults (non-null `plan`), model_insitu_frame

@@ -69,7 +69,7 @@ struct FaultStats {
   std::int64_t reassigned_aggregators = 0; ///< I/O file domains reassigned
   std::int64_t dropped_blocks = 0;     ///< renderer blocks lost with owner
   /// Dead exchange-group members whose schedule role a live proxy absorbed
-  /// (binary-swap / radix-k partner substitution).
+  /// (radix-k partner substitution).
   std::int64_t substituted_partners = 0;
   /// Messages re-addressed to a proxy or sent on a dead rank's behalf.
   std::int64_t proxied_messages = 0;

@@ -409,19 +409,24 @@ net::ExchangeCost price_shuffle(runtime::Runtime& rt, TwoPhasePlan& p,
 
 /// Calls copy(buffer byte, brick voxel, floats) for every row of `slab`
 /// (z-slice `z` of `brick`) inside the window buffer that covers file range
-/// [buf_lo, buf_hi).
+/// [buf_lo, buf_hi). Slab rows cover the brick's box clipped to the volume,
+/// whose low corner is the box's raised to 0, so row r starts at voxel
+/// (x0, y0 + r, z).
 template <class Copy>
 void for_each_row(const format::SlabRequest& slab, std::int64_t z,
                   std::int64_t buf_lo, std::int64_t buf_hi,
                   const Brick& brick, Copy&& copy) {
+  const Vec3i& lo = brick.box().lo;
+  const std::int64_t x0 = std::max<std::int64_t>(lo.x, 0);
+  const std::int64_t y0 = std::max<std::int64_t>(lo.y, 0);
   for (std::int64_t r = 0; r < slab.nrows; ++r) {
     const std::int64_t row_start = slab.first + r * slab.row_stride;
     const std::int64_t s = std::max(row_start, buf_lo);
     const std::int64_t end = std::min(row_start + slab.row_bytes, buf_hi);
     if (s >= end) continue;
     copy(std::size_t(s - buf_lo),
-         brick.row_index(brick.box().lo.y + r, z) +
-             std::size_t((s - row_start) / 4),
+         brick.row_index(y0 + r, z) +
+             std::size_t(x0 - lo.x + (s - row_start) / 4),
          std::size_t((end - s) / 4));
   }
 }

@@ -72,7 +72,8 @@ ReadResult IndependentReader::read(const format::VolumeLayout& layout,
           const std::size_t count = std::size_t(slab.row_bytes / 4);
           const std::byte* src = buf.data() + (start - hull.offset);
           float* dst = brick.data().data() +
-                       brick.row_index(clipped.lo.y + r, z);
+                       brick.row_index(clipped.lo.y + r, z) +
+                       std::size_t(clipped.lo.x - brick.box().lo.x);
           if (layout.big_endian_data()) {
             format::big_endian_to_floats({src, count * 4}, {dst, count});
           } else {

@@ -2,7 +2,8 @@
 //
 //   pvr::core      — end-to-end parallel volume rendering pipeline
 //   pvr::render    — decomposition, camera, transfer functions, ray caster
-//   pvr::compose   — direct-send (original/improved) and binary-swap
+//   pvr::compose   — direct-send (original/improved) and radix-k (binary
+//                    swap is radix 2)
 //   pvr::iolib     — two-phase collective I/O, hints, independent reads
 //   pvr::format    — raw, netCDF classic (CDF-1/2/5), SHDF layouts & codecs
 //   pvr::data      — synthetic supernova data, writers, upsampling
@@ -20,7 +21,6 @@
 #pragma once
 
 #include "ckpt/checkpoint.hpp"
-#include "compose/binary_swap.hpp"
 #include "compose/direct_send.hpp"
 #include "compose/image_partition.hpp"
 #include "compose/policy.hpp"

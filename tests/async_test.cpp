@@ -234,7 +234,7 @@ TEST(TaskGraphTest, LastTaskTieBreaksToLowestId) {
 
 TEST(AsyncChainedTest, ValidateRejectsAsyncWithoutDirectSend) {
   auto cfg = async_config(runtime::DependencyMode::kFree);
-  cfg.composite.algorithm = compose::CompositeAlgorithm::kBinarySwap;
+  cfg.composite.algorithm = compose::CompositeAlgorithm::kRadixK;
   EXPECT_THROW(core::validate(cfg), Error);
   cfg.composite.algorithm = compose::CompositeAlgorithm::kDirectSend;
   EXPECT_NO_THROW(core::validate(cfg));

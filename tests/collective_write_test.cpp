@@ -43,18 +43,23 @@ struct Env {
   storage::StorageModel storage;
 };
 
-/// Non-ghosted blocks tiling the volume, plus source bricks filled from the
-/// synthetic field for all variables.
+/// Blocks tiling the volume, grown by `ghost` voxels on every side and left
+/// unclipped (so with a ghost, edge blocks extend past the volume), plus
+/// source bricks filled from the synthetic field for all variables.
 void make_write_job(const format::DatasetDesc& desc, std::int64_t ranks,
                     std::uint64_t seed, std::vector<RankBlock>* blocks,
-                    std::vector<Brick>* bricks, std::vector<int>* vars) {
+                    std::vector<Brick>* bricks, std::vector<int>* vars,
+                    int ghost = 0) {
   render::Decomposition decomp(desc.dims, ranks);
   const data::SupernovaField field(seed);
+  const Vec3i g{ghost, ghost, ghost};
   for (int v = 0; v < int(desc.num_variables()); ++v) vars->push_back(v);
   for (std::int64_t b = 0; b < decomp.num_blocks(); ++b) {
-    blocks->push_back(RankBlock{b, decomp.block_box(b)});
+    const Box3i own = decomp.block_box(b);
+    const Box3i box{own.lo - g, own.hi + g};
+    blocks->push_back(RankBlock{b, box});
     for (const int v : *vars) {
-      Brick brick(decomp.block_box(b));
+      Brick brick(box);
       field.fill_brick(data::variable_from_name(desc.variables[std::size_t(v)]),
                        desc.dims, &brick);
       bricks->push_back(std::move(brick));
@@ -90,34 +95,40 @@ TEST_P(CollectiveWriteFormats, ProducesTheSameFileAsTheSerialWriter) {
   const std::string serial_path = dir.file("serial.dat");
   data::write_supernova_file(desc, serial_path, 1530);
 
-  // Parallel file from the collective writer.
+  // Parallel file from the collective writer: tiled blocks, then blocks
+  // with an unclipped one-voxel ghost layer, whose edge blocks extend past
+  // the volume and whose overlaps write the same values twice.
   const std::string parallel_path = dir.file("parallel.dat");
   Env env(8);
-  std::vector<RankBlock> blocks;
-  std::vector<Brick> bricks;
-  std::vector<int> vars;
-  make_write_job(desc, 8, 1530, &blocks, &bricks, &vars);
-  {
-    format::DiskFile file(parallel_path,
-                          format::DiskFile::OpenMode::kTruncate);
-    write_header(layout, &file);
-    file.truncate(layout.file_bytes());
-    CollectiveWriter writer(env.execute_rt, env.storage, Hints::untuned());
-    const ReadResult r =
-        writer.write_vars(layout, vars, blocks, &file, bricks);
-    EXPECT_GT(r.useful_bytes, 0);
-    EXPECT_GT(r.accesses, 0);
-  }
+  for (const int ghost : {0, 1}) {
+    std::vector<RankBlock> blocks;
+    std::vector<Brick> bricks;
+    std::vector<int> vars;
+    make_write_job(desc, 8, 1530, &blocks, &bricks, &vars, ghost);
+    {
+      format::DiskFile file(parallel_path,
+                            format::DiskFile::OpenMode::kTruncate);
+      write_header(layout, &file);
+      file.truncate(layout.file_bytes());
+      CollectiveWriter writer(env.execute_rt, env.storage, Hints::untuned());
+      const ReadResult r =
+          writer.write_vars(layout, vars, blocks, &file, bricks);
+      EXPECT_GT(r.useful_bytes, 0);
+      EXPECT_GT(r.accesses, 0);
+    }
 
-  // Byte-for-byte comparison.
-  format::DiskFile a(serial_path, format::DiskFile::OpenMode::kRead);
-  format::DiskFile b(parallel_path, format::DiskFile::OpenMode::kRead);
-  ASSERT_EQ(a.size(), b.size());
-  std::vector<std::byte> ba(std::size_t(a.size())), bb(std::size_t(b.size()));
-  a.read_at(0, ba);
-  b.read_at(0, bb);
-  EXPECT_TRUE(ba == bb) << "file contents differ for "
-                        << format_name(GetParam());
+    // Byte-for-byte comparison.
+    format::DiskFile a(serial_path, format::DiskFile::OpenMode::kRead);
+    format::DiskFile b(parallel_path, format::DiskFile::OpenMode::kRead);
+    ASSERT_EQ(a.size(), b.size());
+    std::vector<std::byte> ba(std::size_t(a.size())),
+        bb(std::size_t(b.size()));
+    a.read_at(0, ba);
+    b.read_at(0, bb);
+    EXPECT_TRUE(ba == bb) << "file contents differ for "
+                          << format_name(GetParam()) << " with ghost "
+                          << ghost;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, CollectiveWriteFormats,

@@ -1,5 +1,5 @@
-// Fault-tolerant compositing across all three algorithms: partner
-// substitution in binary swap and radix-k (deterministic proxy choice,
+// Fault-tolerant compositing across direct-send and radix-k (binary swap is
+// radix-k with radix 2): partner substitution (deterministic proxy choice,
 // proxy-chain widening, all-dead failure), coverage agreement with
 // direct-send at a fixed FaultSpec seed, distinct-live-owner reporting,
 // empty-piece message suppression, and healthy-plan byte-identity of stats,
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "compose/binary_swap.hpp"
 #include "compose/direct_send.hpp"
 #include "compose/radix_k.hpp"
 #include "core/pipeline.hpp"
@@ -39,7 +38,7 @@ std::vector<BlockScreenInfo> synthetic_blocks(std::int64_t n, int width,
   return blocks;
 }
 
-core::ExperimentConfig fault_config(CompositeAlgorithm alg,
+core::ExperimentConfig fault_config(CompositeAlgorithm alg, int radix = 4,
                                     int host_threads = 1) {
   core::ExperimentConfig cfg;
   cfg.num_ranks = 64;
@@ -51,7 +50,7 @@ core::ExperimentConfig fault_config(CompositeAlgorithm alg,
   cfg.render.early_termination = 1.0;
   cfg.composite.policy = CompositorPolicy::kOriginal;
   cfg.composite.algorithm = alg;
-  cfg.composite.radix = 4;
+  cfg.composite.radix = radix;
   cfg.host_threads = host_threads;
   return cfg;
 }
@@ -87,10 +86,11 @@ TEST(EmptyPieceTest, BinarySwapPinsMessageCountAt64RanksOn4x4Image) {
   machine::Partition part(machine::MachineConfig{}, 64);
   runtime::Runtime rt(part, runtime::Mode::kModel);
   const auto blocks = synthetic_blocks(64, 4, 4);
-  BinarySwapCompositor bs(rt, CompositeConfig{});
+  RadixKCompositor bs(rt, CompositeConfig{}, {2, 2, 2, 2, 2, 2});
   const CompositeStats stats = bs.model(blocks, 4, 4);
-  // Rounds 0-3 halve 4x4 -> 2x4 -> 2x2 -> 1x2 -> 1x1: everyone ships a
-  // non-empty half (4 * 64). Splitting a 1x1 region yields one empty half,
+  // Binary swap is radix-k with every round radix 2. Rounds 0-3 halve
+  // 4x4 -> 2x4 -> 2x2 -> 1x2 -> 1x1: everyone ships a non-empty half
+  // (4 * 64). Splitting a 1x1 region yields one empty half,
   // so round 4 ships 32 messages (keep-first positions only) and round 5
   // ships 16; without the empty-piece skip this would be 6 * 64 = 384.
   EXPECT_EQ(stats.messages, 4 * 64 + 32 + 16);
@@ -124,7 +124,7 @@ TEST(ComposeFaultTest, ProxySearchWidensPastDeadExchangeGroups) {
   rt.set_faults(&plan, &fstats);
   const auto blocks = synthetic_blocks(16, 16, 16);
 
-  BinarySwapCompositor bs(rt, CompositeConfig{});
+  RadixKCompositor bs(rt, CompositeConfig{}, {2, 2, 2, 2});  // binary swap
   const CompositeStats stats = bs.model(blocks, 16, 16);
   EXPECT_EQ(fstats.substituted_partners, 4);
   EXPECT_GT(fstats.proxied_messages, 0);
@@ -166,8 +166,6 @@ TEST(ComposeFaultTest, AllRanksDeadThrows) {
   fault::FaultStats fstats = plan.census();
   rt.set_faults(&plan, &fstats);
   const auto blocks = synthetic_blocks(8, 16, 16);
-  BinarySwapCompositor bs(rt, CompositeConfig{});
-  EXPECT_THROW(bs.model(blocks, 16, 16), Error);
   RadixKCompositor rk(rt, CompositeConfig{}, {2, 2, 2});
   EXPECT_THROW(rk.model(blocks, 16, 16), Error);
   rt.set_faults(nullptr, nullptr);
@@ -191,15 +189,22 @@ TEST(ComposeFaultTest, DirectSendReportsDistinctLiveOwners) {
   rt.set_faults(nullptr, nullptr);
 }
 
-// ---- pipeline-level: all three algorithms under one seeded plan ----
+// ---- pipeline-level: every compositor under one seeded plan ----
+
+/// The compositors the pipeline dispatches to: direct-send, and radix-k
+/// at radix 2 (binary swap) and radix 4.
+struct Compositor {
+  CompositeAlgorithm algorithm;
+  int radix;
+};
+constexpr Compositor kCompositors[] = {{CompositeAlgorithm::kDirectSend, 4},
+                                       {CompositeAlgorithm::kRadixK, 2},
+                                       {CompositeAlgorithm::kRadixK, 4}};
 
 TEST(ComposeFaultTest, AllCompositorsAgreeOnCoverageAtFixedSeed) {
-  const CompositeAlgorithm algs[] = {CompositeAlgorithm::kDirectSend,
-                                     CompositeAlgorithm::kBinarySwap,
-                                     CompositeAlgorithm::kRadixK};
   std::vector<double> coverages;
-  for (const CompositeAlgorithm alg : algs) {
-    core::ParallelVolumeRenderer pvr(fault_config(alg));
+  for (const auto [alg, radix] : kCompositors) {
+    core::ParallelVolumeRenderer pvr(fault_config(alg, radix));
     const fault::FaultPlan plan = seeded_plan(pvr.partition());
     ASSERT_GT(plan.census().failed_nodes, 0) << "seed must kill something";
     const core::FrameStats a = pvr.model_frame_with_faults(plan);
@@ -217,19 +222,19 @@ TEST(ComposeFaultTest, AllCompositorsAgreeOnCoverageAtFixedSeed) {
     coverages.push_back(a.faults.coverage);
   }
   // The dropped-renderer pixel fraction is a property of the plan, not of
-  // the exchange pattern: all three compositors must agree exactly.
+  // the exchange pattern: every compositor must agree exactly.
   EXPECT_EQ(coverages[0], coverages[1]);
   EXPECT_EQ(coverages[0], coverages[2]);
 }
 
 TEST(ComposeFaultTest, FaultyRecursiveFramesMatchAcrossThreadCounts) {
-  for (const CompositeAlgorithm alg : {CompositeAlgorithm::kBinarySwap,
-                                       CompositeAlgorithm::kRadixK}) {
+  for (const int radix : {2, 4}) {
     core::FrameStats reference;
     std::string reference_trace;
     for (const int threads : {1, 4}) {
       obs::Tracer tracer;
-      core::ParallelVolumeRenderer pvr(fault_config(alg, threads));
+      core::ParallelVolumeRenderer pvr(
+          fault_config(CompositeAlgorithm::kRadixK, radix, threads));
       pvr.set_tracer(&tracer);
       const fault::FaultPlan plan = seeded_plan(pvr.partition());
       const core::FrameStats stats = pvr.model_frame_with_faults(plan);
@@ -248,21 +253,20 @@ TEST(ComposeFaultTest, FaultyRecursiveFramesMatchAcrossThreadCounts) {
 // ---- healthy-plan byte-identity ----
 
 TEST(ComposeFaultTest, EmptyPlanIsByteIdenticalToHealthyFrame) {
-  const CompositeAlgorithm algs[] = {CompositeAlgorithm::kDirectSend,
-                                     CompositeAlgorithm::kBinarySwap,
-                                     CompositeAlgorithm::kRadixK};
-  for (const CompositeAlgorithm alg : algs) {
+  for (const auto [alg, radix] : kCompositors) {
     core::FrameStats reference;
     std::string reference_trace;
     for (const int threads : {1, 4}) {
       obs::Tracer healthy_tracer;
-      core::ParallelVolumeRenderer healthy(fault_config(alg, threads));
+      core::ParallelVolumeRenderer healthy(
+          fault_config(alg, radix, threads));
       healthy.set_tracer(&healthy_tracer);
       const core::FrameStats base = healthy.model_frame();
       const std::string base_trace = obs::to_chrome_trace_json(healthy_tracer);
 
       obs::Tracer faultless_tracer;
-      core::ParallelVolumeRenderer faultless(fault_config(alg, threads));
+      core::ParallelVolumeRenderer faultless(
+          fault_config(alg, radix, threads));
       faultless.set_tracer(&faultless_tracer);
       const core::FrameStats same =
           faultless.model_frame_with_faults(fault::FaultPlan{});
@@ -285,7 +289,8 @@ TEST(ComposeFaultTest, EmptyPlanIsByteIdenticalToHealthyFrame) {
 }
 
 TEST(ComposeFaultTest, HealthyExecuteImagesMatchAcrossThreadCounts) {
-  // Real pixels through binary swap and radix-k, serial vs 4 host threads:
+  // Real pixels through radix-k at radix 2 (binary swap) and a mixed
+  // {4, 2} schedule, serial vs 4 host threads:
   // the empty-piece skip and fault plumbing must not move a single bit on
   // the healthy execute path.
   const Vec3i dims{24, 24, 24};
@@ -313,7 +318,8 @@ TEST(ComposeFaultTest, HealthyExecuteImagesMatchAcrossThreadCounts) {
     subs.push_back(std::move(sub));
   }
 
-  for (const bool use_radix_k : {false, true}) {
+  for (const std::vector<int>& radices :
+       {std::vector<int>{2, 2, 2}, std::vector<int>{4, 2}}) {
     Image reference;
     for (const int threads : {1, 4}) {
       machine::Partition part(machine::MachineConfig{}, ranks);
@@ -321,13 +327,8 @@ TEST(ComposeFaultTest, HealthyExecuteImagesMatchAcrossThreadCounts) {
       par::ThreadPool pool(threads);
       rt.set_pool(threads > 1 ? &pool : nullptr);
       Image out;
-      if (use_radix_k) {
-        RadixKCompositor rk(rt, CompositeConfig{}, {2, 2, 2});
-        rk.execute(infos, subs, width, height, &out);
-      } else {
-        BinarySwapCompositor bs(rt, CompositeConfig{});
-        bs.execute(infos, subs, width, height, &out);
-      }
+      RadixKCompositor(rt, CompositeConfig{}, radices)
+          .execute(infos, subs, width, height, &out);
       if (threads == 1) {
         reference = out;
       } else {

@@ -1,15 +1,16 @@
 // Tests for pvr::compose — image partitions, direct-send schedules and
-// execution, compositor policies, binary swap; the headline correctness
-// property is parallel composite == serial reference rendering.
+// execution, compositor policies, binary swap (radix-k at radix 2); the
+// headline correctness property is parallel composite == serial reference
+// rendering. Radix-k has its own suite in radix_k_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
-#include "compose/binary_swap.hpp"
 #include "compose/direct_send.hpp"
 #include "compose/image_partition.hpp"
 #include "compose/policy.hpp"
+#include "compose/radix_k.hpp"
 #include "compose/schedule.hpp"
 #include "data/synthetic.hpp"
 #include "render/decomposition.hpp"
@@ -227,6 +228,7 @@ TEST(DirectSendTest, LimitedCompositorsProduceSameImage) {
   EXPECT_LT(limited.max_difference(full), 1e-5f);
 }
 
+// Binary swap (Ma et al. 1994) is radix-k with radix 2.
 TEST(BinarySwapTest, MatchesDirectSend) {
   Scene scene;
   const render::Camera cam =
@@ -243,20 +245,11 @@ TEST(BinarySwapTest, MatchesDirectSend) {
   cc.policy = CompositorPolicy::kOriginal;
   DirectSendCompositor direct(rt, cc);
   direct.execute(infos, subs, scene.width, scene.height, &ds);
-  BinarySwapCompositor swap(rt, cc);
+  RadixKCompositor swap(rt, cc, RadixKCompositor::factor(8, 2));
   const CompositeStats stats =
       swap.execute(infos, subs, scene.width, scene.height, &bs);
   EXPECT_EQ(stats.messages, 8 * 3);  // n * log2(n)
   EXPECT_LT(bs.max_difference(ds), 1e-3f);
-}
-
-TEST(BinarySwapTest, RequiresPowerOfTwo) {
-  machine::Partition part(machine::MachineConfig{}, 6);
-  runtime::Runtime rt(part, runtime::Mode::kModel);
-  BinarySwapCompositor swap(rt, CompositeConfig{});
-  std::vector<BlockScreenInfo> blocks(6);
-  for (int i = 0; i < 6; ++i) blocks[std::size_t(i)].rank = i;
-  EXPECT_THROW(swap.model(blocks, 32, 32), Error);
 }
 
 // ---------------- Model-mode behaviour ----------------

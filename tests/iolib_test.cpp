@@ -50,13 +50,17 @@ class TempDir {
 };
 
 /// Decomposes the volume into one block per rank (with ghost) like the
-/// pipeline does.
+/// pipeline does. `clip = false` leaves the ghost layer unclipped, so edge
+/// blocks extend past the volume.
 std::vector<RankBlock> make_blocks(const Vec3i& dims, std::int64_t ranks,
-                                   int ghost = 1) {
+                                   int ghost = 1, bool clip = true) {
   render::Decomposition decomp(dims, ranks);
+  const Vec3i g{ghost, ghost, ghost};
   std::vector<RankBlock> blocks;
   for (std::int64_t b = 0; b < decomp.num_blocks(); ++b) {
-    blocks.push_back(RankBlock{b, decomp.ghost_box(b, ghost)});
+    const Box3i own = decomp.block_box(b);
+    blocks.push_back(RankBlock{b, clip ? decomp.ghost_box(b, ghost)
+                                       : Box3i{own.lo - g, own.hi + g}});
   }
   return blocks;
 }
@@ -75,34 +79,41 @@ TEST_P(CollectiveReadFormats, ExecuteMatchesGroundTruth) {
   Env env(ranks);
   const format::VolumeLayout layout(desc);
   const int var = int(desc.num_variables()) - 1;
-
-  const auto blocks = make_blocks(desc.dims, ranks);
-  std::vector<Brick> bricks;
-  for (const auto& b : blocks) bricks.push_back(Brick(b.box));
-
   format::DiskFile file(path, format::DiskFile::OpenMode::kRead);
-  CollectiveReader reader(env.execute_rt, env.storage, Hints::untuned());
-  const ReadResult result =
-      reader.read(layout, var, blocks, &file, bricks);
 
   // Ground truth via direct serial read.
   Brick truth;
   data::read_variable(layout, var, file, &truth);
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    const Box3i& box = blocks[i].box;
-    for (std::int64_t z = box.lo.z; z < box.hi.z; ++z) {
-      for (std::int64_t y = box.lo.y; y < box.hi.y; ++y) {
-        for (std::int64_t x = box.lo.x; x < box.hi.x; ++x) {
-          ASSERT_EQ(bricks[i].at(x, y, z), truth.at(x, y, z))
-              << format_name(GetParam()) << " rank " << i << " voxel " << x
-              << "," << y << "," << z;
+  const Box3i volume{{0, 0, 0}, desc.dims};
+
+  // Ghost boxes clipped to the volume as the pipeline builds them, and left
+  // unclipped so edge blocks extend past it: every in-volume voxel must
+  // land at its own coordinates either way.
+  for (const bool clip : {true, false}) {
+    const auto blocks = make_blocks(desc.dims, ranks, 1, clip);
+    std::vector<Brick> bricks;
+    for (const auto& b : blocks) bricks.push_back(Brick(b.box));
+
+    CollectiveReader reader(env.execute_rt, env.storage, Hints::untuned());
+    const ReadResult result =
+        reader.read(layout, var, blocks, &file, bricks);
+
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      const Box3i box = blocks[i].box.intersect(volume);
+      for (std::int64_t z = box.lo.z; z < box.hi.z; ++z) {
+        for (std::int64_t y = box.lo.y; y < box.hi.y; ++y) {
+          for (std::int64_t x = box.lo.x; x < box.hi.x; ++x) {
+            ASSERT_EQ(bricks[i].at(x, y, z), truth.at(x, y, z))
+                << format_name(GetParam()) << (clip ? "" : " unclipped")
+                << " rank " << i << " voxel " << x << "," << y << "," << z;
+          }
         }
       }
     }
+    EXPECT_GT(result.useful_bytes, 0);
+    EXPECT_GT(result.physical_bytes, 0);
+    EXPECT_GT(result.seconds, 0.0);
   }
-  EXPECT_GT(result.useful_bytes, 0);
-  EXPECT_GT(result.physical_bytes, 0);
-  EXPECT_GT(result.seconds, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, CollectiveReadFormats,
@@ -124,22 +135,29 @@ TEST_P(IndependentReadFormats, ExecuteMatchesGroundTruth) {
 
   Env env(ranks);
   const format::VolumeLayout layout(desc);
-  const auto blocks = make_blocks(desc.dims, ranks);
-  std::vector<Brick> bricks;
-  for (const auto& b : blocks) bricks.push_back(Brick(b.box));
-
   format::DiskFile file(path, format::DiskFile::OpenMode::kRead);
-  IndependentReader reader(env.execute_rt, env.storage, Hints::untuned());
-  reader.read(layout, 0, blocks, &file, bricks);
-
   Brick truth;
   data::read_variable(layout, 0, file, &truth);
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    const Box3i& box = blocks[i].box;
-    for (std::int64_t z = box.lo.z; z < box.hi.z; ++z) {
-      for (std::int64_t y = box.lo.y; y < box.hi.y; ++y) {
-        for (std::int64_t x = box.lo.x; x < box.hi.x; ++x) {
-          ASSERT_EQ(bricks[i].at(x, y, z), truth.at(x, y, z));
+  const Box3i volume{{0, 0, 0}, desc.dims};
+
+  // Clipped and unclipped ghost boxes, as in the collective read test.
+  for (const bool clip : {true, false}) {
+    const auto blocks = make_blocks(desc.dims, ranks, 1, clip);
+    std::vector<Brick> bricks;
+    for (const auto& b : blocks) bricks.push_back(Brick(b.box));
+
+    IndependentReader reader(env.execute_rt, env.storage, Hints::untuned());
+    reader.read(layout, 0, blocks, &file, bricks);
+
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      const Box3i box = blocks[i].box.intersect(volume);
+      for (std::int64_t z = box.lo.z; z < box.hi.z; ++z) {
+        for (std::int64_t y = box.lo.y; y < box.hi.y; ++y) {
+          for (std::int64_t x = box.lo.x; x < box.hi.x; ++x) {
+            ASSERT_EQ(bricks[i].at(x, y, z), truth.at(x, y, z))
+                << format_name(GetParam()) << (clip ? "" : " unclipped")
+                << " rank " << i << " voxel " << x << "," << y << "," << z;
+          }
         }
       }
     }
