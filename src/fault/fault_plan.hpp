@@ -102,9 +102,10 @@ class FaultPlan {
     nodes_.insert(node);
     degraded_nodes_.erase(node);
   }
-  void fail_link(std::int64_t node, int dim, int dir) {
-    links_.insert(link_key(node, dim, dir));
-  }
+  /// Fails the directed link leaving `node` along `dim` (0..2) in
+  /// direction `dir` (0 = +, 1 = -). Throws pvr::Error on a negative node
+  /// or an out-of-range dim or dir, which would alias another link.
+  void fail_link(std::int64_t node, int dim, int dir);
   void fail_ion(std::int64_t ion) { ions_.insert(ion); }
   void fail_server(int server) {
     servers_.insert(server);

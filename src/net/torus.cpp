@@ -130,8 +130,8 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
     std::int64_t bytes = 0, msgs = 0;
   };
   struct Tally {
-    /// Per-link totals; in a healthy exchange, ring difference arrays
-    /// until the prefix sum after the merge.
+    /// Ring difference arrays until the prefix sum after the merge, then
+    /// per-link totals.
     std::vector<LinkLoad> link;
     std::vector<NodeLoad> node;
     std::int64_t messages = 0, local_messages = 0, total_bytes = 0;
@@ -152,15 +152,58 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
   std::vector<std::uint8_t> delivered;
   if (faulty) delivered.assign(static_cast<std::size_t>(n), 1);
 
-  // Tallies one healthy route into `tally`'s difference arrays; returns
-  // its hop count. A dimension-ordered route is at most one run per
-  // dimension, and each run covers a cyclic interval [lo, lo + steps) of
-  // positions on one ring of one (dim, dir). Run d's ring holds the
+  // The fault plan compiled once per exchange into dense tables indexed
+  // like link_index(): far[l] is the node at link l's far end, and
+  // link_dead[l] is !link_usable(l). Healthy exchanges build none of them.
+  const Vec3i dims = part.torus_dims();
+  std::vector<std::uint8_t> node_dead, link_dead;
+  std::vector<std::int64_t> far;
+  if (faulty) {
+    node_dead.resize(static_cast<std::size_t>(nodes));
+    for (std::int64_t node = 0; node < nodes; ++node) {
+      node_dead[static_cast<std::size_t>(node)] = plan->node_failed(node);
+    }
+    far.resize(static_cast<std::size_t>(num_links()));
+    link_dead.resize(far.size());
+    for (std::int64_t node = 0; node < nodes; ++node) {
+      for (int d = 0; d < 3; ++d) {
+        for (int dir = 0; dir < 2; ++dir) {
+          Vec3i c = coords_[static_cast<std::size_t>(node)];
+          c[d] = (c[d] + (dir == 0 ? 1 : dims[d] - 1)) % dims[d];
+          const auto l =
+              static_cast<std::size_t>(link_index({node, d, dir}));
+          far[l] = part.node_of_coords(c);
+          link_dead[l] = plan->link_failed(node, d, dir) ||
+                         node_dead[static_cast<std::size_t>(node)] ||
+                         node_dead[static_cast<std::size_t>(far[l])];
+        }
+      }
+    }
+  }
+
+  // Run d of the dimension-ordered route from a to b, as route() takes
+  // it: its hop count and direction (0 = +, 1 = -; + on ties).
+  struct Run {
+    std::int64_t steps;
+    int dir;
+  };
+  const auto dor_run = [&](const Vec3i& a, const Vec3i& b, int d) {
+    const std::int64_t dim = dims[d];
+    const std::int64_t delta = b[d] - a[d];
+    const std::int64_t fwd = delta < 0 ? delta + dim : delta;
+    // Two selects rather than one branch: random traffic mispredicts it.
+    const bool go_plus = fwd <= dim - fwd;
+    return Run{go_plus ? fwd : dim - fwd, go_plus ? 0 : 1};
+  };
+
+  // Tallies one dimension-ordered route into `tally`'s difference arrays;
+  // returns its hop count. A dimension-ordered route is at most one run
+  // per dimension, and each run covers a cyclic interval [lo, lo + steps)
+  // of positions on one ring of one (dim, dir). Run d's ring holds the
   // coordinates below d at the destination's and those above d at the
   // source's, exactly the nodes route() walks. The interval adds +1 at lo
-  // and -1 one past its end; a run that wraps past the ring's last position
-  // splits in two.
-  const Vec3i dims = part.torus_dims();
+  // and -1 one past its end; a run that wraps past the ring's last
+  // position splits in two.
   const auto tally_runs = [&](std::int64_t src, std::int64_t dst,
                               std::int64_t bytes, Tally& tally) {
     const Vec3i& a = coords_[static_cast<std::size_t>(src)];
@@ -169,24 +212,20 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
     std::int64_t hops = 0;
     for (int d = 0; d < 3; ++d) {
       const std::int64_t dim = dims[d];
-      const std::int64_t delta = b[d] - a[d];
-      const std::int64_t fwd = delta < 0 ? delta + dim : delta;
-      const bool go_plus = fwd <= dim - fwd;  // prefer + on ties
-      const std::int64_t steps = go_plus ? fwd : dim - fwd;
-      if (steps > 0) {
-        hops += steps;
-        const int dir = go_plus ? 0 : 1;
+      const Run run = dor_run(a, b, d);
+      if (run.steps > 0) {
+        hops += run.steps;
         const auto add = [&](std::int64_t pos, std::int64_t sign) {
           at[d] = pos;
           LinkLoad& l = tally.link[static_cast<std::size_t>(
-              link_index({part.node_of_coords(at), d, dir}))];
+              link_index({part.node_of_coords(at), d, run.dir}))];
           l.bytes += sign * bytes;
           l.msgs += sign;
         };
-        std::int64_t lo = go_plus ? a[d] : a[d] - steps + 1;
+        std::int64_t lo = run.dir == 0 ? a[d] : a[d] - run.steps + 1;
         if (lo < 0) lo += dim;
         add(lo, 1);
-        const std::int64_t end = lo + steps;
+        const std::int64_t end = lo + run.steps;
         if (end < dim) {
           add(end, -1);
         } else if (end > dim) {  // wraps past position dim - 1
@@ -199,38 +238,123 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
     return hops;
   };
 
+  // True when no link on the dimension-ordered route from src to dst is
+  // dead: route()'s hop walk, read from the dense tables.
+  const auto route_clean = [&](std::int64_t src, std::int64_t dst) {
+    const Vec3i& a = coords_[static_cast<std::size_t>(src)];
+    const Vec3i& b = coords_[static_cast<std::size_t>(dst)];
+    std::int64_t at = src;
+    for (int d = 0; d < 3; ++d) {
+      const Run run = dor_run(a, b, d);
+      for (std::int64_t s = 0; s < run.steps; ++s) {
+        const auto l = static_cast<std::size_t>(link_index({at, d, run.dir}));
+        if (link_dead[l]) return false;
+        at = far[l];
+      }
+    }
+    return true;
+  };
+
+  // One detour link as a run of one position: +1 at the link and -1 at
+  // the same (dim, dir) link one position further round its ring, which
+  // starts at the + neighbor. A link at the ring's last position needs no
+  // -1: the prefix sum ends there.
+  const auto tally_link = [&](std::int64_t link, std::int64_t bytes,
+                              Tally& tally) {
+    const std::int64_t node = link / 6;
+    const int d = int(link % 6) / 2;
+    LinkLoad& on = tally.link[static_cast<std::size_t>(link)];
+    on.bytes += bytes;
+    ++on.msgs;
+    if (coords_[static_cast<std::size_t>(node)][d] + 1 < dims[d]) {
+      const std::int64_t next =
+          far[static_cast<std::size_t>(link_index({node, d, 0}))];
+      LinkLoad& past =
+          tally.link[static_cast<std::size_t>(next * 6 + link % 6)];
+      past.bytes -= bytes;
+      --past.msgs;
+    }
+  };
+
+  // Detour search scratch, private to one chunk and sized on its first
+  // detour: seen[node] == epoch marks a node this search discovered, and
+  // via[node] is the link it was discovered over.
+  struct Search {
+    std::vector<std::uint32_t> seen;
+    std::vector<std::int64_t> via;
+    std::vector<std::int64_t> queue;
+    std::uint32_t epoch = 0;
+  };
+  // detour()'s BFS over the dense tables: neighbors in the order x+, x-,
+  // y+, y-, z+, z-, a node's parent set on its first discovery, and an
+  // early exit at dst, so it finds the same path. Tallies that path's
+  // links and returns its hop count, or -1 when dst is cut off.
+  const auto tally_detour = [&](std::int64_t src, std::int64_t dst,
+                                std::int64_t bytes, Tally& tally,
+                                Search& s) -> std::int64_t {
+    if (s.seen.empty()) {
+      s.seen.assign(static_cast<std::size_t>(nodes), 0);
+      s.via.resize(static_cast<std::size_t>(nodes));
+      s.queue.reserve(static_cast<std::size_t>(nodes));
+    }
+    const std::uint32_t epoch = ++s.epoch;
+    s.queue.assign(1, src);
+    s.seen[static_cast<std::size_t>(src)] = epoch;
+    bool found = false;
+    for (std::size_t head = 0; head < s.queue.size() && !found; ++head) {
+      const std::int64_t first = link_index({s.queue[head], 0, 0});
+      for (std::int64_t l = first; l < first + 6; ++l) {
+        if (link_dead[static_cast<std::size_t>(l)]) continue;
+        const std::int64_t nb = far[static_cast<std::size_t>(l)];
+        if (s.seen[static_cast<std::size_t>(nb)] == epoch) continue;
+        s.seen[static_cast<std::size_t>(nb)] = epoch;
+        s.via[static_cast<std::size_t>(nb)] = l;
+        if (nb == dst) {
+          found = true;
+          break;
+        }
+        s.queue.push_back(nb);
+      }
+    }
+    if (!found) return -1;
+    std::int64_t hops = 0;
+    for (std::int64_t at = dst; at != src;
+         at = s.via[static_cast<std::size_t>(at)] / 6) {
+      tally_link(s.via[static_cast<std::size_t>(at)], bytes, tally);
+      ++hops;
+    }
+    return hops;
+  };
+
   // Routes one transfer into `tally`; returns false when undeliverable.
-  const auto process = [&](const Transfer& t, Tally& tally) -> bool {
+  const auto process = [&](const Transfer& t, Tally& tally,
+                           Search& search) -> bool {
     PVR_ASSERT(t.bytes >= 0);
     const std::int64_t src = part.node_of_rank(t.src_rank);
     const std::int64_t dst = part.node_of_rank(t.dst_rank);
     std::int64_t hops = 0;
+    bool detoured = false;
     if (faulty) {
       // A message to (or from) a dead rank, or one cut off from its
       // destination by link faults, never enters the round: a live sender
       // burns its retry attempts discovering this, then gives up.
-      bool undeliverable = plan->node_failed(src) || plan->node_failed(dst);
-      FaultRoute fr;
-      if (!undeliverable && src != dst) {
-        fr = route_with_faults(src, dst, *plan, [&](const LinkId& link) {
-          LinkLoad& l = tally.link[static_cast<std::size_t>(link_index(link))];
-          l.bytes += t.bytes;
-          ++l.msgs;
-        });
-        undeliverable = !fr.reachable;
+      const bool src_dead = node_dead[static_cast<std::size_t>(src)] != 0;
+      bool undeliverable =
+          src_dead || node_dead[static_cast<std::size_t>(dst)] != 0;
+      if (!undeliverable && src != dst && !route_clean(src, dst)) {
+        detoured = true;
+        hops = tally_detour(src, dst, t.bytes, tally, search);
+        undeliverable = hops < 0;
       }
       if (undeliverable) {
-        if (!plan->node_failed(src)) {
-          ++tally.node[static_cast<std::size_t>(src)].failed_sends;
-        }
+        if (!src_dead) ++tally.node[static_cast<std::size_t>(src)].failed_sends;
         ++tally.undeliverable;
         tally.retries += max_retries;
         return false;
       }
-      hops = fr.hops;
-      if (fr.detoured) {
+      if (detoured) {
         ++tally.rerouted_messages;
-        tally.rerouted_hops += fr.hops;
+        tally.rerouted_hops += hops;
       }
     }
     ++tally.messages;
@@ -246,23 +370,25 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
     sl.send_bytes += t.bytes;
     ++dl.recv_msgs;
     dl.recv_bytes += t.bytes;
-    if (!faulty) hops = tally_runs(src, dst, t.bytes, tally);
+    if (!detoured) hops = tally_runs(src, dst, t.bytes, tally);
     tally.max_hops = std::max(tally.max_hops, hops);
     return true;
   };
 
-  // Chunk boundaries depend only on n, the partition and the fault plan,
-  // never on the thread count (DESIGN.md §8). A healthy chunk tallies each
-  // transfer in O(1), so it takes at least 8 transfers per link to keep
-  // zero-filling and merging its private tally below its routing. A faulty
-  // transfer walks its path hop by hop and may search a detour, so faulty
-  // exchanges keep the finer grain of 64 for thread scaling.
-  const par::ChunkPlan cp = par::plan_chunks(
-      n, faulty ? 64 : std::max<std::int64_t>(64, 8 * num_links()));
+  // Chunk boundaries depend only on n and the partition, never on the
+  // thread count (DESIGN.md §8). Every chunk zero-fills and merges a
+  // private tally of the whole torus, so it takes at least 8 transfers per
+  // link to keep that below its routing. One grain serves healthy and
+  // faulty exchanges alike: a faulty transfer only reads a table per hop
+  // to check its route and, rarely, searches a detour, so a finer grain
+  // would buy little speed for up to kMaxChunks tallies alive at once.
+  const par::ChunkPlan cp =
+      par::plan_chunks(n, std::max<std::int64_t>(64, 8 * num_links()));
   Tally total = make_tally();
   if (pool == nullptr || pool->threads() <= 1 || cp.count <= 1) {
+    Search search;
     for (std::int64_t i = 0; i < n; ++i) {
-      if (!process(transfers[std::size_t(i)], total) && faulty) {
+      if (!process(transfers[std::size_t(i)], total, search)) {
         delivered[std::size_t(i)] = 0;
       }
     }
@@ -270,9 +396,10 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
     std::vector<Tally> parts(static_cast<std::size_t>(cp.count));
     pool->run_chunks(cp.count, [&](std::int64_t c) {
       Tally t = make_tally();
+      Search search;
       const std::int64_t end = cp.end(c, n);
       for (std::int64_t i = cp.begin(c); i < end; ++i) {
-        if (!process(transfers[std::size_t(i)], t) && faulty) {
+        if (!process(transfers[std::size_t(i)], t, search)) {
           delivered[std::size_t(i)] = 0;
         }
       }
@@ -301,23 +428,21 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
       total.rerouted_hops += t.rerouted_hops;
     }
   }
-  if (!faulty) {
-    // Prefix-sum every ring's difference arrays into per-link totals,
-    // walking each ring from position 0.
-    for (std::int64_t node = 0; node < nodes; ++node) {
-      const Vec3i& first = coords_[static_cast<std::size_t>(node)];
-      for (int d = 0; d < 3; ++d) {
-        if (first[d] != 0) continue;
-        Vec3i at = first;
-        for (int dir = 0; dir < 2; ++dir) {
-          LinkLoad sum{};
-          for (at[d] = 0; at[d] < dims[d]; ++at[d]) {
-            LinkLoad& l = total.link[static_cast<std::size_t>(
-                link_index({part.node_of_coords(at), d, dir}))];
-            sum.bytes += l.bytes;
-            sum.msgs += l.msgs;
-            l = sum;
-          }
+  // Prefix-sum every ring's difference arrays into per-link totals,
+  // walking each ring from position 0.
+  for (std::int64_t node = 0; node < nodes; ++node) {
+    const Vec3i& first = coords_[static_cast<std::size_t>(node)];
+    for (int d = 0; d < 3; ++d) {
+      if (first[d] != 0) continue;
+      Vec3i at = first;
+      for (int dir = 0; dir < 2; ++dir) {
+        LinkLoad sum{};
+        for (at[d] = 0; at[d] < dims[d]; ++at[d]) {
+          LinkLoad& l = total.link[static_cast<std::size_t>(
+              link_index({part.node_of_coords(at), d, dir}))];
+          sum.bytes += l.bytes;
+          sum.msgs += l.msgs;
+          l = sum;
         }
       }
     }

@@ -20,17 +20,21 @@
 // order) and the detour's hops are charged like any other traffic. Messages
 // whose endpoints are dead — or that are cut off entirely by link faults —
 // are undeliverable: the sender burns its configured retry attempts and the
-// message never enters the round.
+// message never enters the round. exchange() compiles the plan once per
+// exchange into dense per-node and per-link dead flags and a far-end table,
+// checks each route against them, and runs the same BFS over them; the
+// per-hop route_with_faults() is the reference it is tested against.
 // Host parallelism: exchange() optionally routes its transfers on a
 // par::ThreadPool. Transfers are split into deterministic chunks, each chunk
 // accumulates into private integer tallies, and the tallies merge exactly —
 // so the priced cost is bit-identical for any host thread count (DESIGN.md
 // §8). route()/route_with_faults() are templated on the visitor, so hot
 // callers pay neither a std::function allocation nor a per-hop indirect
-// call. The healthy exchange does not walk hops at all: a dimension-ordered
-// route is at most one contiguous run per ring, tallied in O(1) per
-// dimension into difference arrays that one prefix sum turns into per-link
-// totals; route() stays the per-hop reference.
+// call. The exchange does not tally hop by hop: a dimension-ordered route
+// is at most one contiguous run per ring, tallied in O(1) per dimension
+// into difference arrays (a detour's links as runs of one), and one prefix
+// sum turns them into per-link totals; route() stays the per-hop
+// reference.
 #pragma once
 
 #include <algorithm>

@@ -141,6 +141,11 @@ TaskSchedule TaskGraph::run() const {
     }
   }
 
+  // Lanes the current drain touched: each finished a task or received a
+  // ready one. Every other lane is still busy or has nothing pending, so
+  // only these can start work, and visiting them in ascending order starts
+  // tasks in the order a scan of every lane would.
+  std::vector<std::size_t> touched;
   while (!events.empty()) {
     // Drain *every* event at this timestamp before idle lanes choose their
     // next task, so the choice is min (ready, id) over all tasks ready by
@@ -153,23 +158,28 @@ TaskSchedule TaskGraph::run() const {
       const std::size_t l = slot(tasks_[std::size_t(ev.task)].lane);
       busy[l] = 0;
       free_at[l] = ev.time;
+      touched.push_back(l);
       for (const TaskId d : dependents[std::size_t(ev.task)]) {
         if (--indegree[std::size_t(d)] == 0) {
           // Events drain in time order, so this dependency is the last to
           // finish: its finish time is the dependent's ready time (the max
           // over deps, bitwise — all other deps finished at or before now).
-          pending[slot(tasks_[std::size_t(d)].lane)].push(
-              Pending{ev.time, d});
+          const std::size_t dl = slot(tasks_[std::size_t(d)].lane);
+          pending[dl].push(Pending{ev.time, d});
+          touched.push_back(dl);
         }
       }
     }
-    for (std::size_t l = 0; l < lanes; ++l) {
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    for (const std::size_t l : touched) {
       if (!busy[l] && !pending[l].empty()) {
         const Pending p = pending[l].top();
         pending[l].pop();
         start_task(l, p);
       }
     }
+    touched.clear();
   }
   PVR_REQUIRE(completed == std::int64_t(n),
               "task graph deadlocked: unreachable dependencies");

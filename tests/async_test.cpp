@@ -6,7 +6,10 @@
 // structure, and the mixed-mode scaling decomposition clamp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "profile/profile.hpp"
 #include "runtime/taskgraph.hpp"
 #include "steal/steal.hpp"
+#include "util/rng.hpp"
 
 namespace pvr {
 namespace {
@@ -228,6 +232,166 @@ TEST(TaskGraphTest, LastTaskTieBreaksToLowestId) {
   const auto sched = graph.run();
   EXPECT_EQ(sched.makespan, 2.0);
   EXPECT_EQ(sched.last_task, a);
+}
+
+/// The scheduler with a scan of every lane after every drain: the reference
+/// for TaskGraph::run, which visits only the lanes a drain touched. Same
+/// event order, pending order and critical-path walk.
+runtime::TaskSchedule full_scan_schedule(const runtime::TaskGraph& graph,
+                                         std::int64_t num_lanes) {
+  using runtime::TaskId;
+  struct Event {
+    double time;
+    std::int64_t lane, seq;
+    TaskId task;
+  };
+  const auto event_after = [](const Event& a, const Event& b) {
+    if (a.time != b.time) return a.time > b.time;
+    if (a.lane != b.lane) return a.lane > b.lane;
+    return a.seq > b.seq;
+  };
+  struct Pending {
+    double ready;
+    TaskId task;
+  };
+  const auto pending_after = [](const Pending& a, const Pending& b) {
+    if (a.ready != b.ready) return a.ready > b.ready;
+    return a.task > b.task;
+  };
+  using PendingQueue =
+      std::priority_queue<Pending, std::vector<Pending>,
+                          decltype(pending_after)>;
+
+  runtime::TaskSchedule sched;
+  const auto n = std::size_t(graph.num_tasks());
+  sched.times.assign(n, runtime::TaskTimes{});
+  if (n == 0) return sched;
+  std::vector<std::vector<TaskId>> dependents(n);
+  std::vector<std::int32_t> indegree(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& deps = graph.task(TaskId(i)).deps;
+    indegree[i] = std::int32_t(deps.size());
+    for (const TaskId dep : deps) {
+      dependents[std::size_t(dep)].push_back(TaskId(i));
+    }
+  }
+  const std::size_t lanes = std::size_t(num_lanes) + 1;
+  const auto slot = [&](TaskId id) {
+    return std::size_t(graph.task(id).lane + 1);
+  };
+  std::vector<char> busy(lanes, 0);
+  std::vector<double> free_at(lanes, 0.0);
+  std::vector<PendingQueue> pending(lanes, PendingQueue(pending_after));
+  std::vector<TaskId> lane_last(lanes, -1);
+  std::vector<TaskId> lane_pred(n, -1);
+  std::priority_queue<Event, std::vector<Event>, decltype(event_after)>
+      events(event_after);
+  std::int64_t seq = 0;
+  const auto start_lane = [&](std::size_t l) {
+    if (busy[l] || pending[l].empty()) return;
+    const Pending p = pending[l].top();
+    pending[l].pop();
+    const runtime::Task& t = graph.task(p.task);
+    runtime::TaskTimes& tt = sched.times[std::size_t(p.task)];
+    tt.ready = p.ready;
+    tt.start = std::max(p.ready, free_at[l]);
+    tt.finish = tt.start + t.seconds;
+    busy[l] = 1;
+    lane_pred[std::size_t(p.task)] = lane_last[l];
+    lane_last[l] = p.task;
+    sched.busy_seconds += t.seconds;
+    sched.lane_wait_seconds += tt.start - tt.ready;
+    events.push(Event{tt.finish, t.lane, seq++, p.task});
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    if (indegree[i] == 0) {
+      pending[slot(TaskId(i))].push(Pending{0.0, TaskId(i)});
+    }
+  }
+  for (std::size_t l = 0; l < lanes; ++l) start_lane(l);
+  while (!events.empty()) {
+    const double now = events.top().time;
+    while (!events.empty() && events.top().time == now) {
+      const Event ev = events.top();
+      events.pop();
+      const std::size_t l = slot(ev.task);
+      busy[l] = 0;
+      free_at[l] = ev.time;
+      for (const TaskId d : dependents[std::size_t(ev.task)]) {
+        if (--indegree[std::size_t(d)] == 0) {
+          pending[slot(d)].push(Pending{ev.time, d});
+        }
+      }
+    }
+    for (std::size_t l = 0; l < lanes; ++l) start_lane(l);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const runtime::TaskTimes& tt = sched.times[i];
+    if (sched.last_task < 0 ||
+        tt.finish > sched.times[std::size_t(sched.last_task)].finish) {
+      sched.makespan = tt.finish;
+      sched.last_task = TaskId(i);
+    }
+  }
+  for (TaskId cur = sched.last_task; cur >= 0;) {
+    sched.critical_path.push_back(cur);
+    const runtime::TaskTimes& tt = sched.times[std::size_t(cur)];
+    if (tt.start == 0.0) break;
+    TaskId next = -1;
+    if (tt.start > tt.ready) {
+      next = lane_pred[std::size_t(cur)];
+    } else {
+      for (const TaskId dep : graph.task(cur).deps) {
+        if (sched.times[std::size_t(dep)].finish == tt.start &&
+            (next < 0 || dep < next)) {
+          next = dep;
+        }
+      }
+    }
+    cur = next;
+  }
+  std::reverse(sched.critical_path.begin(), sched.critical_path.end());
+  return sched;
+}
+
+TEST(TaskGraphTest, TouchedLaneSchedulerMatchesAFullLaneScan) {
+  // Durations from a set of four, so many completions share a time and
+  // zero-length tasks finish at their own start. Sums of the dyadic set
+  // are exact; odd seeds draw from a set whose sums round, so that
+  // busy_seconds and lane_wait_seconds also pin the order tasks start in.
+  constexpr double kDurations[2][4] = {{0.0, 0.25, 0.5, 1.0},
+                                       {0.0, 0.1, 0.3, 0.7}};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    const double* durations = kDurations[seed % 2];
+    Rng rng{seed};
+    const auto lanes = std::int64_t(1 + rng.next_below(64));
+    runtime::TaskGraph graph(lanes);
+    const auto tasks = runtime::TaskId(1 + rng.next_below(400));
+    for (runtime::TaskId id = 0; id < tasks; ++id) {
+      const auto lane =
+          std::int64_t(rng.next_below(std::uint64_t(lanes + 1))) - 1;
+      std::vector<runtime::TaskId> deps;
+      for (std::uint64_t k = id == 0 ? 0 : rng.next_below(4); k > 0; --k) {
+        deps.push_back(runtime::TaskId(rng.next_below(std::uint64_t(id))));
+      }
+      graph.add("t", lane, durations[rng.next_below(4)], 0, std::move(deps));
+    }
+    const runtime::TaskSchedule got = graph.run();
+    const runtime::TaskSchedule want = full_scan_schedule(graph, lanes);
+    ASSERT_EQ(got.times.size(), want.times.size());
+    for (std::size_t i = 0; i < got.times.size(); ++i) {
+      EXPECT_EQ(bits(got.times[i].ready), bits(want.times[i].ready)) << i;
+      EXPECT_EQ(bits(got.times[i].start), bits(want.times[i].start)) << i;
+      EXPECT_EQ(bits(got.times[i].finish), bits(want.times[i].finish)) << i;
+    }
+    EXPECT_EQ(bits(got.makespan), bits(want.makespan));
+    EXPECT_EQ(got.last_task, want.last_task);
+    EXPECT_EQ(bits(got.busy_seconds), bits(want.busy_seconds));
+    EXPECT_EQ(bits(got.lane_wait_seconds), bits(want.lane_wait_seconds));
+    EXPECT_EQ(got.critical_path, want.critical_path);
+  }
 }
 
 // --- chained mode: BSP byte-identity ---------------------------------------

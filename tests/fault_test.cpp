@@ -205,6 +205,21 @@ TEST(FaultPlanTest, GenerateRejectsBadSpecs) {
   EXPECT_THROW(fault::FaultPlan::generate(part, storage, bad_retries), Error);
 }
 
+TEST(FaultPlanTest, FailLinkRejectsOutOfRangeLinks) {
+  // Links are keyed node*6 + dim*2 + dir, so an out-of-range dim or dir
+  // would alias another node's link: (0, 3, 0) is (1, x, +).
+  fault::FaultPlan plan;
+  EXPECT_THROW(plan.fail_link(0, 3, 0), Error);
+  EXPECT_THROW(plan.fail_link(0, -1, 0), Error);
+  EXPECT_THROW(plan.fail_link(0, 0, 2), Error);
+  EXPECT_THROW(plan.fail_link(1, 0, -1), Error);
+  EXPECT_THROW(plan.fail_link(-1, 0, 0), Error);
+  EXPECT_TRUE(plan.empty());
+  EXPECT_FALSE(plan.link_failed(1, 0, 0));
+  plan.fail_link(1, 2, 1);  // the last in-range link of node 1
+  EXPECT_TRUE(plan.link_failed(1, 2, 1));
+}
+
 TEST(FaultPlanTest, NextLiveRankSkipsDeadNodesCyclically) {
   const auto part = make_partition(8);  // 2 nodes, ranks 0-3 and 4-7
   fault::FaultPlan plan;

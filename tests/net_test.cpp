@@ -303,16 +303,25 @@ TEST(TorusFaultTest, DetouredExchangeChargesTheExtraHops) {
   EXPECT_EQ(cost.messages, 1);
 }
 
-/// A healthy exchange priced from route()'s per-hop visitor: the reference
-/// the exchange's ring-interval link tallies must reproduce bit for bit.
+/// An exchange priced from per-hop routes: route()'s visitor for a healthy
+/// exchange, route_with_faults()'s under a fault plan. The reference the
+/// exchange's ring-interval link tallies and dense fault tables must
+/// reproduce bit for bit.
 struct HopReference {
   ExchangeCost cost;
+  fault::FaultStats stats;
   std::map<std::int64_t, std::int64_t> link_bytes;  ///< links with traffic
+  /// Transfers by outcome: delivered over the dimension-ordered route,
+  /// detoured, cut off by link faults, to or from a dead node, and
+  /// delivered within one node.
+  std::int64_t clean = 0, detoured = 0, cut_off = 0, dead_endpoint = 0;
+  std::int64_t local = 0;
 };
 
 HopReference per_hop_exchange(const TorusModel& torus,
                               const std::vector<Transfer>& transfers,
-                              std::int64_t rounds) {
+                              std::int64_t rounds,
+                              const fault::FaultPlan* plan = nullptr) {
   const machine::Partition& part = torus.partition();
   const machine::MachineConfig& cfg = part.config();
   const auto nodes = std::size_t(part.num_nodes());
@@ -320,32 +329,55 @@ HopReference per_hop_exchange(const TorusModel& torus,
   std::vector<std::int64_t> link_msgs(link_bytes.size());
   std::vector<std::int64_t> send_msgs(nodes), recv_msgs(nodes);
   std::vector<std::int64_t> send_bytes(nodes), recv_bytes(nodes);
-  std::vector<std::int64_t> local_bytes(nodes);
+  std::vector<std::int64_t> local_bytes(nodes), failed_sends(nodes);
   HopReference ref;
   ExchangeCost& c = ref.cost;
   double pressure_events = 0.0;
   for (const Transfer& t : transfers) {
     const auto src = std::size_t(part.node_of_rank(t.src_rank));
     const auto dst = std::size_t(part.node_of_rank(t.dst_rank));
+    const auto charge = [&](const LinkId& l) {
+      link_bytes[std::size_t(torus.link_index(l))] += t.bytes;
+      ++link_msgs[std::size_t(torus.link_index(l))];
+    };
+    FaultRoute fr;
+    if (plan != nullptr) {
+      fr = torus.route_with_faults(std::int64_t(src), std::int64_t(dst),
+                                   *plan, charge);
+    } else {
+      fr.hops = torus.route(std::int64_t(src), std::int64_t(dst), charge);
+    }
+    if (!fr.reachable) {
+      // Undeliverable: a live sender burns every retry, then gives up.
+      const bool src_dead = plan->node_failed(std::int64_t(src));
+      ++(src_dead || plan->node_failed(std::int64_t(dst)) ? ref.dead_endpoint
+                                                          : ref.cut_off);
+      if (!src_dead) ++failed_sends[src];
+      ++ref.stats.undeliverable_messages;
+      ref.stats.retries += plan->spec().max_retries;
+      continue;
+    }
+    if (fr.detoured) {
+      ++ref.detoured;
+      ++ref.stats.rerouted_messages;
+      ref.stats.rerouted_hops += fr.hops;
+    }
     ++c.messages;
     c.total_bytes += t.bytes;
     pressure_events += 2.0 * cfg.small_msg_pressure_bytes /
                        (cfg.small_msg_pressure_bytes + double(t.bytes));
     if (src == dst) {
+      ++ref.local;
       ++c.local_messages;
       local_bytes[src] += t.bytes;
       continue;
     }
+    if (!fr.detoured) ++ref.clean;
     ++send_msgs[src];
     send_bytes[src] += t.bytes;
     ++recv_msgs[dst];
     recv_bytes[dst] += t.bytes;
-    const std::int64_t hops = torus.route(
-        std::int64_t(src), std::int64_t(dst), [&](const LinkId& l) {
-          link_bytes[std::size_t(torus.link_index(l))] += t.bytes;
-          ++link_msgs[std::size_t(torus.link_index(l))];
-        });
-    c.max_hops = std::max(c.max_hops, hops);
+    c.max_hops = std::max(c.max_hops, fr.hops);
   }
   const double pressure =
       pressure_events / double(nodes) / double(rounds);
@@ -364,6 +396,10 @@ HopReference per_hop_exchange(const TorusModel& torus,
       c.bottleneck_link = std::int64_t(i);
     }
   }
+  const double retry_penalty =
+      plan == nullptr
+          ? 0.0
+          : double(plan->spec().max_retries) * plan->spec().retry_timeout;
   for (std::size_t n = 0; n < nodes; ++n) {
     const bool hot = double(recv_msgs[n]) > cfg.hotspot_indegree;
     const double msg_cost =
@@ -373,11 +409,13 @@ HopReference per_hop_exchange(const TorusModel& torus,
     const double wire =
         double(send_bytes[n] + recv_bytes[n]) / cfg.torus_link_bw +
         double(local_bytes[n]) / (4.0 * cfg.torus_link_bw);
-    const double endpoint = msg_cost + wire + 0.0;  // no retries
+    const double retry_seconds = double(failed_sends[n]) * retry_penalty;
+    const double endpoint = msg_cost + wire + retry_seconds;
     if (endpoint > c.endpoint_seconds) {
       c.endpoint_seconds = endpoint;
       c.bottleneck_node = std::int64_t(n);
     }
+    c.retry_seconds = std::max(c.retry_seconds, retry_seconds);
   }
   c.latency_seconds = cfg.torus_max_latency;
   c.skew_seconds =
@@ -386,6 +424,60 @@ HopReference per_hop_exchange(const TorusModel& torus,
   c.seconds = std::max(c.link_seconds, c.endpoint_seconds) +
               c.latency_seconds + c.skew_seconds;
   return ref;
+}
+
+/// A seeded plan over `part`: one dead node (on partitions of three or
+/// more nodes), a live node whose six outgoing links are all dead, and
+/// about a tenth of all other links dead.
+fault::FaultPlan seeded_plan(const machine::Partition& part,
+                             std::uint64_t seed) {
+  fault::FaultPlan plan;
+  Rng rng{seed};
+  const std::int64_t nodes = part.num_nodes();
+  const auto pick = [&] {
+    return std::int64_t(rng.next_below(std::uint64_t(nodes)));
+  };
+  std::int64_t dead = -1;
+  if (nodes >= 3) {
+    dead = pick();
+    plan.fail_node(dead);
+  }
+  std::int64_t isolated = pick();
+  while (isolated == dead) isolated = pick();
+  for (int dim = 0; dim < 3; ++dim) {
+    for (int dir = 0; dir < 2; ++dir) plan.fail_link(isolated, dim, dir);
+  }
+  for (std::int64_t node = 0; node < nodes; ++node) {
+    for (int dim = 0; dim < 3; ++dim) {
+      for (int dir = 0; dir < 2; ++dir) {
+        if (rng.next_below(10) == 0) plan.fail_link(node, dim, dir);
+      }
+    }
+  }
+  return plan;
+}
+
+void expect_same_fault_stats(const fault::FaultStats& got,
+                             const fault::FaultStats& want) {
+  EXPECT_EQ(got.failed_nodes, want.failed_nodes);
+  EXPECT_EQ(got.failed_links, want.failed_links);
+  EXPECT_EQ(got.failed_ions, want.failed_ions);
+  EXPECT_EQ(got.failed_servers, want.failed_servers);
+  EXPECT_EQ(got.degraded_servers, want.degraded_servers);
+  EXPECT_EQ(got.degraded_nodes, want.degraded_nodes);
+  EXPECT_EQ(got.undeliverable_messages, want.undeliverable_messages);
+  EXPECT_EQ(got.retries, want.retries);
+  EXPECT_EQ(got.rerouted_messages, want.rerouted_messages);
+  EXPECT_EQ(got.rerouted_hops, want.rerouted_hops);
+  EXPECT_EQ(got.reassigned_partitions, want.reassigned_partitions);
+  EXPECT_EQ(got.reassigned_aggregators, want.reassigned_aggregators);
+  EXPECT_EQ(got.dropped_blocks, want.dropped_blocks);
+  EXPECT_EQ(got.substituted_partners, want.substituted_partners);
+  EXPECT_EQ(got.proxied_messages, want.proxied_messages);
+  EXPECT_EQ(got.rerouted_clients, want.rerouted_clients);
+  EXPECT_EQ(got.failover_extents, want.failover_extents);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.coverage),
+            std::bit_cast<std::uint64_t>(want.coverage));
 }
 
 void expect_bitwise_equal(const ExchangeCost& got, const ExchangeCost& want) {
@@ -407,9 +499,12 @@ void expect_bitwise_equal(const ExchangeCost& got, const ExchangeCost& want) {
 
 TEST(TorusExchangeTest, LinkTalliesMatchPerHopRoutes) {
   // Torus dims of 1, 2, odd and even sizes: 1 node is 1x1x1, 2 is 1x1x2,
-  // 12 is 2x2x3, 30 is 2x3x5, and 60 is 3x4x5. Enough transfers that the
-  // pooled exchange splits them over several chunks.
+  // 12 is 2x2x3, 30 is 2x3x5, and 60 is 3x4x5. On dims of 1 and 2 the +
+  // and - neighbors coincide. Enough transfers that the pooled exchange
+  // splits them over several chunks. Each partition runs healthy and under
+  // a seeded fault plan, whose transfers must cover every outcome.
   par::ThreadPool pool(3);
+  HopReference outcomes;
   for (const std::int64_t nodes : {1, 2, 12, 30, 60}) {
     SCOPED_TRACE(nodes);
     const auto part = make_partition(nodes * 4);
@@ -440,16 +535,38 @@ TEST(TorusExchangeTest, LinkTalliesMatchPerHopRoutes) {
       }
     }
     const std::int64_t rounds = 3;
-    const HopReference want = per_hop_exchange(torus, transfers, rounds);
-    for (par::ThreadPool* p : {static_cast<par::ThreadPool*>(nullptr), &pool}) {
-      SCOPED_TRACE(p == nullptr ? "serial" : "pool");
-      obs::MetricsRegistry metrics;
-      const ExchangeCost got =
-          torus.exchange(transfers, rounds, nullptr, nullptr, &metrics, p);
-      expect_bitwise_equal(got, want.cost);
-      EXPECT_EQ(metrics.indexed("net.link_bytes").by_index, want.link_bytes);
+    const fault::FaultPlan faults = seeded_plan(part, std::uint64_t(nodes));
+    for (const fault::FaultPlan* plan :
+         {static_cast<const fault::FaultPlan*>(nullptr), &faults}) {
+      SCOPED_TRACE(plan == nullptr ? "healthy" : "faulty");
+      const HopReference want =
+          per_hop_exchange(torus, transfers, rounds, plan);
+      if (plan != nullptr) {
+        outcomes.clean += want.clean;
+        outcomes.detoured += want.detoured;
+        outcomes.cut_off += want.cut_off;
+        outcomes.dead_endpoint += want.dead_endpoint;
+        outcomes.local += want.local;
+      }
+      for (par::ThreadPool* p :
+           {static_cast<par::ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE(p == nullptr ? "serial" : "pool");
+        obs::MetricsRegistry metrics;
+        fault::FaultStats stats;
+        const ExchangeCost got =
+            torus.exchange(transfers, rounds, plan, &stats, &metrics, p);
+        expect_bitwise_equal(got, want.cost);
+        expect_same_fault_stats(stats, want.stats);
+        EXPECT_EQ(metrics.indexed("net.link_bytes").by_index,
+                  want.link_bytes);
+      }
     }
   }
+  EXPECT_GT(outcomes.clean, 0);
+  EXPECT_GT(outcomes.detoured, 0);
+  EXPECT_GT(outcomes.cut_off, 0);
+  EXPECT_GT(outcomes.dead_endpoint, 0);
+  EXPECT_GT(outcomes.local, 0);
 }
 
 TEST(TreeModelTest, DepthAndBarrier) {
