@@ -146,15 +146,14 @@ inline std::vector<HostRow>& host_rows() {
   return rows;
 }
 
-/// Measured scalar-vs-SIMD render wall time of one execute-mode row. Lives
-/// in the JSON "host" section ("exec" array) next to wall_ms: the modeled
-/// seconds in "rows" stay byte-identical across kernels and thread counts,
-/// while the measured speedup is a committed, machine-dependent number.
+/// Measured render wall time of one execute-mode row. Lives in the JSON
+/// "host" section ("exec" array) next to wall_ms: the modeled seconds in
+/// "rows" stay byte-identical across backends and thread counts, while the
+/// measured time is a committed, machine-dependent number.
 struct HostExecRow {
   std::string name;
-  std::string kernel;  ///< SIMD backend that produced simd_ms
-  double scalar_ms = 0.0;
-  double simd_ms = 0.0;
+  std::string backend;  ///< SIMD backend the kernel was built for
+  double ms = 0.0;
 };
 
 inline std::vector<HostExecRow>& host_exec_rows() {
@@ -162,38 +161,33 @@ inline std::vector<HostExecRow>& host_exec_rows() {
   return rows;
 }
 
-inline void record_host_exec(const std::string& name, double scalar_ms,
-                             double simd_ms) {
-  host_exec_rows().push_back(HostExecRow{
-      name, pvr::render::simd::backend_name(), scalar_ms, simd_ms});
+inline void record_host_exec(const std::string& name, double ms) {
+  host_exec_rows().push_back(
+      HostExecRow{name, pvr::render::simd::backend_name(), ms});
 }
 
-/// Result of one execute-mode kernel pair: measured render wall ms per
-/// kernel and the kernel-independent sample/pixel tallies (the deterministic
-/// numbers that feed the modeled row).
-struct ExecPairResult {
-  double scalar_ms = 0.0;
-  double simd_ms = 0.0;
+/// Result of one execute-mode kernel timing: the measured render wall ms
+/// and the sample/pixel tallies (the deterministic numbers that feed the
+/// modeled row).
+struct ExecResult {
+  double ms = 0.0;
   std::int64_t samples = 0;
   std::int64_t subimage_pixels = 0;
 };
 
 /// Renders a real execute-mode scene — `grid`^3 supernova field decomposed
-/// into `blocks` ghost bricks, `image`^2 camera — once per raycast kernel,
-/// requires every block subimage to be bitwise identical across kernels,
-/// and returns the fastest-of-`repeats` render wall time for each. With
-/// `bands` > 1 each block renders as that many scanline bands through
-/// render_block_rows (the work-stealing path) instead of one render_block
-/// call. Timing covers only the render loop; brick fill and verification
-/// run outside the clock.
-inline ExecPairResult measure_exec_kernel_pair(std::int64_t grid, int image,
-                                               std::int64_t blocks, int bands,
-                                               std::uint64_t seed,
-                                               int repeats = 5) {
+/// into `blocks` ghost bricks, `image`^2 camera — and returns the
+/// fastest-of-`repeats` render wall time. With `bands` > 1 each block
+/// renders as that many scanline bands through render_block_rows (the
+/// work-stealing path) instead of one render_block call, and the stitched
+/// bands are required to equal whole-block renders bitwise. Timing covers
+/// only the render loop; brick fill and verification run outside the clock.
+inline ExecResult measure_exec_kernel(std::int64_t grid, int image,
+                                      std::int64_t blocks, int bands,
+                                      std::uint64_t seed, int repeats = 5) {
   using pvr::Brick;
   using pvr::render::Camera;
   using pvr::render::Decomposition;
-  using pvr::render::RaycastKernel;
   using pvr::render::Raycaster;
   using pvr::render::RenderConfig;
   using pvr::render::SubImage;
@@ -222,7 +216,8 @@ inline ExecPairResult measure_exec_kernel_pair(std::int64_t grid, int image,
   // One full frame's worth of render work. bands <= 1 is the fig5 shape
   // (one render_block per block); bands > 1 is the steal shape (scanline
   // bands through render_block_rows, stitched in row order).
-  const auto render_once = [&](const Raycaster& caster) {
+  const Raycaster caster(dims, RenderConfig{});
+  const auto render_once = [&] {
     std::vector<SubImage> images;
     images.reserve(bricks.size());
     for (std::size_t b = 0; b < bricks.size(); ++b) {
@@ -252,55 +247,34 @@ inline ExecPairResult measure_exec_kernel_pair(std::int64_t grid, int image,
     return images;
   };
 
-  const auto time_kernel = [&](RaycastKernel kernel, double* best_ms) {
-    RenderConfig cfg;
-    cfg.kernel = kernel;
-    const Raycaster caster(dims, cfg);
-    // Warm-up pass doubles as the verification image set; with bands > 1
-    // also pin the stitched result against whole-block renders (outside
-    // the timer).
-    std::vector<SubImage> images = render_once(caster);
-    if (bands > 1) {
-      for (std::size_t b = 0; b < bricks.size(); ++b) {
-        const SubImage whole =
-            caster.render_block(bricks[b], owned[b], cam, tf);
-        PVR_REQUIRE(images[b].samples == whole.samples &&
-                        std::memcmp(images[b].pixels.data(),
-                                    whole.pixels.data(),
-                                    whole.pixels.size() *
-                                        sizeof(pvr::Rgba)) == 0,
-                    "band stitching diverged from whole-block render");
-      }
+  // The warm-up pass supplies the sample and pixel tallies; with bands > 1
+  // its stitched images are also pinned against whole-block renders
+  // (outside the timer).
+  const std::vector<SubImage> images = render_once();
+  if (bands > 1) {
+    for (std::size_t b = 0; b < bricks.size(); ++b) {
+      const SubImage whole = caster.render_block(bricks[b], owned[b], cam, tf);
+      PVR_REQUIRE(images[b].samples == whole.samples &&
+                      std::memcmp(images[b].pixels.data(),
+                                  whole.pixels.data(),
+                                  whole.pixels.size() * sizeof(pvr::Rgba)) ==
+                          0,
+                  "band stitching diverged from whole-block render");
     }
-    *best_ms = 0.0;
-    for (int rep = 0; rep < repeats; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      std::vector<SubImage> timed = render_once(caster);
-      const auto t1 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(timed.data());
-      const double ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      if (rep == 0 || ms < *best_ms) *best_ms = ms;
-    }
-    return images;
-  };
-
-  ExecPairResult result;
-  const std::vector<SubImage> scalar =
-      time_kernel(RaycastKernel::kScalar, &result.scalar_ms);
-  const std::vector<SubImage> simd =
-      time_kernel(RaycastKernel::kSimd, &result.simd_ms);
-  PVR_REQUIRE(scalar.size() == simd.size(), "kernel pair block count");
-  for (std::size_t b = 0; b < scalar.size(); ++b) {
-    PVR_REQUIRE(scalar[b].rect == simd[b].rect &&
-                    scalar[b].samples == simd[b].samples &&
-                    std::memcmp(scalar[b].pixels.data(),
-                                simd[b].pixels.data(),
-                                scalar[b].pixels.size() *
-                                    sizeof(pvr::Rgba)) == 0,
-                "SIMD kernel diverged from scalar kernel");
-    result.samples += scalar[b].samples;
-    result.subimage_pixels += std::int64_t(scalar[b].pixels.size());
+  }
+  ExecResult result;
+  for (int rep = 0; rep < repeats; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<SubImage> timed = render_once();
+    const auto t1 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(timed.data());
+    const double ms =
+        std::chrono::duration<double, std::milli>(t1 - t0).count();
+    if (rep == 0 || ms < result.ms) result.ms = ms;
+  }
+  for (const SubImage& img : images) {
+    result.samples += img.samples;
+    result.subimage_pixels += std::int64_t(img.pixels.size());
   }
   return result;
 }
@@ -453,20 +427,15 @@ inline std::string bench_json(const std::string& name) {
     first = false;
   }
   out += first ? "]," : "\n    ],";
-  // Execute-mode kernel pairs: measured render wall ms for the scalar and
-  // SIMD kernels on identical scenes (pixels asserted bitwise equal by the
-  // bench before recording).
+  // Execute-mode render timings: measured wall ms of the raycast kernel on
+  // real scenes, with the SIMD backend it was built for.
   out += "\n    \"exec\": [";
   first = true;
   for (const HostExecRow& row : host_exec_rows()) {
-    const double speedup =
-        row.simd_ms > 0.0 ? row.scalar_ms / row.simd_ms : 0.0;
     out += first ? "\n" : ",\n";
     out += "      {\"name\": \"" + pvr::obs::json_escape(row.name) +
-           "\", \"kernel\": \"" + pvr::obs::json_escape(row.kernel) +
-           "\", \"scalar_ms\": " + detail::json_number(row.scalar_ms) +
-           ", \"simd_ms\": " + detail::json_number(row.simd_ms) +
-           ", \"speedup\": " + detail::json_number(speedup) + "}";
+           "\", \"backend\": \"" + pvr::obs::json_escape(row.backend) +
+           "\", \"ms\": " + detail::json_number(row.ms) + "}";
     first = false;
   }
   out += first ? "]\n  }\n}\n" : "\n    ]\n  }\n}\n";

@@ -50,16 +50,14 @@ int main(int argc, char** argv) {
     const pvr::profile::Profile prof = pvr::profile::analyze(tracer);
     record_profile("fig5/1120^3/4K", prof.frames.front());
   }
-  // Execute-mode kernel pair: a real (downscaled) fig5 frame rendered on
-  // this host with both raycast kernels. The modeled seconds registered in
-  // "rows" come from the deterministic sample tally (byte-identical across
-  // machines and kernels); the measured scalar/SIMD wall ms and speedup
-  // land in the JSON "host.exec" section. Pixels are asserted bitwise
-  // equal across kernels before anything is recorded.
+  // Execute-mode render: a real (downscaled) fig5 frame rendered on this
+  // host with the raycast kernel. The modeled seconds registered in "rows"
+  // come from the deterministic sample tally (byte-identical across
+  // machines and backends); the measured wall ms land in the JSON
+  // "host.exec" section.
   {
-    pvr::TextTable exec_table("Fig5 exec — measured render kernels (this host)");
-    exec_table.set_header(
-        {"scene", "samples", "scalar_ms", "simd_ms", "speedup"});
+    pvr::TextTable exec_table("Fig5 exec — measured render kernel (this host)");
+    exec_table.set_header({"scene", "samples", "ms"});
     struct Exec {
       std::int64_t grid;
       int image;
@@ -69,9 +67,8 @@ int main(int argc, char** argv) {
     // decomposed 8-brick frame (ghost bricks, per-block footprints).
     const Exec execs[] = {{96, 512, 1}, {128, 448, 8}};
     for (const Exec& e : execs) {
-      const ExecPairResult r =
-          measure_exec_kernel_pair(e.grid, e.image, e.blocks, /*bands=*/1,
-                                   /*seed=*/42);
+      const ExecResult r = measure_exec_kernel(e.grid, e.image, e.blocks,
+                                               /*bands=*/1, /*seed=*/42);
       const std::string name = "fig5/exec/" + pvr::fmt_cubed(e.grid) + "/" +
                                std::to_string(e.image) + "^2/" +
                                std::to_string(e.blocks) + "blk";
@@ -81,14 +78,11 @@ int main(int argc, char** argv) {
                    {{"samples", double(r.samples)},
                     {"blocks", double(e.blocks)},
                     {"subimage_pixels", double(r.subimage_pixels)}});
-      record_host_exec(name, r.scalar_ms, r.simd_ms);
+      record_host_exec(name, r.ms);
       exec_table.add_row(
           {pvr::fmt_cubed(e.grid) + "/" + std::to_string(e.image) + "^2/" +
                std::to_string(e.blocks) + "blk",
-           std::to_string(r.samples), pvr::fmt_f(r.scalar_ms, 1),
-           pvr::fmt_f(r.simd_ms, 1),
-           pvr::fmt_f(r.simd_ms > 0.0 ? r.scalar_ms / r.simd_ms : 0.0, 2) +
-               "x"});
+           std::to_string(r.samples), pvr::fmt_f(r.ms, 1)});
     }
     exec_table.print();
   }

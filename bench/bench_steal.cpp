@@ -133,25 +133,22 @@ int main(int argc, char** argv) {
     record_profile("steal/mixed/scanline", prof.frames.front());
   }
 
-  // Execute-mode kernel pair under the steal path: each block renders as
-  // four scanline bands through render_block_rows (the unit of work a
-  // thief claims), stitched in row order and pinned against whole-block
-  // renders. Modeled seconds in "rows" come from the deterministic sample
-  // tally; the measured scalar/SIMD wall ms land in "host.exec".
+  // Execute-mode render under the steal path: each block renders as four
+  // scanline bands through render_block_rows (the unit of work a thief
+  // claims), stitched in row order and pinned against whole-block renders.
+  // Modeled seconds in "rows" come from the deterministic sample tally; the
+  // measured wall ms land in "host.exec".
   {
-    const ExecPairResult r = measure_exec_kernel_pair(
+    const ExecResult r = measure_exec_kernel(
         /*grid=*/96, /*image=*/448, /*blocks=*/8, /*bands=*/4, /*seed=*/42);
     const std::string name = "steal/exec/96^3/448^2/8blk/4band";
     register_sim(name, double(r.samples) / 1e8,
                  {{"samples", double(r.samples)},
                   {"bands", 4.0},
                   {"subimage_pixels", double(r.subimage_pixels)}});
-    record_host_exec(name, r.scalar_ms, r.simd_ms);
-    std::printf(
-        "Steal exec — banded render kernels: %lld samples, "
-        "scalar %.1f ms, simd %.1f ms (%.2fx)\n\n",
-        static_cast<long long>(r.samples), r.scalar_ms, r.simd_ms,
-        r.simd_ms > 0.0 ? r.scalar_ms / r.simd_ms : 0.0);
+    record_host_exec(name, r.ms);
+    std::printf("Steal exec — banded render kernel: %lld samples, %.1f ms\n\n",
+                static_cast<long long>(r.samples), r.ms);
   }
 
   return run_benchmarks(argc, argv);

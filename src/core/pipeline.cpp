@@ -1013,10 +1013,6 @@ void ParallelVolumeRenderer::execute_render_and_composite(
       {
         obs::ScopedSpan kernel(tracer_, "render.kernel",
                                obs::Category::kCompute);
-        kernel.arg("simd",
-                   config_.render.kernel == render::RaycastKernel::kSimd
-                       ? 1.0
-                       : 0.0);
         kernel.arg("samples", double(stats->render.total_samples));
         tracer_->advance(kernel_seconds);
       }

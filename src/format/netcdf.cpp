@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 namespace pvr::format::netcdf {
 
@@ -12,7 +13,24 @@ constexpr std::int32_t kTagVariable = 0x0B;
 constexpr std::int32_t kTagAttribute = 0x0C;
 constexpr std::int64_t kNonRecordLimit32 = 0xFFFFFFFFLL;  // vsize field limit
 
-std::int64_t pad4(std::int64_t n) { return (n + 3) & ~std::int64_t{3}; }
+/// a * b and a + b for sizes derived from a header; throw instead of
+/// overflowing int64.
+std::int64_t checked_mul(std::int64_t a, std::int64_t b) {
+  std::int64_t out = 0;
+  PVR_REQUIRE(!__builtin_mul_overflow(a, b, &out),
+              "netCDF size overflows 64 bits");
+  return out;
+}
+std::int64_t checked_add(std::int64_t a, std::int64_t b) {
+  std::int64_t out = 0;
+  PVR_REQUIRE(!__builtin_add_overflow(a, b, &out),
+              "netCDF size overflows 64 bits");
+  return out;
+}
+
+std::int64_t pad4(std::int64_t n) {
+  return checked_add(n, 3) & ~std::int64_t{3};
+}
 
 /// Big-endian byte stream writer.
 class Writer {
@@ -89,26 +107,38 @@ class Reader {
     for (int i = 0; i < 8; ++i) v = (v << 8) | u8();
     return v;
   }
+  /// NON_NEG; a CDF-5 value with the top bit set is negative, rejected.
   std::int64_t non_neg() {
-    return version_ == Version::k64BitData ? std::int64_t(u64())
-                                           : std::int64_t(u32());
+    if (version_ != Version::k64BitData) return std::int64_t(u32());
+    const std::uint64_t v = u64();
+    PVR_REQUIRE(v <= std::uint64_t(std::numeric_limits<std::int64_t>::max()),
+                "negative netCDF count or length");
+    return std::int64_t(v);
   }
+  /// A list or byte count: a NON_NEG no larger than the bytes left, since
+  /// every list element and every byte takes at least one byte of header.
+  /// Nothing is allocated from a count before this check.
+  std::int64_t count() {
+    const std::int64_t n = non_neg();
+    PVR_REQUIRE(n <= remaining(), "netCDF count exceeds the header bytes");
+    return n;
+  }
+  std::int64_t remaining() const { return std::int64_t(bytes_.size() - pos_); }
   std::int64_t offset() {
     return version_ == Version::kClassic ? std::int64_t(u32())
                                          : std::int64_t(u64());
   }
   std::string name() {
-    const std::int64_t len = non_neg();
-    PVR_REQUIRE(len >= 0 && len < (1 << 20), "unreasonable name length");
+    const std::int64_t len = count();
+    PVR_REQUIRE(len < (1 << 20), "unreasonable name length");
     std::string s;
-    s.reserve(std::size_t(len));
     for (std::int64_t i = 0; i < len; ++i) s.push_back(char(u8()));
     for (std::int64_t i = len; i < pad4(len); ++i) u8();
     return s;
   }
+  /// `n` bytes plus padding; `n` must already be checked against remaining().
   std::vector<std::byte> raw_padded(std::int64_t n) {
     std::vector<std::byte> out;
-    out.reserve(std::size_t(n));
     for (std::int64_t i = 0; i < n; ++i) out.push_back(std::byte{u8()});
     for (std::int64_t i = n; i < pad4(n); ++i) u8();
     return out;
@@ -141,20 +171,22 @@ void encode_attr_list(Writer& w, const std::vector<Attr>& attrs) {
 
 std::vector<Attr> decode_attr_list(Reader& r) {
   const std::uint32_t tag = r.u32();
-  const std::int64_t nelems = r.non_neg();
+  const std::int64_t nelems = r.count();
   if (tag == 0) {
     PVR_REQUIRE(nelems == 0, "ABSENT attr list with nonzero count");
     return {};
   }
   PVR_REQUIRE(tag == std::uint32_t(kTagAttribute), "bad attribute tag");
   std::vector<Attr> attrs;
-  attrs.reserve(std::size_t(nelems));
   for (std::int64_t i = 0; i < nelems; ++i) {
     Attr a;
     a.name = r.name();
     a.type = NcType(r.u32());
-    a.nelems = r.non_neg();
-    a.values = r.raw_padded(a.nelems * type_size(a.type));
+    const std::int64_t size = type_size(a.type);
+    a.nelems = r.count();
+    PVR_REQUIRE(a.nelems <= r.remaining() / size,
+                "netCDF attribute exceeds the header bytes");
+    a.values = r.raw_padded(a.nelems * size);
     attrs.push_back(std::move(a));
   }
   return attrs;
@@ -237,9 +269,9 @@ void File::finalize() {
         v.is_record = true;
         continue;
       }
-      elems *= d.length;
+      elems = checked_mul(elems, d.length);
     }
-    v.vsize = pad4(elems * type_size(v.type));
+    v.vsize = pad4(checked_mul(elems, type_size(v.type)));
     if (v.is_record) ++num_record_vars;
     if (!v.is_record && version_ != Version::k64BitData) {
       // The 32-bit vsize field caps non-record variables at 4 GiB in
@@ -271,14 +303,16 @@ void File::finalize() {
   for (Var& v : vars_) {
     if (v.is_record) continue;
     v.begin = pos;
-    pos += v.vsize;
+    pos = checked_add(pos, v.vsize);
   }
   record_size_ = 0;
   for (Var& v : vars_) {
     if (!v.is_record) continue;
-    v.begin = pos + record_size_;
-    record_size_ += v.vsize;
+    v.begin = checked_add(pos, record_size_);
+    record_size_ = checked_add(record_size_, v.vsize);
   }
+  // file_bytes() must be representable too.
+  checked_add(pos, checked_mul(record_size_, numrecs_));
 }
 
 std::int64_t File::file_bytes() const {
@@ -367,7 +401,7 @@ File File::decode_header(std::span<const std::byte> bytes) {
   std::vector<Dim> dims;
   {
     const std::uint32_t tag = r.u32();
-    const std::int64_t nelems = r.non_neg();
+    const std::int64_t nelems = r.count();
     if (tag != 0) {
       PVR_REQUIRE(tag == std::uint32_t(kTagDimension), "bad dimension tag");
       for (std::int64_t i = 0; i < nelems; ++i) {
@@ -384,14 +418,14 @@ File File::decode_header(std::span<const std::byte> bytes) {
   std::vector<Var> vars;
   {
     const std::uint32_t tag = r.u32();
-    const std::int64_t nelems = r.non_neg();
+    const std::int64_t nelems = r.count();
     if (tag != 0) {
       PVR_REQUIRE(tag == std::uint32_t(kTagVariable), "bad variable tag");
       for (std::int64_t i = 0; i < nelems; ++i) {
         Var v;
         v.name = r.name();
-        const std::int64_t ndims = r.non_neg();
-        PVR_REQUIRE(ndims >= 0 && ndims <= 1024, "unreasonable ndims");
+        const std::int64_t ndims = r.count();
+        PVR_REQUIRE(ndims <= 1024, "unreasonable ndims");
         for (std::int64_t d = 0; d < ndims; ++d) {
           v.dimids.push_back(int(r.u32()));
         }

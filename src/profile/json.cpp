@@ -65,8 +65,16 @@ class Parser {
   JsonPtr parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+        }
+        ++depth_;
+        JsonPtr value = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't':
         if (!consume_keyword("true")) fail("bad literal");
@@ -247,6 +255,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 }  // namespace

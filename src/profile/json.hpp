@@ -66,8 +66,14 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonPtr>> object_;
 };
 
+/// Deepest nesting of arrays and objects parse_json accepts. Bench dumps
+/// nest at most 4 deep; the bound keeps hostile input from exhausting the
+/// parser's recursion stack.
+constexpr int kMaxJsonDepth = 64;
+
 /// Parses a complete JSON document; trailing non-whitespace is an error.
-/// Throws pvr::Error("json parse error at byte N: ...") on malformed input.
+/// Throws pvr::Error("json parse error at byte N: ...") on malformed input,
+/// including nesting deeper than kMaxJsonDepth.
 JsonPtr parse_json(const std::string& text);
 
 /// Reads a whole file and parses it; errors name the path.

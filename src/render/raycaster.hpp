@@ -18,15 +18,6 @@
 
 namespace pvr::render {
 
-/// Which raycasting kernel renders scanline chunks. Both kernels sample the
-/// same global lattice and produce bitwise-identical pixels and sample
-/// counts (tests pin this); kSimd marches 8-ray packets in lockstep over
-/// cache-blocked pixel tiles (src/render/simd/).
-enum class RaycastKernel {
-  kScalar,  ///< one ray at a time (reference path, the default)
-  kSimd,    ///< 8-wide ray packets, tile-blocked traversal
-};
-
 struct RenderConfig {
   /// Sampling step in voxel units along the ray.
   double step_voxels = 1.0;
@@ -37,12 +28,6 @@ struct RenderConfig {
   /// Values mapped to [0,1] for the transfer function: (v - lo) / (hi - lo).
   float value_lo = 0.0f;
   float value_hi = 1.0f;
-  /// Kernel selection; results are identical, only speed differs.
-  RaycastKernel kernel = RaycastKernel::kScalar;
-  /// Cache-block tile shape (pixels) for the SIMD kernel's depth-
-  /// synchronized traversal; ignored by the scalar kernel.
-  int tile_w = 32;
-  int tile_h = 8;
 };
 
 /// A rendered block subimage: packed pixels over a screen rectangle plus the
@@ -65,7 +50,9 @@ class Raycaster {
   /// Renders the given owned region (`owned` voxel box, half-open) from
   /// `brick`, which must cover owned plus a one-voxel ghost layer (clipped
   /// to the volume). Only pixels inside the block's screen footprint are
-  /// produced. `pool`, if non-null and multi-threaded, renders scanline
+  /// produced. Rays march in 8-ray packets (src/render/simd/), which index
+  /// the brick in int32 lanes: a brick of 2^31 or more voxels throws
+  /// pvr::Error. `pool`, if non-null and multi-threaded, renders scanline
   /// chunks in parallel; pixels and sample counts are bit-identical for any
   /// thread count (rays are independent; per-chunk sample tallies merge in
   /// chunk order — DESIGN.md §8).
@@ -86,7 +73,8 @@ class Raycaster {
                              par::ThreadPool* pool = nullptr) const;
 
   /// Bivariate variant: color sampled from `color_brick`, opacity from
-  /// `opacity_brick` (both must cover owned + ghost).
+  /// `opacity_brick` (both must cover owned + ghost). It has no packet path:
+  /// each ray is marched on its own through sample_world.
   SubImage render_block_bivariate(const Brick& color_brick,
                                   const Brick& opacity_brick,
                                   const Box3i& owned, const Camera& camera,
@@ -106,16 +94,11 @@ class Raycaster {
   float sample_world(const Brick& brick, const Vec3d& world) const;
 
  private:
-  /// `region_is_volume` skips the second (redundant) box intersection when
-  /// the region is the whole volume box, as in render_full and single-block
-  /// runs.
-  Rgba integrate_ray(const Brick& brick, const Box3d& region_world,
-                     bool region_is_volume, const Ray& ray,
-                     const TransferFunction& tf, std::int64_t* samples) const;
-
   /// Fills `out->pixels` for the preset `out->rect` (full footprint or a row
-  /// band of it) in scanline chunks; shared by render_block and
-  /// render_block_rows.
+  /// band of it) with the packet kernel (src/render/simd/), in scanline
+  /// chunks; shared by render_block, render_block_rows and render_full.
+  /// `region_is_volume` lets the kernel skip the second (redundant) box
+  /// intersection when the region is the whole volume box.
   void render_rect(const Brick& brick, const Box3d& region,
                    bool region_is_volume, const Camera& camera,
                    const TransferFunction& tf, par::ThreadPool* pool,

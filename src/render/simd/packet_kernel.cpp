@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "render/simd/vec8.hpp"
+#include "render/trilinear.hpp"
 #include "util/error.hpp"
 
 namespace pvr::render::simd {
@@ -31,9 +32,9 @@ struct Packet {
   bool done = false;       ///< no lane alive (whole packet early-out)
 };
 
-/// Per-axis constants of sample_world's edge clamp, broadcast once. All
-/// index math is int32 — brick coordinates and linear offsets are bounded
-/// by the brick's in-memory voxel count, far below 2^31 — because int32 is
+/// Per-axis constants of sample_trilinear's edge clamp, broadcast once. All
+/// index math is int32 — linear offsets are bounded by the brick's voxel
+/// count, which render_rows requires to be below 2^31 — because int32 is
 /// the integer width with native SIMD multiply and double<->int conversion
 /// down to SSE2 (int64 lane ops scalarize below AVX-512).
 struct AxisClamp {
@@ -92,9 +93,9 @@ Constants make_constants(const KernelParams& kp) {
 }
 
 /// Per-lane scalar ray setup for one packet: camera ray + box intersections
-/// + lattice bounds, exactly the scalar integrate_ray prologue. Lanes that
-/// miss (or pad a short tail packet) get alive = 0 and k_end = -1, so they
-/// never sample and stay transparent.
+/// + lattice bounds, exactly the per-ray reference march's prologue. Lanes
+/// that miss (or pad a short tail packet) get alive = 0 and k_end = -1, so
+/// they never sample and stay transparent.
 void setup_packet(const KernelParams& kp, int px_begin, int px_count, int py,
                   std::size_t out_base, Packet* pkt) {
   pkt->r = pkt->g = pkt->b = pkt->a = Float8::broadcast(0.0f);
@@ -198,7 +199,7 @@ void setup_packet(const KernelParams& kp, int px_begin, int px_count, int py,
                   mask_ge(pz, c.rlo_z) & mask_lt(pz, c.rhi_z));
   if (!any(member)) return 0;
 
-  // sample_world, vectorized. The edge clamp bounds every lane's indices
+  // sample_trilinear, vectorized. The edge clamp bounds every lane's indices
   // into the brick (even non-member lanes, whose positions are finite), so
   // the corner gathers below are unconditionally in-bounds.
   Int8 i0[3];
@@ -273,6 +274,12 @@ void setup_packet(const KernelParams& kp, int px_begin, int px_count, int py,
 /// expressions in the same order — so the switch is invisible bit-for-bit.
 constexpr int kScalarTailMax = 2;
 
+/// Cache tile shape in pixels: 32x8 rays traverse the same brick slabs, so
+/// a tile's working set stays cache-resident. Tiling orders the work only;
+/// pixels and sample counts do not depend on it.
+constexpr int kTileW = 32;
+constexpr int kTileH = 8;
+
 /// One ray's state, extracted from a packet lane for the scalar tail.
 struct LaneRay {
   double ox, oy, oz, dx, dy, dz, t0, t_exit;
@@ -280,13 +287,13 @@ struct LaneRay {
   Rgba acc;
 };
 
-/// Marches one extracted lane alone from lattice step `k` to completion,
-/// mirroring Raycaster::integrate_ray's loop body exactly (t lattice,
-/// t_exit break, k_begin skip, half-open membership, sample_world's
-/// floor/clamp, TfLut::sample1, blend_under, early termination). Takes the
-/// lane state by value rather than a Packet pointer so the march loop's
-/// packet can live entirely in registers (an escaping address would force
-/// it to memory). Returns the final color; `*samples` accumulates.
+/// Marches one extracted lane alone from lattice step `k` to completion:
+/// the per-ray reference march (t lattice, t_exit break, k_begin skip,
+/// half-open membership, sample_trilinear, TfLut::sample1, blend_under,
+/// early termination) on the lane's state. Takes the lane state by value
+/// rather than a Packet pointer so the march loop's packet can live
+/// entirely in registers (an escaping address would force it to memory).
+/// Returns the final color; `*samples` accumulates.
 Rgba finish_lane_scalar(const KernelParams& kp, const LaneRay ln,
                         std::int64_t k, std::int64_t* samples) {
   const double ox = ln.ox, oy = ln.oy, oz = ln.oz;
@@ -294,8 +301,6 @@ Rgba finish_lane_scalar(const KernelParams& kp, const LaneRay ln,
   const double t0 = ln.t0, t_exit = ln.t_exit;
   const std::int64_t k_begin = ln.k_begin, k_end = ln.k_end;
   float r = ln.acc.r, g = ln.acc.g, b = ln.acc.b, a = ln.acc.a;
-  const Brick& brick = *kp.brick;
-  const Box3i& bx = brick.box();
   for (; k <= k_end; ++k) {
     const double t = t0 + double(k) * kp.dt;
     if (t > t_exit) break;
@@ -308,45 +313,7 @@ Rgba finish_lane_scalar(const KernelParams& kp, const LaneRay ln,
         pz < kp.region.lo.z || pz >= kp.region.hi.z) {
       continue;
     }
-    std::int64_t i0[3];
-    double frac[3];
-    const double p[3] = {px, py, pz};
-    for (int axis = 0; axis < 3; ++axis) {
-      const double v = p[axis] * kp.inv_h - 0.5;
-      const double fl = std::floor(v);
-      std::int64_t i = std::int64_t(fl);
-      double f = v - fl;
-      const std::int64_t lo = bx.lo[axis];
-      const std::int64_t hm2 = bx.hi[axis] - 2;
-      if (i < lo) {
-        i = lo;
-        f = 0.0;
-      } else if (i > hm2) {
-        i = std::max(lo, hm2);
-        f = (bx.hi[axis] - bx.lo[axis]) > 1 ? 1.0 : 0.0;
-      }
-      i0[axis] = i;
-      frac[axis] = f;
-    }
-    const std::int64_t x1 = std::min(i0[0] + 1, std::int64_t(bx.hi.x) - 1);
-    const std::int64_t y1 = std::min(i0[1] + 1, std::int64_t(bx.hi.y) - 1);
-    const std::int64_t z1 = std::min(i0[2] + 1, std::int64_t(bx.hi.z) - 1);
-    const float c000 = brick.at(i0[0], i0[1], i0[2]);
-    const float c100 = brick.at(x1, i0[1], i0[2]);
-    const float c010 = brick.at(i0[0], y1, i0[2]);
-    const float c110 = brick.at(x1, y1, i0[2]);
-    const float c001 = brick.at(i0[0], i0[1], z1);
-    const float c101 = brick.at(x1, i0[1], z1);
-    const float c011 = brick.at(i0[0], y1, z1);
-    const float c111 = brick.at(x1, y1, z1);
-    const float fx = float(frac[0]), fy = float(frac[1]), fz = float(frac[2]);
-    const float c00 = c000 + fx * (c100 - c000);
-    const float c10 = c010 + fx * (c110 - c010);
-    const float c01 = c001 + fx * (c101 - c001);
-    const float c11 = c011 + fx * (c111 - c011);
-    const float c0 = c00 + fy * (c10 - c00);
-    const float c1 = c01 + fy * (c11 - c01);
-    const float raw = c0 + fz * (c1 - c0);
+    const float raw = sample_trilinear(*kp.brick, kp.inv_h, {px, py, pz});
     const float vn = raw * kp.value_scale + kp.value_bias;
     const Rgba s = kp.lut->sample1(vn);
     const float tt = 1.0f - a;
@@ -367,23 +334,21 @@ std::int64_t render_rows(const KernelParams& kp, const Rect& rect,
                          Rgba* out) {
   const int width = rect.width();
   if (width <= 0 || row_begin >= row_end) return 0;
-  // The kernel's index math rides in int32 lanes; an in-memory brick is
-  // always far below 2^31 voxels (that would be 8 GiB of float data).
+  // The kernel's index math rides in int32 lanes, which limits the
+  // renderer to bricks under 2^31 voxels (8 GiB of float data).
   PVR_REQUIRE(kp.brick->data().size() <
                   std::size_t(std::numeric_limits<std::int32_t>::max()),
               "brick too large for int32 kernel indexing");
   const Constants c = make_constants(kp);
-  const int tile_w = std::max(1, kp.tile_w);
-  const int tile_h = std::max(1, kp.tile_h);
-  const int packets_per_row = (std::min(tile_w, width) + kLanes - 1) / kLanes;
+  const int packets_per_row = (std::min(kTileW, width) + kLanes - 1) / kLanes;
   std::vector<Packet> packets;
-  packets.reserve(std::size_t(tile_h) * std::size_t(packets_per_row));
+  packets.reserve(std::size_t(kTileH) * std::size_t(packets_per_row));
 
   std::int64_t samples = 0;
-  for (std::int64_t ty = row_begin; ty < row_end; ty += tile_h) {
-    const std::int64_t ty_end = std::min<std::int64_t>(row_end, ty + tile_h);
-    for (int tx = 0; tx < width; tx += tile_w) {
-      const int tx_end = std::min(width, tx + tile_w);
+  for (std::int64_t ty = row_begin; ty < row_end; ty += kTileH) {
+    const std::int64_t ty_end = std::min<std::int64_t>(row_end, ty + kTileH);
+    for (int tx = 0; tx < width; tx += kTileW) {
+      const int tx_end = std::min(width, tx + kTileW);
 
       // Build the tile's packets: scanline runs of up to 8 pixels.
       packets.clear();

@@ -1,9 +1,9 @@
 // Ray-packet raycasting kernel: 8-wide lockstep march over the global
-// sample lattice, cache-blocked into pixel tiles. Slots in under
-// Raycaster::render_rect as a drop-in replacement for the scalar per-ray
-// loop — per-lane arithmetic replays the scalar integrate_ray expression
-// by expression, so the produced pixels and sample counts are bitwise
-// identical (see DESIGN.md §8, "SIMD kernel & cache blocking").
+// sample lattice, cache-blocked into pixel tiles. It is the renderer's only
+// univariate kernel (Raycaster::render_rect calls it). Per-lane arithmetic
+// is the per-ray reference march written expression by expression, and
+// tests/simd_test.cpp keeps that march as the oracle whose pixels and
+// sample counts the kernel must match bitwise (DESIGN.md §8.1).
 #pragma once
 
 #include <cstdint>
@@ -17,7 +17,6 @@
 namespace pvr::render::simd {
 
 /// Everything the packet kernel needs, hoisted once per render_rect call.
-/// All values mirror the scalar path's per-ray constants exactly.
 struct KernelParams {
   const Brick* brick = nullptr;
   const Camera* camera = nullptr;
@@ -30,15 +29,14 @@ struct KernelParams {
   float value_scale = 1.0f;  ///< hoisted normalization: v = raw*scale + bias
   float value_bias = 0.0f;
   float early_termination = 1.0f;
-  int tile_w = 32;  ///< cache tile width in pixels
-  int tile_h = 8;   ///< cache tile height in pixels
 };
 
 /// Renders rows [row_begin, row_end) of `rect` (rows counted from rect.y0)
 /// into `out`, the packed pixel buffer of the whole rect (row-major, width
 /// = rect.width(); pixel (x, row) lives at out[row * width + (x - rect.x0)]).
 /// Rows outside the band are not touched. Returns the number of lattice
-/// samples taken — exactly the count the scalar path would report.
+/// samples taken. Lanes index the brick in int32, so the brick must hold
+/// fewer than 2^31 - 1 voxels; a larger one throws pvr::Error.
 std::int64_t render_rows(const KernelParams& kp, const Rect& rect,
                          std::int64_t row_begin, std::int64_t row_end,
                          Rgba* out);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "format/netcdf.hpp"
 
@@ -228,6 +230,99 @@ TEST(ErrorTest, RecordDimMustBeFirst) {
   v.dimids = {1, 0};  // record dim second: illegal
   EXPECT_THROW(File(Version::kClassic, {{"t", 0}, {"x", 4}}, {}, {v}, 0),
                Error);
+}
+
+/// Hand-assembled big-endian header bytes for hostile-count cases.
+struct HeaderBytes {
+  explicit HeaderBytes(std::uint8_t version) {
+    for (const char c : {'C', 'D', 'F'}) u8(std::uint8_t(c));
+    u8(version);
+  }
+  void u8(std::uint8_t v) { bytes.push_back(std::byte{v}); }
+  void u32(std::uint32_t v) {
+    for (int s = 24; s >= 0; s -= 8) u8(std::uint8_t(v >> s));
+  }
+  void u64(std::uint64_t v) {
+    for (int s = 56; s >= 0; s -= 8) u8(std::uint8_t(v >> s));
+  }
+  /// A CDF-5 name: 64-bit length, then the characters padded to 4 bytes.
+  void name64(const std::string& name) {
+    u64(name.size());
+    for (const char c : name) u8(std::uint8_t(c));
+    while (bytes.size() % 4 != 0) u8(0);
+  }
+  std::vector<std::byte> bytes;
+};
+
+TEST(ErrorTest, HugeCdf1AttributeCountThrows) {
+  // A global attribute list claiming 2^32 - 1 entries in a tiny header.
+  HeaderBytes h(1);
+  h.u32(0);           // numrecs
+  h.u32(0);           // dim_list ABSENT
+  h.u32(0);
+  h.u32(0x0C);        // NC_ATTRIBUTE
+  h.u32(0xFFFFFFFF);  // nelems
+  h.u32(0);
+  EXPECT_THROW(File::decode_header(h.bytes), Error);
+}
+
+TEST(ErrorTest, NegativeCdf5ListCountThrows) {
+  HeaderBytes h(5);
+  h.u64(0);                    // numrecs
+  h.u32(0);                    // dim_list ABSENT
+  h.u64(0);
+  h.u32(0x0C);                 // NC_ATTRIBUTE
+  h.u64(~std::uint64_t{0});    // nelems = -1
+  h.u64(0);
+  EXPECT_THROW(File::decode_header(h.bytes), Error);
+}
+
+TEST(ErrorTest, NegativeCdf5AttributeLengthThrows) {
+  HeaderBytes h(5);
+  h.u64(0);                    // numrecs
+  h.u32(0);                    // dim_list ABSENT
+  h.u64(0);
+  h.u32(0x0C);                 // NC_ATTRIBUTE
+  h.u64(1);
+  h.name64("a");
+  h.u32(2);                    // NC_CHAR
+  h.u64(~std::uint64_t{0});    // attribute nelems = -1
+  h.u64(0);
+  EXPECT_THROW(File::decode_header(h.bytes), Error);
+}
+
+TEST(ErrorTest, OverflowingCdf5VariableSizeThrows) {
+  // One variable over the given dimensions, of the given nc_type.
+  const auto header = [](const std::vector<std::uint64_t>& lengths,
+                         std::uint32_t type) {
+    HeaderBytes h(5);
+    h.u64(0);                  // numrecs
+    h.u32(0x0A);               // NC_DIMENSION
+    h.u64(lengths.size());
+    for (std::size_t d = 0; d < lengths.size(); ++d) {
+      h.name64("d" + std::to_string(d));
+      h.u64(lengths[d]);
+    }
+    h.u32(0);                  // gatt_list ABSENT
+    h.u64(0);
+    h.u32(0x0B);               // NC_VARIABLE
+    h.u64(1);
+    h.name64("v");
+    h.u64(lengths.size());     // ndims
+    for (std::size_t d = 0; d < lengths.size(); ++d) h.u32(std::uint32_t(d));
+    h.u32(0);                  // vatt_list ABSENT
+    h.u64(0);
+    h.u32(type);
+    h.u64(0);                  // vsize
+    h.u64(0);                  // begin
+    return h.bytes;
+  };
+  // Two dimensions of length 2^40: 2^80 elements, past any 64-bit size.
+  const std::uint64_t big = std::uint64_t{1} << 40;
+  EXPECT_THROW(File::decode_header(header({big, big}, 5)), Error);
+  // 2^63 - 1 bytes fit in int64, but padding them to 4 bytes does not.
+  const std::uint64_t max = (std::uint64_t{1} << 63) - 1;
+  EXPECT_THROW(File::decode_header(header({max}, 1)), Error);
 }
 
 TEST(ErrorTest, UnknownVariableLookupThrows) {

@@ -343,6 +343,23 @@ TEST(JsonTest, MalformedInputFailsLoudWithOffset) {
   }
 }
 
+TEST(JsonTest, NestingPastTheLimitThrows) {
+  EXPECT_THROW(parse_json(std::string(100000, '[')), Error);
+  const std::string at_limit = std::string(kMaxJsonDepth, '[') +
+                               std::string(kMaxJsonDepth, ']');
+  JsonPtr doc = parse_json(at_limit);
+  for (int depth = 1; depth < kMaxJsonDepth; ++depth) {
+    ASSERT_EQ(doc->as_array().size(), 1u);
+    doc = doc->as_array().front();
+  }
+  EXPECT_TRUE(doc->as_array().empty());
+  EXPECT_THROW(parse_json("[" + at_limit + "]"), Error);
+  std::string objects;
+  for (int depth = 0; depth <= kMaxJsonDepth; ++depth) objects += "{\"a\": ";
+  objects += "0" + std::string(kMaxJsonDepth + 1, '}');
+  EXPECT_THROW(parse_json(objects), Error);
+}
+
 // --- perf gate ---
 
 /// A small synthetic bench dump in the bench_common schema.

@@ -1,9 +1,11 @@
-// Tests for the SIMD ray-packet kernel (src/render/simd/): bitwise
-// scalar-vs-SIMD image and sample-count equality, packet remainder and
-// early-exit handling, row-band stitching under kSimd, the vec8 wrapper's
-// exactness guarantees, and the hoisted value normalization.
+// Tests for the ray-packet kernel (src/render/simd/), the renderer's only
+// univariate kernel: bitwise image and sample-count equality with the
+// per-ray oracle below, packet remainder and early-exit handling, row-band
+// stitching, the vec8 wrapper's exactness guarantees, and the hoisted value
+// normalization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -20,11 +22,84 @@
 namespace pvr::render {
 namespace {
 
-RenderConfig base_config(RaycastKernel kernel) {
+// ---------------- the per-ray oracle ----------------
+//
+// One ray at a time over the global sample lattice, through
+// Raycaster::sample_world and TransferFunction::sample: the reference march
+// that the packet kernel's lanes replay. The kernel must match its pixels
+// and sample counts bitwise.
+
+/// Marches one ray through the half-open `region` (world space) of a
+/// volume of `dims`; returns its premultiplied color and adds the samples
+/// it took to `*samples`.
+Rgba oracle_ray(const Raycaster& rc, const Vec3i& dims, const Brick& brick,
+                const Box3d& region, const Ray& ray,
+                const TransferFunction& tf, std::int64_t* samples) {
+  const RenderConfig& cfg = rc.config();
+  const auto vol_hit = intersect(ray, world_box(dims));
+  if (!vol_hit) return kTransparent;
+  const auto reg_hit = intersect(ray, region);
+  if (!reg_hit) return kTransparent;
+
+  // Global lattice: t_k = t0 + k * dt with t0 the volume entry point, so
+  // every block of the same volume samples identical positions.
+  const double t0 = vol_hit->t_enter;
+  const double dt = rc.step_world();
+  std::int64_t k = std::max<std::int64_t>(
+      0, std::int64_t(std::floor((reg_hit->t_enter - t0) / dt)) - 1);
+  const std::int64_t k_end =
+      std::int64_t(std::ceil((reg_hit->t_exit - t0) / dt)) + 1;
+
+  const float step = float(cfg.step_voxels);
+  const float scale = 1.0f / (cfg.value_hi - cfg.value_lo);
+  const float bias = -cfg.value_lo * scale;
+  Rgba acc = kTransparent;
+  for (; k <= k_end; ++k) {
+    const double t = t0 + double(k) * dt;
+    if (t > vol_hit->t_exit) break;
+    const Vec3d p = ray.at(t);
+    // Half-open membership: exactly one block owns each lattice sample.
+    if (p.x < region.lo.x || p.x >= region.hi.x || p.y < region.lo.y ||
+        p.y >= region.hi.y || p.z < region.lo.z || p.z >= region.hi.z) {
+      continue;
+    }
+    const float v = rc.sample_world(brick, p) * scale + bias;
+    acc.blend_under(tf.sample(v, step));
+    ++*samples;
+    if (acc.a >= float(cfg.early_termination)) break;
+  }
+  return acc;
+}
+
+/// The oracle's image of `rect` for the rays through `region`.
+SubImage oracle_rect(const Raycaster& rc, const Vec3i& dims,
+                     const Brick& brick, const Box3d& region,
+                     const Camera& cam, const TransferFunction& tf,
+                     const Rect& rect) {
+  SubImage out;
+  out.rect = rect;
+  for (int py = rect.y0; py < rect.y1; ++py) {
+    for (int px = rect.x0; px < rect.x1; ++px) {
+      out.pixels.push_back(oracle_ray(rc, dims, brick, region,
+                                      cam.ray(px, py), tf, &out.samples));
+    }
+  }
+  return out;
+}
+
+/// The oracle's render_block: the block's whole screen footprint.
+SubImage oracle_block(const Raycaster& rc, const Vec3i& dims,
+                      const Brick& brick, const Box3i& owned,
+                      const Camera& cam, const TransferFunction& tf) {
+  const Box3d region = world_box_of(owned, dims);
+  return oracle_rect(rc, dims, brick, region, cam, tf,
+                     cam.footprint(region));
+}
+
+RenderConfig base_config() {
   RenderConfig cfg;
   cfg.step_voxels = 1.0;
   cfg.early_termination = 1.0;
-  cfg.kernel = kernel;
   return cfg;
 }
 
@@ -172,48 +247,69 @@ TEST(NormalizationHoistTest, NonzeroLoStaysWithinOneUlp) {
   }
 }
 
-// ---------------- scalar vs SIMD kernel equality ----------------
+// ---------------- packet kernel vs per-ray oracle ----------------
 
 class KernelEquality : public ::testing::TestWithParam<int> {};
 
 TEST_P(KernelEquality, WholeVolumeImagesBitwiseEqual) {
-  // Width 51 is not divisible by 8, so every scanline ends in a remainder
-  // packet; threads 1 and 4 exercise the chunked parallel path.
+  // Width 51 is not divisible by 8 and leaves partial 32x8 tiles on both
+  // axes, so every scanline ends in a remainder packet; threads 1 and 4
+  // exercise the chunked parallel path.
   const Vec3i dims{24, 24, 24};
   const Brick whole = whole_brick(dims, 11);
   const Camera cam = Camera::default_view(dims, 51, 38);
   const TransferFunction tf = TransferFunction::supernova();
   par::ThreadPool pool(GetParam());
 
-  const Raycaster scalar(dims, base_config(RaycastKernel::kScalar));
-  const Raycaster vec(dims, base_config(RaycastKernel::kSimd));
-  const SubImage a =
-      scalar.render_block(whole, Box3i{{0, 0, 0}, dims}, cam, tf, &pool);
-  const SubImage b =
-      vec.render_block(whole, Box3i{{0, 0, 0}, dims}, cam, tf, &pool);
-  expect_identical(a, b);
-  EXPECT_GT(a.samples, 0);
+  const Raycaster rc(dims, base_config());
+  const Box3i owned{{0, 0, 0}, dims};
+  const SubImage got = rc.render_block(whole, owned, cam, tf, &pool);
+  expect_identical(oracle_block(rc, dims, whole, owned, cam, tf), got);
+  EXPECT_GT(got.samples, 0);
 }
 
 TEST_P(KernelEquality, BlockDecompositionImagesBitwiseEqual) {
   // The fig5-style scene: a decomposed volume, per-block renders with ghost
-  // bricks. Every block's subimage must match the scalar kernel bitwise.
+  // bricks. Every block's subimage must match the oracle bitwise, at unit
+  // and non-unit steps (TfLut's per-lane std::pow opacity correction), with
+  // a nonzero value_lo (a nonzero normalization bias) and with early
+  // termination.
   const Vec3i dims{24, 24, 24};
   const Camera cam = Camera::default_view(dims, 48, 48);
   const TransferFunction tf = TransferFunction::supernova();
   const Decomposition d(dims, 8);
   par::ThreadPool pool(GetParam());
 
-  const Raycaster scalar(dims, base_config(RaycastKernel::kScalar));
-  const Raycaster vec(dims, base_config(RaycastKernel::kSimd));
+  std::vector<Brick> bricks;
   for (std::int64_t b = 0; b < d.num_blocks(); ++b) {
-    const Box3i owned = d.block_box(b);
-    Brick brick(d.ghost_box(b, 1));
+    bricks.emplace_back(d.ghost_box(b, 1));
     data::SupernovaField(11).fill_brick(data::Variable::kDensity, dims,
-                                        &brick);
-    const SubImage sa = scalar.render_block(brick, owned, cam, tf, &pool);
-    const SubImage sb = vec.render_block(brick, owned, cam, tf, &pool);
-    expect_identical(sa, sb);
+                                        &bricks.back());
+  }
+  for (const double step : {1.0, 0.5, 1.7}) {
+    for (const auto& [lo, hi] : {std::pair{0.0f, 1.0f}, {0.1f, 0.9f}}) {
+      std::int64_t samples_by_termination[2] = {0, 0};
+      for (const double early : {1.0, 0.3}) {
+        RenderConfig cfg = base_config();
+        cfg.step_voxels = step;
+        cfg.value_lo = lo;
+        cfg.value_hi = hi;
+        cfg.early_termination = early;
+        const Raycaster rc(dims, cfg);
+        for (std::int64_t b = 0; b < d.num_blocks(); ++b) {
+          SCOPED_TRACE(testing::Message()
+                       << "step " << step << " range [" << lo << ", " << hi
+                       << "] early " << early << " block " << b);
+          const Box3i owned = d.block_box(b);
+          const Brick& brick = bricks[std::size_t(b)];
+          const SubImage got = rc.render_block(brick, owned, cam, tf, &pool);
+          expect_identical(oracle_block(rc, dims, brick, owned, cam, tf), got);
+          samples_by_termination[early < 1.0 ? 1 : 0] += got.samples;
+        }
+      }
+      // Early termination must actually cut rays short in this scene.
+      EXPECT_LT(samples_by_termination[1], samples_by_termination[0]);
+    }
   }
 }
 
@@ -222,26 +318,21 @@ INSTANTIATE_TEST_SUITE_P(Threads, KernelEquality, ::testing::Values(1, 4));
 TEST(SimdKernelTest, EarlyTerminationSaturatesWholePackets) {
   // A low termination threshold plus an opaque ramp makes whole packets die
   // at the same depth, exercising the all-dead early exit; the sample
-  // counts must still match the scalar break-after-sample semantics.
+  // counts must still match the oracle's break-after-sample semantics.
   const Vec3i dims{24, 24, 24};
   const Brick whole = whole_brick(dims, 5);
   const Camera cam = Camera::default_view(dims, 40, 40);
   const TransferFunction tf = TransferFunction::grayscale_ramp(0.9f);
-  RenderConfig cfg = base_config(RaycastKernel::kScalar);
+  RenderConfig cfg = base_config();
   cfg.early_termination = 0.25;
-  RenderConfig simd_cfg = cfg;
-  simd_cfg.kernel = RaycastKernel::kSimd;
 
-  const Raycaster scalar(dims, cfg);
-  const Raycaster vec(dims, simd_cfg);
-  const SubImage a =
-      scalar.render_block(whole, Box3i{{0, 0, 0}, dims}, cam, tf);
-  const SubImage b = vec.render_block(whole, Box3i{{0, 0, 0}, dims}, cam, tf);
-  expect_identical(a, b);
+  const Raycaster rc(dims, cfg);
+  const Box3i owned{{0, 0, 0}, dims};
+  const SubImage got = rc.render_block(whole, owned, cam, tf);
+  expect_identical(oracle_block(rc, dims, whole, owned, cam, tf), got);
   // Early termination must actually have cut samples vs the full march.
-  const Raycaster full(dims, base_config(RaycastKernel::kSimd));
-  const SubImage c = full.render_block(whole, Box3i{{0, 0, 0}, dims}, cam, tf);
-  EXPECT_LT(a.samples, c.samples);
+  const Raycaster full(dims, base_config());
+  EXPECT_LT(got.samples, full.render_block(whole, owned, cam, tf).samples);
 }
 
 TEST(SimdKernelTest, NarrowRectRemainderPackets) {
@@ -250,38 +341,15 @@ TEST(SimdKernelTest, NarrowRectRemainderPackets) {
   const Brick whole = whole_brick(dims, 7);
   const Camera cam = Camera::default_view(dims, 5, 64);
   const TransferFunction tf = TransferFunction::supernova();
-  const Raycaster scalar(dims, base_config(RaycastKernel::kScalar));
-  const Raycaster vec(dims, base_config(RaycastKernel::kSimd));
-  const SubImage a =
-      scalar.render_block(whole, Box3i{{0, 0, 0}, dims}, cam, tf);
-  const SubImage b = vec.render_block(whole, Box3i{{0, 0, 0}, dims}, cam, tf);
-  expect_identical(a, b);
-}
-
-TEST(SimdKernelTest, TileShapeDoesNotChangePixels) {
-  const Vec3i dims{24, 24, 24};
-  const Brick whole = whole_brick(dims, 3);
-  const Camera cam = Camera::default_view(dims, 48, 48);
-  const TransferFunction tf = TransferFunction::supernova();
-  RenderConfig cfg = base_config(RaycastKernel::kSimd);
-  const Raycaster base(dims, cfg);
-  const SubImage want =
-      base.render_block(whole, Box3i{{0, 0, 0}, dims}, cam, tf);
-  for (const auto& [tw, th] : {std::pair{1, 1}, {8, 1}, {7, 3}, {64, 64}}) {
-    RenderConfig t = cfg;
-    t.tile_w = tw;
-    t.tile_h = th;
-    const Raycaster rc(dims, t);
-    const SubImage got =
-        rc.render_block(whole, Box3i{{0, 0, 0}, dims}, cam, tf);
-    expect_identical(want, got);
-  }
+  const Raycaster rc(dims, base_config());
+  const Box3i owned{{0, 0, 0}, dims};
+  expect_identical(oracle_block(rc, dims, whole, owned, cam, tf),
+                   rc.render_block(whole, owned, cam, tf));
 }
 
 TEST(SimdKernelTest, RowBandStitchingUnderSimd) {
   // Steal-mode contract: disjoint render_block_rows bands stitched in row
-  // order reproduce render_block bit-for-bit — under the SIMD kernel, and
-  // against the scalar whole-block render.
+  // order reproduce render_block bit-for-bit, and both match the oracle.
   const Vec3i dims{24, 24, 24};
   const Camera cam = Camera::default_view(dims, 64, 64);
   const TransferFunction tf = TransferFunction::supernova();
@@ -291,10 +359,9 @@ TEST(SimdKernelTest, RowBandStitchingUnderSimd) {
   Brick brick(d.ghost_box(block, 1));
   data::SupernovaField(13).fill_brick(data::Variable::kDensity, dims, &brick);
 
-  const Raycaster scalar(dims, base_config(RaycastKernel::kScalar));
-  const Raycaster vec(dims, base_config(RaycastKernel::kSimd));
-  const SubImage whole = vec.render_block(brick, owned, cam, tf);
-  expect_identical(scalar.render_block(brick, owned, cam, tf), whole);
+  const Raycaster rc(dims, base_config());
+  const SubImage whole = rc.render_block(brick, owned, cam, tf);
+  expect_identical(oracle_block(rc, dims, brick, owned, cam, tf), whole);
 
   const std::int64_t rows = std::max(0, whole.rect.height());
   const std::int64_t cut1 = rows / 3, cut2 = 2 * rows / 3;
@@ -305,7 +372,7 @@ TEST(SimdKernelTest, RowBandStitchingUnderSimd) {
   for (const auto& [r0, r1] :
        {std::pair{std::int64_t{0}, cut1}, {cut1, cut2}, {cut2, rows}}) {
     if (r0 >= r1) continue;
-    const SubImage band = vec.render_block_rows(brick, owned, cam, tf, r0, r1);
+    const SubImage band = rc.render_block_rows(brick, owned, cam, tf, r0, r1);
     std::copy(band.pixels.begin(), band.pixels.end(),
               stitched.pixels.begin() + std::ptrdiff_t(std::size_t(r0) * width));
     stitched.samples += band.samples;
@@ -314,20 +381,22 @@ TEST(SimdKernelTest, RowBandStitchingUnderSimd) {
 }
 
 TEST(SimdKernelTest, RenderFullMatchesScalarAndReportsSamples) {
+  // render_full against the per-ray oracle over the whole image.
   const Vec3i dims{24, 24, 24};
   const Brick whole = whole_brick(dims, 9);
   const Camera cam = Camera::default_view(dims, 48, 48);
   const TransferFunction tf = TransferFunction::grayscale_ramp(0.2f);
-  const Raycaster scalar(dims, base_config(RaycastKernel::kScalar));
-  const Raycaster vec(dims, base_config(RaycastKernel::kSimd));
-  std::int64_t ns = 0, nv = 0;
-  const Image a = scalar.render_full(whole, cam, tf, nullptr, &ns);
-  const Image b = vec.render_full(whole, cam, tf, nullptr, &nv);
-  EXPECT_EQ(ns, nv);
-  EXPECT_GT(ns, 0);
-  ASSERT_EQ(a.pixels().size(), b.pixels().size());
-  EXPECT_EQ(std::memcmp(a.pixels().data(), b.pixels().data(),
-                        a.pixels().size() * sizeof(Rgba)),
+  const Raycaster rc(dims, base_config());
+  std::int64_t samples = 0;
+  const Image got = rc.render_full(whole, cam, tf, nullptr, &samples);
+  const SubImage want =
+      oracle_rect(rc, dims, whole, world_box(dims), cam, tf,
+                  Rect{0, 0, cam.width(), cam.height()});
+  EXPECT_EQ(samples, want.samples);
+  EXPECT_GT(samples, 0);
+  ASSERT_EQ(got.pixels().size(), want.pixels.size());
+  EXPECT_EQ(std::memcmp(got.pixels().data(), want.pixels.data(),
+                        want.pixels.size() * sizeof(Rgba)),
             0);
 }
 
