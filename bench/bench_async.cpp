@@ -13,17 +13,14 @@ int main(int argc, char** argv) {
   using pvr::core::RunStats;
   using pvr::fault::FaultPlan;
   using pvr::fault::FaultSpec;
-  using pvr::runtime::DependencyMode;
   using pvr::runtime::RuntimeMode;
 
   bench_config_set("study", "async task-graph runtime vs BSP");
   bench_config_set("size", "1120^3/1600^2");
   bench_config_set("seed", "42");
-  bench_config_set("modes", "bsp, async-chained (verified), async-free");
 
-  // --- Sweep 1: healthy Fig 5 frame across the proc sweep. The chained
-  // frame re-derives the BSP stats through the graph (the PVR_REQUIRE
-  // byte-identity checks run inside); the free frame reclaims skew. ---
+  // --- Sweep 1: healthy Fig 5 frame across the proc sweep; the free graph
+  // reclaims the barrier skew. ---
   {
     pvr::TextTable table(
         "Async S1 — healthy frame, BSP vs free graph, 1120^3/1600^2");
@@ -35,11 +32,6 @@ int main(int argc, char** argv) {
       const FrameStats base = bsp.model_frame();
 
       cfg.runtime_mode = RuntimeMode::kAsync;
-      cfg.dependency = DependencyMode::kChained;
-      ParallelVolumeRenderer chained(cfg);
-      const FrameStats verify = chained.model_frame();
-
-      cfg.dependency = DependencyMode::kFree;
       ParallelVolumeRenderer async(cfg);
       const FrameStats f = async.model_frame();
 
@@ -51,7 +43,6 @@ int main(int argc, char** argv) {
       register_sim("async/healthy/" + pvr::fmt_procs(p), f.total_seconds(),
                    {{"procs", double(p)},
                     {"bsp_s", base.total_seconds()},
-                    {"chained_s", verify.total_seconds()},
                     {"reclaimed_s", f.async.reclaimed_seconds},
                     {"io_s", f.io_seconds},
                     {"render_s", f.render_seconds},
@@ -83,7 +74,6 @@ int main(int argc, char** argv) {
       const FrameStats base = bsp.model_frame_with_faults(plan);
 
       cfg.runtime_mode = RuntimeMode::kAsync;
-      cfg.dependency = DependencyMode::kFree;
       ParallelVolumeRenderer async(cfg);
       const FrameStats f = async.model_frame_with_faults(plan);
 
@@ -118,7 +108,6 @@ int main(int argc, char** argv) {
     const RunStats base = bsp.model_run(4);
 
     cfg.runtime_mode = RuntimeMode::kAsync;
-    cfg.dependency = DependencyMode::kFree;
     ParallelVolumeRenderer async(cfg);
     const RunStats run = async.model_run(4);
     double readahead = 0.0;
@@ -152,7 +141,6 @@ int main(int argc, char** argv) {
     spec.compute_degrade_factor = 4.0;
     ExperimentConfig cfg = paper_config(4096, 1120, 1600);
     cfg.runtime_mode = RuntimeMode::kAsync;
-    cfg.dependency = DependencyMode::kFree;
     ParallelVolumeRenderer traced(cfg);
     const FaultPlan plan =
         FaultPlan::generate(traced.partition(), cfg.storage, spec);
@@ -164,9 +152,8 @@ int main(int argc, char** argv) {
   }
 
   std::puts(
-      "Takeaway: chained graphs reproduce BSP bitwise (verified in-frame);\n"
-      "free graphs turn barrier skew and the cross-frame fetch into\n"
-      "overlap, so async never exceeds — and under degraded nodes strictly\n"
-      "beats — the superstep price.\n");
+      "Takeaway: the free graph turns barrier skew and the cross-frame\n"
+      "fetch into overlap, so async never exceeds — and under degraded\n"
+      "nodes strictly beats — the superstep price.\n");
   return run_benchmarks(argc, argv);
 }

@@ -368,19 +368,34 @@ class FaultScope {
   runtime::Runtime* rt_;
 };
 
+/// Detaches the tracer of `owner` (a runtime or the renderer) for one
+/// stretch priced untraced and reattaches it on exit, so a throwing stretch
+/// cannot leave later frames untraced.
+template <class Owner>
+class Untraced {
+ public:
+  explicit Untraced(Owner& owner) : owner_(&owner), tracer_(owner.tracer()) {
+    owner_->set_tracer(nullptr);
+  }
+  ~Untraced() { owner_->set_tracer(tracer_); }
+  Untraced(const Untraced&) = delete;
+  Untraced& operator=(const Untraced&) = delete;
+
+ private:
+  Owner* owner_;
+  obs::Tracer* tracer_;
+};
+
 // --- Async task-graph assembly (DESIGN.md §9). One modeled frame becomes a
 // DAG: the collective read and the steal gate on the shared machine lane,
 // one render task per live rank on its own lane, and one composite task per
-// compositor rank depending on exactly the renderers that feed it (kFree) or
-// on a zero-duration barrier over every renderer (kChained — the BSP
-// reproduction). Critical-path segments by tag give the frame's async stage
-// charges. ---
+// compositor rank depending on exactly the renderers that feed it.
+// Critical-path segments by tag give the frame's async stage charges. ---
 
 constexpr std::int32_t kTagIo = 0;
 constexpr std::int32_t kTagSteal = 1;
 constexpr std::int32_t kTagRender = 2;
 constexpr std::int32_t kTagComposite = 3;
-constexpr std::int32_t kTagBarrier = 4;  ///< zero-duration fan-in (kChained)
 
 struct AsyncInputs {
   bool has_io = false;
@@ -391,8 +406,6 @@ struct AsyncInputs {
   std::vector<char> live;              ///< render task created iff live[r]
   double exchange_seconds = 0.0;       ///< per-compositor exchange term
   std::vector<double> blend_seconds;   ///< per dst rank
-  const compose::DirectSendDetail* detail = nullptr;
-  bool chained = false;
 };
 
 struct AsyncChain {
@@ -410,6 +423,7 @@ struct AsyncChain {
 };
 
 AsyncChain schedule_async_frame(const AsyncInputs& in,
+                                const compose::DirectSendDetail& detail,
                                 std::int64_t num_ranks) {
   runtime::TaskGraph graph(num_ranks);
   runtime::TaskId io_task = -1;
@@ -420,42 +434,26 @@ AsyncChain schedule_async_frame(const AsyncInputs& in,
     pre = {graph.add("steal", -1, in.steal_seconds, kTagSteal, pre)};
   }
   std::vector<runtime::TaskId> render_task(std::size_t(num_ranks), -1);
-  std::vector<runtime::TaskId> renders;
   for (std::int64_t r = 0; r < num_ranks; ++r) {
     if (!in.live[std::size_t(r)]) continue;
     render_task[std::size_t(r)] =
         graph.add("render." + std::to_string(r), r,
                   in.render_seconds[std::size_t(r)], kTagRender, pre);
-    renders.push_back(render_task[std::size_t(r)]);
   }
-  // kChained funnels every composite through one fan-in task instead of
-  // all-to-all barrier edges, keeping the chained graph O(ranks) edges.
-  std::vector<runtime::TaskId> barrier;
-  if (in.chained) {
-    barrier = {graph.add("render.barrier", -1, 0.0, kTagBarrier,
-                         renders.empty() ? pre : renders)};
-  }
-  if (in.detail != nullptr) {
-    for (std::int64_t c = 0; c < num_ranks; ++c) {
-      const std::vector<std::int64_t>& srcs =
-          in.detail->sources[std::size_t(c)];
-      if (srcs.empty()) continue;
-      std::vector<runtime::TaskId> deps;
-      if (in.chained) {
-        deps = barrier;
-      } else {
-        deps.reserve(srcs.size());
-        for (const std::int64_t s : srcs) {
-          // Dead renderers were filtered from the message set, so every
-          // source of a delivered fragment has a render task.
-          PVR_ASSERT(render_task[std::size_t(s)] >= 0);
-          deps.push_back(render_task[std::size_t(s)]);
-        }
-      }
-      graph.add("composite." + std::to_string(c), c,
-                in.exchange_seconds + in.blend_seconds[std::size_t(c)],
-                kTagComposite, std::move(deps));
+  for (std::int64_t c = 0; c < num_ranks; ++c) {
+    const std::vector<std::int64_t>& srcs = detail.sources[std::size_t(c)];
+    if (srcs.empty()) continue;
+    std::vector<runtime::TaskId> deps;
+    deps.reserve(srcs.size());
+    for (const std::int64_t s : srcs) {
+      // Dead renderers were filtered from the message set, so every source
+      // of a delivered fragment has a render task.
+      PVR_ASSERT(render_task[std::size_t(s)] >= 0);
+      deps.push_back(render_task[std::size_t(s)]);
     }
+    graph.add("composite." + std::to_string(c), c,
+              in.exchange_seconds + in.blend_seconds[std::size_t(c)],
+              kTagComposite, std::move(deps));
   }
 
   AsyncChain out;
@@ -475,7 +473,6 @@ AsyncChain schedule_async_frame(const AsyncInputs& in,
         out.composite_seg += t.seconds;
         out.composite_rank = t.lane;
         break;
-      default: break;  // kTagBarrier: zero seconds by construction
     }
   }
   return out;
@@ -489,8 +486,6 @@ FrameStats ParallelVolumeRenderer::price_frame(const fault::FaultPlan* plan,
   runtime::Runtime& rt = model_rt();
   const bool faulty = plan != nullptr;
   const bool async = config_.runtime_mode == runtime::RuntimeMode::kAsync;
-  const bool free_graph =
-      async && config_.dependency == runtime::DependencyMode::kFree;
   FrameStats stats;
   std::optional<FaultScope> scope;
   if (faulty) {
@@ -534,11 +529,13 @@ FrameStats ParallelVolumeRenderer::price_frame(const fault::FaultPlan* plan,
     // fetch/shuffle split: only the open + storage portion can hide under
     // the previous frame (the shuffle needs the renderers themselves).
     const bool split = readahead_seconds > 0.0;
-    if (split) rt.set_tracer(nullptr);
-    stats.io = reader.read(*layout_, variable_, blocks, nullptr, {});
+    {
+      std::optional<Untraced<runtime::Runtime>> untraced;
+      if (split) untraced.emplace(rt);
+      stats.io = reader.read(*layout_, variable_, blocks, nullptr, {});
+    }
     stats.io_seconds = stats.io.seconds;
     if (split) {
-      rt.set_tracer(tracer_);
       const double fetch =
           std::min(stats.io.seconds,
                    stats.io.open_seconds + stats.io.storage_cost.seconds);
@@ -573,77 +570,69 @@ FrameStats ParallelVolumeRenderer::price_frame(const fault::FaultPlan* plan,
       return plan->rank_degrade(rank, *partition_);
     };
   }
-  steal::StealSchedule sched;
-  compose::DirectSendDetail detail;
-  // Task-graph fold (kAsync only): per-rank render, per-compositor exchange
-  // + blend, and the shared io/steal gates become one DAG whose
-  // critical-path segments are the frame's stage charges.
-  const auto fold_graph = [&](bool chained, double exchange_seconds) {
-    AsyncInputs in;
-    in.has_io = !insitu;
-    in.io_seconds = stats.io_seconds;
-    in.has_steal = !sched.empty();
-    in.steal_seconds = stats.steal.steal_seconds;
-    in.live.assign(std::size_t(config_.num_ranks), 1);
-    if (faulty) {
-      for (std::int64_t r = 0; r < config_.num_ranks; ++r) {
-        in.live[std::size_t(r)] = slowdown(r) > 0.0 ? 1 : 0;
-      }
-    }
-    if (!sched.empty()) {
-      in.render_seconds = sched.rank_seconds_after;
-      for (double& s : in.render_seconds) {
-        s *= 1.0 + config_.machine.render_imbalance;
-      }
-    } else {
-      in.render_seconds = render::RenderModel(config_.machine)
-                              .rank_seconds(*decomp_, config_.num_ranks,
-                                            camera_, config_.render, slowdown);
-    }
-    in.exchange_seconds = exchange_seconds;
-    const double bps = partition_->config().blends_per_second;
-    in.blend_seconds.reserve(detail.blend_pixels.size());
-    for (const std::int64_t pixels : detail.blend_pixels) {
-      in.blend_seconds.push_back(double(pixels) / bps);
-    }
-    in.detail = &detail;
-    in.chained = chained;
-    return schedule_async_frame(in, config_.num_ranks);
-  };
 
   // --- Stage 2: the straggler is the worst weighted live rank. With
   // stealing enabled, live idle ranks first claim scanline chunks from the
   // slowest live ranks (dead ranks are neither victims nor thieves), so the
-  // straggler term shrinks to the post-schedule worst. The free graph needs
-  // the composite's per-rank structure before the frame's render charge is
-  // known, so kFree prices the composite here, untraced. ---
+  // straggler term shrinks to the post-schedule worst. kAsync folds the
+  // stage inputs into the free graph here: it needs the composite's
+  // per-rank structure before the frame's render charge is known, so it
+  // prices the composite now, untraced. ---
+  compose::DirectSendDetail detail;
   AsyncChain chain;
   double bsp_seconds = 0.0;
   double exchange_overlapped = 0.0;
   {
     obs::ScopedSpan stage(tracer_, "stage.render", obs::Category::kRender);
-    const render::RenderModel rmodel(config_.machine);
-    stats.render = rmodel.estimate_degraded(*decomp_, config_.num_ranks,
-                                            camera_, config_.render, slowdown);
-    if (config_.steal.enabled()) {
-      sched = steal_stage(rt, slowdown, &stats);
-      if (!sched.empty()) {
-        stats.render.max_rank_samples = sched.max_rank_samples_after;
-        stats.render.seconds = sched.worst_after_seconds *
-                               (1.0 + config_.machine.render_imbalance);
-        stats.render.straggler_rank = sched.worst_after_rank;
-      }
-    }
-    if (free_graph) {
-      rt.set_tracer(nullptr);
+    steal::StealSchedule sched;
+    if (config_.steal.enabled()) sched = steal_stage(rt, slowdown, &stats);
+    if (async) {
+      const Untraced untraced(rt);
       stats.composite = composite_configured(rt, screen_blocks(), {},
                                              nullptr, &detail);
-      rt.set_tracer(tracer_);
+    }
+    // The estimate is pure, so it runs last: the per-rank seconds it fills
+    // under kAsync are then not held across the composite's allocations,
+    // which would raise the frame's peak memory.
+    AsyncInputs in;
+    const render::RenderModel rmodel(config_.machine);
+    stats.render = rmodel.estimate_degraded(
+        *decomp_, config_.num_ranks, camera_, config_.render, slowdown,
+        async ? &in.render_seconds : nullptr);
+    if (!sched.empty()) {
+      stats.render.max_rank_samples = sched.max_rank_samples_after;
+      stats.render.seconds = sched.worst_after_seconds *
+                             (1.0 + config_.machine.render_imbalance);
+      stats.render.straggler_rank = sched.worst_after_rank;
+    }
+    if (async) {
       // Overlapped semantics: dependency-priced traffic pays routing,
       // serialization, and contention, never the barrier-close skew.
       exchange_overlapped = stats.composite.exchange.seconds -
                             stats.composite.exchange.skew_seconds;
-      chain = fold_graph(/*chained=*/false, exchange_overlapped);
+      in.has_io = !insitu;
+      in.io_seconds = stats.io_seconds;
+      in.has_steal = !sched.empty();
+      in.steal_seconds = stats.steal.steal_seconds;
+      in.live.assign(std::size_t(config_.num_ranks), 1);
+      if (faulty) {
+        for (std::int64_t r = 0; r < config_.num_ranks; ++r) {
+          in.live[std::size_t(r)] = slowdown(r) > 0.0 ? 1 : 0;
+        }
+      }
+      if (!sched.empty()) {
+        in.render_seconds = sched.rank_seconds_after;
+        for (double& s : in.render_seconds) {
+          s *= 1.0 + config_.machine.render_imbalance;
+        }
+      }
+      in.exchange_seconds = exchange_overlapped;
+      const double bps = partition_->config().blends_per_second;
+      in.blend_seconds.reserve(detail.blend_pixels.size());
+      for (const std::int64_t pixels : detail.blend_pixels) {
+        in.blend_seconds.push_back(double(pixels) / bps);
+      }
+      chain = schedule_async_frame(in, detail, config_.num_ranks);
       // BSP reference price of the same frame, composed exactly as
       // FrameStats::total_seconds() composes it: every async term is <= its
       // BSP term and FP addition is monotone, so reclaimed >= 0 bitwise.
@@ -669,17 +658,16 @@ FrameStats ParallelVolumeRenderer::price_frame(const fault::FaultPlan* plan,
 
   // --- Stage 3: the configured compositor reads the fault state from the
   // runtime — direct-send reassigns dead tiles, radix-k substitutes live
-  // proxies for dead partners; both report coverage. Under
-  // kFree the composite charge is the chain compositor's exchange + blend,
-  // traced as synthetic spans; message counts and wire bytes (the physical
-  // facts) keep their full-frame values. ---
+  // proxies for dead partners; both report coverage. Under kAsync the
+  // composite charge is the chain compositor's exchange + blend, traced as
+  // synthetic spans; message counts and wire bytes (the physical facts)
+  // keep their full-frame values. ---
   {
     obs::ScopedSpan stage(tracer_, "stage.composite",
                           obs::Category::kComposite);
-    if (!free_graph) {
+    if (!async) {
       stats.composite = composite_configured(rt, screen_blocks(), {},
-                                             nullptr,
-                                             async ? &detail : nullptr);
+                                             nullptr);
     } else {
       double blend_chain = 0.0;
       double exchange_chain = 0.0;
@@ -737,29 +725,7 @@ FrameStats ParallelVolumeRenderer::price_frame(const fault::FaultPlan* plan,
   }
 
   if (async) {
-    if (!free_graph) {
-      // kChained: fold the same stage inputs through the barrier-edged
-      // graph and assert — exact floating-point equality — that its
-      // critical path reproduces the barrier stage times. This is the
-      // determinism anchor of DESIGN.md §9: the task graph with explicit
-      // barrier dependencies IS the BSP schedule, bit for bit.
-      chain = fold_graph(/*chained=*/true, stats.composite.exchange.seconds);
-      PVR_REQUIRE(chain.io_seg == stats.io_seconds,
-                  "chained async graph must reproduce the BSP io stage "
-                  "bitwise");
-      PVR_REQUIRE(chain.steal_seg == stats.steal.steal_seconds,
-                  "chained async graph must reproduce the BSP steal phase "
-                  "bitwise");
-      PVR_REQUIRE(chain.render_seg == stats.render.seconds,
-                  "chained async graph must reproduce the BSP render stage "
-                  "bitwise");
-      PVR_REQUIRE(chain.composite_seg == stats.composite.seconds,
-                  "chained async graph must reproduce the BSP composite "
-                  "stage bitwise");
-      bsp_seconds = stats.total_seconds();
-    }
     stats.async.enabled = true;
-    stats.async.dependency = config_.dependency;
     stats.async.tasks = chain.tasks;
     stats.async.edges = chain.edges;
     stats.async.bsp_seconds = bsp_seconds;
@@ -769,7 +735,7 @@ FrameStats ParallelVolumeRenderer::price_frame(const fault::FaultPlan* plan,
   }
 
   if (tracer_ != nullptr) {
-    if (free_graph) {
+    if (async) {
       frame.arg("overlap_reclaimed_seconds", stats.async.reclaimed_seconds);
       frame.arg("bsp_seconds", bsp_seconds);
     }
@@ -789,31 +755,27 @@ RunStats ParallelVolumeRenderer::model_run(
   // Priced with the tracer detached so the run's trace holds only events
   // that actually happen; determinism makes it bit-identical to any healthy
   // frame of the loop below.
-  obs::Tracer* const tracer = tracer_;
-  set_tracer(nullptr);
-  const FrameStats healthy = model_frame();
-  set_tracer(tracer);
+  const FrameStats healthy = [this] {
+    const Untraced untraced(*this);
+    return model_frame();
+  }();
   const double healthy_seconds = healthy.total_seconds();
 
   // Free-running async (DESIGN.md §9): from frame 1 on, the collective
   // read's storage fetch hides under the previous frame's composite tail,
   // so the steady-state frame is cheaper than frame 0 and the ideal run is
   // frame0 + (n-1) steady frames. BSP keeps the flat n * healthy ideal.
-  const bool async_free =
-      config_.runtime_mode == runtime::RuntimeMode::kAsync &&
-      config_.dependency == runtime::DependencyMode::kFree;
+  const bool async = config_.runtime_mode == runtime::RuntimeMode::kAsync;
   double steady_credit = 0.0;
   FrameStats steady = healthy;
-  if (async_free && n_frames > 1) {
+  if (async && n_frames > 1) {
     steady_credit = healthy.composite_seconds;
-    set_tracer(nullptr);
+    const Untraced untraced(*this);
     steady = price_frame(nullptr, /*insitu=*/false, steady_credit);
-    set_tracer(tracer);
   }
   run.ideal_seconds =
-      async_free
-          ? healthy_seconds + double(n_frames - 1) * steady.total_seconds()
-          : double(n_frames) * healthy_seconds;
+      async ? healthy_seconds + double(n_frames - 1) * steady.total_seconds()
+            : double(n_frames) * healthy_seconds;
 
   // Checkpoint state: every rank's owned (non-ghosted) blocks, laid out as
   // one raw variable on the run's grid.
@@ -870,7 +832,7 @@ RunStats ParallelVolumeRenderer::model_run(
 
     // Frame f's read-ahead window is the previous frame's composite tail.
     const double credit =
-        (async_free && f > 0) ? run.frames.back().composite_seconds : 0.0;
+        (async && f > 0) ? run.frames.back().composite_seconds : 0.0;
     const fault::FaultPlan* plan =
         arrival != nullptr && !arrival->plan.empty() ? &arrival->plan
                                                      : nullptr;

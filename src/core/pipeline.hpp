@@ -72,14 +72,12 @@ struct ExperimentConfig {
   /// kAsync prices the same frame through the deterministic event-driven
   /// task graph: stage boundaries become per-rank dependencies, so a
   /// compositor rank starts blending as soon as its own sources have
-  /// rendered. Model mode only (execute_* always runs the real superstep
-  /// runtime); requires direct-send compositing.
+  /// rendered, and barrier skew is reclaimed as overlap. Model mode only
+  /// (execute_* always runs the real superstep runtime); requires
+  /// direct-send compositing.
   runtime::RuntimeMode runtime_mode = runtime::RuntimeMode::kBsp;
-  /// How kAsync chains dependencies. kFree lets every task start when its
-  /// true dependencies are met (skew is reclaimed as overlap); kChained
-  /// inserts the full barrier chain into the graph, which must — and is
-  /// verified to — reproduce the BSP stats, trace, and image byte for
-  /// byte. Ignored under kBsp.
+  /// Has no effect: kFree is the only dependency shape, and kAsync always
+  /// schedules it.
   runtime::DependencyMode dependency = runtime::DependencyMode::kFree;
   /// Host threads for torus routing, ray casting, and compositing. 0 (the
   /// default) defers to the PVR_THREADS environment variable, else runs
@@ -124,8 +122,7 @@ struct FrameStats {
 
   /// Async task-graph accounting (DESIGN.md §9): graph size, the BSP price
   /// of the same frame, and the seconds reclaimed by overlap. Disabled
-  /// (enabled == false, all zero) for kBsp frames; reclaimed_seconds == 0
-  /// for kChained frames by construction.
+  /// (enabled == false, all zero) for kBsp frames.
   runtime::OverlapStats async;
 
   /// Trace summary for the frame (span counts, per-stage span seconds,
@@ -318,13 +315,11 @@ class ParallelVolumeRenderer {
   /// model_frame_with_faults (non-null `plan`), model_insitu_frame
   /// (`insitu`) and model_run (`readahead_seconds` > 0: the previous
   /// frame's composite tail, under which this frame's collective-read fetch
-  /// may hide). Every mode runs one stage order — arm faults, I/O, render
-  /// estimate and steal, per-rank task inputs (kAsync only), composite —
-  /// and folds the stages into a frame time: barrier maxima (kBsp); the
+  /// may hide). Every mode runs one stage order — arm faults, I/O, steal
+  /// and render estimate, per-rank task inputs (kAsync only), composite —
+  /// and folds the stages into a frame time: barrier maxima (kBsp), or the
   /// free dependency graph's critical path, reclaiming skew as overlap
-  /// (kAsync + kFree); or both (kAsync + kChained), verifying with exact
-  /// floating-point equality that the barrier-chained graph reproduces the
-  /// barrier stage times. kAsync frames fill stats.async.
+  /// (kAsync). kAsync frames fill stats.async.
   FrameStats price_frame(const fault::FaultPlan* plan, bool insitu,
                          double readahead_seconds);
   /// Shared execute-mode stages 2+3: render the bricks, composite, fill

@@ -5,8 +5,11 @@
 // bytes, and the per-(aggregator, rank) shuffle volume. Each direction keeps
 // only what really differs: the order in which storage and shuffle are
 // priced, which bytes a window touches, and which way the bytes move.
+// IndependentReader, the unaggregated baseline, shares the brick checks,
+// the storage pricing and the row mapping.
 #include "iolib/collective_read.hpp"
 #include "iolib/collective_write.hpp"
+#include "iolib/independent_read.hpp"
 
 #include <algorithm>
 #include <array>
@@ -431,6 +434,23 @@ void for_each_row(const format::SlabRequest& slab, std::int64_t z,
   }
 }
 
+/// Copies the rows of `slab` (z-slice `z` of `brick`) that lie in `buf`,
+/// which holds file bytes from offset `buf_lo` on, into the brick.
+void scatter_rows(const format::VolumeLayout& layout,
+                  const format::SlabRequest& slab, std::int64_t z,
+                  std::span<const std::byte> buf, std::int64_t buf_lo,
+                  Brick& brick) {
+  for_each_row(slab, z, buf_lo, buf_lo + std::int64_t(buf.size()), brick,
+               [&](std::size_t at, std::size_t voxel, std::size_t n) {
+                 float* dst = brick.data().data() + voxel;
+                 if (layout.big_endian_data()) {
+                   format::big_endian_to_floats({&buf[at], n * 4}, {dst, n});
+                 } else {
+                   std::memcpy(dst, &buf[at], n * 4);
+                 }
+               });
+}
+
 /// The io.collective_read / io.collective_write args both directions share.
 void annotate(obs::ScopedSpan& span, std::span<const RankBlock> blocks,
               std::span<const int> vars, const TwoPhasePlan& p,
@@ -533,17 +553,8 @@ ReadResult CollectiveReader::read_vars(const format::VolumeLayout& layout,
       file->read_at(w.lo, buf);
       for (const std::int32_t ei : w.entries) {
         const SlabEntry& e = p.entries[std::size_t(ei)];
-        Brick& brick = bricks[std::size_t(e.brick_index)];
-        for_each_row(p.slab(e), e.z, w.lo, w.hi, brick,
-                     [&](std::size_t at, std::size_t voxel, std::size_t n) {
-                       float* dst = brick.data().data() + voxel;
-                       if (layout.big_endian_data()) {
-                         format::big_endian_to_floats({&buf[at], n * 4},
-                                                      {dst, n});
-                       } else {
-                         std::memcpy(dst, &buf[at], n * 4);
-                       }
-                     });
+        scatter_rows(layout, p.slab(e), e.z, buf, w.lo,
+                     bricks[std::size_t(e.brick_index)]);
       }
     }
   }
@@ -553,6 +564,73 @@ ReadResult CollectiveReader::read_vars(const format::VolumeLayout& layout,
   if (tracer != nullptr) {
     annotate(io_span, blocks, vars, p, result);
     io_span.arg("data_density", result.data_density());
+  }
+  return result;
+}
+
+IndependentReader::IndependentReader(runtime::Runtime& rt,
+                                     const storage::StorageModel& sm,
+                                     const Hints& hints)
+    : rt_(&rt), storage_(&sm), hints_(hints) {}
+
+ReadResult IndependentReader::read(const format::VolumeLayout& layout,
+                                   int var,
+                                   std::span<const RankBlock> blocks,
+                                   format::FileHandle* file,
+                                   std::span<Brick> bricks,
+                                   storage::AccessLog* log) {
+  const bool execute = moves_bytes(*rt_, layout, 1, blocks, file, bricks);
+
+  obs::Tracer* tracer = rt_->tracer();
+  obs::ScopedSpan io_span(tracer, "io.independent_read", obs::Category::kIo);
+
+  ReadResult result;
+  result.open_seconds = model_open_cost(layout, blocks, *storage_, log);
+  if (tracer != nullptr) {
+    obs::ScopedSpan open_span(tracer, "io.open", obs::Category::kStorage);
+    tracer->advance(result.open_seconds);
+  }
+
+  // Every rank requests its own slabs: one access per slab hull (holes
+  // included) under data sieving or for a contiguous slab, else one per row.
+  const Box3i volume{{0, 0, 0}, layout.desc().dims};
+  std::vector<storage::PhysicalAccess> accesses;
+  std::vector<format::SlabRequest> slabs;
+  std::vector<std::byte> buf;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    slabs.clear();
+    layout.subvolume_slabs(var, blocks[i].box, &slabs);
+    const std::int64_t z0 = blocks[i].box.intersect(volume).lo.z;
+    for (std::size_t s = 0; s < slabs.size(); ++s) {
+      const format::SlabRequest& slab = slabs[s];
+      result.useful_bytes += slab.useful_bytes();
+      if (hints_.data_sieving || slab.contiguous()) {
+        accesses.push_back(storage::PhysicalAccess{
+            slab.first, slab.hull().length, blocks[i].rank});
+      } else {
+        for (std::int64_t r = 0; r < slab.nrows; ++r) {
+          accesses.push_back(storage::PhysicalAccess{
+              slab.first + r * slab.row_stride, slab.row_bytes,
+              blocks[i].rank});
+        }
+      }
+      if (execute) {
+        // Read the hull once and scatter its rows.
+        const format::Extent hull = slab.hull();
+        buf.resize(std::size_t(hull.length));
+        file->read_at(hull.offset, buf);
+        scatter_rows(layout, slab, z0 + std::int64_t(s), buf, hull.offset,
+                     bricks[i]);
+      }
+    }
+  }
+  price_storage(*rt_, *storage_, accesses, log, &result);
+
+  result.seconds = result.open_seconds + result.storage_cost.seconds;
+  if (tracer != nullptr) {
+    io_span.arg("blocks", double(blocks.size()));
+    io_span.arg("useful_bytes", double(result.useful_bytes));
+    io_span.arg("physical_bytes", double(result.physical_bytes));
   }
   return result;
 }

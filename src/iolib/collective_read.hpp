@@ -51,9 +51,6 @@ struct ReadResult {
   double bandwidth_useful() const {
     return seconds > 0.0 ? double(useful_bytes) / seconds : 0.0;
   }
-  double bandwidth_physical() const {
-    return seconds > 0.0 ? double(physical_bytes) / seconds : 0.0;
-  }
   /// The paper's data density (Fig 10): useful / physically read.
   double data_density() const {
     return physical_bytes > 0 ? double(useful_bytes) / double(physical_bytes)

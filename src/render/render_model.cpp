@@ -39,27 +39,14 @@ RenderEstimate RenderModel::estimate(const Decomposition& decomp,
                                      std::int64_t num_ranks,
                                      const Camera& camera,
                                      const RenderConfig& config) const {
-  return estimate(decomp, num_ranks, camera, config, nullptr);
-}
-
-RenderEstimate RenderModel::estimate(
-    const Decomposition& decomp, std::int64_t num_ranks,
-    const Camera& camera, const RenderConfig& config,
-    const std::function<bool(std::int64_t)>& rank_alive) const {
-  if (rank_alive == nullptr) {
-    return estimate_degraded(decomp, num_ranks, camera, config, nullptr);
-  }
-  return estimate_degraded(
-      decomp, num_ranks, camera, config,
-      [&rank_alive](std::int64_t rank) {
-        return rank_alive(rank) ? 1.0 : 0.0;
-      });
+  return estimate_degraded(decomp, num_ranks, camera, config, nullptr);
 }
 
 RenderEstimate RenderModel::estimate_degraded(
     const Decomposition& decomp, std::int64_t num_ranks,
     const Camera& camera, const RenderConfig& config,
-    const std::function<double(std::int64_t)>& rank_slowdown) const {
+    const std::function<double(std::int64_t)>& rank_slowdown,
+    std::vector<double>* rank_seconds) const {
   PVR_REQUIRE(num_ranks > 0, "need at least one rank");
   const double step_world =
       config.step_voxels * voxel_size(decomp.dims());
@@ -73,6 +60,16 @@ RenderEstimate RenderModel::estimate_degraded(
     est.total_samples += s;
     rank_samples[std::size_t(rank)] += s;
   }
+  // x -> x / rate * (1 + imbalance) is monotone and deterministic, so
+  // pricing each rank's weight this way and the worst weight this way agree
+  // bitwise on the maximum.
+  const auto seconds_of = [this](double weighted) {
+    return weighted / cfg_->samples_per_second *
+           (1.0 + cfg_->render_imbalance);
+  };
+  if (rank_seconds != nullptr) {
+    rank_seconds->assign(std::size_t(num_ranks), 0.0);
+  }
   // max_rank_samples stays the raw straggler count; the *time* straggler
   // weights each rank by its slowdown, so a degraded-but-alive node can set
   // the phase time even without owning the most samples.
@@ -83,45 +80,14 @@ RenderEstimate RenderModel::estimate_degraded(
         rank_slowdown == nullptr ? 1.0 : rank_slowdown(std::int64_t(r));
     if (!(slowdown > 0.0)) continue;  // dead ranks are not stragglers
     const double weighted = double(rank_samples[r]) * slowdown;
+    if (rank_seconds != nullptr) (*rank_seconds)[r] = seconds_of(weighted);
     if (weighted > worst_weighted) {  // strict: lowest rank wins ties
       worst_weighted = weighted;
       est.straggler_rank = std::int64_t(r);
     }
   }
-  est.seconds = worst_weighted / cfg_->samples_per_second *
-                (1.0 + cfg_->render_imbalance);
+  est.seconds = seconds_of(worst_weighted);
   return est;
-}
-
-std::vector<double> RenderModel::rank_seconds(
-    const Decomposition& decomp, std::int64_t num_ranks,
-    const Camera& camera, const RenderConfig& config,
-    const std::function<double(std::int64_t)>& rank_slowdown) const {
-  PVR_REQUIRE(num_ranks > 0, "need at least one rank");
-  const double step_world =
-      config.step_voxels * voxel_size(decomp.dims());
-  std::vector<std::int64_t> rank_samples(std::size_t(num_ranks), 0);
-  for (std::int64_t b = 0; b < decomp.num_blocks(); ++b) {
-    const std::int64_t rank = Decomposition::rank_of_block(b, num_ranks);
-    if (rank_slowdown != nullptr && !(rank_slowdown(rank) > 0.0)) continue;
-    const Box3d wb = world_box_of(decomp.block_box(b), decomp.dims());
-    rank_samples[std::size_t(rank)] +=
-        block_samples(wb, camera, step_world);
-  }
-  // Same operation order as estimate_degraded: weighted samples, divided by
-  // the rate, scaled by imbalance. x -> x / rate * (1 + imb) is monotone
-  // and deterministic, so max over ranks of these values is bitwise equal
-  // to estimate_degraded's seconds (which applies it to the max weight).
-  std::vector<double> seconds(std::size_t(num_ranks), 0.0);
-  for (std::size_t r = 0; r < seconds.size(); ++r) {
-    const double slowdown =
-        rank_slowdown == nullptr ? 1.0 : rank_slowdown(std::int64_t(r));
-    if (!(slowdown > 0.0)) continue;  // dead: renders nothing
-    const double weighted = double(rank_samples[r]) * slowdown;
-    seconds[r] = weighted / cfg_->samples_per_second *
-                 (1.0 + cfg_->render_imbalance);
-  }
-  return seconds;
 }
 
 }  // namespace pvr::render

@@ -48,15 +48,6 @@ class RenderModel {
                           std::int64_t num_ranks, const Camera& camera,
                           const RenderConfig& config) const;
 
-  /// Degraded-mode estimate: blocks owned by ranks for which `rank_alive`
-  /// returns false render nothing (their contribution is dropped for the
-  /// frame); the straggler is the worst *live* rank. A null predicate is
-  /// the healthy estimate above.
-  RenderEstimate estimate(
-      const Decomposition& decomp, std::int64_t num_ranks,
-      const Camera& camera, const RenderConfig& config,
-      const std::function<bool(std::int64_t rank)>& rank_alive) const;
-
   /// Weighted degraded estimate: `rank_slowdown` returns a per-sample time
   /// multiplier for each rank — 1.0 healthy, > 1.0 degraded-but-alive
   /// (thermal throttling), <= 0.0 dead (the rank's blocks are dropped).
@@ -65,20 +56,18 @@ class RenderModel {
   /// one that always returns 1.0, this reproduces the healthy estimate
   /// bit for bit (sample counts stay integer; weighting by exactly 1.0 is
   /// exact in double precision).
+  ///
+  /// A non-null `rank_seconds` receives, from the same block pass, each
+  /// rank's render duration for the async task graph: its weighted time
+  /// including the imbalance factor, 0.0 for dead ranks. Each element is
+  /// the expression that prices `seconds`, applied to that rank's weight,
+  /// so the maximum element equals `seconds` bitwise and the straggler's
+  /// element is `seconds` itself.
   RenderEstimate estimate_degraded(
       const Decomposition& decomp, std::int64_t num_ranks,
       const Camera& camera, const RenderConfig& config,
-      const std::function<double(std::int64_t rank)>& rank_slowdown) const;
-
-  /// Per-rank render durations for the async task graph: element r is rank
-  /// r's slowdown-weighted seconds including the imbalance factor, computed
-  /// with exactly the arithmetic of estimate_degraded — so the vector's
-  /// maximum equals estimate_degraded(...).seconds *bitwise* (the chained-
-  /// mode equivalence the pipeline asserts). Dead ranks get 0.0.
-  std::vector<double> rank_seconds(
-      const Decomposition& decomp, std::int64_t num_ranks,
-      const Camera& camera, const RenderConfig& config,
-      const std::function<double(std::int64_t rank)>& rank_slowdown) const;
+      const std::function<double(std::int64_t rank)>& rank_slowdown,
+      std::vector<double>* rank_seconds = nullptr) const;
 
   /// Converts a per-rank sample count to seconds (without imbalance).
   double seconds_for_samples(std::int64_t samples) const {

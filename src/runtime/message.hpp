@@ -17,8 +17,6 @@ struct Message {
   std::int32_t tag = 0;
   std::int64_t bytes = 0;  ///< logical size; equals payload.size() if present
   Payload payload;         ///< empty in model mode
-
-  bool has_payload() const { return !payload.empty() || bytes == 0; }
 };
 
 /// Deterministic delivery ordering.

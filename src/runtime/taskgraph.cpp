@@ -15,14 +15,6 @@ const char* to_string(RuntimeMode mode) {
   return "bsp";
 }
 
-const char* to_string(DependencyMode mode) {
-  switch (mode) {
-    case DependencyMode::kFree: return "free";
-    case DependencyMode::kChained: return "chained";
-  }
-  return "free";
-}
-
 TaskGraph::TaskGraph(std::int64_t num_lanes) : num_lanes_(num_lanes) {
   PVR_REQUIRE(num_lanes >= 0, "task graph lane count cannot be negative");
 }

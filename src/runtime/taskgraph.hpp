@@ -24,7 +24,7 @@
 // Exactness: task times are doubles of simulated seconds, combined only by
 // addition and max — both monotone — so a graph whose dependency edges
 // reproduce the BSP barriers yields *bitwise* the BSP stage times (the
-// chained-mode property core::ParallelVolumeRenderer asserts per frame).
+// barrier-chained oracle in tests/async_test.cpp checks exactly that).
 // The critical path is a chain of binding predecessors from time zero to the
 // last finish, each link gap-free (predecessor finish == successor start),
 // so chain durations telescope to the makespan and segment sums by tag give
@@ -39,23 +39,19 @@ namespace pvr::runtime {
 
 /// How core::ParallelVolumeRenderer schedules a modeled frame.
 enum class RuntimeMode {
-  kBsp,    ///< superstep: every stage is a global barrier (the paper's model)
-  kAsync,  ///< event-driven task graph; see DependencyMode for the shape
+  kBsp,  ///< superstep: every stage is a global barrier (the paper's model)
+  /// Event-driven task graph with true data dependencies only: a compositor
+  /// waits for its source renderers, not for the global straggler.
+  kAsync,
 };
 
-/// Dependency shape of an async frame.
+/// Dependency shape of an async frame. kFree is the only shape; the enum
+/// remains because core::ExperimentConfig::dependency still names it.
 enum class DependencyMode {
-  /// True data dependencies only: a compositor waits for its source
-  /// renderers (and its own rank's render), not for the global straggler.
   kFree,
-  /// Barrier edges between stages: every task of stage N depends on every
-  /// task of stage N-1. Reproduces BSP byte for byte — the determinism
-  /// anchor the equivalence tests pin.
-  kChained,
 };
 
 const char* to_string(RuntimeMode mode);
-const char* to_string(DependencyMode mode);
 
 using TaskId = std::int32_t;
 
@@ -130,7 +126,6 @@ class TaskGraph {
 /// vanishing.
 struct OverlapStats {
   bool enabled = false;
-  DependencyMode dependency = DependencyMode::kFree;
   std::int64_t tasks = 0;
   std::int64_t edges = 0;
   double bsp_seconds = 0.0;

@@ -31,9 +31,4 @@ constexpr double to_mb_per_s(double bytes, double seconds) {
   return seconds > 0.0 ? bytes / seconds / 1e6 : 0.0;
 }
 
-/// bytes / seconds → GB/s, guarding division by zero.
-constexpr double to_gb_per_s(double bytes, double seconds) {
-  return seconds > 0.0 ? bytes / seconds / 1e9 : 0.0;
-}
-
 }  // namespace pvr

@@ -1,18 +1,22 @@
 // Async task-graph runtime (DESIGN.md §9): TaskGraph scheduling invariants,
-// the chained-mode byte-identity to BSP (stats, trace, image) across
-// healthy/faulty/stealing frames and host thread counts, free-mode overlap
-// reclamation with exact bookkeeping, the overlapped-exchange skew
-// attribution regression, model_run read-ahead, the pinned free-mode span
-// structure, and the mixed-mode scaling decomposition clamp.
+// the barrier-chained oracle (a BSP frame's public stage inputs scheduled
+// with barrier edges reproduce its stage seconds bitwise) across
+// healthy/faulty/stealing/in-situ frames and host thread counts, free-mode
+// overlap reclamation with exact bookkeeping, the overlapped-exchange skew
+// attribution regression, model_run read-ahead, tracer reattachment after a
+// throwing frame, the pinned free-mode span structure, and the mixed-mode
+// scaling decomposition clamp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <queue>
 #include <string>
 #include <vector>
 
+#include "compose/direct_send.hpp"
 #include "core/pipeline.hpp"
 #include "data/synthetic.hpp"
 #include "fault/fault_plan.hpp"
@@ -37,11 +41,9 @@ core::ExperimentConfig small_config(std::int64_t ranks = 64) {
   return cfg;
 }
 
-core::ExperimentConfig async_config(runtime::DependencyMode dep,
-                                    std::int64_t ranks = 64) {
+core::ExperimentConfig async_config(std::int64_t ranks = 64) {
   auto cfg = small_config(ranks);
   cfg.runtime_mode = runtime::RuntimeMode::kAsync;
-  cfg.dependency = dep;
   return cfg;
 }
 
@@ -67,10 +69,8 @@ void expect_same_exchange(const net::ExchangeCost& a,
   EXPECT_EQ(a.retry_seconds, b.retry_seconds);
 }
 
-/// Exact (bitwise) equality of everything a chained frame must reproduce:
-/// stage seconds, per-stage results, steal and fault accounting, and the
-/// trace summary. FrameStats::async is deliberately excluded — it is the
-/// one field that records which runtime priced the frame.
+/// Exact (bitwise) equality of two frames' stage seconds, per-stage results,
+/// steal and fault accounting, and trace summary.
 void expect_same_frame(const core::FrameStats& a, const core::FrameStats& b) {
   EXPECT_EQ(a.io_seconds, b.io_seconds);
   EXPECT_EQ(a.render_seconds, b.render_seconds);
@@ -394,10 +394,170 @@ TEST(TaskGraphTest, TouchedLaneSchedulerMatchesAFullLaneScan) {
   }
 }
 
-// --- chained mode: BSP byte-identity ---------------------------------------
+// --- the barrier-chained oracle -------------------------------------------
+
+/// Stage segments of a critical path, summed by task tag.
+struct ChainSegments {
+  double io = 0.0;
+  double steal = 0.0;
+  double render = 0.0;
+  double composite = 0.0;
+  std::int64_t tasks = 0;
+  std::int64_t edges = 0;
+};
+
+constexpr std::int32_t kTagIo = 0;
+constexpr std::int32_t kTagSteal = 1;
+constexpr std::int32_t kTagRender = 2;
+constexpr std::int32_t kTagComposite = 3;
+constexpr std::int32_t kTagBarrier = 4;
+
+/// The BSP schedule as a task graph, built only from a BSP frame's public
+/// inputs: its io and steal seconds on the shared lane, one render task per
+/// live rank (the steal schedule's post-steal seconds, or the render
+/// model's per-rank seconds, each with the imbalance factor), a
+/// zero-duration barrier every renderer fans into, and one composite task
+/// per direct-send compositor after the barrier (the full exchange, skew
+/// included, plus the compositor's own blend), priced on a fresh model
+/// runtime with the same plan armed. Task times combine only by + and max,
+/// so the critical path's stage segments must equal the barrier stage times
+/// bitwise.
+ChainSegments chained_oracle(const core::ParallelVolumeRenderer& pvr,
+                             const core::FrameStats& bsp,
+                             const fault::FaultPlan* plan, bool insitu) {
+  const core::ExperimentConfig& cfg = pvr.config();
+  const machine::Partition& part = pvr.partition();
+  const std::int64_t ranks = cfg.num_ranks;
+  std::function<double(std::int64_t)> slowdown;
+  if (plan != nullptr) {
+    slowdown = [&](std::int64_t rank) {
+      return plan->rank_failed(rank, part) ? 0.0
+                                           : plan->rank_degrade(rank, part);
+    };
+  }
+
+  // Per-rank render seconds: the steal schedule's loads when it moved work,
+  // else the render model's.
+  const render::RenderModel model(cfg.machine);
+  const render::Decomposition& decomp = pvr.decomposition();
+  steal::StealSchedule sched;
+  if (cfg.steal.enabled()) {
+    const double step_world =
+        cfg.render.step_voxels * render::voxel_size(cfg.dataset.dims);
+    std::vector<steal::BlockWork> work;
+    for (std::int64_t b = 0; b < decomp.num_blocks(); ++b) {
+      const Box3d wb =
+          render::world_box_of(decomp.block_box(b), cfg.dataset.dims);
+      steal::BlockWork w;
+      w.block = b;
+      w.owner = render::Decomposition::rank_of_block(b, ranks);
+      w.samples = model.block_samples(wb, pvr.camera(), step_world);
+      w.rows = std::max(0, pvr.camera().footprint(wb).height());
+      w.bytes = decomp.ghost_box(b, cfg.ghost).volume() *
+                cfg.dataset.element_bytes;
+      work.push_back(w);
+    }
+    sched = steal::StealPlanner(cfg.machine, cfg.steal)
+                .plan(work, ranks, slowdown);
+  }
+  std::vector<double> render_seconds;
+  if (!sched.empty()) {
+    for (const double s : sched.rank_seconds_after) {
+      render_seconds.push_back(s * (1.0 + cfg.machine.render_imbalance));
+    }
+  } else {
+    model.estimate_degraded(decomp, ranks, pvr.camera(), cfg.render,
+                            slowdown, &render_seconds);
+  }
+
+  runtime::Runtime rt(part, runtime::Mode::kModel);
+  rt.set_pool(pvr.pool());
+  fault::FaultStats fault_stats;
+  if (plan != nullptr) rt.set_faults(plan, &fault_stats);
+  compose::DirectSendCompositor compositor(rt, cfg.composite);
+  compose::DirectSendDetail detail;
+  const compose::CompositeStats composite = compositor.model(
+      pvr.screen_blocks(), cfg.image_width, cfg.image_height, &detail);
+
+  runtime::TaskGraph graph(ranks);
+  std::vector<runtime::TaskId> pre;
+  if (!insitu) pre = {graph.add("io", -1, bsp.io_seconds, kTagIo, {})};
+  if (!sched.empty()) {
+    pre = {graph.add("steal", -1, bsp.steal.steal_seconds, kTagSteal, pre)};
+  }
+  std::vector<runtime::TaskId> renders;
+  for (std::int64_t r = 0; r < ranks; ++r) {
+    if (slowdown != nullptr && !(slowdown(r) > 0.0)) continue;
+    renders.push_back(graph.add("render", r,
+                                render_seconds[std::size_t(r)], kTagRender,
+                                pre));
+  }
+  const runtime::TaskId barrier =
+      graph.add("render.barrier", -1, 0.0, kTagBarrier, renders);
+  const double bps = part.config().blends_per_second;
+  for (std::int64_t c = 0; c < ranks; ++c) {
+    if (detail.sources[std::size_t(c)].empty()) continue;
+    graph.add("composite", c,
+              composite.exchange.seconds +
+                  double(detail.blend_pixels[std::size_t(c)]) / bps,
+              kTagComposite, {barrier});
+  }
+
+  const runtime::TaskSchedule run = graph.run();
+  ChainSegments seg;
+  seg.tasks = graph.num_tasks();
+  seg.edges = graph.num_edges();
+  for (const runtime::TaskId id : run.critical_path) {
+    const runtime::Task& t = graph.task(id);
+    switch (t.tag) {
+      case kTagIo: seg.io += t.seconds; break;
+      case kTagSteal: seg.steal += t.seconds; break;
+      case kTagRender: seg.render += t.seconds; break;
+      case kTagComposite: seg.composite += t.seconds; break;
+    }
+  }
+  return seg;
+}
+
+/// One traced BSP frame and its Chrome trace.
+struct TracedFrame {
+  core::FrameStats stats;
+  std::string trace;
+};
+
+/// Prices one traced BSP frame of `cfg` at host_threads 1 and 4 — under the
+/// plan `make_plan` returns for the renderer's partition, or in situ — and
+/// checks that the chained oracle reproduces its io, steal, render and
+/// composite seconds bitwise. Returns the two frames.
+std::vector<TracedFrame> expect_oracle_reproduces_bsp(
+    core::ExperimentConfig cfg,
+    const std::function<fault::FaultPlan(const machine::Partition&)>&
+        make_plan,
+    bool insitu = false) {
+  std::vector<TracedFrame> frames;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    cfg.host_threads = threads;
+    core::ParallelVolumeRenderer pvr(cfg);
+    obs::Tracer tracer;
+    pvr.set_tracer(&tracer);
+    const fault::FaultPlan plan =
+        make_plan ? make_plan(pvr.partition()) : fault::FaultPlan{};
+    const core::FrameStats bsp =
+        insitu ? pvr.model_insitu_frame() : pvr.model_frame_with_faults(plan);
+    const ChainSegments seg =
+        chained_oracle(pvr, bsp, plan.empty() ? nullptr : &plan, insitu);
+    EXPECT_EQ(seg.io, bsp.io_seconds);
+    EXPECT_EQ(seg.steal, bsp.steal.steal_seconds);
+    EXPECT_EQ(seg.render, bsp.render.seconds);
+    EXPECT_EQ(seg.composite, bsp.composite.seconds);
+    frames.push_back({bsp, obs::to_chrome_trace_json(tracer)});
+  }
+  return frames;
+}
 
 TEST(AsyncChainedTest, ValidateRejectsAsyncWithoutDirectSend) {
-  auto cfg = async_config(runtime::DependencyMode::kFree);
+  auto cfg = async_config();
   cfg.composite.algorithm = compose::CompositeAlgorithm::kRadixK;
   EXPECT_THROW(core::validate(cfg), Error);
   cfg.composite.algorithm = compose::CompositeAlgorithm::kDirectSend;
@@ -405,112 +565,72 @@ TEST(AsyncChainedTest, ValidateRejectsAsyncWithoutDirectSend) {
 }
 
 TEST(AsyncChainedTest, ChainedMatchesBspOnHealthyFrame) {
-  core::ParallelVolumeRenderer bsp(small_config());
-  core::ParallelVolumeRenderer chained(
-      async_config(runtime::DependencyMode::kChained));
-  obs::Tracer ta, tb;
-  bsp.set_tracer(&ta);
-  chained.set_tracer(&tb);
-  const core::FrameStats a = bsp.model_frame();
-  const core::FrameStats b = chained.model_frame();
-  expect_same_frame(a, b);
-  // Byte-identical timelines: the chained graph is built and verified off
-  // to the side, it never perturbs the traced superstep.
-  EXPECT_EQ(obs::to_chrome_trace_json(ta), obs::to_chrome_trace_json(tb));
-  EXPECT_FALSE(a.async.enabled);
-  EXPECT_TRUE(b.async.enabled);
+  const auto frames = expect_oracle_reproduces_bsp(small_config(), nullptr);
+  EXPECT_GT(frames[0].stats.io_seconds, 0.0);
+  EXPECT_FALSE(frames[0].stats.async.enabled);
 }
 
 TEST(AsyncChainedTest, ChainedMatchesBspUnderADegradedNode) {
-  core::ParallelVolumeRenderer bsp(small_config());
-  core::ParallelVolumeRenderer chained(
-      async_config(runtime::DependencyMode::kChained));
-  const auto plan = degrade_rank0(bsp.partition(), 4.0);
-  obs::Tracer ta, tb;
-  bsp.set_tracer(&ta);
-  chained.set_tracer(&tb);
-  const core::FrameStats a = bsp.model_frame_with_faults(plan);
-  const core::FrameStats b = chained.model_frame_with_faults(plan);
-  expect_same_frame(a, b);
-  EXPECT_EQ(obs::to_chrome_trace_json(ta), obs::to_chrome_trace_json(tb));
+  expect_oracle_reproduces_bsp(small_config(), [](const auto& part) {
+    return degrade_rank0(part, 4.0);
+  });
 }
 
 TEST(AsyncChainedTest, ChainedMatchesBspUnderADeadNode) {
-  core::ParallelVolumeRenderer bsp(small_config());
-  fault::FaultPlan plan;
-  plan.fail_node(bsp.partition().node_of_rank(3));
-  core::ParallelVolumeRenderer chained(
-      async_config(runtime::DependencyMode::kChained));
-  obs::Tracer ta, tb;
-  bsp.set_tracer(&ta);
-  chained.set_tracer(&tb);
-  const core::FrameStats a = bsp.model_frame_with_faults(plan);
-  const core::FrameStats b = chained.model_frame_with_faults(plan);
-  ASSERT_GT(a.faults.dropped_blocks, 0);
-  expect_same_frame(a, b);
-  EXPECT_EQ(obs::to_chrome_trace_json(ta), obs::to_chrome_trace_json(tb));
+  const auto frames =
+      expect_oracle_reproduces_bsp(small_config(), [](const auto& part) {
+        fault::FaultPlan plan;
+        plan.fail_node(part.node_of_rank(3));
+        return plan;
+      });
+  EXPECT_GT(frames[0].stats.faults.dropped_blocks, 0);
 }
 
 TEST(AsyncChainedTest, ChainedMatchesBspWithStealing) {
   auto cfg = small_config();
   cfg.steal.policy = steal::StealPolicy::kReplicateBlocks;
-  core::ParallelVolumeRenderer bsp(cfg);
-  auto acfg = async_config(runtime::DependencyMode::kChained);
-  acfg.steal.policy = steal::StealPolicy::kReplicateBlocks;
-  core::ParallelVolumeRenderer chained(acfg);
-  const auto plan = degrade_rank0(bsp.partition(), 4.0);
-  obs::Tracer ta, tb;
-  bsp.set_tracer(&ta);
-  chained.set_tracer(&tb);
-  const core::FrameStats a = bsp.model_frame_with_faults(plan);
-  const core::FrameStats b = chained.model_frame_with_faults(plan);
-  ASSERT_GT(a.steal.chunks_stolen, 0);
-  expect_same_frame(a, b);
-  EXPECT_EQ(obs::to_chrome_trace_json(ta), obs::to_chrome_trace_json(tb));
+  const auto frames = expect_oracle_reproduces_bsp(
+      cfg, [](const auto& part) { return degrade_rank0(part, 4.0); });
+  EXPECT_GT(frames[0].stats.steal.chunks_stolen, 0);
+  EXPECT_GT(frames[0].stats.steal.steal_seconds, 0.0);
 }
 
 TEST(AsyncChainedTest, ChainedMatchesBspOnInsituFrame) {
-  core::ParallelVolumeRenderer bsp(small_config());
-  core::ParallelVolumeRenderer chained(
-      async_config(runtime::DependencyMode::kChained));
-  obs::Tracer ta, tb;
-  bsp.set_tracer(&ta);
-  chained.set_tracer(&tb);
-  const core::FrameStats a = bsp.model_insitu_frame();
-  const core::FrameStats b = chained.model_insitu_frame();
-  expect_same_frame(a, b);
-  EXPECT_EQ(a.io_seconds, 0.0);
-  EXPECT_EQ(obs::to_chrome_trace_json(ta), obs::to_chrome_trace_json(tb));
+  const auto frames =
+      expect_oracle_reproduces_bsp(small_config(), nullptr, /*insitu=*/true);
+  EXPECT_EQ(frames[0].stats.io_seconds, 0.0);
 }
 
 TEST(AsyncChainedTest, ChainedIsBitIdenticalAcrossHostThreads) {
-  auto cfg = async_config(runtime::DependencyMode::kChained);
-  cfg.host_threads = 1;
-  core::ParallelVolumeRenderer serial(cfg);
-  cfg.host_threads = 4;
-  core::ParallelVolumeRenderer threaded(cfg);
-  const auto plan = degrade_rank0(serial.partition(), 4.0);
-  obs::Tracer ta, tb;
-  serial.set_tracer(&ta);
-  threaded.set_tracer(&tb);
-  const core::FrameStats a = serial.model_frame_with_faults(plan);
-  const core::FrameStats b = threaded.model_frame_with_faults(plan);
-  expect_same_frame(a, b);
-  EXPECT_EQ(obs::to_chrome_trace_json(ta), obs::to_chrome_trace_json(tb));
+  auto cfg = small_config();
+  cfg.steal.policy = steal::StealPolicy::kScanlineChunks;
+  const auto frames = expect_oracle_reproduces_bsp(
+      cfg, [](const auto& part) { return degrade_rank0(part, 4.0); });
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_GT(frames[0].stats.steal.chunks_stolen, 0);
+  expect_same_frame(frames[0].stats, frames[1].stats);
+  EXPECT_EQ(frames[0].trace, frames[1].trace);
 }
 
 TEST(AsyncChainedTest, ChainedFillsOverlapStats) {
-  core::ParallelVolumeRenderer chained(
-      async_config(runtime::DependencyMode::kChained));
-  const core::FrameStats stats = chained.model_frame();
-  EXPECT_TRUE(stats.async.enabled);
-  EXPECT_EQ(stats.async.dependency, runtime::DependencyMode::kChained);
-  // Chained reproduces BSP exactly, so nothing is reclaimed by definition.
-  EXPECT_EQ(stats.async.reclaimed_seconds, 0.0);
-  EXPECT_EQ(stats.async.bsp_seconds, stats.total_seconds());
-  // io + per-rank renders + barrier + compositors at least.
-  EXPECT_GT(stats.async.tasks, 64);
-  EXPECT_GT(stats.async.edges, 64);
+  core::ParallelVolumeRenderer bsp_pvr(small_config());
+  const core::FrameStats bsp = bsp_pvr.model_frame();
+  const ChainSegments chain = chained_oracle(bsp_pvr, bsp, nullptr, false);
+  // io + 64 renders + the barrier + the compositors; every render fans into
+  // the barrier and every compositor waits on it alone.
+  const std::int64_t compositors = chain.tasks - 66;
+  ASSERT_GT(compositors, 0);
+  EXPECT_EQ(chain.edges, 64 + 64 + compositors);
+
+  core::ParallelVolumeRenderer async(async_config());
+  const core::FrameStats frame = async.model_frame();
+  EXPECT_TRUE(frame.async.enabled);
+  // The free graph is the oracle's without the barrier task.
+  EXPECT_EQ(frame.async.tasks, chain.tasks - 1);
+  EXPECT_EQ(frame.async.bsp_seconds, bsp.total_seconds());
+  EXPECT_EQ(frame.async.reclaimed_seconds,
+            frame.async.bsp_seconds - frame.total_seconds());
+  EXPECT_GE(frame.async.reclaimed_seconds, 0.0);
 }
 
 TEST(AsyncChainedTest, ExecuteImageMatchesBsp) {
@@ -518,10 +638,9 @@ TEST(AsyncChainedTest, ExecuteImageMatchesBsp) {
   core::ParallelVolumeRenderer bsp(small_config(8));
   Image base_img;
   const core::FrameStats a = bsp.execute_insitu_frame(field, &base_img);
-  core::ParallelVolumeRenderer chained(
-      async_config(runtime::DependencyMode::kChained, 8));
+  core::ParallelVolumeRenderer async(async_config(8));
   Image async_img;
-  const core::FrameStats b = chained.execute_insitu_frame(field, &async_img);
+  const core::FrameStats b = async.execute_insitu_frame(field, &async_img);
   // Execute mode always runs the real superstep runtime; the async setting
   // must not perturb a single pixel.
   EXPECT_EQ(base_img.max_difference(async_img), 0.0f);
@@ -533,14 +652,13 @@ TEST(AsyncChainedTest, ExecuteImageMatchesBsp) {
 TEST(AsyncFreeTest, FreeNeverExceedsBspOnAHealthyFrame) {
   core::ParallelVolumeRenderer bsp(small_config());
   core::ParallelVolumeRenderer async(
-      async_config(runtime::DependencyMode::kFree));
+      async_config());
   const core::FrameStats a = bsp.model_frame();
   const core::FrameStats b = async.model_frame();
   // Every async stage term is <= its BSP counterpart and fl-addition is
   // monotone, so the inequality holds bitwise — no tolerance.
   EXPECT_LE(b.total_seconds(), a.total_seconds());
   EXPECT_TRUE(b.async.enabled);
-  EXPECT_EQ(b.async.dependency, runtime::DependencyMode::kFree);
   // The books balance exactly: bsp price recorded, reclaimed = bsp - async.
   EXPECT_EQ(b.async.bsp_seconds, a.total_seconds());
   EXPECT_EQ(b.async.reclaimed_seconds,
@@ -554,7 +672,7 @@ TEST(AsyncFreeTest, FreeNeverExceedsBspOnAHealthyFrame) {
 TEST(AsyncFreeTest, FreeReclaimsSkewUnderADegradedNode) {
   core::ParallelVolumeRenderer bsp(small_config());
   core::ParallelVolumeRenderer async(
-      async_config(runtime::DependencyMode::kFree));
+      async_config());
   const auto plan = degrade_rank0(bsp.partition(), 8.0);
   const core::FrameStats a = bsp.model_frame_with_faults(plan);
   const core::FrameStats b = async.model_frame_with_faults(plan);
@@ -570,7 +688,7 @@ TEST(AsyncFreeTest, FreeReclaimsSkewUnderADegradedNode) {
 }
 
 TEST(AsyncFreeTest, FreeFrameIsBitIdenticalAcrossHostThreads) {
-  auto cfg = async_config(runtime::DependencyMode::kFree);
+  auto cfg = async_config();
   cfg.steal.policy = steal::StealPolicy::kScanlineChunks;
   cfg.host_threads = 1;
   core::ParallelVolumeRenderer serial(cfg);
@@ -593,7 +711,7 @@ TEST(AsyncFreeTest, FreeFrameIsBitIdenticalAcrossHostThreads) {
 
 TEST(AsyncFreeTest, FreeFrameAttributionStaysExact) {
   core::ParallelVolumeRenderer async(
-      async_config(runtime::DependencyMode::kFree));
+      async_config());
   obs::Tracer tracer;
   async.set_tracer(&tracer);
   const auto plan = degrade_rank0(async.partition(), 4.0);
@@ -648,7 +766,7 @@ TEST(AsyncFreeTest, OverlappedExchangeSpansRecordZeroSkew) {
 TEST(AsyncFreeTest, FreeRunReadsAheadAndBeatsBsp) {
   core::ParallelVolumeRenderer bsp(small_config());
   core::ParallelVolumeRenderer async(
-      async_config(runtime::DependencyMode::kFree));
+      async_config());
   const core::RunStats base = bsp.model_run(3);
   const core::RunStats run = async.model_run(3);
   ASSERT_EQ(run.frames.size(), 3u);
@@ -665,7 +783,7 @@ TEST(AsyncFreeTest, FreeRunReadsAheadAndBeatsBsp) {
 }
 
 TEST(AsyncFreeTest, FreeRunSurvivesAFaultArrival) {
-  auto cfg = async_config(runtime::DependencyMode::kFree);
+  auto cfg = async_config();
   core::ParallelVolumeRenderer async(cfg);
   fault::FaultTimeline timeline;
   fault::FaultArrival arrival;
@@ -679,6 +797,62 @@ TEST(AsyncFreeTest, FreeRunSurvivesAFaultArrival) {
   EXPECT_TRUE(run.frames[1].async.enabled);
   EXPECT_GT(run.frames[1].async.reclaimed_seconds, 0.0);
   EXPECT_GT(run.frames[1].total_seconds(), run.frames[2].total_seconds());
+}
+
+/// Prices a healthy frame on `pvr`, whose tracer already holds the spans of
+/// a frame that threw, and checks it is traced like the first frame of a
+/// fresh renderer: the same span count, and the same stage seconds up to
+/// the rounding of a later clock origin.
+void expect_traced_like_a_fresh_frame(core::ParallelVolumeRenderer& pvr) {
+  const core::FrameStats got = pvr.model_frame();
+  core::ParallelVolumeRenderer fresh(pvr.config());
+  obs::Tracer fresh_tracer;
+  fresh.set_tracer(&fresh_tracer);
+  const core::FrameStats want = fresh.model_frame();
+  EXPECT_EQ(got.trace.spans, want.trace.spans);
+  ASSERT_GT(want.trace.io_seconds, 0.0);
+  const auto near = [](double a, double b) {
+    return std::abs(a - b) <= 1e-12 * std::abs(b);
+  };
+  EXPECT_TRUE(near(got.trace.io_seconds, want.trace.io_seconds))
+      << got.trace.io_seconds << " vs " << want.trace.io_seconds;
+  EXPECT_TRUE(near(got.trace.storage_seconds, want.trace.storage_seconds))
+      << got.trace.storage_seconds << " vs " << want.trace.storage_seconds;
+  EXPECT_TRUE(near(got.trace.composite_seconds, want.trace.composite_seconds))
+      << got.trace.composite_seconds << " vs "
+      << want.trace.composite_seconds;
+}
+
+// Regression: the free fold prices its composite with the runtime's tracer
+// detached. A frame that throws there (no live rank is left to composite)
+// must still reattach it, or every later frame loses its runtime spans.
+TEST(AsyncFreeTest, ThrowingFrameLeavesTheTracerAttached) {
+  core::ParallelVolumeRenderer pvr(async_config());
+  obs::Tracer tracer;
+  pvr.set_tracer(&tracer);
+  fault::FaultPlan all_dead;
+  for (std::int64_t n = 0; n < pvr.partition().num_nodes(); ++n) {
+    all_dead.fail_node(n);
+  }
+  EXPECT_THROW(pvr.model_frame_with_faults(all_dead), Error);
+  expect_traced_like_a_fresh_frame(pvr);
+}
+
+// Regression: a read-ahead read is priced untraced too. A model_run whose
+// read-ahead frame throws (every storage server failed) must reattach it.
+TEST(AsyncFreeTest, ThrowingReadAheadLeavesTheTracerAttached) {
+  core::ParallelVolumeRenderer pvr(async_config());
+  obs::Tracer tracer;
+  pvr.set_tracer(&tracer);
+  fault::FaultTimeline timeline;
+  fault::FaultArrival arrival;
+  arrival.frame = 1;
+  for (int s = 0; s < pvr.config().storage.num_servers; ++s) {
+    arrival.plan.fail_server(s);
+  }
+  timeline.add(arrival);
+  EXPECT_THROW(pvr.model_run(2, timeline), Error);
+  expect_traced_like_a_fresh_frame(pvr);
 }
 
 /// The trace's structure without its floating-point seconds: one line per
@@ -710,7 +884,7 @@ std::vector<std::string> span_structure(const obs::Tracer& tracer) {
 // composite.blend composite spans, with their integer args. Seconds are
 // deliberately not pinned (torus congestion goes through libm's pow).
 TEST(AsyncFreeTest, FreeFrameSpanStructureIsPinned) {
-  auto cfg = async_config(runtime::DependencyMode::kFree);
+  auto cfg = async_config();
   cfg.steal.policy = steal::StealPolicy::kScanlineChunks;
   core::ParallelVolumeRenderer frame_pvr(cfg);
   obs::Tracer frame_tracer;
@@ -735,7 +909,7 @@ TEST(AsyncFreeTest, FreeFrameSpanStructureIsPinned) {
   EXPECT_EQ(span_structure(frame_tracer), frame_expected);
 
   core::ParallelVolumeRenderer run_pvr(
-      async_config(runtime::DependencyMode::kFree));
+      async_config());
   fault::FaultTimeline timeline;
   fault::FaultArrival arrival;
   arrival.frame = 1;

@@ -3,6 +3,9 @@
 // frames (dead compositors/renderers), and storage failover pricing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <functional>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -392,6 +395,62 @@ TEST(FaultRenderTest, EstimateDegradedWithASingleLiveRank) {
   EXPECT_LT(lone.total_samples, plain.total_samples);
   EXPECT_EQ(lone.max_rank_samples, lone.total_samples);
   EXPECT_LE(lone.seconds, plain.seconds);
+}
+
+// The async task graph's per-rank render seconds come from the same block
+// pass as the estimate: their maximum is the phase time bitwise, the
+// straggler's entry is the phase time itself, and dead ranks read 0.0.
+TEST(FaultRenderTest, PerRankSecondsComeFromTheEstimatePass) {
+  const auto cfg = small_config(64);
+  core::ParallelVolumeRenderer renderer(cfg);
+  const render::RenderModel model(cfg.machine);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::function<double(std::int64_t)> healthy;
+  const std::function<double(std::int64_t)> degraded = [](std::int64_t r) {
+    return r % 5 == 2 ? 4.0 : 1.0;
+  };
+  const std::function<double(std::int64_t)> dead = [](std::int64_t r) {
+    if (r % 7 == 3) return 0.0;
+    return r % 5 == 2 ? 4.0 : 1.0;
+  };
+  for (const auto* slowdown : {&healthy, &degraded, &dead}) {
+    SCOPED_TRACE(slowdown == &healthy    ? "healthy"
+                 : slowdown == &degraded ? "degraded"
+                                         : "dead");
+    std::vector<double> seconds;
+    const render::RenderEstimate est = model.estimate_degraded(
+        renderer.decomposition(), cfg.num_ranks, renderer.camera(),
+        cfg.render, *slowdown, &seconds);
+    ASSERT_EQ(seconds.size(), std::size_t(cfg.num_ranks));
+    ASSERT_GT(est.seconds, 0.0);
+    EXPECT_EQ(bits(*std::max_element(seconds.begin(), seconds.end())),
+              bits(est.seconds));
+    ASSERT_GE(est.straggler_rank, 0);
+    EXPECT_EQ(bits(seconds[std::size_t(est.straggler_rank)]),
+              bits(est.seconds));
+    if (*slowdown != nullptr) {
+      // A degraded rank bounds the phase.
+      EXPECT_EQ((*slowdown)(est.straggler_rank), 4.0);
+    }
+    std::int64_t dead_ranks = 0;
+    for (std::int64_t r = 0; r < cfg.num_ranks; ++r) {
+      if (*slowdown == nullptr || (*slowdown)(r) > 0.0) {
+        EXPECT_GT(seconds[std::size_t(r)], 0.0) << r;
+      } else {
+        EXPECT_EQ(bits(seconds[std::size_t(r)]), bits(0.0)) << r;
+        ++dead_ranks;
+      }
+    }
+    EXPECT_EQ(dead_ranks > 0, slowdown == &dead);
+    // Asking for the per-rank seconds leaves the estimate as it was.
+    const render::RenderEstimate plain = model.estimate_degraded(
+        renderer.decomposition(), cfg.num_ranks, renderer.camera(),
+        cfg.render, *slowdown);
+    EXPECT_EQ(bits(plain.seconds), bits(est.seconds));
+    EXPECT_EQ(plain.total_samples, est.total_samples);
+    EXPECT_EQ(plain.max_rank_samples, est.max_rank_samples);
+    EXPECT_EQ(plain.straggler_rank, est.straggler_rank);
+  }
 }
 
 TEST(FaultStorageTest, FailedServerFailsOverAtACost) {
