@@ -94,6 +94,9 @@ VolumeLayout::VolumeLayout(DatasetDesc desc) : desc_(std::move(desc)) {
       file_bytes_ = shdf_->file_bytes();
       break;
   }
+  slice_stride_ = desc_.format == FileFormat::kNetcdfRecord
+                      ? nc_->record_size()
+                      : desc_.slice_bytes();
 }
 
 const netcdf::File& VolumeLayout::netcdf_file() const {
@@ -132,31 +135,38 @@ std::int64_t VolumeLayout::element_offset(int var, const Vec3i& idx) const {
 void VolumeLayout::subvolume_extents(int var, const Box3i& box,
                                      std::vector<Extent>* out) const {
   PVR_REQUIRE(out != nullptr, "null output vector");
-  std::vector<SlabRequest> slabs;
-  subvolume_slabs(var, box, &slabs);
-  for (const SlabRequest& s : slabs) {
+  const SlabRun run = slab_run(var, box);
+  for (std::int64_t k = 0; k < run.slices; ++k) {
+    const SlabRequest s = run.slice(k, slice_stride_);
     for (std::int64_t r = 0; r < s.nrows; ++r) {
       out->push_back(Extent{s.first + r * s.row_stride, s.row_bytes});
     }
   }
 }
 
+SlabRun VolumeLayout::slab_run(int var, const Box3i& box) const {
+  const Box3i clipped = box.intersect(Box3i{{0, 0, 0}, desc_.dims});
+  if (clipped.empty()) return {};
+  const std::int64_t eb = desc_.element_bytes;
+  SlabRun run;
+  run.first.first = element_offset(var, clipped.lo);
+  run.first.row_bytes = (clipped.hi.x - clipped.lo.x) * eb;
+  run.first.row_stride = desc_.dims.x * eb;
+  run.first.nrows = clipped.hi.y - clipped.lo.y;
+  // Full-width rows (row_bytes == row_stride) are contiguous across y;
+  // contiguous() reports that and the sieving math handles it, while the
+  // per-row structure stays intact so receivers can map rows back to y.
+  run.z0 = clipped.lo.z;
+  run.slices = clipped.hi.z - clipped.lo.z;
+  return run;
+}
+
 void VolumeLayout::subvolume_slabs(int var, const Box3i& box,
                                    std::vector<SlabRequest>* out) const {
   PVR_REQUIRE(out != nullptr, "null output vector");
-  const Box3i clipped = box.intersect(Box3i{{0, 0, 0}, desc_.dims});
-  if (clipped.empty()) return;
-  const std::int64_t eb = desc_.element_bytes;
-  for (std::int64_t z = clipped.lo.z; z < clipped.hi.z; ++z) {
-    SlabRequest s;
-    s.first = element_offset(var, {clipped.lo.x, clipped.lo.y, z});
-    s.row_bytes = (clipped.hi.x - clipped.lo.x) * eb;
-    s.row_stride = desc_.dims.x * eb;
-    s.nrows = clipped.hi.y - clipped.lo.y;
-    // Full-width rows (row_bytes == row_stride) are contiguous across y;
-    // contiguous() reports that and the sieving math handles it, while the
-    // per-row structure stays intact so receivers can map rows back to y.
-    out->push_back(s);
+  const SlabRun run = slab_run(var, box);
+  for (std::int64_t k = 0; k < run.slices; ++k) {
+    out->push_back(run.slice(k, slice_stride_));
   }
 }
 

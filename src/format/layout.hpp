@@ -4,11 +4,14 @@
 // Two granularities are provided:
 //   * exact per-row extents (subvolume_extents) — used by execute-mode
 //     ground-truth reads, file writers, and the Fig 8 layout dump;
-//   * SlabRequest summaries — one entry per z-slice of a block, describing
-//     its regular row structure (row length, stride, count, hull). The
-//     collective I/O engine works on slabs, which keeps model-mode runs at
-//     32 Ki ranks tractable while remaining byte-exact: any individual row
-//     position is recoverable arithmetically from the slab.
+//   * SlabRequest summaries — one per z-slice of a block, describing its
+//     regular row structure (row length, stride, count, hull). Every format
+//     puts a variable's consecutive z-slices one slice_stride() apart, so a
+//     block's whole request is a SlabRun: its first slice, the slice count
+//     and that stride. The collective I/O engine works on slab runs, which
+//     keeps model-mode runs at 32 Ki ranks tractable while remaining
+//     byte-exact: any individual row position is recoverable arithmetically
+//     from the run.
 #pragma once
 
 #include <memory>
@@ -29,6 +32,8 @@ struct SlabRequest {
   std::int64_t row_stride = 0; ///< distance between run starts (>= row_bytes)
   std::int64_t nrows = 0;      ///< number of runs
 
+  bool operator==(const SlabRequest&) const = default;
+
   std::int64_t useful_bytes() const { return row_bytes * nrows; }
   std::int64_t hull_end() const {
     return nrows == 0 ? first : first + (nrows - 1) * row_stride + row_bytes;
@@ -43,6 +48,22 @@ struct SlabRequest {
   std::int64_t last_wanted_before(std::int64_t pos) const;
   /// Wanted bytes within [lo, hi).
   std::int64_t useful_bytes_in(std::int64_t lo, std::int64_t hi) const;
+};
+
+/// One (variable, box) request as a run of z-slices: slice k is `first`
+/// moved k strides on in the file (VolumeLayout::slice_stride()), with the
+/// same row shape, at z = z0 + k.
+struct SlabRun {
+  SlabRequest first;        ///< the slice at z0
+  std::int64_t z0 = 0;      ///< z of the first slice
+  std::int64_t slices = 0;  ///< slice count; 0 when the box misses the volume
+
+  /// Slice k of the run, given the layout's slice_stride().
+  SlabRequest slice(std::int64_t k, std::int64_t stride) const {
+    SlabRequest s = first;
+    s.first += k * stride;
+    return s;
+  }
 };
 
 /// Layout calculator for one stored time step.
@@ -65,7 +86,16 @@ class VolumeLayout {
   void subvolume_extents(int var, const Box3i& box,
                          std::vector<Extent>* out) const;
 
-  /// Slab summaries of a subvolume: one SlabRequest per z-slice.
+  /// Bytes between consecutive z-slices of one variable: one record for
+  /// netCDF record variables, one xy-plane otherwise. The same for every
+  /// variable and box.
+  std::int64_t slice_stride() const { return slice_stride_; }
+
+  /// The slab run of a subvolume clipped to the volume.
+  SlabRun slab_run(int var, const Box3i& box) const;
+
+  /// Slab summaries of a subvolume: its slab run expanded, one SlabRequest
+  /// per z-slice.
   void subvolume_slabs(int var, const Box3i& box,
                        std::vector<SlabRequest>* out) const;
 
@@ -81,6 +111,7 @@ class VolumeLayout {
  private:
   DatasetDesc desc_;
   std::int64_t file_bytes_ = 0;
+  std::int64_t slice_stride_ = 0;
   std::unique_ptr<netcdf::File> nc_;
   std::unique_ptr<shdf::FileInfo> shdf_;
 };

@@ -12,10 +12,13 @@
 #include "iolib/independent_read.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <unordered_set>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -59,7 +62,7 @@ struct PairBytes {
 
 /// The two-phase plan of one collective operation, direction-independent.
 struct TwoPhasePlan {
-  std::vector<SlabEntry> entries;  ///< sorted by file offset
+  std::vector<SlabEntry> entries;  ///< in file order, ties by brick index
   std::vector<BrickRows> bricks;   ///< per brick index
   std::int64_t useful_bytes = 0;
   std::int64_t num_aggs = 0;
@@ -76,31 +79,13 @@ struct TwoPhasePlan {
   }
 };
 
-/// Stable LSD radix sort of `entries` by file offset, 11 bits of
-/// (offset - lo) per pass, where lo..hi bounds the offsets: entries with
-/// equal offsets (overlapping blocks) keep their generation order.
-void sort_by_offset(std::vector<SlabEntry>& entries, std::int64_t lo,
-                    std::int64_t hi) {
-  constexpr int kBits = 11;
-  constexpr std::uint64_t kMask = (std::uint64_t(1) << kBits) - 1;
-  const std::size_t n = entries.size();
-  const auto spare = std::make_unique_for_overwrite<SlabEntry[]>(n);
-  SlabEntry* from = entries.data();
-  SlabEntry* to = spare.get();
-  const auto span = std::uint64_t(hi - lo);
-  for (int shift = 0; shift < 64 && (span >> shift) != 0; shift += kBits) {
-    const auto digit = [&](const SlabEntry& e) {
-      return std::size_t((std::uint64_t(e.first - lo) >> shift) & kMask);
-    };
-    std::array<std::size_t, kMask + 1> start{};
-    for (std::size_t i = 0; i < n; ++i) ++start[digit(from[i])];
-    std::size_t sum = 0;
-    for (std::size_t& s : start) sum += std::exchange(s, sum);
-    for (std::size_t i = 0; i < n; ++i) to[start[digit(from[i])]++] = from[i];
-    std::swap(from, to);
-  }
-  if (from != entries.data()) std::copy(from, from + n, entries.data());
-}
+/// One brick's slab run in sweep coordinates: slice k sits at file offset
+/// (q0 + k) * stride + r, so the brick is live for q in [q0, q_end).
+struct LiveRun {
+  std::int64_t q0 = 0, q_end = 0, r = 0;
+  std::int64_t z0 = 0;  ///< z of the slice at q0
+  std::int32_t brick = 0;
+};
 
 TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
                             const storage::StorageModel& sm,
@@ -115,47 +100,70 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
                   part.num_ranks() <= kMax32 &&
                   layout.desc().dims.z <= kMax32,
               "two-phase plan indexes bricks, ranks and slices with 32 bits");
-  // ---- Phase 1: the global request as sorted slab entries; one entry per
-  // (block, variable, z slice).
-  const Box3i volume{{0, 0, 0}, layout.desc().dims};
-  std::size_t num_entries = 0;
-  for (const RankBlock& b : blocks) {
-    const Box3i clipped = b.box.intersect(volume);
-    if (!clipped.empty()) {
-      num_entries += std::size_t(clipped.hi.z - clipped.lo.z) * vars.size();
-    }
-  }
-  p.entries.reserve(num_entries);
+  // ---- Phase 1: the global request as slab entries in file order; one
+  // entry per (block, variable, z slice). Offset o = q * stride + r with
+  // r in [0, stride), so file order is (q, r) order, and a brick's slices
+  // share r and take consecutive q. Sweeping q upward over the runs, with
+  // the live bricks kept in (r, brick index) order, emits the entries in
+  // file order; equal offsets (overlapping blocks) come in brick order.
+  const std::int64_t stride = layout.slice_stride();
+  std::vector<LiveRun> runs;
+  runs.reserve(blocks.size() * vars.size());
   p.bricks.resize(blocks.size() * vars.size());
+  std::size_t num_entries = 0;
   std::int64_t range_lo = std::numeric_limits<std::int64_t>::max();
   std::int64_t range_hi = 0;
-  std::int64_t last_first = 0;  ///< the largest entry offset
-  std::vector<format::SlabRequest> slabs;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
-    const Box3i clipped = blocks[i].box.intersect(volume);
     for (std::size_t v = 0; v < vars.size(); ++v) {
-      slabs.clear();
-      layout.subvolume_slabs(vars[v], blocks[i].box, &slabs);
-      if (slabs.empty()) continue;
+      const format::SlabRun run = layout.slab_run(vars[v], blocks[i].box);
+      if (run.slices == 0) continue;
       const std::size_t b = i * vars.size() + v;
-      BrickRows& shape = p.bricks[b];
-      shape = {slabs[0].row_bytes, slabs[0].row_stride, slabs[0].nrows,
-               blocks[i].rank};
-      for (std::size_t s = 0; s < slabs.size(); ++s) {
-        PVR_ASSERT(slabs[s].row_bytes == shape.row_bytes &&
-                   slabs[s].row_stride == shape.row_stride &&
-                   slabs[s].nrows == shape.nrows);
-        p.useful_bytes += slabs[s].useful_bytes();
-        range_lo = std::min(range_lo, slabs[s].first);
-        range_hi = std::max(range_hi, slabs[s].hull_end());
-        last_first = std::max(last_first, slabs[s].first);
-        const auto z = std::int32_t(clipped.lo.z + std::int64_t(s));
-        p.entries.push_back(SlabEntry{slabs[s].first, std::int32_t(b), z});
-      }
+      const format::SlabRequest& s = run.first;
+      p.bricks[b] = {s.row_bytes, s.row_stride, s.nrows, blocks[i].rank};
+      p.useful_bytes += s.useful_bytes() * run.slices;
+      range_lo = std::min(range_lo, s.first);
+      range_hi = std::max(range_hi,
+                          run.slice(run.slices - 1, stride).hull_end());
+      num_entries += std::size_t(run.slices);
+      const std::int64_t q0 = s.first / stride;
+      runs.push_back(LiveRun{q0, q0 + run.slices, s.first % stride, run.z0,
+                             std::int32_t(b)});
     }
   }
-  if (p.entries.empty()) return p;
-  sort_by_offset(p.entries, range_lo, last_first);
+  if (runs.empty()) return p;
+  const auto by_r = [](const LiveRun& a, const LiveRun& b) {
+    return std::tie(a.r, a.brick) < std::tie(b.r, b.brick);
+  };
+  std::sort(runs.begin(), runs.end(), [&](const LiveRun& a, const LiveRun& b) {
+    return a.q0 != b.q0 ? a.q0 < b.q0 : by_r(a, b);
+  });
+  p.entries.reserve(num_entries);
+  std::vector<LiveRun> active, merged;  ///< live bricks in (r, brick) order
+  std::size_t next = 0;                 ///< the first run not yet live
+  for (std::int64_t q = runs[0].q0; !active.empty() || next < runs.size();
+       ++q) {
+    if (active.empty()) q = runs[next].q0;  // jump over q holding no slice
+    std::size_t stop = next;
+    while (stop < runs.size() && runs[stop].q0 == q) ++stop;
+    if (stop > next) {
+      merged.clear();
+      std::merge(active.begin(), active.end(),
+                 runs.begin() + std::ptrdiff_t(next),
+                 runs.begin() + std::ptrdiff_t(stop),
+                 std::back_inserter(merged), by_r);
+      active.swap(merged);
+      next = stop;
+    }
+    // Each live brick's slice at q; bricks whose run ends at q leave.
+    std::size_t kept = 0;
+    for (std::size_t j = 0; j < active.size(); ++j) {
+      const LiveRun& l = active[j];
+      p.entries.push_back(SlabEntry{q * stride + l.r, l.brick,
+                                    std::int32_t(l.z0 + (q - l.q0))});
+      if (q + 1 < l.q_end) active[kept++] = l;
+    }
+    active.resize(kept);
+  }
 
   // ---- Phase 2: file domains over the aggregators, stripe-aligned.
   const std::int64_t stripe = sm.config().stripe_bytes;
@@ -313,13 +321,21 @@ void require_valid(const Hints& hints) {
               "aggregators_per_ion must be positive");
 }
 
-/// Validates the brick list when this call moves real bytes; returns
-/// whether it does.
+/// Checks that every block names a rank of the partition and, when this
+/// call moves real bytes, the brick list; returns whether it moves bytes.
 bool moves_bytes(const runtime::Runtime& rt,
                  const format::VolumeLayout& layout, std::size_t num_vars,
                  std::span<const RankBlock> blocks,
                  const format::FileHandle* file,
                  std::span<const Brick> bricks) {
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const std::int64_t rank = blocks[i].rank;
+    if (rank < 0 || rank >= rt.num_ranks()) {
+      throw Error("block " + std::to_string(i) + " names rank " +
+                  std::to_string(rank) + ", outside [0, " +
+                  std::to_string(rt.num_ranks()) + ")");
+    }
+  }
   if (rt.mode() != runtime::Mode::kExecute || file == nullptr ||
       bricks.empty()) {
     return false;
@@ -462,6 +478,16 @@ void annotate(obs::ScopedSpan& span, std::span<const RankBlock> blocks,
   span.arg("physical_bytes", double(result.physical_bytes));
 }
 
+/// The distinct ranks of `blocks`, in order of first appearance.
+std::vector<std::int64_t> distinct_ranks(std::span<const RankBlock> blocks) {
+  std::unordered_set<std::int64_t> seen;
+  std::vector<std::int64_t> ranks;
+  for (const RankBlock& b : blocks) {
+    if (seen.insert(b.rank).second) ranks.push_back(b.rank);
+  }
+  return ranks;
+}
+
 }  // namespace
 
 double model_open_cost(const format::VolumeLayout& layout,
@@ -470,15 +496,15 @@ double model_open_cost(const format::VolumeLayout& layout,
                        storage::AccessLog* log) {
   const std::vector<format::Extent> meta = layout.open_metadata_accesses();
   if (meta.empty() || blocks.empty()) return 0.0;
-  // Every process reads the metadata; the reads are absorbed by server
-  // caches, so they cost per-access metadata latency serialized per rank,
-  // all ranks in parallel.
+  // Every process reads the metadata once, however many blocks it holds;
+  // the reads are absorbed by server caches, so they cost per-access
+  // metadata latency serialized per rank, all ranks in parallel.
   const double per_rank =
       double(meta.size()) * sm.config().metadata_access_latency;
   if (log != nullptr) {
-    for (const RankBlock& b : blocks) {
+    for (const std::int64_t rank : distinct_ranks(blocks)) {
       for (const format::Extent& e : meta) {
-        log->record(storage::PhysicalAccess{e.offset, e.length, b.rank});
+        log->record(storage::PhysicalAccess{e.offset, e.length, rank});
       }
     }
   }
@@ -522,7 +548,7 @@ ReadResult CollectiveReader::read_vars(const format::VolumeLayout& layout,
   if (tracer != nullptr) {
     // Per-rank open-time metadata reads (netCDF header, SHDF objects).
     obs::ScopedSpan open_span(tracer, "io.open", obs::Category::kStorage);
-    open_span.arg("ranks", double(blocks.size()));
+    open_span.arg("ranks", double(distinct_ranks(blocks).size()));
     tracer->advance(result.open_seconds);
   }
 
@@ -593,16 +619,13 @@ ReadResult IndependentReader::read(const format::VolumeLayout& layout,
 
   // Every rank requests its own slabs: one access per slab hull (holes
   // included) under data sieving or for a contiguous slab, else one per row.
-  const Box3i volume{{0, 0, 0}, layout.desc().dims};
+  const std::int64_t stride = layout.slice_stride();
   std::vector<storage::PhysicalAccess> accesses;
-  std::vector<format::SlabRequest> slabs;
   std::vector<std::byte> buf;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
-    slabs.clear();
-    layout.subvolume_slabs(var, blocks[i].box, &slabs);
-    const std::int64_t z0 = blocks[i].box.intersect(volume).lo.z;
-    for (std::size_t s = 0; s < slabs.size(); ++s) {
-      const format::SlabRequest& slab = slabs[s];
+    const format::SlabRun run = layout.slab_run(var, blocks[i].box);
+    for (std::int64_t k = 0; k < run.slices; ++k) {
+      const format::SlabRequest slab = run.slice(k, stride);
       result.useful_bytes += slab.useful_bytes();
       if (hints_.data_sieving || slab.contiguous()) {
         accesses.push_back(storage::PhysicalAccess{
@@ -619,8 +642,7 @@ ReadResult IndependentReader::read(const format::VolumeLayout& layout,
         const format::Extent hull = slab.hull();
         buf.resize(std::size_t(hull.length));
         file->read_at(hull.offset, buf);
-        scatter_rows(layout, slab, z0 + std::int64_t(s), buf, hull.offset,
-                     bricks[i]);
+        scatter_rows(layout, slab, run.z0 + k, buf, hull.offset, bricks[i]);
       }
     }
   }

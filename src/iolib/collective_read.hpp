@@ -1,8 +1,12 @@
 // Two-phase collective read, modeled after ROMIO's generalized collective
 // buffering (Thakur et al., "Data sieving and collective I/O in ROMIO"):
 //
-//   1. every rank's wanted bytes (slab summaries from the format layout) are
-//      assembled into a global request,
+//   1. every rank's wanted bytes are assembled into a global request in
+//      file order: the format layout gives each (block, variable) a slab run
+//      (its first z-slice, the slice count, and a stride shared by the whole
+//      file), and a sweep over the runs emits every slice in offset order,
+//      overlapping blocks' equal offsets in block order, with no sort and
+//      memory linear in the block count,
 //   2. the file range [min, max) of the request is partitioned into file
 //      domains over A aggregator ranks (A = IONs x aggregators_per_ion,
 //      capped by the rank count), aligned to file-system stripes,
@@ -95,7 +99,9 @@ class CollectiveReader {
 };
 
 /// Models the per-rank open-time metadata reads (netCDF header, SHDF object
-/// headers). Returns modeled seconds and appends the accesses to `log`.
+/// headers): each distinct rank of `blocks` reads them once. Returns modeled
+/// seconds and appends the accesses to `log`, rank by rank in order of first
+/// appearance.
 double model_open_cost(const format::VolumeLayout& layout,
                        std::span<const RankBlock> blocks,
                        const storage::StorageModel& sm,

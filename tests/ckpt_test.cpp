@@ -219,6 +219,24 @@ TEST(CheckpointCodecTest, ModelModeWritePricesStateTrailerAndBarrier) {
   EXPECT_EQ(with_image.bytes - plain.bytes, std::int64_t(1) << 20);
 }
 
+TEST(CheckpointCodecTest, BlockRankOutsideThePartitionThrows) {
+  // The codec writes and reads through the collective engine, so it
+  // rejects a block naming a rank past the partition (or a negative one)
+  // the same way.
+  const Vec3i dims{16, 16, 16};
+  const format::VolumeLayout layout(ckpt::CheckpointCodec::state_desc(dims));
+  CodecEnv env(8);
+  ckpt::CheckpointCodec codec(env.model_rt, env.storage,
+                              iolib::Hints::untuned());
+  for (const std::int64_t bad : {std::int64_t{8}, std::int64_t{-1}}) {
+    const std::vector<iolib::RankBlock> blocks = {
+        {0, Box3i{{0, 0, 0}, {8, 16, 16}}},
+        {bad, Box3i{{8, 0, 0}, {16, 16, 16}}}};
+    EXPECT_THROW(codec.write(layout, blocks, 0), Error) << "rank " << bad;
+    EXPECT_THROW(codec.read(layout, blocks), Error) << "rank " << bad;
+  }
+}
+
 // --- FaultTimeline ---------------------------------------------------------
 
 TEST(FaultTimelineTest, GenerateIsDeterministicAndPrefixStable) {

@@ -3,6 +3,7 @@
 #include <unistd.h>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "data/writers.hpp"
@@ -136,6 +137,65 @@ INSTANTIATE_TEST_SUITE_P(AllFormats, CollectiveWriteFormats,
                                            format::FileFormat::kNetcdfRecord,
                                            format::FileFormat::kNetcdf64,
                                            format::FileFormat::kShdf));
+
+TEST(CollectiveWriteTest, IdenticalBoxesKeepTheLaterBlocksBytes) {
+  // Blocks 0 and 1 name the same box (past the volume's low faces) with
+  // different contents. The plan emits equal file offsets in brick order,
+  // so block 1's bytes are copied last in every window and the file keeps
+  // them, for every format and variable. One aggregator with 64-byte
+  // windows keeps every window boundary on a float boundary.
+  TempDir dir;
+  Env env(8);
+  Hints hints;
+  hints.aggregators_per_ion = 1;
+  hints.cb_buffer_bytes = 64;
+  const Box3i box{{-1, 2, -2}, {7, 9, 5}};
+  const std::vector<RankBlock> blocks = {{3, box}, {5, box}};
+  for (const format::FileFormat fmt :
+       {format::FileFormat::kRaw, format::FileFormat::kNetcdfRecord,
+        format::FileFormat::kNetcdf64, format::FileFormat::kShdf}) {
+    const format::DatasetDesc desc = format::supernova_desc(fmt, 8);
+    const format::VolumeLayout layout(desc);
+    std::vector<int> vars;
+    for (int v = int(desc.num_variables()) - 1; v >= 0; --v) {
+      vars.push_back(v);
+    }
+    const auto value = [](std::size_t block, int var) {
+      return float(10 * block + std::size_t(var) + 1);
+    };
+    std::vector<Brick> bricks;
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      for (const int v : vars) {
+        Brick brick(box);
+        std::fill(brick.data().begin(), brick.data().end(), value(b, v));
+        bricks.push_back(std::move(brick));
+      }
+    }
+    const std::string path = dir.file("twice.dat");
+    {
+      format::DiskFile file(path, format::DiskFile::OpenMode::kTruncate);
+      write_header(layout, &file);
+      file.truncate(layout.file_bytes());
+      CollectiveWriter(env.execute_rt, env.storage, hints)
+          .write_vars(layout, vars, blocks, &file, bricks);
+    }
+    format::DiskFile file(path, format::DiskFile::OpenMode::kRead);
+    const Box3i inside = box.intersect(Box3i{{0, 0, 0}, desc.dims});
+    for (const int v : vars) {
+      Brick got;
+      data::read_variable(layout, v, file, &got);
+      std::int64_t wrong = 0;
+      for (std::int64_t z = inside.lo.z; z < inside.hi.z; ++z) {
+        for (std::int64_t y = inside.lo.y; y < inside.hi.y; ++y) {
+          for (std::int64_t x = inside.lo.x; x < inside.hi.x; ++x) {
+            wrong += got.at(x, y, z) != value(1, v);
+          }
+        }
+      }
+      EXPECT_EQ(wrong, 0) << format_name(fmt) << " variable " << v;
+    }
+  }
+}
 
 TEST(CollectiveWriteTest, ReadModifyWritePreservesOtherVariables) {
   // Overwrite only variable 0 of an existing record file; the interleaved

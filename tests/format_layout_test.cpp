@@ -116,6 +116,62 @@ TEST(LayoutTest, SubvolumeClippedToVolume) {
   EXPECT_EQ(slabs[0].useful_bytes(), 8 * 8 * 4);
 }
 
+TEST(LayoutTest, SlabRunExpandsToTheSubvolumeSlabs) {
+  // For every format and variable, and boxes clipped by any face, the slab
+  // run's slices are exactly subvolume_slabs, each where element_offset puts
+  // the box's first row at that z, all with the first slice's row shape, and
+  // consecutive slices slice_stride() apart.
+  Rng rng(7);
+  for (const FileFormat fmt :
+       {FileFormat::kRaw, FileFormat::kNetcdfRecord, FileFormat::kNetcdf64,
+        FileFormat::kShdf}) {
+    DatasetDesc desc = make_desc(fmt, 1);
+    desc.dims = {7, 5, 6};
+    const VolumeLayout layout(desc);
+    const std::int64_t stride = layout.slice_stride();
+    EXPECT_EQ(stride, fmt == FileFormat::kNetcdfRecord
+                          ? layout.netcdf_file().record_size()
+                          : 7 * 5 * 4);
+    const Box3i volume{{0, 0, 0}, desc.dims};
+    for (int var = 0; var < int(desc.num_variables()); ++var) {
+      for (int t = 0; t < 50; ++t) {
+        Box3i box;
+        box.lo = {std::int64_t(rng.next_below(10)) - 2,
+                  std::int64_t(rng.next_below(8)) - 2,
+                  std::int64_t(rng.next_below(9)) - 2};
+        box.hi = box.lo + Vec3i{std::int64_t(rng.next_below(10)),
+                                std::int64_t(rng.next_below(8)),
+                                std::int64_t(rng.next_below(9))};
+        const Box3i clipped = box.intersect(volume);
+        const SlabRun run = layout.slab_run(var, box);
+        std::vector<SlabRequest> slabs;
+        layout.subvolume_slabs(var, box, &slabs);
+        if (clipped.empty()) {
+          EXPECT_EQ(run.slices, 0);
+          EXPECT_TRUE(slabs.empty());
+          continue;
+        }
+        ASSERT_EQ(run.slices, clipped.hi.z - clipped.lo.z);
+        ASSERT_EQ(slabs.size(), std::size_t(run.slices));
+        EXPECT_EQ(run.z0, clipped.lo.z);
+        for (std::int64_t k = 0; k < run.slices; ++k) {
+          const SlabRequest s = run.slice(k, stride);
+          EXPECT_EQ(s, slabs[std::size_t(k)]);
+          EXPECT_EQ(s.first,
+                    layout.element_offset(var, {clipped.lo.x, clipped.lo.y,
+                                                clipped.lo.z + k}));
+          EXPECT_EQ(s.row_bytes, (clipped.hi.x - clipped.lo.x) * 4);
+          EXPECT_EQ(s.row_stride, desc.dims.x * 4);
+          EXPECT_EQ(s.nrows, clipped.hi.y - clipped.lo.y);
+          if (k > 0) {
+            EXPECT_EQ(s.first - slabs[std::size_t(k - 1)].first, stride);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(LayoutTest, VariableIndexAndErrors) {
   const DatasetDesc d = make_desc(FileFormat::kNetcdfRecord, 8);
   EXPECT_EQ(d.variable_index("vx"), 2);
