@@ -124,9 +124,13 @@ class Reader {
     return n;
   }
   std::int64_t remaining() const { return std::int64_t(bytes_.size() - pos_); }
+  /// OFFSET; a CDF-2/5 value with the top bit set is negative, rejected.
   std::int64_t offset() {
-    return version_ == Version::kClassic ? std::int64_t(u32())
-                                         : std::int64_t(u64());
+    if (version_ == Version::kClassic) return std::int64_t(u32());
+    const std::uint64_t v = u64();
+    PVR_REQUIRE(v <= std::uint64_t(std::numeric_limits<std::int64_t>::max()),
+                "negative netCDF offset");
+    return std::int64_t(v);
   }
   std::string name() {
     const std::int64_t len = count();

@@ -12,10 +12,12 @@
 #include "iolib/independent_read.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <unordered_set>
@@ -54,23 +56,110 @@ struct Window {
   std::vector<std::int32_t> entries;  ///< execute mode only
 };
 
-/// Bytes one brick exchanges with one aggregator (one run of them).
-struct PairBytes {
-  std::int32_t agg = 0, rank = 0;
-  std::int64_t bytes = 0;
+/// Releases std::allocator storage for `capacity` transfers.
+struct FreeTransfers {
+  std::size_t capacity = 0;
+  void operator()(net::Transfer* t) const {
+    std::allocator<net::Transfer>().deallocate(t, capacity);
+  }
+};
+
+/// Room for `capacity` transfers that touches no page until a transfer is
+/// built there. The chunks that fill it fault its pages in on their own
+/// threads (a vector<Transfer>(n) would zero them all on the calling thread
+/// first), and room left unused costs address space only.
+class TransferArray {
+ public:
+  TransferArray() = default;
+  explicit TransferArray(std::size_t capacity)
+      : data_(std::allocator<net::Transfer>().allocate(capacity),
+              FreeTransfers{capacity}) {}
+  void set(std::size_t i, std::int64_t src, std::int64_t dst,
+           std::int64_t bytes) {
+    std::construct_at(data_.get() + i, net::Transfer{src, dst, bytes});
+  }
+  /// Moves the n transfers at `from` down to `to` (to <= from).
+  void move_down(std::size_t to, std::size_t from, std::size_t n) {
+    std::memmove(data_.get() + to, data_.get() + from,
+                 n * sizeof(net::Transfer));
+  }
+  /// The first n transfers; every one of them must be set.
+  std::span<const net::Transfer> first(std::size_t n) const {
+    return {data_.get(), n};
+  }
+
+ private:
+  std::unique_ptr<net::Transfer[], FreeTransfers> data_;
+};
+
+/// The bytes each rank exchanges with one aggregator: a total per rank and
+/// a two-level bitmap of the ranks holding one, so the totals drain in rank
+/// order with no sort. Every piece of the aggregator's domains adds here,
+/// so a rank's bricks and slices fold into one pair as they arrive.
+class RankTotals {
+ public:
+  explicit RankTotals(std::int64_t ranks)
+      : bytes_(std::make_unique_for_overwrite<std::int64_t[]>(
+            std::size_t(ranks))),
+        words_(std::size_t(ceil_div(ranks, 64)), 0),
+        summary_(std::size_t(ceil_div(ranks, 64 * 64)), 0) {}
+
+  void add(std::int64_t rank, std::int64_t bytes) {
+    const auto r = std::size_t(rank);
+    std::uint64_t& word = words_[r / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (r % 64);
+    if ((word & bit) == 0) {
+      word |= bit;
+      summary_[r / 4096] |= std::uint64_t{1} << (r / 64 % 64);
+      bytes_[r] = 0;
+      ++held_;
+    }
+    bytes_[r] += bytes;
+  }
+  /// Ranks holding a total.
+  std::size_t held() const { return held_; }
+
+  /// Calls emit(rank, bytes) for every total in rank order and clears them.
+  template <class Emit>
+  void drain(Emit&& emit) {
+    for (std::size_t s = 0; s < summary_.size(); ++s) {
+      for (std::uint64_t sw = std::exchange(summary_[s], 0); sw != 0;
+           sw &= sw - 1) {
+        const std::size_t w = s * 64 + std::size_t(std::countr_zero(sw));
+        for (std::uint64_t bits = std::exchange(words_[w], 0); bits != 0;
+             bits &= bits - 1) {
+          const std::size_t r = w * 64 + std::size_t(std::countr_zero(bits));
+          emit(std::int64_t(r), bytes_[r]);
+        }
+      }
+    }
+    held_ = 0;
+  }
+
+ private:
+  std::unique_ptr<std::int64_t[]> bytes_;
+  std::vector<std::uint64_t> words_, summary_;
+  std::size_t held_ = 0;
 };
 
 /// The two-phase plan of one collective operation, direction-independent.
 struct TwoPhasePlan {
-  std::vector<SlabEntry> entries;  ///< in file order, ties by brick index
+  /// In file order, ties by brick index. Execute mode only past phase 3,
+  /// like `bricks`: model mode frees both once the windows are built.
+  std::vector<SlabEntry> entries;
   std::vector<BrickRows> bricks;   ///< per brick index
   std::int64_t useful_bytes = 0;
   std::int64_t num_aggs = 0;
   std::vector<std::int64_t> domain_agg;  ///< aggregator rank per domain
   /// Windows in (domain, window within the domain) order: file order. A
-  /// window's `lo` identifies it, since domains never overlap.
+  /// window's `lo` identifies it, since domains never overlap. Empty
+  /// exactly when the request is.
   std::vector<Window> windows;
-  std::vector<PairBytes> pairs;
+  /// Every (aggregator, rank) pair that exchanges bytes, as
+  /// Transfer{aggregator, rank, bytes} in (aggregator, rank) order: the read
+  /// shuffle's transfer list.
+  TransferArray pairs;
+  std::size_t num_pairs = 0;
   std::int64_t rounds = 1;  ///< cb-buffer rounds of the largest domain
 
   format::SlabRequest slab(const SlabEntry& e) const {
@@ -86,6 +175,86 @@ struct LiveRun {
   std::int64_t z0 = 0;  ///< z of the slice at q0
   std::int32_t brick = 0;
 };
+
+/// Domains per phase-3 chunk, at least: a plan over one I/O node's
+/// aggregators runs as one chunk, inline.
+constexpr std::int64_t kDomainsPerChunk = 8;
+
+/// Phase 3 for the file domain [lo, hi) that aggregator `agg` serves:
+/// walks entries [begin, end), which hold every entry overlapping it, in
+/// file order, clipped to the domain. Fills `windows` with the domain's
+/// windows holding wanted bytes, in file order, and adds each entry's bytes
+/// in the domain to its rank's total.
+void plan_domain(const TwoPhasePlan& p, std::int64_t lo, std::int64_t hi,
+                 std::int64_t agg, std::int64_t cb, bool execute,
+                 std::size_t begin, std::size_t end,
+                 std::vector<Window>& windows, RankTotals& totals) {
+  if (lo == hi) return;
+  // The window holding the last entry's first byte only moves forward, as
+  // entries arrive in offset order: [win_lo, win_hi) is that window, and
+  // windows before `live` are final.
+  std::int64_t win_lo = 0;
+  std::int64_t win_hi = 0;
+  std::size_t live = 0;
+  for (std::size_t ei = begin; ei < end; ++ei) {
+    const SlabEntry& e = p.entries[ei];
+    const format::SlabRequest slab = p.slab(e);
+    const std::int64_t h_lo = slab.first;
+    const std::int64_t h_hi = slab.hull_end();
+    if (h_hi <= lo) continue;  // ends before the domain
+    const std::int64_t rank = p.bricks[std::size_t(e.brick_index)].rank;
+    // Adds wanted bytes [fw, lw) to the window [w_lo, w_hi), creating it in
+    // file order; `w` walks forward over the entry's windows.
+    std::size_t w = live;
+    const auto add = [&](std::int64_t w_lo, std::int64_t w_hi,
+                         std::int64_t fw, std::int64_t lw,
+                         std::int64_t wanted) {
+      while (w < windows.size() && windows[w].lo < w_lo) ++w;
+      if (w == windows.size() || windows[w].lo != w_lo) {
+        Window fresh;
+        fresh.lo = w_lo;
+        fresh.hi = w_hi;
+        fresh.agg = agg;
+        windows.insert(windows.begin() + std::ptrdiff_t(w), std::move(fresh));
+      }
+      Window& win = windows[w];
+      win.wanted += wanted;
+      win.trim_lo = std::min(win.trim_lo, fw);
+      win.trim_hi = std::max(win.trim_hi, lw);
+      if (execute) win.entries.push_back(std::int32_t(ei));
+    };
+    if (h_lo >= lo) {
+      if (h_lo >= win_hi) {
+        win_lo = lo + (h_lo - lo) / cb * cb;
+        win_hi = std::min(hi, win_lo + cb);
+        while (live < windows.size() && windows[live].lo < win_lo) ++live;
+        w = live;
+      }
+      if (h_hi <= win_hi) {
+        // The hull lies inside one window: all of it is wanted there,
+        // exactly what the per-window queries below would return.
+        add(win_lo, win_hi, h_lo, h_hi, slab.useful_bytes());
+        totals.add(rank, slab.useful_bytes());
+        continue;
+      }
+    }
+    const std::int64_t o_lo = std::max(h_lo, lo);
+    const std::int64_t o_hi = std::min(h_hi, hi);
+    std::int64_t bytes = 0;
+    for (std::int64_t c = (o_lo - lo) / cb; c <= (o_hi - 1 - lo) / cb; ++c) {
+      const std::int64_t w_lo = lo + c * cb;
+      const std::int64_t w_hi = std::min(hi, w_lo + cb);
+      const std::int64_t fw =
+          slab.first_wanted_at_or_after(std::max(w_lo, h_lo));
+      const std::int64_t lw = slab.last_wanted_before(std::min(w_hi, h_hi));
+      if (fw >= lw) continue;  // a hole-only window
+      const std::int64_t wanted = slab.useful_bytes_in(w_lo, w_hi);
+      add(w_lo, w_hi, fw, lw, wanted);
+      bytes += wanted;
+    }
+    if (bytes > 0) totals.add(rank, bytes);
+  }
+}
 
 TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
                             const storage::StorageModel& sm,
@@ -113,6 +282,7 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
   std::size_t num_entries = 0;
   std::int64_t range_lo = std::numeric_limits<std::int64_t>::max();
   std::int64_t range_hi = 0;
+  std::int64_t max_hull = 0;  ///< the longest slice hull
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     for (std::size_t v = 0; v < vars.size(); ++v) {
       const format::SlabRun run = layout.slab_run(vars[v], blocks[i].box);
@@ -124,6 +294,7 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
       range_lo = std::min(range_lo, s.first);
       range_hi = std::max(range_hi,
                           run.slice(run.slices - 1, stride).hull_end());
+      max_hull = std::max(max_hull, s.hull().length);
       num_entries += std::size_t(run.slices);
       const std::int64_t q0 = s.first / stride;
       runs.push_back(LiveRun{q0, q0 + run.slices, s.first % stride, run.z0,
@@ -209,100 +380,128 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
     p.domain_agg[std::size_t(d)] = r;
   }
 
-  // ---- Phase 3: every (domain, window) holding wanted bytes, plus the
-  // bytes each slab entry exchanges with each domain's aggregator. Entries
-  // arrive in offset order, so the domain and the window holding an entry's
-  // first byte only move forward: `dom` is the last domain starting at or
-  // before it, [win_lo, win_hi) its window there, and windows before `live`
-  // are final.
+  // ---- Phase 3: every (domain, window) holding wanted bytes, and the
+  // bytes each rank exchanges with each aggregator. A domain depends on no
+  // other: it takes the entries overlapping it, clipped to it, in file
+  // order. So domains run in chunks on the host pool; par::plan_chunks over
+  // the domain count fixes the chunks, and a null pool runs the same chunks
+  // inline. Chunks walk the domains in aggregator order, which is file
+  // order unless fault reassignment made domains share an aggregator or
+  // wrap to a lower rank. A group of domains sharing an aggregator belongs
+  // to the chunk it starts in, even past that chunk's end, so its totals
+  // drain as one run: each chunk's pairs are in (aggregator, rank) order,
+  // and so is their concatenation in chunk order.
   const std::int64_t cb = hints.cb_buffer_bytes;
-  p.pairs.reserve(p.entries.size());
-  // A brick's entries arrive in offset order, so its bytes for one
-  // aggregator come in a row: they fold into the brick's last pair.
-  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> last_pair(p.bricks.size(), kNone);
-  const auto add_pair = [&](std::size_t brick, std::int64_t agg,
-                            std::int64_t bytes) {
-    std::size_t& last = last_pair[brick];
-    if (last != kNone && p.pairs[last].agg == agg) {
-      p.pairs[last].bytes += bytes;
-      return;
-    }
-    last = p.pairs.size();
-    p.pairs.push_back(PairBytes{std::int32_t(agg),
-                                std::int32_t(p.bricks[brick].rank), bytes});
+  const std::int64_t num_aggs = p.num_aggs;
+  std::vector<std::int64_t> order(std::size_t(num_aggs), 0);
+  std::iota(order.begin(), order.end(), std::int64_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::int64_t a, std::int64_t b) {
+                     return p.domain_agg[std::size_t(a)] <
+                            p.domain_agg[std::size_t(b)];
+                   });
+  const auto agg_at = [&](std::int64_t k) {
+    return p.domain_agg[std::size_t(order[std::size_t(k)])];
   };
-  std::size_t dom = 0;
-  std::int64_t win_lo = 0;
-  std::int64_t win_hi = 0;
-  std::size_t live = 0;
-  for (std::size_t ei = 0; ei < p.entries.size(); ++ei) {
-    const SlabEntry& e = p.entries[ei];
-    const format::SlabRequest slab = p.slab(e);
-    const std::int64_t h_lo = slab.first;
-    const std::int64_t h_hi = slab.hull_end();
-    while (dom + 1 < std::size_t(p.num_aggs) && dom_start[dom + 1] <= h_lo) {
-      ++dom;
-      win_hi = 0;
+  // The entries overlapping domain d [lo, hi) are [entry_lo[d],
+  // entry_hi[d]): from the first whose hull can reach past lo, since none
+  // is longer than max_hull, to the first starting at or past hi. Each
+  // brick overlapping the domain has one first entry there: its first
+  // slice, or the one whose previous slice ends by lo and so starts before
+  // lo + stride. So a domain yields at most one pair per entry starting
+  // below lo + stride, plus one per run starting in [lo + stride, hi), and
+  // at most one per rank: bound[d].
+  const auto first_at = [&](std::int64_t offset) {
+    return std::size_t(std::partition_point(p.entries.begin(),
+                                            p.entries.end(),
+                                            [&](const SlabEntry& e) {
+                                              return e.first < offset;
+                                            }) -
+                       p.entries.begin());
+  };
+  const auto run_at = [&](std::int64_t offset) {
+    return std::size_t(std::partition_point(runs.begin(), runs.end(),
+                                            [&](const LiveRun& l) {
+                                              return l.q0 * stride + l.r <
+                                                     offset;
+                                            }) -
+                       runs.begin());
+  };
+  std::vector<std::size_t> entry_lo(order.size()), entry_hi(order.size());
+  std::vector<std::size_t> bound(order.size());
+  par::parallel_for(
+      rt.pool(), num_aggs, kDomainsPerChunk,
+      [&](std::int64_t begin, std::int64_t end, std::int64_t) {
+        for (auto d = std::size_t(begin); d < std::size_t(end); ++d) {
+          const std::int64_t lo = dom_start[d];
+          const std::int64_t hi = dom_start[d + 1];
+          entry_lo[d] = first_at(lo - max_hull + 1);
+          entry_hi[d] = first_at(hi);
+          if (lo == hi) continue;
+          const std::size_t firsts =
+              first_at(std::min(hi, lo + stride)) - entry_lo[d];
+          const std::size_t starts =
+              lo + stride < hi ? run_at(hi) - run_at(lo + stride) : 0;
+          bound[d] = std::min(std::size_t(part.num_ranks()), firsts + starts);
+        }
+      });
+  // Chunk c owns positions [owned[c], owned[c + 1]) of the order: from its
+  // first group start through the end of its last group. Its pairs go to
+  // [room[c], room[c + 1]) of p.pairs.
+  const par::ChunkPlan chunks = par::plan_chunks(num_aggs, kDomainsPerChunk);
+  const auto num_chunks = std::size_t(chunks.count);
+  std::vector<std::int64_t> owned(num_chunks + 1, num_aggs);
+  std::vector<std::size_t> room(num_chunks + 1, 0);
+  for (std::size_t c = 0; c < num_chunks; ++c) {
+    std::int64_t k = chunks.begin(std::int64_t(c));
+    while (k > 0 && k < num_aggs && agg_at(k) == agg_at(k - 1)) ++k;
+    owned[c] = k;
+  }
+  for (std::size_t c = 0; c < num_chunks; ++c) {
+    room[c + 1] = room[c];
+    for (std::int64_t k = owned[c]; k < owned[c + 1]; ++k) {
+      room[c + 1] += bound[std::size_t(order[std::size_t(k)])];
     }
-    if (h_lo >= win_hi) {
-      win_lo = dom_start[dom] + (h_lo - dom_start[dom]) / cb * cb;
-      win_hi = std::min(dom_start[dom + 1], win_lo + cb);
-      while (live < p.windows.size() && p.windows[live].lo < win_lo) ++live;
+  }
+  p.pairs = TransferArray(room.back());
+  std::vector<std::size_t> filled(num_chunks, 0);
+  std::vector<std::vector<Window>> domain_windows(order.size());
+  par::parallel_for(
+      rt.pool(), num_aggs, kDomainsPerChunk,
+      [&](std::int64_t, std::int64_t, std::int64_t chunk) {
+        const auto c = std::size_t(chunk);
+        if (owned[c] == owned[c + 1]) return;
+        RankTotals totals(part.num_ranks());
+        std::size_t at = room[c];
+        for (std::int64_t k = owned[c]; k < owned[c + 1]; ++k) {
+          const auto d = std::size_t(order[std::size_t(k)]);
+          const std::int64_t agg = p.domain_agg[d];
+          plan_domain(p, dom_start[d], dom_start[d + 1], agg, cb, execute,
+                      entry_lo[d], entry_hi[d], domain_windows[d], totals);
+          if (k + 1 == owned[c + 1] || agg_at(k + 1) != agg) {
+            PVR_ASSERT(at + totals.held() <= room[c + 1]);
+            totals.drain([&](std::int64_t rank, std::int64_t bytes) {
+              p.pairs.set(at++, agg, rank, bytes);
+            });
+          }
+        }
+        filled[c] = at - room[c];
+      });
+  for (std::size_t c = 0; c < num_chunks; ++c) {
+    if (room[c] != p.num_pairs) {
+      p.pairs.move_down(p.num_pairs, room[c], filled[c]);
     }
-    // Adds wanted bytes [fw, lw) to the window [w_lo, w_hi) of domain d,
-    // creating it in file order; `w` walks forward over the entry's windows.
-    std::size_t w = live;
-    const auto add = [&](std::size_t d, std::int64_t w_lo, std::int64_t w_hi,
-                         std::int64_t fw, std::int64_t lw,
-                         std::int64_t wanted) {
-      while (w < p.windows.size() && p.windows[w].lo < w_lo) ++w;
-      if (w == p.windows.size() || p.windows[w].lo != w_lo) {
-        Window fresh;
-        fresh.lo = w_lo;
-        fresh.hi = w_hi;
-        fresh.agg = p.domain_agg[d];
-        p.windows.insert(p.windows.begin() + std::ptrdiff_t(w),
-                         std::move(fresh));
-      }
-      Window& win = p.windows[w];
-      win.wanted += wanted;
-      win.trim_lo = std::min(win.trim_lo, fw);
-      win.trim_hi = std::max(win.trim_hi, lw);
-      if (execute) win.entries.push_back(std::int32_t(ei));
-    };
-    if (h_hi <= win_hi) {
-      // The hull lies inside one window: all of it is wanted there, exactly
-      // what the per-window queries below would return.
-      add(dom, win_lo, win_hi, h_lo, h_hi, slab.useful_bytes());
-      add_pair(std::size_t(e.brick_index), p.domain_agg[dom],
-               slab.useful_bytes());
-      continue;
-    }
-    for (std::size_t d = dom;
-         d < std::size_t(p.num_aggs) && dom_start[d] < h_hi; ++d) {
-      const std::int64_t d_lo = dom_start[d];
-      const std::int64_t d_hi = dom_start[d + 1];
-      const std::int64_t o_lo = std::max(h_lo, d_lo);
-      const std::int64_t o_hi = std::min(h_hi, d_hi);
-      if (o_lo >= o_hi) continue;
-      std::int64_t slab_agg_bytes = 0;
-      for (std::int64_t c = (o_lo - d_lo) / cb; c <= (o_hi - 1 - d_lo) / cb;
-           ++c) {
-        const std::int64_t w_lo = d_lo + c * cb;
-        const std::int64_t w_hi = std::min(d_hi, w_lo + cb);
-        const std::int64_t fw =
-            slab.first_wanted_at_or_after(std::max(w_lo, h_lo));
-        const std::int64_t lw = slab.last_wanted_before(std::min(w_hi, h_hi));
-        if (fw >= lw) continue;  // a hole-only window
-        const std::int64_t wanted = slab.useful_bytes_in(w_lo, w_hi);
-        add(d, w_lo, w_hi, fw, lw, wanted);
-        slab_agg_bytes += wanted;
-      }
-      if (slab_agg_bytes > 0) {
-        add_pair(std::size_t(e.brick_index), p.domain_agg[d], slab_agg_bytes);
-      }
-    }
+    p.num_pairs += filled[c];
+  }
+  std::size_t num_windows = 0;
+  for (const std::vector<Window>& w : domain_windows) num_windows += w.size();
+  p.windows.reserve(num_windows);
+  for (std::vector<Window>& w : domain_windows) {
+    std::move(w.begin(), w.end(), std::back_inserter(p.windows));
+  }
+  if (!execute) {
+    std::vector<SlabEntry>().swap(p.entries);
+    std::vector<BrickRows>().swap(p.bricks);
   }
   // The shuffle is pipelined: each aggregator processes its domain one
   // cb-buffer round at a time, so only ~1/rounds of the messages are in
@@ -380,50 +579,23 @@ void price_storage(runtime::Runtime& rt, const storage::StorageModel& sm,
   }
 }
 
-/// Stable counting sort of `in` into `out` by key(pair) in [0, keys).
-template <class Key>
-void counting_sort(std::span<const PairBytes> in, std::span<PairBytes> out,
-                   std::int64_t keys, Key&& key) {
-  std::vector<std::size_t> start(std::size_t(keys) + 1, 0);
-  for (const PairBytes& b : in) ++start[std::size_t(key(b)) + 1];
-  for (std::size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
-  for (const PairBytes& b : in) out[start[std::size_t(key(b))]++] = b;
-}
-
 /// Prices the shuffle on the torus: one message per (aggregator, rank)
 /// pair, ordered by (source, destination). Reads ship aggregator -> rank,
-/// writes rank -> aggregator. Two stable counting passes (by destination,
-/// then by source) order the pairs in O(pairs + ranks); equal pairs then
-/// coalesce straight into the transfer list.
-net::ExchangeCost price_shuffle(runtime::Runtime& rt, TwoPhasePlan& p,
+/// the plan's own order. Writes ship rank -> aggregator, ordered by one
+/// stable counting pass by rank.
+net::ExchangeCost price_shuffle(runtime::Runtime& rt, const TwoPhasePlan& p,
                                 bool to_aggregators) {
-  const auto src = [to_aggregators](const PairBytes& b) {
-    return to_aggregators ? b.rank : b.agg;
-  };
-  const auto dst = [to_aggregators](const PairBytes& b) {
-    return to_aggregators ? b.agg : b.rank;
-  };
-  {
-    const auto by_dst = std::make_unique_for_overwrite<PairBytes[]>(
-        p.pairs.size());
-    const std::span<PairBytes> spare(by_dst.get(), p.pairs.size());
-    counting_sort(p.pairs, spare, rt.num_ranks(), dst);
-    counting_sort(spare, p.pairs, rt.num_ranks(), src);
+  const std::span<const net::Transfer> pairs = p.pairs.first(p.num_pairs);
+  if (!to_aggregators) return rt.exchange_transfers(pairs, p.rounds);
+  std::vector<std::size_t> start(std::size_t(rt.num_ranks()) + 1, 0);
+  for (const net::Transfer& t : pairs) ++start[std::size_t(t.dst_rank) + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  TransferArray shuffle(pairs.size());
+  for (const net::Transfer& t : pairs) {
+    shuffle.set(start[std::size_t(t.dst_rank)]++, t.dst_rank, t.src_rank,
+                t.bytes);
   }
-  std::vector<net::Transfer> shuffle;
-  shuffle.reserve(p.pairs.size());
-  for (std::size_t i = 0; i < p.pairs.size();) {
-    const std::int32_t s = src(p.pairs[i]);
-    const std::int32_t d = dst(p.pairs[i]);
-    std::int64_t bytes = 0;
-    for (; i < p.pairs.size() && src(p.pairs[i]) == s && dst(p.pairs[i]) == d;
-         ++i) {
-      bytes += p.pairs[i].bytes;
-    }
-    shuffle.push_back(net::Transfer{s, d, bytes});
-  }
-  std::vector<PairBytes>().swap(p.pairs);  // not needed past this point
-  return rt.exchange_transfers(shuffle, p.rounds);
+  return rt.exchange_transfers(shuffle.first(pairs.size()), p.rounds);
 }
 
 /// Calls copy(buffer byte, brick voxel, floats) for every row of `slab`
@@ -555,7 +727,7 @@ ReadResult CollectiveReader::read_vars(const format::VolumeLayout& layout,
   TwoPhasePlan p = plan_two_phase(*rt_, *storage_, hints_, layout, vars,
                                   blocks, execute);
   result.useful_bytes = p.useful_bytes;
-  if (p.entries.empty()) {
+  if (p.windows.empty()) {
     result.seconds = result.open_seconds;
     return result;
   }
@@ -691,7 +863,7 @@ ReadResult CollectiveWriter::write_vars(const format::VolumeLayout& layout,
   TwoPhasePlan p = plan_two_phase(*rt_, *storage_, hints_, layout, vars,
                                   blocks, execute);
   result.useful_bytes = p.useful_bytes;
-  if (p.entries.empty()) return result;
+  if (p.windows.empty()) return result;
 
   result.shuffle_cost = price_shuffle(*rt_, p, /*to_aggregators=*/true);
   // Each window writes the span its ranks touch. A span its wanted bytes

@@ -10,11 +10,17 @@
 //   2. the file range [min, max) of the request is partitioned into file
 //      domains over A aggregator ranks (A = IONs x aggregators_per_ion,
 //      capped by the rank count), aligned to file-system stripes,
-//   3. each aggregator processes its domain in cb_buffer_bytes chunks,
-//      reading each chunk once from the first to the last byte any rank
-//      wants inside it (data sieving: holes in between are read too),
-//   4. chunk contents are scattered to the requesting ranks over the torus
-//      (the "shuffle"), priced by the network model.
+//   3. each aggregator processes its domain in cb_buffer_bytes windows,
+//      reading each window once from the first to the last byte any rank
+//      wants inside it (data sieving: holes in between are read too); a
+//      domain's windows and its per-rank shuffle bytes depend only on the
+//      entries overlapping it, so the plan builds them in chunks of whole
+//      domains on the runtime's host pool (inline without one), each
+//      rank's bytes for an aggregator folded into one total and drained
+//      in rank order,
+//   4. window contents are scattered to the requesting ranks over the
+//      torus (the "shuffle"): one message per (aggregator, rank) pair,
+//      priced by the network model.
 //
 // The same code runs in model mode (no bytes move; costs and access logs
 // only) and execute mode (a real file is read and per-rank Bricks are

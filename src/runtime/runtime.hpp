@@ -100,10 +100,11 @@ class Runtime {
   obs::Tracer* tracer() const { return tracer_; }
 
   /// Attaches (or with nullptr detaches) a host thread pool. While attached,
-  /// torus exchange pricing routes transfers in parallel, and consumers that
-  /// opt in via ConsumePolicy::kParallelRanks drain rank inboxes in
-  /// parallel. All results stay bit-identical to the serial run (DESIGN.md
-  /// §8). Borrowed pointer.
+  /// torus exchange pricing routes transfers in parallel, two-phase I/O
+  /// plans build their file domains in parallel, and consumers that opt in
+  /// via ConsumePolicy::kParallelRanks drain rank inboxes in parallel. All
+  /// results stay bit-identical to the serial run (DESIGN.md §8). Borrowed
+  /// pointer.
   void set_pool(par::ThreadPool* pool) { pool_ = pool; }
   par::ThreadPool* pool() const { return pool_; }
   /// True when an active fault plan marks the rank's node as failed.

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 
 #include "data/writers.hpp"
 #include "iolib/collective_read.hpp"
 #include "iolib/collective_write.hpp"
+#include "par/thread_pool.hpp"
 #include "render/decomposition.hpp"
 
 namespace pvr::iolib {
@@ -137,6 +139,74 @@ INSTANTIATE_TEST_SUITE_P(AllFormats, CollectiveWriteFormats,
                                            format::FileFormat::kNetcdfRecord,
                                            format::FileFormat::kNetcdf64,
                                            format::FileFormat::kShdf));
+
+TEST_P(CollectiveWriteFormats, HostPoolWritesAndReadsTheSameBytes) {
+  // 512 ranks make 16 file domains, two chunks of the plan: with no pool
+  // and on 2- and 4-thread pools, an execute-mode write of every variable
+  // (ghost blocks, so overlaps write twice) gives the same file and the
+  // same priced result, and a collective read of it the same brick bits
+  // (compared as bytes: where a domain boundary splits a float, the read
+  // can decode NaN).
+  TempDir dir;
+  const format::DatasetDesc desc = format::supernova_desc(GetParam(), 16);
+  const format::VolumeLayout layout(desc);
+  constexpr std::int64_t kRanks = 512;
+  std::vector<RankBlock> blocks;
+  std::vector<Brick> bricks;
+  std::vector<int> vars;
+  make_write_job(desc, kRanks, 1530, &blocks, &bricks, &vars, 1);
+  Hints hints;
+  hints.cb_buffer_bytes = 3001;
+  Env env(kRanks);
+  par::ThreadPool pool2(2);
+  par::ThreadPool pool4(4);
+  std::vector<std::byte> first_file;
+  std::vector<Brick> first_read;
+  ReadResult first_write;
+  for (par::ThreadPool* pool : {static_cast<par::ThreadPool*>(nullptr),
+                                &pool2, &pool4}) {
+    const int threads = pool == nullptr ? 0 : pool->threads();
+    env.execute_rt.set_pool(pool);
+    const std::string path = dir.file("pool" + std::to_string(threads));
+    ReadResult w;
+    {
+      format::DiskFile file(path, format::DiskFile::OpenMode::kTruncate);
+      write_header(layout, &file);
+      file.truncate(layout.file_bytes());
+      w = CollectiveWriter(env.execute_rt, env.storage, hints)
+              .write_vars(layout, vars, blocks, &file, bricks);
+    }
+    format::DiskFile file(path, format::DiskFile::OpenMode::kRead);
+    std::vector<std::byte> bytes(std::size_t(file.size()));
+    file.read_at(0, bytes);
+    std::vector<Brick> read;
+    for (const RankBlock& b : blocks) read.push_back(Brick(b.box));
+    CollectiveReader(env.execute_rt, env.storage, hints)
+        .read(layout, vars.back(), blocks, &file, read);
+    env.execute_rt.set_pool(nullptr);
+    if (pool == nullptr) {
+      first_file = std::move(bytes);
+      first_read = std::move(read);
+      first_write = w;
+      continue;
+    }
+    SCOPED_TRACE("pool " + std::to_string(threads));
+    EXPECT_TRUE(bytes == first_file);
+    for (std::size_t b = 0; b < read.size(); ++b) {
+      const std::vector<float>& got = read[b].data();
+      const std::vector<float>& want = first_read[b].data();
+      EXPECT_TRUE(got.size() == want.size() &&
+                  std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(float)) == 0)
+          << "block " << b;
+    }
+    EXPECT_EQ(w.seconds, first_write.seconds);
+    EXPECT_EQ(w.accesses, first_write.accesses);
+    EXPECT_EQ(w.physical_bytes, first_write.physical_bytes);
+    EXPECT_EQ(w.shuffle_cost.messages, first_write.shuffle_cost.messages);
+    EXPECT_EQ(w.shuffle_cost.seconds, first_write.shuffle_cost.seconds);
+  }
+}
 
 TEST(CollectiveWriteTest, IdenticalBoxesKeepTheLaterBlocksBytes) {
   // Blocks 0 and 1 name the same box (past the volume's low faces) with

@@ -2,6 +2,7 @@
 // layout rules (record interleaving, 4 GiB limit), error handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -323,6 +324,29 @@ TEST(ErrorTest, OverflowingCdf5VariableSizeThrows) {
   // 2^63 - 1 bytes fit in int64, but padding them to 4 bytes does not.
   const std::uint64_t max = (std::uint64_t{1} << 63) - 1;
   EXPECT_THROW(File::decode_header(header({max}, 1)), Error);
+}
+
+TEST(ErrorTest, NegativeCdf2AndCdf5BeginThrows) {
+  // The codec's own header with the first variable's 64-bit begin set past
+  // INT64_MAX: it must be rejected, not decoded as a negative offset.
+  for (const Version version : {Version::k64BitOffset, Version::k64BitData}) {
+    const File f = make_volume_file(version, 8, 8, 8, {"a", "b"},
+                                    /*record_z=*/version == Version::k64BitOffset);
+    std::vector<std::byte> h = f.encode_header();
+    std::vector<std::byte> begin(8);
+    for (int i = 0; i < 8; ++i) {
+      begin[std::size_t(i)] =
+          std::byte(std::uint64_t(f.vars()[0].begin) >> (56 - 8 * i));
+    }
+    const auto at = std::search(h.begin(), h.end(), begin.begin(), begin.end());
+    ASSERT_NE(at, h.end());
+    const std::uint64_t hostile = 0xffffffff00000000ull |
+                                  std::uint64_t(f.vars()[0].begin);
+    for (int i = 0; i < 8; ++i) {
+      at[i] = std::byte(hostile >> (56 - 8 * i));
+    }
+    EXPECT_THROW(File::decode_header(h), Error) << int(version);
+  }
 }
 
 TEST(ErrorTest, UnknownVariableLookupThrows) {

@@ -19,7 +19,9 @@
 #include "iolib/collective_read.hpp"
 #include "iolib/collective_write.hpp"
 #include "iolib/independent_read.hpp"
+#include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "par/thread_pool.hpp"
 #include "render/decomposition.hpp"
 #include "util/rng.hpp"
 
@@ -723,18 +725,21 @@ SweepCase draw_sweep_case(Rng& rng) {
   return c;
 }
 
+/// Folds `text` into the FNV-1a hash `h`.
+void fnv_mix(std::uint64_t& h, std::string_view text) {
+  for (const char ch : text) {
+    h ^= std::uint8_t(ch);
+    h *= 0x100000001b3ull;
+  }
+}
+
 /// FNV-1a of everything the plan prices for one case: the `%a` seconds,
 /// the byte and access counts, the shuffle's messages, bytes and hops, and
 /// the access log from record `first` on.
 std::uint64_t sweep_digest(const ReadResult& r, const storage::AccessLog& log,
                            std::size_t first) {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::string_view text) {
-    for (const char ch : text) {
-      h ^= std::uint8_t(ch);
-      h *= 0x100000001b3ull;
-    }
-  };
+  const auto mix = [&h](std::string_view text) { fnv_mix(h, text); };
   char line[512];
   std::snprintf(line, sizeof line,
                 "%a %a %a %a %lld %lld %lld %lld %lld %lld\n", r.seconds,
@@ -937,48 +942,150 @@ TEST(CollectiveIoTest, PlanSweepMatchesPinnedDigests) {
   // boxes past the volume included), flat volumes, buffer sizes,
   // aggregator counts, faults and both directions, each case's prices
   // pinned by digest so that every change to how the plan is built keeps
-  // every modeled number and every physical access.
+  // every modeled number and every physical access. Every case runs with
+  // no pool and on 2- and 4-thread pools.
   constexpr std::size_t kCases = std::size(kSweepDigests);
   static_assert(kCases >= 500);
+  par::ThreadPool pool2(2);
+  par::ThreadPool pool4(4);
+  par::ThreadPool* const pools[] = {nullptr, &pool2, &pool4};
   Rng rng(20091);
   std::map<std::int64_t, std::unique_ptr<Env>> envs;
   for (std::size_t i = 0; i < kCases; ++i) {
     const SweepCase c = draw_sweep_case(rng);
     std::unique_ptr<Env>& env = envs[c.ranks];
     if (env == nullptr) env = std::make_unique<Env>(c.ranks);
-    fault::FaultPlan plan;
-    fault::FaultStats stats;
-    if (c.faults) {
-      plan.fail_node(c.dead_node);
-      plan.fail_server(c.dead_server);
-      env->model_rt.set_faults(&plan, &stats);
+    for (par::ThreadPool* pool : pools) {
+      fault::FaultPlan plan;
+      fault::FaultStats stats;
+      if (c.faults) {
+        plan.fail_node(c.dead_node);
+        plan.fail_server(c.dead_server);
+        env->model_rt.set_faults(&plan, &stats);
+      }
+      env->model_rt.set_pool(pool);
+      const format::VolumeLayout layout(c.desc);
+      storage::AccessLog log;
+      const ReadResult r =
+          c.read
+              ? CollectiveReader(env->model_rt, env->storage, c.hints)
+                    .read_vars(layout, c.vars, c.blocks, nullptr, {}, &log)
+              : CollectiveWriter(env->model_rt, env->storage, c.hints)
+                    .write_vars(layout, c.vars, c.blocks, nullptr, {}, &log);
+      env->model_rt.set_faults(nullptr, nullptr);
+      env->model_rt.set_pool(nullptr);
+      // The open-time metadata reads lead a read's log. They are not part
+      // of the plan: each rank issues them once, whatever its block count.
+      const std::vector<format::Extent> meta =
+          layout.open_metadata_accesses();
+      std::size_t first = 0;
+      while (first < log.accesses().size() &&
+             std::find(meta.begin(), meta.end(),
+                       format::Extent{log.accesses()[first].offset,
+                                      log.accesses()[first].bytes}) !=
+                 meta.end()) {
+        ++first;
+      }
+      std::set<std::int64_t> ranks;
+      for (const RankBlock& b : c.blocks) ranks.insert(b.rank);
+      const int threads = pool == nullptr ? 0 : pool->threads();
+      EXPECT_EQ(first, c.read ? meta.size() * ranks.size() : 0)
+          << "case " << i << ", pool " << threads;
+      const std::uint64_t got = sweep_digest(r, log, first);
+      EXPECT_EQ(got, kSweepDigests[i])
+          << "case " << i << ", pool " << threads << ": "
+          << ::testing::PrintToString(c) << std::hex << "; digest 0x" << got;
     }
-    const format::VolumeLayout layout(c.desc);
-    storage::AccessLog log;
-    const ReadResult r =
-        c.read ? CollectiveReader(env->model_rt, env->storage, c.hints)
-                     .read_vars(layout, c.vars, c.blocks, nullptr, {}, &log)
-               : CollectiveWriter(env->model_rt, env->storage, c.hints)
-                     .write_vars(layout, c.vars, c.blocks, nullptr, {}, &log);
-    env->model_rt.set_faults(nullptr, nullptr);
-    // The open-time metadata reads lead a read's log. They are not part of
-    // the plan: each rank issues them once, whatever its block count.
-    const std::vector<format::Extent> meta = layout.open_metadata_accesses();
-    std::size_t first = 0;
-    while (first < log.accesses().size() &&
-           std::find(meta.begin(), meta.end(),
-                     format::Extent{log.accesses()[first].offset,
-                                    log.accesses()[first].bytes}) !=
-               meta.end()) {
-      ++first;
+  }
+}
+
+/// FNV-1a of what a model-mode operation reports: every ReadResult field
+/// (`%a` for seconds), the access log and the Chrome trace.
+std::uint64_t report_digest(const ReadResult& r, const storage::AccessLog& log,
+                            const obs::Tracer& tracer) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::string_view text) { fnv_mix(h, text); };
+  const storage::IoCost& st = r.storage_cost;
+  const net::ExchangeCost& sh = r.shuffle_cost;
+  char line[1024];
+  std::snprintf(line, sizeof line,
+                "%a %a %lld %lld %lld | %a %a %a %a %a %a %lld %lld | "
+                "%a %lld %lld %lld %lld %a %a %a %a %a %a %lld %lld\n",
+                r.seconds, r.open_seconds, (long long)r.useful_bytes,
+                (long long)r.physical_bytes, (long long)r.accesses,
+                st.seconds, st.startup_seconds, st.server_seconds, st.ion_seconds,
+                st.cap_seconds, st.client_seconds, (long long)st.accesses,
+                (long long)st.physical_bytes, sh.seconds,
+                (long long)sh.messages, (long long)sh.local_messages,
+                (long long)sh.total_bytes, (long long)sh.max_hops,
+                sh.congestion_factor, sh.link_seconds, sh.endpoint_seconds,
+                sh.latency_seconds, sh.skew_seconds, sh.retry_seconds,
+                (long long)sh.bottleneck_link, (long long)sh.bottleneck_node);
+  mix(line);
+  for (const storage::PhysicalAccess& a : log.accesses()) {
+    std::snprintf(line, sizeof line, "%lld %lld %lld\n", (long long)a.offset,
+                  (long long)a.bytes, (long long)a.client_rank);
+    mix(line);
+  }
+  mix(obs::to_chrome_trace_json(tracer));
+  return h;
+}
+
+TEST(CollectiveIoTest, PooledPlanAtScaleMatchesPinnedDigests) {
+  // A 4096-rank model read (two variables of a netCDF record file) and
+  // model write (a raw file), both with ghost blocks and odd buffer sizes.
+  // Dead nodes make domains 6 and 7 share an aggregator (rank 228) across
+  // a phase-3 chunk boundary, and make the last domain wrap to rank 0,
+  // domain 0's aggregator. Each operation reports the same bytes with no
+  // pool and on 1-, 2- and 4-thread pools: the digests pinned here were
+  // captured from the serial plan that ordered its pairs with two global
+  // counting sorts.
+  constexpr std::int64_t kRanks = 4096;
+  Env env(kRanks);
+  fault::FaultPlan plan;
+  for (std::int64_t node = 48; node <= 56; ++node) plan.fail_node(node);
+  for (std::int64_t node = 1016; node < 1024; ++node) plan.fail_node(node);
+  par::ThreadPool pool1(1);
+  par::ThreadPool pool2(2);
+  par::ThreadPool pool4(4);
+  par::ThreadPool* const pools[] = {nullptr, &pool1, &pool2, &pool4};
+  const std::vector<RankBlock> blocks = make_blocks({64, 64, 64}, kRanks);
+  const format::VolumeLayout record(
+      format::supernova_desc(format::FileFormat::kNetcdfRecord, 64));
+  const format::VolumeLayout raw(
+      format::supernova_desc(format::FileFormat::kRaw, 64));
+  const int read_vars[] = {3, 1};
+  const int write_vars[] = {0};
+  Hints read_hints;
+  read_hints.cb_buffer_bytes = 10007;
+  Hints write_hints;
+  write_hints.cb_buffer_bytes = 3001;
+  constexpr std::uint64_t kRead = 0x30dd3722ca1cda4dull;
+  constexpr std::uint64_t kWrite = 0xeb9ef2c35318acb8ull;
+  for (par::ThreadPool* pool : pools) {
+    const int threads = pool == nullptr ? 0 : pool->threads();
+    for (const bool read : {true, false}) {
+      fault::FaultStats stats;
+      obs::Tracer tracer;
+      storage::AccessLog log;
+      env.model_rt.set_faults(&plan, &stats);
+      env.model_rt.set_tracer(&tracer);
+      env.model_rt.set_pool(pool);
+      const ReadResult r =
+          read ? CollectiveReader(env.model_rt, env.storage, read_hints)
+                     .read_vars(record, read_vars, blocks, nullptr, {}, &log)
+               : CollectiveWriter(env.model_rt, env.storage, write_hints)
+                     .write_vars(raw, write_vars, blocks, nullptr, {}, &log);
+      env.model_rt.set_pool(nullptr);
+      env.model_rt.set_tracer(nullptr);
+      env.model_rt.set_faults(nullptr, nullptr);
+      EXPECT_EQ(stats.reassigned_aggregators, 3)
+          << (read ? "read" : "write") << ", pool " << threads;
+      const std::uint64_t got = report_digest(r, log, tracer);
+      EXPECT_EQ(got, read ? kRead : kWrite)
+          << (read ? "read" : "write") << ", pool " << threads << std::hex
+          << "; digest 0x" << got;
     }
-    std::set<std::int64_t> ranks;
-    for (const RankBlock& b : c.blocks) ranks.insert(b.rank);
-    EXPECT_EQ(first, c.read ? meta.size() * ranks.size() : 0) << "case " << i;
-    const std::uint64_t got = sweep_digest(r, log, first);
-    EXPECT_EQ(got, kSweepDigests[i])
-        << "case " << i << ": " << ::testing::PrintToString(c) << std::hex
-        << "; digest 0x" << got;
   }
 }
 

@@ -111,13 +111,11 @@ TEST(ExecuteFrameTest, ImprovedPolicySameImage) {
 }
 
 TEST(ExecuteFrameTest, ConfiguredCompositorMatchesModelFrame) {
-  // Execute frames composite with the configured algorithm: their composite
-  // stats equal the model frame's bit for bit, and every algorithm's image
-  // matches direct-send's.
+  // Execute frames composite with the configured algorithm: at 8, 27 and 64
+  // ranks, under both compositor policies, their composite stats equal the
+  // model frame's bit for bit, and every algorithm's image matches
+  // direct-send's.
   TempDir dir;
-  ExperimentConfig cfg = small_config(format::FileFormat::kRaw, 8);
-  const std::string path = dir.file("vol.raw");
-  data::write_supernova_file(cfg.dataset, path, 1530);
   struct Compositor {
     compose::CompositeAlgorithm algorithm;
     int radix;
@@ -126,41 +124,53 @@ TEST(ExecuteFrameTest, ConfiguredCompositorMatchesModelFrame) {
       {compose::CompositeAlgorithm::kDirectSend, 8},
       {compose::CompositeAlgorithm::kRadixK, 2},  // binary swap
       {compose::CompositeAlgorithm::kRadixK, 4}};
-  Image direct_send;
-  for (const auto [algorithm, radix] : compositors) {
-    cfg.composite.algorithm = algorithm;
-    cfg.composite.radix = radix;
-    ParallelVolumeRenderer pvr(cfg);
-    Image out;
-    const compose::CompositeStats executed =
-        pvr.execute_frame(path, &out).composite;
-    const compose::CompositeStats modeled = pvr.model_frame().composite;
-    SCOPED_TRACE("algorithm " + std::to_string(int(algorithm)) + " radix " +
-                 std::to_string(radix));
-    EXPECT_EQ(executed.messages, modeled.messages);
-    EXPECT_EQ(executed.bytes, modeled.bytes);
-    EXPECT_EQ(executed.num_compositors, modeled.num_compositors);
-    EXPECT_EQ(executed.seconds, modeled.seconds);
-    EXPECT_EQ(executed.blend_seconds, modeled.blend_seconds);
-    const net::ExchangeCost& ex = executed.exchange;
-    const net::ExchangeCost& mx = modeled.exchange;
-    EXPECT_EQ(ex.seconds, mx.seconds);
-    EXPECT_EQ(ex.messages, mx.messages);
-    EXPECT_EQ(ex.local_messages, mx.local_messages);
-    EXPECT_EQ(ex.total_bytes, mx.total_bytes);
-    EXPECT_EQ(ex.max_hops, mx.max_hops);
-    EXPECT_EQ(ex.congestion_factor, mx.congestion_factor);
-    EXPECT_EQ(ex.link_seconds, mx.link_seconds);
-    EXPECT_EQ(ex.endpoint_seconds, mx.endpoint_seconds);
-    EXPECT_EQ(ex.latency_seconds, mx.latency_seconds);
-    EXPECT_EQ(ex.skew_seconds, mx.skew_seconds);
-    EXPECT_EQ(ex.retry_seconds, mx.retry_seconds);
-    EXPECT_EQ(ex.bottleneck_link, mx.bottleneck_link);
-    EXPECT_EQ(ex.bottleneck_node, mx.bottleneck_node);
-    if (algorithm == compose::CompositeAlgorithm::kDirectSend) {
-      direct_send = out;
-    } else {
-      EXPECT_LT(out.max_difference(direct_send), 1e-3f);
+  for (const std::int64_t ranks : {8, 27, 64}) {
+    ExperimentConfig cfg = small_config(format::FileFormat::kRaw, ranks);
+    const std::string path = dir.file("vol.raw");
+    if (ranks == 8) data::write_supernova_file(cfg.dataset, path, 1530);
+    for (const compose::CompositorPolicy policy :
+         {compose::CompositorPolicy::kOriginal,
+          compose::CompositorPolicy::kImproved}) {
+      cfg.composite.policy = policy;
+      Image direct_send;
+      for (const auto [algorithm, radix] : compositors) {
+        cfg.composite.algorithm = algorithm;
+        cfg.composite.radix = radix;
+        ParallelVolumeRenderer pvr(cfg);
+        Image out;
+        const compose::CompositeStats executed =
+            pvr.execute_frame(path, &out).composite;
+        const compose::CompositeStats modeled = pvr.model_frame().composite;
+        SCOPED_TRACE("ranks " + std::to_string(ranks) + " policy " +
+                     std::to_string(int(policy)) + " algorithm " +
+                     std::to_string(int(algorithm)) + " radix " +
+                     std::to_string(radix));
+        EXPECT_EQ(executed.messages, modeled.messages);
+        EXPECT_EQ(executed.bytes, modeled.bytes);
+        EXPECT_EQ(executed.num_compositors, modeled.num_compositors);
+        EXPECT_EQ(executed.seconds, modeled.seconds);
+        EXPECT_EQ(executed.blend_seconds, modeled.blend_seconds);
+        const net::ExchangeCost& ex = executed.exchange;
+        const net::ExchangeCost& mx = modeled.exchange;
+        EXPECT_EQ(ex.seconds, mx.seconds);
+        EXPECT_EQ(ex.messages, mx.messages);
+        EXPECT_EQ(ex.local_messages, mx.local_messages);
+        EXPECT_EQ(ex.total_bytes, mx.total_bytes);
+        EXPECT_EQ(ex.max_hops, mx.max_hops);
+        EXPECT_EQ(ex.congestion_factor, mx.congestion_factor);
+        EXPECT_EQ(ex.link_seconds, mx.link_seconds);
+        EXPECT_EQ(ex.endpoint_seconds, mx.endpoint_seconds);
+        EXPECT_EQ(ex.latency_seconds, mx.latency_seconds);
+        EXPECT_EQ(ex.skew_seconds, mx.skew_seconds);
+        EXPECT_EQ(ex.retry_seconds, mx.retry_seconds);
+        EXPECT_EQ(ex.bottleneck_link, mx.bottleneck_link);
+        EXPECT_EQ(ex.bottleneck_node, mx.bottleneck_node);
+        if (algorithm == compose::CompositeAlgorithm::kDirectSend) {
+          direct_send = out;
+        } else {
+          EXPECT_LT(out.max_difference(direct_send), 1e-3f);
+        }
+      }
     }
   }
 }
