@@ -39,26 +39,32 @@ ImagePartition::ImagePartition(int width, int height, std::int64_t num_tiles)
       tiles_y_ = num_tiles;
     }
   }
+  const auto edges = [](std::int64_t extent, std::int64_t count) {
+    std::vector<int> e;
+    e.reserve(static_cast<std::size_t>(count + 1));
+    for (std::int64_t c = 0; c <= count; ++c) {
+      e.push_back(int(extent * c / count));
+    }
+    return e;
+  };
+  x_edges_ = edges(width_, tiles_x_);
+  y_edges_ = edges(height_, tiles_y_);
 }
 
 Rect ImagePartition::tile(std::int64_t i) const {
   PVR_ASSERT(i >= 0 && i < num_tiles());
-  const std::int64_t tx = i % tiles_x_;
-  const std::int64_t ty = i / tiles_x_;
-  return Rect{int(width_ * tx / tiles_x_), int(height_ * ty / tiles_y_),
-              int(width_ * (tx + 1) / tiles_x_),
-              int(height_ * (ty + 1) / tiles_y_)};
+  return tile(i % tiles_x_, i / tiles_x_);
 }
 
 std::int64_t ImagePartition::tile_of(int x, int y) const {
   PVR_ASSERT(x >= 0 && x < width_ && y >= 0 && y < height_);
   // Inverse of the floor splits: the tile whose range contains the pixel.
   std::int64_t tx = (std::int64_t(x) * tiles_x_ + tiles_x_ - 1) / width_;
-  while (tx > 0 && width_ * tx / tiles_x_ > x) --tx;
-  while (tx + 1 < tiles_x_ && width_ * (tx + 1) / tiles_x_ <= x) ++tx;
+  while (tx > 0 && x_edges_[std::size_t(tx)] > x) --tx;
+  while (tx + 1 < tiles_x_ && x_edges_[std::size_t(tx + 1)] <= x) ++tx;
   std::int64_t ty = (std::int64_t(y) * tiles_y_ + tiles_y_ - 1) / height_;
-  while (ty > 0 && height_ * ty / tiles_y_ > y) --ty;
-  while (ty + 1 < tiles_y_ && height_ * (ty + 1) / tiles_y_ <= y) ++ty;
+  while (ty > 0 && y_edges_[std::size_t(ty)] > y) --ty;
+  while (ty + 1 < tiles_y_ && y_edges_[std::size_t(ty + 1)] <= y) ++ty;
   return tile_index(tx, ty);
 }
 

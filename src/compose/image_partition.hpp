@@ -1,10 +1,14 @@
 // Partition of the final image among m compositors: a near-square grid of
 // tiles, tile i owned by compositor rank i. Every pixel belongs to exactly
-// one tile.
+// one tile. Column c spans pixels [width * c / tiles_x, width * (c + 1) /
+// tiles_x), rows likewise; the constructor tabulates those edges once, so
+// a tile's rect is table reads rather than divisions.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
+#include "util/error.hpp"
 #include "util/image.hpp"
 
 namespace pvr::compose {
@@ -21,6 +25,14 @@ class ImagePartition {
 
   Rect tile(std::int64_t i) const;
 
+  /// Tile in grid column tx and row ty.
+  Rect tile(std::int64_t tx, std::int64_t ty) const {
+    PVR_ASSERT(tx >= 0 && tx < tiles_x_ && ty >= 0 && ty < tiles_y_);
+    const auto x = static_cast<std::size_t>(tx);
+    const auto y = static_cast<std::size_t>(ty);
+    return Rect{x_edges_[x], y_edges_[y], x_edges_[x + 1], y_edges_[y + 1]};
+  }
+
   /// Tile containing pixel (x, y).
   std::int64_t tile_of(int x, int y) const;
 
@@ -36,6 +48,9 @@ class ImagePartition {
  private:
   int width_, height_;
   std::int64_t tiles_x_, tiles_y_;
+  /// Column and row edges: tiles_x + 1 and tiles_y + 1 pixel offsets, from
+  /// 0 to the width and to the height.
+  std::vector<int> x_edges_, y_edges_;
 };
 
 }  // namespace pvr::compose

@@ -9,6 +9,9 @@ namespace pvr::compose {
 std::vector<ScheduledMessage> build_direct_send_schedule(
     std::span<const BlockScreenInfo> blocks,
     const ImagePartition& partition) {
+  // Grown, not reserved from the tile ranges: the one exact-size
+  // allocation moved glibc's dynamic mmap threshold and raised the e2e
+  // run-async-faults workload's peak RSS by ~1.1 MiB (7%).
   std::vector<ScheduledMessage> schedule;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     const BlockScreenInfo& info = blocks[b];
@@ -18,7 +21,7 @@ std::vector<ScheduledMessage> build_direct_send_schedule(
     for (std::int64_t ty = ty0; ty < ty1; ++ty) {
       for (std::int64_t tx = tx0; tx < tx1; ++tx) {
         const std::int64_t tile = partition.tile_index(tx, ty);
-        const Rect r = info.footprint.intersect(partition.tile(tile));
+        const Rect r = info.footprint.intersect(partition.tile(tx, ty));
         if (r.empty()) continue;
         schedule.push_back(ScheduledMessage{info.rank, tile,
                                             std::int32_t(b), r, info.depth});

@@ -196,44 +196,60 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
     return Run{go_plus ? fwd : dim - fwd, go_plus ? 0 : 1};
   };
 
-  // Tallies one dimension-ordered route into `tally`'s difference arrays;
-  // returns its hop count. A dimension-ordered route is at most one run
-  // per dimension, and each run covers a cyclic interval [lo, lo + steps)
-  // of positions on one ring of one (dim, dir). Run d's ring holds the
+  // Node numbering is linear in the coordinates, so position p of a
+  // dimension-d ring is the ring's position-0 node plus p strides, the
+  // strides read off Partition::node_of_coords. A dimension of size 1 has
+  // no runs, so its stride stays 0.
+  Vec3i stride{0, 0, 0};
+  for (int d = 0; d < 3; ++d) {
+    if (dims[d] < 2) continue;
+    Vec3i unit{0, 0, 0};
+    unit[d] = 1;
+    stride[d] = part.node_of_coords(unit);
+  }
+
+  // Tallies k messages carrying `bytes` in all along the dimension-ordered
+  // route from src to dst into `tally`'s difference arrays; returns its
+  // hop count. A dimension-ordered route is at most one run per
+  // dimension, and each run covers a cyclic interval [lo, lo + steps) of
+  // positions on one ring of one (dim, dir). Run d's ring holds the
   // coordinates below d at the destination's and those above d at the
-  // source's, exactly the nodes route() walks. The interval adds +1 at lo
-  // and -1 one past its end; a run that wraps past the ring's last
-  // position splits in two.
+  // source's, exactly the nodes route() walks. The interval adds +k at lo
+  // and -k one past its end, mod the ring; one that wraps past the ring's
+  // last position adds +k at position 0 as well.
   const auto tally_runs = [&](std::int64_t src, std::int64_t dst,
-                              std::int64_t bytes, Tally& tally) {
+                              std::int64_t k, std::int64_t bytes,
+                              Tally& tally) {
     const Vec3i& a = coords_[static_cast<std::size_t>(src)];
     const Vec3i& b = coords_[static_cast<std::size_t>(dst)];
-    Vec3i at = a;  // run d's ring, at position at[d]
+    std::int64_t node = src;  // on run d's ring, at position a[d]
     std::int64_t hops = 0;
     for (int d = 0; d < 3; ++d) {
       const std::int64_t dim = dims[d];
+      const std::int64_t ring = node - a[d] * stride[d];  // position 0
       const Run run = dor_run(a, b, d);
       if (run.steps > 0) {
         hops += run.steps;
-        const auto add = [&](std::int64_t pos, std::int64_t sign) {
-          at[d] = pos;
+        const auto add = [&](std::int64_t pos, std::int64_t msgs,
+                             std::int64_t sum) {
           LinkLoad& l = tally.link[static_cast<std::size_t>(
-              link_index({part.node_of_coords(at), d, run.dir}))];
-          l.bytes += sign * bytes;
-          l.msgs += sign;
+              link_index({ring + pos * stride[d], d, run.dir}))];
+          l.bytes += sum;
+          l.msgs += msgs;
         };
         std::int64_t lo = run.dir == 0 ? a[d] : a[d] - run.steps + 1;
         if (lo < 0) lo += dim;
-        add(lo, 1);
         const std::int64_t end = lo + run.steps;
-        if (end < dim) {
-          add(end, -1);
-        } else if (end > dim) {  // wraps past position dim - 1
-          add(0, 1);
-          add(end - dim, -1);
-        }
+        const bool wraps = end >= dim;
+        const std::int64_t past = wraps ? end - dim : end;
+        PVR_ASSERT(lo >= 0 && lo < dim && past >= 0 && past < dim);
+        add(lo, k, bytes);
+        add(past, -k, -bytes);
+        // A branch, not a +0 add: the +0 would touch one more cache line
+        // per run (or chain on lo's), which measured slower.
+        if (wraps) add(0, k, bytes);
       }
-      at[d] = b[d];
+      node = ring + b[d] * stride[d];
     }
     return hops;
   };
@@ -255,24 +271,24 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
     return true;
   };
 
-  // One detour link as a run of one position: +1 at the link and -1 at
-  // the same (dim, dir) link one position further round its ring, which
-  // starts at the + neighbor. A link at the ring's last position needs no
-  // -1: the prefix sum ends there.
-  const auto tally_link = [&](std::int64_t link, std::int64_t bytes,
-                              Tally& tally) {
+  // One detour link as a ring interval of one position: +k at the link and
+  // -k at the same (dim, dir) link one position further round its ring,
+  // which starts at the + neighbor. A link at the ring's last position
+  // needs no -k: the prefix sum ends there.
+  const auto tally_link = [&](std::int64_t link, std::int64_t k,
+                              std::int64_t bytes, Tally& tally) {
     const std::int64_t node = link / 6;
     const int d = int(link % 6) / 2;
     LinkLoad& on = tally.link[static_cast<std::size_t>(link)];
     on.bytes += bytes;
-    ++on.msgs;
+    on.msgs += k;
     if (coords_[static_cast<std::size_t>(node)][d] + 1 < dims[d]) {
       const std::int64_t next =
           far[static_cast<std::size_t>(link_index({node, d, 0}))];
       LinkLoad& past =
           tally.link[static_cast<std::size_t>(next * 6 + link % 6)];
       past.bytes -= bytes;
-      --past.msgs;
+      past.msgs -= k;
     }
   };
 
@@ -288,10 +304,11 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
   // detour()'s BFS over the dense tables: neighbors in the order x+, x-,
   // y+, y-, z+, z-, a node's parent set on its first discovery, and an
   // early exit at dst, so it finds the same path. Tallies that path's
-  // links and returns its hop count, or -1 when dst is cut off.
+  // links for k messages and returns its hop count, or -1 when dst is cut
+  // off.
   const auto tally_detour = [&](std::int64_t src, std::int64_t dst,
-                                std::int64_t bytes, Tally& tally,
-                                Search& s) -> std::int64_t {
+                                std::int64_t k, std::int64_t bytes,
+                                Tally& tally, Search& s) -> std::int64_t {
     if (s.seen.empty()) {
       s.seen.assign(static_cast<std::size_t>(nodes), 0);
       s.via.resize(static_cast<std::size_t>(nodes));
@@ -320,18 +337,19 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
     std::int64_t hops = 0;
     for (std::int64_t at = dst; at != src;
          at = s.via[static_cast<std::size_t>(at)] / 6) {
-      tally_link(s.via[static_cast<std::size_t>(at)], bytes, tally);
+      tally_link(s.via[static_cast<std::size_t>(at)], k, bytes, tally);
       ++hops;
     }
     return hops;
   };
 
-  // Routes one transfer into `tally`; returns false when undeliverable.
-  const auto process = [&](const Transfer& t, Tally& tally,
+  // Routes k messages from node src to node dst, carrying `bytes` in all,
+  // into `tally`: they share one route, so every tally adds k (or their
+  // byte sum) where one message would add 1 (or its bytes). Returns false
+  // when they are undeliverable.
+  const auto process = [&](std::int64_t src, std::int64_t dst,
+                           std::int64_t k, std::int64_t bytes, Tally& tally,
                            Search& search) -> bool {
-    PVR_ASSERT(t.bytes >= 0);
-    const std::int64_t src = part.node_of_rank(t.src_rank);
-    const std::int64_t dst = part.node_of_rank(t.dst_rank);
     std::int64_t hops = 0;
     bool detoured = false;
     if (faulty) {
@@ -343,66 +361,99 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
           src_dead || node_dead[static_cast<std::size_t>(dst)] != 0;
       if (!undeliverable && src != dst && !route_clean(src, dst)) {
         detoured = true;
-        hops = tally_detour(src, dst, t.bytes, tally, search);
+        hops = tally_detour(src, dst, k, bytes, tally, search);
         undeliverable = hops < 0;
       }
       if (undeliverable) {
-        if (!src_dead) ++tally.node[static_cast<std::size_t>(src)].failed_sends;
-        ++tally.undeliverable;
-        tally.retries += max_retries;
+        if (!src_dead) {
+          tally.node[static_cast<std::size_t>(src)].failed_sends += k;
+        }
+        tally.undeliverable += k;
+        tally.retries += k * max_retries;
         return false;
       }
       if (detoured) {
-        ++tally.rerouted_messages;
-        tally.rerouted_hops += hops;
+        tally.rerouted_messages += k;
+        tally.rerouted_hops += k * hops;
       }
     }
-    ++tally.messages;
-    tally.total_bytes += t.bytes;
+    tally.messages += k;
+    tally.total_bytes += bytes;
     if (src == dst) {
-      ++tally.local_messages;
-      tally.node[static_cast<std::size_t>(src)].local_bytes += t.bytes;
+      tally.local_messages += k;
+      tally.node[static_cast<std::size_t>(src)].local_bytes += bytes;
       return true;
     }
     auto& sl = tally.node[static_cast<std::size_t>(src)];
     auto& dl = tally.node[static_cast<std::size_t>(dst)];
-    ++sl.send_msgs;
-    sl.send_bytes += t.bytes;
-    ++dl.recv_msgs;
-    dl.recv_bytes += t.bytes;
-    if (!detoured) hops = tally_runs(src, dst, t.bytes, tally);
+    sl.send_msgs += k;
+    sl.send_bytes += bytes;
+    dl.recv_msgs += k;
+    dl.recv_bytes += bytes;
+    if (!detoured) hops = tally_runs(src, dst, k, bytes, tally);
     tally.max_hops = std::max(tally.max_hops, hops);
     return true;
   };
 
+  // Routes transfers [begin, end) into `tally` as runs of consecutive
+  // transfers between the same two nodes, one route per run. Only a run's
+  // first transfer divides to find its nodes; the rest compare their ranks
+  // with the nodes' rank ranges, clipped to the partition, so a rank past
+  // the last one still starts a run of its own and fails node_of_rank's
+  // range check.
+  const std::int64_t cores = cfg.cores_per_node;
+  const std::int64_t ranks = part.num_ranks();
+  const auto route_range = [&](std::int64_t begin, std::int64_t end,
+                               Tally& tally, Search& search) {
+    for (std::int64_t i = begin; i < end;) {
+      const Transfer& first = transfers[std::size_t(i)];
+      const std::int64_t src = part.node_of_rank(first.src_rank);
+      const std::int64_t dst = part.node_of_rank(first.dst_rank);
+      const std::int64_t src_lo = src * cores;
+      const std::int64_t src_hi = std::min(src_lo + cores, ranks);
+      const std::int64_t dst_lo = dst * cores;
+      const std::int64_t dst_hi = std::min(dst_lo + cores, ranks);
+      const auto same_nodes = [&](const Transfer& t) {
+        return t.src_rank >= src_lo && t.src_rank < src_hi &&
+               t.dst_rank >= dst_lo && t.dst_rank < dst_hi;
+      };
+      std::int64_t j = i;
+      std::int64_t bytes = 0;
+      do {
+        const Transfer& t = transfers[std::size_t(j)];
+        PVR_ASSERT(t.bytes >= 0);
+        bytes += t.bytes;
+        ++j;
+      } while (j < end && same_nodes(transfers[std::size_t(j)]));
+      if (!process(src, dst, j - i, bytes, tally, search)) {
+        std::fill(delivered.begin() + i, delivered.begin() + j,
+                  std::uint8_t{0});
+      }
+      i = j;
+    }
+  };
+
   // Chunk boundaries depend only on n and the partition, never on the
-  // thread count (DESIGN.md §8). Every chunk zero-fills and merges a
-  // private tally of the whole torus, so it takes at least 8 transfers per
-  // link to keep that below its routing. One grain serves healthy and
-  // faulty exchanges alike: a faulty transfer only reads a table per hop
-  // to check its route and, rarely, searches a detour, so a finer grain
-  // would buy little speed for up to kMaxChunks tallies alive at once.
+  // thread count (DESIGN.md §8); a run that straddles one is routed as two
+  // runs, whose integer tallies sum to the same totals. Every chunk
+  // zero-fills and merges a private tally of the whole torus, so it takes
+  // at least 8 transfers per link to keep that below its routing. One
+  // grain serves healthy and faulty exchanges alike: a faulty run only
+  // reads a table per hop to check its route and, rarely, searches a
+  // detour, so a finer grain would buy little speed for up to kMaxChunks
+  // tallies alive at once.
   const par::ChunkPlan cp =
       par::plan_chunks(n, std::max<std::int64_t>(64, 8 * num_links()));
   Tally total = make_tally();
   if (pool == nullptr || pool->threads() <= 1 || cp.count <= 1) {
     Search search;
-    for (std::int64_t i = 0; i < n; ++i) {
-      if (!process(transfers[std::size_t(i)], total, search)) {
-        delivered[std::size_t(i)] = 0;
-      }
-    }
+    route_range(0, n, total, search);
   } else {
     std::vector<Tally> parts(static_cast<std::size_t>(cp.count));
     pool->run_chunks(cp.count, [&](std::int64_t c) {
       Tally t = make_tally();
       Search search;
-      const std::int64_t end = cp.end(c, n);
-      for (std::int64_t i = cp.begin(c); i < end; ++i) {
-        if (!process(transfers[std::size_t(i)], t, search)) {
-          delivered[std::size_t(i)] = 0;
-        }
-      }
+      route_range(cp.begin(c), cp.end(c, n), t, search);
       parts[static_cast<std::size_t>(c)] = std::move(t);
     });
     for (const Tally& t : parts) {
@@ -476,15 +527,31 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
                      std::pow(pressure / cfg.congestion_kappa,
                               cfg.congestion_gamma));
 
-  if (metrics != nullptr) {
+  if (metrics != nullptr && cost.messages > 0) {
     // Per-message census, replayed in transfer order on the calling thread
     // (metrics are not thread-safe and must not depend on chunk timing).
+    // Each family is looked up once; per-rank volumes fold in dense arrays
+    // (-1: no delivered message) and enter the registry once per rank that
+    // sent or received one, in rank order, zero-byte messages included.
+    obs::Histogram& sizes = metrics->histogram("net.message_bytes");
+    std::vector<std::int64_t> sent(static_cast<std::size_t>(ranks), -1);
+    std::vector<std::int64_t> received(sent.size(), -1);
+    const auto fold = [](std::int64_t& volume, std::int64_t bytes) {
+      volume = std::max<std::int64_t>(volume, 0) + bytes;
+    };
     for (std::int64_t i = 0; i < n; ++i) {
       if (faulty && delivered[std::size_t(i)] == 0) continue;
       const Transfer& t = transfers[std::size_t(i)];
-      metrics->histogram("net.message_bytes").record(t.bytes);
-      metrics->indexed("net.rank_send_bytes").add(t.src_rank, t.bytes);
-      metrics->indexed("net.rank_recv_bytes").add(t.dst_rank, t.bytes);
+      sizes.record(t.bytes);
+      fold(sent[static_cast<std::size_t>(t.src_rank)], t.bytes);
+      fold(received[static_cast<std::size_t>(t.dst_rank)], t.bytes);
+    }
+    obs::IndexedCounter& send = metrics->indexed("net.rank_send_bytes");
+    obs::IndexedCounter& recv = metrics->indexed("net.rank_recv_bytes");
+    for (std::int64_t r = 0; r < ranks; ++r) {
+      const auto at = static_cast<std::size_t>(r);
+      if (sent[at] >= 0) send.add(r, sent[at]);
+      if (received[at] >= 0) recv.add(r, received[at]);
     }
   }
 

@@ -30,11 +30,15 @@
 // so the priced cost is bit-identical for any host thread count (DESIGN.md
 // §8). route()/route_with_faults() are templated on the visitor, so hot
 // callers pay neither a std::function allocation nor a per-hop indirect
-// call. The exchange does not tally hop by hop: a dimension-ordered route
-// is at most one contiguous run per ring, tallied in O(1) per dimension
-// into difference arrays (a detour's links as runs of one), and one prefix
-// sum turns them into per-link totals; route() stays the per-hop
-// reference.
+// call. The exchange does not tally message by message or hop by hop. It
+// walks its transfers as runs of consecutive transfers between the same
+// two nodes (a two-phase shuffle or direct-send emits several ranks' worth
+// per node pair) and routes each run once, adding its message count and
+// byte sum wherever one message would add 1 and its bytes. A
+// dimension-ordered route is at most one contiguous interval per ring,
+// tallied in O(1) per dimension into difference arrays (a detour's links
+// as intervals of one), and one prefix sum turns them into per-link
+// totals; route() stays the per-hop reference.
 #pragma once
 
 #include <algorithm>
@@ -161,7 +165,8 @@ class TorusModel {
   /// if non-null, receives the round's network census: a message-size
   /// histogram, per-rank send/recv volume, per-link carried bytes, and the
   /// busiest-link gauge (net.* names; see DESIGN.md §7) — always recorded
-  /// from the calling thread in transfer order. `pool`, if non-null and
+  /// from the calling thread, so it never depends on the chunking, and
+  /// with each family looked up once per exchange. `pool`, if non-null and
   /// multi-threaded, routes the transfers in parallel chunks; the priced
   /// cost is bit-identical to the serial run for any thread count.
   ExchangeCost exchange(std::span<const Transfer> transfers,

@@ -304,13 +304,17 @@ TEST(TorusFaultTest, DetouredExchangeChargesTheExtraHops) {
 }
 
 /// An exchange priced from per-hop routes: route()'s visitor for a healthy
-/// exchange, route_with_faults()'s under a fault plan. The reference the
-/// exchange's ring-interval link tallies and dense fault tables must
-/// reproduce bit for bit.
+/// exchange, route_with_faults()'s under a fault plan, one message at a
+/// time. The reference the exchange's run tallies, ring-interval link
+/// tallies and dense fault tables must reproduce bit for bit, with the
+/// net.* metric families a traced exchange records.
 struct HopReference {
   ExchangeCost cost;
   fault::FaultStats stats;
   std::map<std::int64_t, std::int64_t> link_bytes;  ///< links with traffic
+  obs::Histogram message_bytes;  ///< delivered messages' sizes
+  /// Delivered bytes by sending and by receiving rank.
+  std::map<std::int64_t, std::int64_t> rank_send_bytes, rank_recv_bytes;
   /// Transfers by outcome: delivered over the dimension-ordered route,
   /// detoured, cut off by link faults, to or from a dead node, and
   /// delivered within one node.
@@ -364,6 +368,9 @@ HopReference per_hop_exchange(const TorusModel& torus,
     }
     ++c.messages;
     c.total_bytes += t.bytes;
+    ref.message_bytes.record(t.bytes);
+    ref.rank_send_bytes[t.src_rank] += t.bytes;
+    ref.rank_recv_bytes[t.dst_rank] += t.bytes;
     pressure_events += 2.0 * cfg.small_msg_pressure_bytes /
                        (cfg.small_msg_pressure_bytes + double(t.bytes));
     if (src == dst) {
@@ -567,6 +574,128 @@ TEST(TorusExchangeTest, LinkTalliesMatchPerHopRoutes) {
   EXPECT_GT(outcomes.cut_off, 0);
   EXPECT_GT(outcomes.dead_endpoint, 0);
   EXPECT_GT(outcomes.local, 0);
+}
+
+/// All four net.* families of a traced exchange against the reference's.
+void expect_same_metrics(const obs::MetricsRegistry& got,
+                         const HopReference& want) {
+  const auto& histograms = got.histograms();
+  const auto& indexed = got.indexed_counters();
+  ASSERT_EQ(histograms.count("net.message_bytes"), 1u);
+  const obs::Histogram& sizes = histograms.at("net.message_bytes");
+  EXPECT_TRUE(std::equal(std::begin(sizes.counts), std::end(sizes.counts),
+                         std::begin(want.message_bytes.counts)));
+  EXPECT_EQ(sizes.count, want.message_bytes.count);
+  EXPECT_EQ(sizes.sum, want.message_bytes.sum);
+  EXPECT_EQ(sizes.max_value, want.message_bytes.max_value);
+  EXPECT_EQ(indexed.at("net.link_bytes").by_index, want.link_bytes);
+  EXPECT_EQ(indexed.at("net.rank_send_bytes").by_index,
+            want.rank_send_bytes);
+  EXPECT_EQ(indexed.at("net.rank_recv_bytes").by_index,
+            want.rank_recv_bytes);
+}
+
+TEST(TorusExchangeTest, RunsMatchPerHopRoutes) {
+  // Transfers laid out as the two-phase shuffle and direct-send emit
+  // them: runs of 1 to 2 x cores_per_node consecutive transfers between
+  // the same two nodes, so ranks repeat inside a run, and the exchange
+  // routes each run once. Runs include local ones and zero-byte
+  // transfers, some straddle a chunk boundary, and under a seeded fault
+  // plan some detour, are cut off or meet a dead endpoint. Two of the
+  // partitions leave their last node half full, so runs to and from it
+  // meet the rank range's clip to the partition.
+  par::ThreadPool pool2(2), pool4(4);
+  HopReference outcomes;
+  std::int64_t straddling = 0, zero_byte_in_runs = 0;
+  for (const std::int64_t ranks : {8, 46, 120, 238}) {
+    SCOPED_TRACE(ranks);
+    const auto part = make_partition(ranks);
+    const TorusModel torus(part);
+    const std::int64_t nodes = part.num_nodes();
+    const std::int64_t cores = part.config().cores_per_node;
+    Rng rng{std::uint64_t(ranks)};
+    const auto rank_on = [&](std::int64_t node) {
+      const std::int64_t first = node * cores;
+      const std::int64_t on = std::min(cores, ranks - first);
+      return first + std::int64_t(rng.next_below(std::uint64_t(on)));
+    };
+    const std::int64_t grain =
+        std::max<std::int64_t>(64, 8 * torus.num_links());
+    std::vector<Transfer> transfers;
+    std::vector<std::int64_t> run_begin;
+    while (std::int64_t(transfers.size()) < 3 * grain + 17) {
+      const auto src = std::int64_t(rng.next_below(std::uint64_t(nodes)));
+      const std::int64_t dst =
+          run_begin.size() % 5 == 0
+              ? src
+              : std::int64_t(rng.next_below(std::uint64_t(nodes)));
+      const auto length =
+          1 + std::int64_t(rng.next_below(std::uint64_t(2 * cores)));
+      run_begin.push_back(std::int64_t(transfers.size()));
+      for (std::int64_t j = 0; j < length; ++j) {
+        const std::int64_t bytes =
+            rng.next_below(4) == 0 ? 0
+                                   : std::int64_t(rng.next_below(8192));
+        if (bytes == 0 && length > 1) ++zero_byte_in_runs;
+        transfers.push_back({rank_on(src), rank_on(dst), bytes});
+      }
+    }
+    const auto n = std::int64_t(transfers.size());
+    run_begin.push_back(n);
+    const par::ChunkPlan cp = par::plan_chunks(n, grain);
+    ASSERT_GT(cp.count, 1);
+    for (std::size_t r = 0; r + 1 < run_begin.size(); ++r) {
+      for (std::int64_t c = 1; c < cp.count; ++c) {
+        straddling += run_begin[r] < cp.begin(c) &&
+                      cp.begin(c) < run_begin[r + 1];
+      }
+    }
+    const std::int64_t rounds = 2;
+    const fault::FaultPlan faults = seeded_plan(part, std::uint64_t(ranks));
+    for (const fault::FaultPlan* plan :
+         {static_cast<const fault::FaultPlan*>(nullptr), &faults}) {
+      SCOPED_TRACE(plan == nullptr ? "healthy" : "faulty");
+      const HopReference want =
+          per_hop_exchange(torus, transfers, rounds, plan);
+      if (plan != nullptr) {
+        outcomes.clean += want.clean;
+        outcomes.detoured += want.detoured;
+        outcomes.cut_off += want.cut_off;
+        outcomes.dead_endpoint += want.dead_endpoint;
+        outcomes.local += want.local;
+      }
+      for (par::ThreadPool* p :
+           {static_cast<par::ThreadPool*>(nullptr), &pool2, &pool4}) {
+        SCOPED_TRACE(p == nullptr ? 1 : p->threads());
+        obs::MetricsRegistry metrics;
+        fault::FaultStats stats;
+        const ExchangeCost got =
+            torus.exchange(transfers, rounds, plan, &stats, &metrics, p);
+        expect_bitwise_equal(got, want.cost);
+        expect_same_fault_stats(stats, want.stats);
+        expect_same_metrics(metrics, want);
+      }
+    }
+  }
+  EXPECT_GT(straddling, 0);
+  EXPECT_GT(zero_byte_in_runs, 0);
+  EXPECT_GT(outcomes.clean, 0);
+  EXPECT_GT(outcomes.detoured, 0);
+  EXPECT_GT(outcomes.cut_off, 0);
+  EXPECT_GT(outcomes.dead_endpoint, 0);
+  EXPECT_GT(outcomes.local, 0);
+}
+
+TEST(TorusExchangeDeathTest, RankPastTheLastNodeStillAborts) {
+  // 10 ranks fill two nodes and half of a third. Rank 10 does not exist,
+  // though division would place it on rank 9's node: a run to rank 9 must
+  // not take it in, so node_of_rank's range check still sees it.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto part = make_partition(10);
+  ASSERT_EQ(part.num_nodes(), 3);
+  const TorusModel torus(part);
+  const std::vector<Transfer> transfers = {{0, 9, 64}, {0, 10, 64}};
+  EXPECT_DEATH((void)torus.exchange(transfers), "rank < num_ranks_");
 }
 
 TEST(TreeModelTest, DepthAndBarrier) {
