@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -359,6 +360,25 @@ inline std::string json_number(double v) {
 
 }  // namespace detail
 
+/// Peak resident set of this process in MiB: VmHWM, the high-water mark of
+/// its own address space, as bench/e2e reads it (getrusage's ru_maxrss
+/// folds in the launching process's pre-exec peak). 0 where there is no
+/// /proc/self/status.
+inline double peak_rss_mb() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return 0.0;
+  double kib = 0.0;
+  char line[256];
+  while (std::fgets(line, sizeof line, status) != nullptr) {
+    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+      kib = std::strtod(line + 6, nullptr);
+      break;
+    }
+  }
+  std::fclose(status);
+  return kib / 1024.0;
+}
+
 /// Renders the recorded rows + config as a JSON document.
 inline std::string bench_json(const std::string& name) {
   std::string out = "{\n  \"bench\": \"" + pvr::obs::json_escape(name) +
@@ -418,6 +438,7 @@ inline std::string bench_json(const std::string& name) {
          std::to_string(pvr::par::resolve_threads(0)) +
          ",\n    \"git\": \"" + pvr::obs::json_escape(PVR_GIT_DESCRIBE) +
          "\",\n    \"total_wall_ms\": " + detail::json_number(total_ms) +
+         ",\n    \"peak_rss_mb\": " + detail::json_number(peak_rss_mb()) +
          ",\n    \"wall_ms\": [";
   first = true;
   for (const HostRow& row : host_rows()) {

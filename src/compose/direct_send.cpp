@@ -83,8 +83,6 @@ CompositeStats DirectSendCompositor::run(
 
   const std::int64_t m = compositor_count();
   const ImagePartition partition(width, height, m);
-  const std::vector<ScheduledMessage> schedule =
-      build_direct_send_schedule(blocks, partition);
 
   CompositeStats stats;
   stats.num_compositors = partition.num_tiles();
@@ -133,32 +131,38 @@ CompositeStats DirectSendCompositor::run(
     detail->sources.assign(std::size_t(rt_->num_ranks()), {});
   }
 
+  // One walk of the schedule. Model mode only sizes its traffic: one
+  // transfer per delivered message, priced as exchange_messages prices
+  // messages. Execute mode packs each message's pixels.
   std::int64_t scheduled_pixels = 0;
   std::int64_t delivered_pixels = 0;
+  std::vector<net::Transfer> transfers;
   std::vector<runtime::Message> messages;
-  messages.reserve(schedule.size());
-  for (const ScheduledMessage& s : schedule) {
+  for_each_scheduled(blocks, partition, [&](const ScheduledMessage& s) {
     scheduled_pixels += s.pixels();
     if (faulty && plan->rank_failed(s.src_rank, mpart)) {
-      continue;  // dead renderer: this block's contribution is dropped
+      return;  // dead renderer: this block's contribution is dropped
     }
     delivered_pixels += s.pixels();
-    runtime::Message msg;
-    msg.src_rank = s.src_rank;
-    msg.dst_rank = faulty ? tile_owner[std::size_t(s.dst_rank)] : s.dst_rank;
-    msg.tag = s.block_index;
-    msg.bytes = s.pixels() * config_.wire_bytes_per_pixel;
+    const std::int64_t dst =
+        faulty ? tile_owner[std::size_t(s.dst_rank)] : s.dst_rank;
+    const std::int64_t bytes = s.pixels() * config_.wire_bytes_per_pixel;
     if (execute) {
       const render::SubImage& sub = subimages[std::size_t(s.block_index)];
       PVR_ASSERT(sub.rect.intersect(s.rect) == s.rect);
-      msg.payload = pack_fragment(sub, s.rect, s.depth);
+      messages.push_back(runtime::Message{s.src_rank, dst, s.block_index,
+                                          bytes,
+                                          pack_fragment(sub, s.rect, s.depth)});
+    } else {
+      transfers.push_back(net::Transfer{s.src_rank, dst, bytes});
     }
-    blend_pixels[std::size_t(msg.dst_rank)] += s.pixels();
+    ++stats.messages;
+    stats.bytes += bytes;
+    blend_pixels[std::size_t(dst)] += s.pixels();
     if (detail != nullptr) {
-      detail->sources[std::size_t(msg.dst_rank)].push_back(msg.src_rank);
+      detail->sources[std::size_t(dst)].push_back(s.src_rank);
     }
-    messages.push_back(std::move(msg));
-  }
+  });
   if (detail != nullptr) {
     detail->blend_pixels = blend_pixels;
     for (std::vector<std::int64_t>& srcs : detail->sources) {
@@ -169,17 +173,17 @@ CompositeStats DirectSendCompositor::run(
   if (faulty) {
     fold_coverage(PixelTally{scheduled_pixels, delivered_pixels}, fstats);
   }
-  stats.messages = std::int64_t(messages.size());
-  for (const auto& msg : messages) stats.bytes += msg.bytes;
 
-  runtime::Runtime::ConsumeFn consume = nullptr;
   // Compositor rank -> blended tile pixels, pre-sized so each consume call
   // touches only its own slot (rank-private: safe under kParallelRanks).
   // Execute mode is never faulty, so dst ranks are exactly tile indices.
   std::vector<std::vector<Rgba>> tiles(
       execute ? std::size_t(partition.num_tiles()) : 0);
-  if (execute) {
-    consume = [&](std::int64_t rank, std::span<const runtime::Message> inbox) {
+  if (!execute) {
+    stats.exchange = rt_->exchange_transfers(transfers);
+  } else {
+    const auto consume = [&](std::int64_t rank,
+                             std::span<const runtime::Message> inbox) {
       const Rect tile = partition.tile(rank);
       // Collect fragments and sort into visibility order (near first).
       std::vector<Fragment> fragments;
@@ -216,11 +220,10 @@ CompositeStats DirectSendCompositor::run(
         }
       }
     };
+    stats.exchange = rt_->exchange_messages(
+        std::move(messages), consume,
+        runtime::Runtime::ConsumePolicy::kParallelRanks);
   }
-
-  stats.exchange = rt_->exchange_messages(
-      std::move(messages), consume,
-      runtime::Runtime::ConsumePolicy::kParallelRanks);
 
   const std::int64_t worst_blend =
       blend_pixels.empty()

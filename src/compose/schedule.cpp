@@ -13,21 +13,9 @@ std::vector<ScheduledMessage> build_direct_send_schedule(
   // allocation moved glibc's dynamic mmap threshold and raised the e2e
   // run-async-faults workload's peak RSS by ~1.1 MiB (7%).
   std::vector<ScheduledMessage> schedule;
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    const BlockScreenInfo& info = blocks[b];
-    if (info.footprint.empty()) continue;
-    std::int64_t tx0, tx1, ty0, ty1;
-    partition.tile_range(info.footprint, &tx0, &tx1, &ty0, &ty1);
-    for (std::int64_t ty = ty0; ty < ty1; ++ty) {
-      for (std::int64_t tx = tx0; tx < tx1; ++tx) {
-        const std::int64_t tile = partition.tile_index(tx, ty);
-        const Rect r = info.footprint.intersect(partition.tile(tx, ty));
-        if (r.empty()) continue;
-        schedule.push_back(ScheduledMessage{info.rank, tile,
-                                            std::int32_t(b), r, info.depth});
-      }
-    }
-  }
+  for_each_scheduled(blocks, partition, [&](const ScheduledMessage& m) {
+    schedule.push_back(m);
+  });
   return schedule;
 }
 

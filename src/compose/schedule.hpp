@@ -34,7 +34,29 @@ struct ScheduledMessage {
   std::int64_t pixels() const { return rect.pixel_count(); }
 };
 
-/// Builds the full direct-send schedule. Compositor for tile i is rank i.
+/// Calls emit(const ScheduledMessage&) for every message of the direct-send
+/// schedule, in schedule order: block by block, each block's tiles row by
+/// row. Compositor for tile i is rank i.
+template <class Emit>
+void for_each_scheduled(std::span<const BlockScreenInfo> blocks,
+                        const ImagePartition& partition, Emit&& emit) {
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const BlockScreenInfo& info = blocks[b];
+    if (info.footprint.empty()) continue;
+    std::int64_t tx0, tx1, ty0, ty1;
+    partition.tile_range(info.footprint, &tx0, &tx1, &ty0, &ty1);
+    for (std::int64_t ty = ty0; ty < ty1; ++ty) {
+      for (std::int64_t tx = tx0; tx < tx1; ++tx) {
+        const Rect r = info.footprint.intersect(partition.tile(tx, ty));
+        if (r.empty()) continue;
+        emit(ScheduledMessage{info.rank, partition.tile_index(tx, ty),
+                              std::int32_t(b), r, info.depth});
+      }
+    }
+  }
+}
+
+/// Builds the full direct-send schedule (for_each_scheduled's messages).
 std::vector<ScheduledMessage> build_direct_send_schedule(
     std::span<const BlockScreenInfo> blocks, const ImagePartition& partition);
 

@@ -178,6 +178,7 @@ std::vector<steal::BlockWork> ParallelVolumeRenderer::steal_block_work()
   const render::RenderModel rmodel(config_.machine);
   const double step_world =
       config_.render.step_voxels * render::voxel_size(config_.dataset.dims);
+  const double edge_scale = render::RenderModel::pixel_edge_scale(camera_);
   std::vector<steal::BlockWork> work;
   work.reserve(std::size_t(decomp_->num_blocks()));
   for (std::int64_t b = 0; b < decomp_->num_blocks(); ++b) {
@@ -187,7 +188,7 @@ std::vector<steal::BlockWork> ParallelVolumeRenderer::steal_block_work()
     steal::BlockWork w;
     w.block = b;
     w.owner = render::Decomposition::rank_of_block(b, config_.num_ranks);
-    w.samples = rmodel.block_samples(wb, camera_, step_world);
+    w.samples = rmodel.block_samples(wb, camera_, step_world, edge_scale);
     w.rows = std::max(0, fp.height());
     w.bytes = decomp_->ghost_box(b, config_.ghost).volume() *
               config_.dataset.element_bytes;

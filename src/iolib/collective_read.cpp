@@ -53,7 +53,8 @@ struct Window {
   std::int64_t wanted = 0;      ///< wanted bytes inside the window
   std::int64_t trim_lo = std::numeric_limits<std::int64_t>::max();
   std::int64_t trim_hi = 0;     ///< [first, last) wanted byte
-  std::vector<std::int32_t> entries;  ///< execute mode only
+  /// The entries with bytes in the window, in file order; execute mode only.
+  std::vector<SlabEntry> entries;
 };
 
 /// Releases std::allocator storage for `capacity` transfers.
@@ -144,10 +145,9 @@ class RankTotals {
 
 /// The two-phase plan of one collective operation, direction-independent.
 struct TwoPhasePlan {
-  /// In file order, ties by brick index. Execute mode only past phase 3,
-  /// like `bricks`: model mode frees both once the windows are built.
-  std::vector<SlabEntry> entries;
-  std::vector<BrickRows> bricks;   ///< per brick index
+  /// Per brick index. Execute mode only past phase 3: model mode frees it
+  /// once the windows are built.
+  std::vector<BrickRows> bricks;
   std::int64_t useful_bytes = 0;
   std::int64_t num_aggs = 0;
   std::vector<std::int64_t> domain_agg;  ///< aggregator rank per domain
@@ -176,18 +176,128 @@ struct LiveRun {
   std::int32_t brick = 0;
 };
 
+/// A plan's slab runs in (q0, r, brick) order, which is the order of their
+/// first offsets q0 * stride + r, since r lies in [0, stride).
+struct SortedRuns {
+  std::vector<LiveRun> runs;
+  std::int64_t stride = 1;
+  std::int64_t max_slices = 0;  ///< the longest run
+
+  /// Runs starting on plane q or before it.
+  std::size_t started_by(std::int64_t q) const {
+    return std::size_t(
+        std::partition_point(runs.begin(), runs.end(),
+                             [&](const LiveRun& l) { return l.q0 <= q; }) -
+        runs.begin());
+  }
+  /// Runs starting below file offset `offset`.
+  std::size_t starting_below(std::int64_t offset) const {
+    return std::size_t(std::partition_point(runs.begin(), runs.end(),
+                                            [&](const LiveRun& l) {
+                                              return l.q0 * stride + l.r <
+                                                     offset;
+                                            }) -
+                       runs.begin());
+  }
+  /// The runs that can be live on plane q: a run starting more than one run
+  /// length before q has ended.
+  std::size_t maybe_live_from(std::int64_t q) const {
+    return started_by(q - max_slices);
+  }
+};
+
+/// The request's slab entries in file order, swept plane by plane from any
+/// plane on. File order is (q, r) order, and a brick's slices share r and
+/// take consecutive q, so sweeping q upward with the live bricks kept in
+/// (r, brick index) order emits every entry in file order; equal offsets
+/// (overlapping blocks) come in brick order. Every sweep of a plane emits
+/// the same entries in the same order, wherever it was seeded.
+class PlaneSweep {
+ public:
+  explicit PlaneSweep(const SortedRuns& sorted) : s_(&sorted) {}
+
+  /// Restarts the sweep at plane q: the live set becomes the runs live on
+  /// q, in (r, brick) order, merged one start plane at a time.
+  void seed(std::int64_t q) {
+    const std::vector<LiveRun>& runs = s_->runs;
+    active_.clear();
+    q_ = q;
+    next_ = s_->started_by(q);
+    for (std::size_t i = s_->maybe_live_from(q); i < next_;) {
+      std::size_t j = i + 1;
+      while (j < next_ && runs[j].q0 == runs[i].q0) ++j;
+      merge_live(i, j);
+      i = j;
+    }
+  }
+
+  /// Appends to `out` the entries of every plane starting below `end`.
+  void emit_below(std::int64_t end, std::vector<SlabEntry>& out) {
+    const std::vector<LiveRun>& runs = s_->runs;
+    const std::int64_t stride = s_->stride;
+    while (q_ * stride < end) {
+      if (active_.empty()) {
+        if (next_ == runs.size()) return;
+        q_ = runs[next_].q0;  // jump over planes holding no slice
+        if (q_ * stride >= end) return;
+      }
+      std::size_t stop = next_;
+      while (stop < runs.size() && runs[stop].q0 == q_) ++stop;
+      if (stop > next_) {
+        merge_live(next_, stop);
+        next_ = stop;
+      }
+      // Each live brick's slice at q; bricks whose run ends at q leave.
+      std::size_t kept = 0;
+      for (std::size_t j = 0; j < active_.size(); ++j) {
+        const LiveRun& l = active_[j];
+        out.push_back(SlabEntry{q_ * stride + l.r, l.brick,
+                                std::int32_t(l.z0 + (q_ - l.q0))});
+        if (q_ + 1 < l.q_end) active_[kept++] = l;
+      }
+      active_.resize(kept);
+      ++q_;
+    }
+  }
+
+ private:
+  /// Merges the runs [first, last), which share a start plane and so come
+  /// in (r, brick) order, into the live set, skipping those ended by q_.
+  void merge_live(std::size_t first, std::size_t last) {
+    merged_.clear();
+    std::size_t a = 0;
+    for (std::size_t i = first; i < last; ++i) {
+      const LiveRun& l = s_->runs[i];
+      if (l.q_end <= q_) continue;
+      while (a < active_.size() &&
+             std::tie(active_[a].r, active_[a].brick) < std::tie(l.r, l.brick)) {
+        merged_.push_back(active_[a++]);
+      }
+      merged_.push_back(l);
+    }
+    merged_.insert(merged_.end(), active_.begin() + std::ptrdiff_t(a),
+                   active_.end());
+    active_.swap(merged_);
+  }
+
+  const SortedRuns* s_;
+  std::vector<LiveRun> active_, merged_;  ///< live bricks in (r, brick) order
+  std::int64_t q_ = 0;                    ///< the next plane to emit
+  std::size_t next_ = 0;                  ///< the first run not yet merged
+};
+
 /// Domains per phase-3 chunk, at least: a plan over one I/O node's
 /// aggregators runs as one chunk, inline.
 constexpr std::int64_t kDomainsPerChunk = 8;
 
 /// Phase 3 for the file domain [lo, hi) that aggregator `agg` serves:
-/// walks entries [begin, end), which hold every entry overlapping it, in
-/// file order, clipped to the domain. Fills `windows` with the domain's
-/// windows holding wanted bytes, in file order, and adds each entry's bytes
-/// in the domain to its rank's total.
+/// walks `entries`, which hold every entry overlapping it, in file order,
+/// clipped to the domain. Fills `windows` with the domain's windows holding
+/// wanted bytes, in file order, and adds each entry's bytes in the domain
+/// to its rank's total.
 void plan_domain(const TwoPhasePlan& p, std::int64_t lo, std::int64_t hi,
                  std::int64_t agg, std::int64_t cb, bool execute,
-                 std::size_t begin, std::size_t end,
+                 std::span<const SlabEntry> entries,
                  std::vector<Window>& windows, RankTotals& totals) {
   if (lo == hi) return;
   // The window holding the last entry's first byte only moves forward, as
@@ -196,8 +306,7 @@ void plan_domain(const TwoPhasePlan& p, std::int64_t lo, std::int64_t hi,
   std::int64_t win_lo = 0;
   std::int64_t win_hi = 0;
   std::size_t live = 0;
-  for (std::size_t ei = begin; ei < end; ++ei) {
-    const SlabEntry& e = p.entries[ei];
+  for (const SlabEntry& e : entries) {
     const format::SlabRequest slab = p.slab(e);
     const std::int64_t h_lo = slab.first;
     const std::int64_t h_hi = slab.hull_end();
@@ -221,7 +330,7 @@ void plan_domain(const TwoPhasePlan& p, std::int64_t lo, std::int64_t hi,
       win.wanted += wanted;
       win.trim_lo = std::min(win.trim_lo, fw);
       win.trim_hi = std::max(win.trim_hi, lw);
-      if (execute) win.entries.push_back(std::int32_t(ei));
+      if (execute) win.entries.push_back(e);
     };
     if (h_lo >= lo) {
       if (h_lo >= win_hi) {
@@ -269,17 +378,16 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
                   part.num_ranks() <= kMax32 &&
                   layout.desc().dims.z <= kMax32,
               "two-phase plan indexes bricks, ranks and slices with 32 bits");
-  // ---- Phase 1: the global request as slab entries in file order; one
-  // entry per (block, variable, z slice). Offset o = q * stride + r with
-  // r in [0, stride), so file order is (q, r) order, and a brick's slices
-  // share r and take consecutive q. Sweeping q upward over the runs, with
-  // the live bricks kept in (r, brick index) order, emits the entries in
-  // file order; equal offsets (overlapping blocks) come in brick order.
-  const std::int64_t stride = layout.slice_stride();
-  std::vector<LiveRun> runs;
+  // ---- Phase 1: the global request as one slab run per (block,
+  // variable), sorted by first offset. Offset o = q * stride + r with r in
+  // [0, stride), so a brick's slices share r and take consecutive planes q.
+  // No list of the request's slab entries is built: phase 3 sweeps each
+  // domain's own file range over these runs (PlaneSweep).
+  SortedRuns sorted;
+  const std::int64_t stride = sorted.stride = layout.slice_stride();
+  std::vector<LiveRun>& runs = sorted.runs;
   runs.reserve(blocks.size() * vars.size());
   p.bricks.resize(blocks.size() * vars.size());
-  std::size_t num_entries = 0;
   std::int64_t range_lo = std::numeric_limits<std::int64_t>::max();
   std::int64_t range_hi = 0;
   std::int64_t max_hull = 0;  ///< the longest slice hull
@@ -295,46 +403,16 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
       range_hi = std::max(range_hi,
                           run.slice(run.slices - 1, stride).hull_end());
       max_hull = std::max(max_hull, s.hull().length);
-      num_entries += std::size_t(run.slices);
+      sorted.max_slices = std::max(sorted.max_slices, run.slices);
       const std::int64_t q0 = s.first / stride;
       runs.push_back(LiveRun{q0, q0 + run.slices, s.first % stride, run.z0,
                              std::int32_t(b)});
     }
   }
   if (runs.empty()) return p;
-  const auto by_r = [](const LiveRun& a, const LiveRun& b) {
-    return std::tie(a.r, a.brick) < std::tie(b.r, b.brick);
-  };
-  std::sort(runs.begin(), runs.end(), [&](const LiveRun& a, const LiveRun& b) {
-    return a.q0 != b.q0 ? a.q0 < b.q0 : by_r(a, b);
+  std::sort(runs.begin(), runs.end(), [](const LiveRun& a, const LiveRun& b) {
+    return std::tie(a.q0, a.r, a.brick) < std::tie(b.q0, b.r, b.brick);
   });
-  p.entries.reserve(num_entries);
-  std::vector<LiveRun> active, merged;  ///< live bricks in (r, brick) order
-  std::size_t next = 0;                 ///< the first run not yet live
-  for (std::int64_t q = runs[0].q0; !active.empty() || next < runs.size();
-       ++q) {
-    if (active.empty()) q = runs[next].q0;  // jump over q holding no slice
-    std::size_t stop = next;
-    while (stop < runs.size() && runs[stop].q0 == q) ++stop;
-    if (stop > next) {
-      merged.clear();
-      std::merge(active.begin(), active.end(),
-                 runs.begin() + std::ptrdiff_t(next),
-                 runs.begin() + std::ptrdiff_t(stop),
-                 std::back_inserter(merged), by_r);
-      active.swap(merged);
-      next = stop;
-    }
-    // Each live brick's slice at q; bricks whose run ends at q leave.
-    std::size_t kept = 0;
-    for (std::size_t j = 0; j < active.size(); ++j) {
-      const LiveRun& l = active[j];
-      p.entries.push_back(SlabEntry{q * stride + l.r, l.brick,
-                                    std::int32_t(l.z0 + (q - l.q0))});
-      if (q + 1 < l.q_end) active[kept++] = l;
-    }
-    active.resize(kept);
-  }
 
   // ---- Phase 2: file domains over the aggregators, stripe-aligned.
   const std::int64_t stripe = sm.config().stripe_bytes;
@@ -382,7 +460,7 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
 
   // ---- Phase 3: every (domain, window) holding wanted bytes, and the
   // bytes each rank exchanges with each aggregator. A domain depends on no
-  // other: it takes the entries overlapping it, clipped to it, in file
+  // other: it takes the entries that can overlap it, clipped to it, in file
   // order. So domains run in chunks on the host pool; par::plan_chunks over
   // the domain count fixes the chunks, and a null pool runs the same chunks
   // inline. Chunks walk the domains in aggregator order, which is file
@@ -391,6 +469,13 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
   // to the chunk it starts in, even past that chunk's end, so its totals
   // drain as one run: each chunk's pairs are in (aggregator, rank) order,
   // and so is their concatenation in chunk order.
+  //
+  // The entries that can overlap domain [lo, hi) are those starting in
+  // [lo - max_hull + 1, hi), since no hull is longer than max_hull. A chunk
+  // seeds a PlaneSweep on the plane of its first domain's first such offset
+  // and carries it from each domain into the next one in file order,
+  // keeping only the entries the next domain can still reach; where fault
+  // reassignment breaks file order, it seeds again.
   const std::int64_t cb = hints.cb_buffer_bytes;
   const std::int64_t num_aggs = p.num_aggs;
   std::vector<std::int64_t> order(std::size_t(num_aggs), 0);
@@ -403,31 +488,15 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
   const auto agg_at = [&](std::int64_t k) {
     return p.domain_agg[std::size_t(order[std::size_t(k)])];
   };
-  // The entries overlapping domain d [lo, hi) are [entry_lo[d],
-  // entry_hi[d]): from the first whose hull can reach past lo, since none
-  // is longer than max_hull, to the first starting at or past hi. Each
-  // brick overlapping the domain has one first entry there: its first
-  // slice, or the one whose previous slice ends by lo and so starts before
-  // lo + stride. So a domain yields at most one pair per entry starting
-  // below lo + stride, plus one per run starting in [lo + stride, hi), and
-  // at most one per rank: bound[d].
-  const auto first_at = [&](std::int64_t offset) {
-    return std::size_t(std::partition_point(p.entries.begin(),
-                                            p.entries.end(),
-                                            [&](const SlabEntry& e) {
-                                              return e.first < offset;
-                                            }) -
-                       p.entries.begin());
+  // The plane a sweep for the domain starting at lo starts on: that of the
+  // first offset whose hull can reach lo.
+  const auto first_plane = [&](std::int64_t lo) {
+    return std::max<std::int64_t>(lo - max_hull + 1, 0) / stride;
   };
-  const auto run_at = [&](std::int64_t offset) {
-    return std::size_t(std::partition_point(runs.begin(), runs.end(),
-                                            [&](const LiveRun& l) {
-                                              return l.q0 * stride + l.r <
-                                                     offset;
-                                            }) -
-                       runs.begin());
-  };
-  std::vector<std::size_t> entry_lo(order.size()), entry_hi(order.size());
+  // Each brick with an entry in [lo - max_hull + 1, hi) is live on the
+  // domain's first plane or starts on a later plane below hi, so the domain
+  // yields at most one pair per such run, and at most one per rank:
+  // bound[d].
   std::vector<std::size_t> bound(order.size());
   par::parallel_for(
       rt.pool(), num_aggs, kDomainsPerChunk,
@@ -435,14 +504,16 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
         for (auto d = std::size_t(begin); d < std::size_t(end); ++d) {
           const std::int64_t lo = dom_start[d];
           const std::int64_t hi = dom_start[d + 1];
-          entry_lo[d] = first_at(lo - max_hull + 1);
-          entry_hi[d] = first_at(hi);
           if (lo == hi) continue;
-          const std::size_t firsts =
-              first_at(std::min(hi, lo + stride)) - entry_lo[d];
-          const std::size_t starts =
-              lo + stride < hi ? run_at(hi) - run_at(lo + stride) : 0;
-          bound[d] = std::min(std::size_t(part.num_ranks()), firsts + starts);
+          const std::int64_t q = first_plane(lo);
+          const std::size_t started = sorted.started_by(q);
+          std::size_t live = 0;
+          for (std::size_t i = sorted.maybe_live_from(q); i < started; ++i) {
+            if (runs[i].q_end > q) ++live;
+          }
+          const std::size_t below_hi = sorted.starting_below(hi);
+          const std::size_t later = below_hi > started ? below_hi - started : 0;
+          bound[d] = std::min(std::size_t(part.num_ranks()), live + later);
         }
       });
   // Chunk c owns positions [owned[c], owned[c + 1]) of the order: from its
@@ -472,12 +543,32 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
         const auto c = std::size_t(chunk);
         if (owned[c] == owned[c + 1]) return;
         RankTotals totals(part.num_ranks());
+        PlaneSweep sweep(sorted);
+        // The swept entries from the first the domain can reach on.
+        std::vector<SlabEntry> entries;
+        const auto starts_below = [&](std::int64_t offset) {
+          return std::partition_point(
+              entries.begin(), entries.end(),
+              [&](const SlabEntry& e) { return e.first < offset; });
+        };
+        std::size_t swept_into = 0;  ///< the domain the sweep continues into
         std::size_t at = room[c];
         for (std::int64_t k = owned[c]; k < owned[c + 1]; ++k) {
           const auto d = std::size_t(order[std::size_t(k)]);
+          const std::int64_t lo = dom_start[d];
+          const std::int64_t hi = dom_start[d + 1];
+          if (k == owned[c] || d != swept_into) {
+            entries.clear();
+            sweep.seed(first_plane(lo));
+          } else {
+            entries.erase(entries.begin(), starts_below(lo - max_hull + 1));
+          }
+          sweep.emit_below(hi, entries);
+          swept_into = d + 1;
+          const auto first = starts_below(lo - max_hull + 1);
           const std::int64_t agg = p.domain_agg[d];
-          plan_domain(p, dom_start[d], dom_start[d + 1], agg, cb, execute,
-                      entry_lo[d], entry_hi[d], domain_windows[d], totals);
+          plan_domain(p, lo, hi, agg, cb, execute,
+                      {first, starts_below(hi)}, domain_windows[d], totals);
           if (k + 1 == owned[c + 1] || agg_at(k + 1) != agg) {
             PVR_ASSERT(at + totals.held() <= room[c + 1]);
             totals.drain([&](std::int64_t rank, std::int64_t bytes) {
@@ -499,10 +590,7 @@ TwoPhasePlan plan_two_phase(runtime::Runtime& rt,
   for (std::vector<Window>& w : domain_windows) {
     std::move(w.begin(), w.end(), std::back_inserter(p.windows));
   }
-  if (!execute) {
-    std::vector<SlabEntry>().swap(p.entries);
-    std::vector<BrickRows>().swap(p.bricks);
-  }
+  if (!execute) std::vector<BrickRows>().swap(p.bricks);
   // The shuffle is pipelined: each aggregator processes its domain one
   // cb-buffer round at a time, so only ~1/rounds of the messages are in
   // flight at once.
@@ -598,11 +686,13 @@ net::ExchangeCost price_shuffle(runtime::Runtime& rt, const TwoPhasePlan& p,
   return rt.exchange_transfers(shuffle.first(pairs.size()), p.rounds);
 }
 
-/// Calls copy(buffer byte, brick voxel, floats) for every row of `slab`
+/// Calls copy(buffer byte, brick byte, bytes) for every row of `slab`
 /// (z-slice `z` of `brick`) inside the window buffer that covers file range
-/// [buf_lo, buf_hi). Slab rows cover the brick's box clipped to the volume,
-/// whose low corner is the box's raised to 0, so row r starts at voxel
-/// (x0, y0 + r, z).
+/// [buf_lo, buf_hi); the brick byte counts from the start of its floats.
+/// Domain and window boundaries are byte offsets, as in ROMIO, so a range
+/// can start or end inside an element. Slab rows cover the brick's box
+/// clipped to the volume, whose low corner is the box's raised to 0, so row
+/// r starts at voxel (x0, y0 + r, z).
 template <class Copy>
 void for_each_row(const format::SlabRequest& slab, std::int64_t z,
                   std::int64_t buf_lo, std::int64_t buf_hi,
@@ -615,11 +705,56 @@ void for_each_row(const format::SlabRequest& slab, std::int64_t z,
     const std::int64_t s = std::max(row_start, buf_lo);
     const std::int64_t end = std::min(row_start + slab.row_bytes, buf_hi);
     if (s >= end) continue;
-    copy(std::size_t(s - buf_lo),
-         brick.row_index(y0 + r, z) +
-             std::size_t(x0 - lo.x + (s - row_start) / 4),
-         std::size_t((end - s) / 4));
+    const std::size_t row_byte =
+        (brick.row_index(y0 + r, z) + std::size_t(x0 - lo.x)) * 4;
+    copy(std::size_t(s - buf_lo), row_byte + std::size_t(s - row_start),
+         std::size_t(end - s));
   }
+}
+
+/// The shift of big-endian byte `phase` (0 the most significant) of a
+/// float's bits.
+constexpr int big_endian_shift(std::size_t phase) {
+  return 24 - 8 * int(phase);
+}
+
+/// Decodes n big-endian file bytes at `in` into the floats at `out`,
+/// starting at byte `byte` of them: partial head and tail elements byte by
+/// byte, whole elements in bulk.
+void big_endian_bytes_to_floats(const std::byte* in, float* out,
+                                std::size_t byte, std::size_t n) {
+  const auto put = [&](std::size_t at, std::byte b) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &out[at / 4], 4);
+    const int shift = big_endian_shift(at % 4);
+    bits = (bits & ~(std::uint32_t{0xff} << shift)) |
+           std::uint32_t(b) << shift;
+    std::memcpy(&out[at / 4], &bits, 4);
+  };
+  std::size_t i = 0;
+  for (; i < n && (byte + i) % 4 != 0; ++i) put(byte + i, in[i]);
+  const std::size_t whole = (n - i) / 4;
+  format::big_endian_to_floats({in + i, whole * 4},
+                               {out + (byte + i) / 4, whole});
+  for (i += whole * 4; i < n; ++i) put(byte + i, in[i]);
+}
+
+/// Encodes bytes [byte, byte + n) of the floats at `in` as big-endian file
+/// bytes at `out`: partial head and tail elements byte by byte, whole
+/// elements in bulk.
+void floats_to_big_endian_bytes(const float* in, std::size_t byte,
+                                std::size_t n, std::byte* out) {
+  const auto get = [&](std::size_t at) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &in[at / 4], 4);
+    return std::byte(bits >> big_endian_shift(at % 4));
+  };
+  std::size_t i = 0;
+  for (; i < n && (byte + i) % 4 != 0; ++i) out[i] = get(byte + i);
+  const std::size_t whole = (n - i) / 4;
+  format::floats_to_big_endian({in + (byte + i) / 4, whole},
+                               {out + i, whole * 4});
+  for (i += whole * 4; i < n; ++i) out[i] = get(byte + i);
 }
 
 /// Copies the rows of `slab` (z-slice `z` of `brick`) that lie in `buf`,
@@ -628,13 +763,14 @@ void scatter_rows(const format::VolumeLayout& layout,
                   const format::SlabRequest& slab, std::int64_t z,
                   std::span<const std::byte> buf, std::int64_t buf_lo,
                   Brick& brick) {
+  float* floats = brick.data().data();
   for_each_row(slab, z, buf_lo, buf_lo + std::int64_t(buf.size()), brick,
-               [&](std::size_t at, std::size_t voxel, std::size_t n) {
-                 float* dst = brick.data().data() + voxel;
+               [&](std::size_t at, std::size_t byte, std::size_t n) {
                  if (layout.big_endian_data()) {
-                   format::big_endian_to_floats({&buf[at], n * 4}, {dst, n});
+                   big_endian_bytes_to_floats(&buf[at], floats, byte, n);
                  } else {
-                   std::memcpy(dst, &buf[at], n * 4);
+                   std::memcpy(reinterpret_cast<std::byte*>(floats) + byte,
+                               &buf[at], n);
                  }
                });
 }
@@ -749,8 +885,7 @@ ReadResult CollectiveReader::read_vars(const format::VolumeLayout& layout,
     for (const Window& w : p.windows) {
       buf.resize(std::size_t(w.hi - w.lo));
       file->read_at(w.lo, buf);
-      for (const std::int32_t ei : w.entries) {
-        const SlabEntry& e = p.entries[std::size_t(ei)];
+      for (const SlabEntry& e : w.entries) {
         scatter_rows(layout, p.slab(e), e.z, buf, w.lo,
                      bricks[std::size_t(e.brick_index)]);
       }
@@ -880,10 +1015,25 @@ ReadResult CollectiveWriter::write_vars(const format::VolumeLayout& layout,
 
   if (execute) {
     std::vector<std::byte> buf;
+    std::vector<char> covered;
+    // Whether the window's rows leave holes in its span: `wanted` counts
+    // the bytes that overlapping blocks share once per block, so it can
+    // reach the span's length with holes left.
+    const auto has_holes = [&](const Window& w) {
+      covered.assign(std::size_t(w.trim_hi - w.trim_lo), 0);
+      for (const SlabEntry& e : w.entries) {
+        for_each_row(p.slab(e), e.z, w.trim_lo, w.trim_hi,
+                     bricks[std::size_t(e.brick_index)],
+                     [&](std::size_t at, std::size_t, std::size_t n) {
+                       std::fill_n(covered.begin() + std::ptrdiff_t(at), n, 1);
+                     });
+      }
+      return std::find(covered.begin(), covered.end(), 0) != covered.end();
+    };
     for (const Window& w : p.windows) {
       const std::int64_t len = w.trim_hi - w.trim_lo;
       buf.resize(std::size_t(len));
-      if (w.wanted < len) {
+      if (w.wanted < len || has_holes(w)) {
         // Keep the holes: read what the file already holds of the span and
         // zero only the part past its end.
         const std::int64_t have =
@@ -891,17 +1041,18 @@ ReadResult CollectiveWriter::write_vars(const format::VolumeLayout& layout,
         if (have > 0) file->read_at(w.trim_lo, {buf.data(), std::size_t(have)});
         std::fill(buf.begin() + have, buf.end(), std::byte{0});
       }
-      for (const std::int32_t ei : w.entries) {
-        const SlabEntry& e = p.entries[std::size_t(ei)];
+      for (const SlabEntry& e : w.entries) {
         const Brick& brick = bricks[std::size_t(e.brick_index)];
+        const float* floats = brick.data().data();
         for_each_row(p.slab(e), e.z, w.trim_lo, w.trim_hi, brick,
-                     [&](std::size_t at, std::size_t voxel, std::size_t n) {
-                       const float* src = brick.data().data() + voxel;
+                     [&](std::size_t at, std::size_t byte, std::size_t n) {
                        if (layout.big_endian_data()) {
-                         format::floats_to_big_endian({src, n},
-                                                      {&buf[at], n * 4});
+                         floats_to_big_endian_bytes(floats, byte, n, &buf[at]);
                        } else {
-                         std::memcpy(&buf[at], src, n * 4);
+                         std::memcpy(
+                             &buf[at],
+                             reinterpret_cast<const std::byte*>(floats) + byte,
+                             n);
                        }
                      });
       }

@@ -1,12 +1,11 @@
 // Two-phase collective read, modeled after ROMIO's generalized collective
 // buffering (Thakur et al., "Data sieving and collective I/O in ROMIO"):
 //
-//   1. every rank's wanted bytes are assembled into a global request in
-//      file order: the format layout gives each (block, variable) a slab run
-//      (its first z-slice, the slice count, and a stride shared by the whole
-//      file), and a sweep over the runs emits every slice in offset order,
-//      overlapping blocks' equal offsets in block order, with no sort and
-//      memory linear in the block count,
+//   1. every rank's wanted bytes are assembled into a global request: the
+//      format layout gives each (block, variable) a slab run (its first
+//      z-slice, the slice count, and a stride shared by the whole file),
+//      and the plan keeps only the runs, sorted by first offset, in memory
+//      linear in the block count,
 //   2. the file range [min, max) of the request is partitioned into file
 //      domains over A aggregator ranks (A = IONs x aggregators_per_ion,
 //      capped by the rank count), aligned to file-system stripes,
@@ -14,17 +13,21 @@
 //      reading each window once from the first to the last byte any rank
 //      wants inside it (data sieving: holes in between are read too); a
 //      domain's windows and its per-rank shuffle bytes depend only on the
-//      entries overlapping it, so the plan builds them in chunks of whole
-//      domains on the runtime's host pool (inline without one), each
-//      rank's bytes for an aggregator folded into one total and drained
-//      in rank order,
+//      slices overlapping it, so the plan builds them in chunks of whole
+//      domains on the runtime's host pool (inline without one); each chunk
+//      sweeps the runs over its own file range, emitting the slices in
+//      offset order (overlapping blocks' equal offsets in block order) with
+//      no sort, and folds each rank's bytes for an aggregator into one
+//      total, drained in rank order,
 //   4. window contents are scattered to the requesting ranks over the
 //      torus (the "shuffle"): one message per (aggregator, rank) pair,
 //      priced by the network model.
 //
 // The same code runs in model mode (no bytes move; costs and access logs
 // only) and execute mode (a real file is read and per-rank Bricks are
-// filled, validating byte-for-byte correctness at small scale).
+// filled, validating byte-for-byte correctness at small scale). Domains and
+// windows are byte ranges, as in ROMIO, so execute mode copies row pieces
+// as byte ranges, which may start or end inside an element.
 #pragma once
 
 #include <span>

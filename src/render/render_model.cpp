@@ -7,9 +7,27 @@
 
 namespace pvr::render {
 
+double RenderModel::pixel_edge_scale(const Camera& camera) {
+  // Projecting a point one world unit along the camera's right axis would
+  // be exact but awkward; instead use the camera intrinsics directly via
+  // two neighbouring rays.
+  const Ray r0 = camera.ray(camera.width() / 2, camera.height() / 2);
+  const Ray r1 = camera.ray(camera.width() / 2 + 1, camera.height() / 2);
+  return camera.orthographic() ? (r1.origin - r0.origin).length()
+                               : (r1.dir - r0.dir).length();
+}
+
 std::int64_t RenderModel::block_samples(const Box3d& block_world,
                                         const Camera& camera,
                                         double step_world) const {
+  return block_samples(block_world, camera, step_world,
+                       pixel_edge_scale(camera));
+}
+
+std::int64_t RenderModel::block_samples(const Box3d& block_world,
+                                        const Camera& camera,
+                                        double step_world,
+                                        double edge_scale) const {
   PVR_REQUIRE(step_world > 0, "step must be positive");
   if (block_world.empty()) return 0;
   // Pixel footprint edge in world units at the block's depth.
@@ -18,17 +36,8 @@ std::int64_t RenderModel::block_samples(const Box3d& block_world,
   const double depth = std::max(1e-6, camera.depth_of(center));
   const auto c0 = camera.project(center);
   if (!c0) return 0;
-  // Derive the pixel footprint by projecting a point one world unit along
-  // the camera's right axis would be exact but awkward; instead use the
-  // camera intrinsics directly via two nearby projections.
-  const Ray r0 = camera.ray(camera.width() / 2, camera.height() / 2);
-  const Ray r1 = camera.ray(camera.width() / 2 + 1, camera.height() / 2);
-  double pixel_edge;
-  if (camera.orthographic()) {
-    pixel_edge = (r1.origin - r0.origin).length();
-  } else {
-    pixel_edge = (r1.dir - r0.dir).length() * depth;
-  }
+  const double pixel_edge =
+      camera.orthographic() ? edge_scale : edge_scale * depth;
   const double pixel_area = pixel_edge * pixel_edge;
   const double volume = double(block_world.volume());
   const double samples = volume / (step_world * pixel_area);
@@ -50,13 +59,14 @@ RenderEstimate RenderModel::estimate_degraded(
   PVR_REQUIRE(num_ranks > 0, "need at least one rank");
   const double step_world =
       config.step_voxels * voxel_size(decomp.dims());
+  const double edge_scale = pixel_edge_scale(camera);
   std::vector<std::int64_t> rank_samples(std::size_t(num_ranks), 0);
   RenderEstimate est;
   for (std::int64_t b = 0; b < decomp.num_blocks(); ++b) {
     const std::int64_t rank = Decomposition::rank_of_block(b, num_ranks);
     if (rank_slowdown != nullptr && !(rank_slowdown(rank) > 0.0)) continue;
     const Box3d wb = world_box_of(decomp.block_box(b), decomp.dims());
-    const std::int64_t s = block_samples(wb, camera, step_world);
+    const std::int64_t s = block_samples(wb, camera, step_world, edge_scale);
     est.total_samples += s;
     rank_samples[std::size_t(rank)] += s;
   }

@@ -41,6 +41,16 @@ class RenderModel {
   /// Samples a single block contributes for the given camera and step.
   std::int64_t block_samples(const Box3d& block_world, const Camera& camera,
                              double step_world) const;
+  /// The same, given the camera's pixel_edge_scale: a pass over many blocks
+  /// computes it once.
+  std::int64_t block_samples(const Box3d& block_world, const Camera& camera,
+                             double step_world, double edge_scale) const;
+
+  /// A pixel footprint's edge in world units, from the center pixel's ray
+  /// and its right neighbour's: for a perspective camera per unit of view
+  /// depth, for an orthographic one at every depth. Depends on the camera
+  /// only.
+  static double pixel_edge_scale(const Camera& camera);
 
   /// Estimates the render phase over a whole decomposition with blocks
   /// assigned round-robin to `num_ranks` ranks.

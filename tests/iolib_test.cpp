@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -1086,6 +1087,335 @@ TEST(CollectiveIoTest, PooledPlanAtScaleMatchesPinnedDigests) {
           << (read ? "read" : "write") << ", pool " << threads << std::hex
           << "; digest 0x" << got;
     }
+  }
+}
+
+/// One model-mode case of the streamed plan: blocks, a file and a fault
+/// plan chosen so that a phase-3 chunk starts where the sweep that feeds it
+/// must be seeded with care.
+struct StreamCase {
+  const char* what;
+  format::DatasetDesc desc;
+  std::vector<int> vars;
+  std::vector<RankBlock> blocks;
+  std::int64_t ranks = 1024;
+  std::int64_t cb = 16 * MiB;
+  std::vector<std::int64_t> dead_nodes;
+  bool read = true;
+};
+
+std::vector<StreamCase> stream_cases() {
+  using format::FileFormat;
+  std::vector<StreamCase> cases;
+  // 1024 ranks give 32 domains of 32 KiB over a 64^3 raw file (4 chunks):
+  // every domain holds two planes and the ghosted blocks' runs span several
+  // domains, so each chunk starts part-way through the runs of the bricks
+  // live there.
+  cases.push_back({"chunks start part-way through runs",
+                   format::supernova_desc(FileFormat::kRaw, 64),
+                   {0},
+                   make_blocks({64, 64, 64}, 1024),
+                   1024,
+                   10007,
+                   {},
+                   true});
+  // Four blocks spanning whole records of a 32^3 record file: the request
+  // covers eight records, each slice hull is a whole 4 KiB record section,
+  // and 128 domains are 1216 bytes each, so chunks start inside hulls that
+  // began several domains earlier.
+  {
+    StreamCase c{"chunks start inside hulls spanning several domains",
+                 format::supernova_desc(FileFormat::kNetcdfRecord, 32),
+                 {2, 0},
+                 {},
+                 4096,
+                 1000,
+                 {},
+                 true};
+    for (std::int64_t b = 0; b < 4; ++b) {
+      c.blocks.push_back({b * 1000, Box3i{{0, 0, 2 * b}, {32, 32, 2 * b + 2}}});
+    }
+    cases.push_back(c);
+  }
+  // Blocks only near z = 0 and z = 24 of a 32^3 raw file, and 32 domains of
+  // 3 KiB over the planes between: chunks start on planes no brick covers.
+  {
+    StreamCase c{"chunks start on planes where no brick is live",
+                 format::supernova_desc(FileFormat::kRaw, 32),
+                 {0},
+                 {},
+                 1024,
+                 777,
+                 {},
+                 false};
+    c.blocks = {{5, Box3i{{0, 0, 0}, {32, 16, 4}}},
+                {9, Box3i{{3, 16, 1}, {20, 32, 3}}},
+                {700, Box3i{{0, 0, 24}, {32, 32, 25}}},
+                {31, Box3i{{-2, 30, 22}, {5, 34, 25}}}};
+    cases.push_back(c);
+  }
+  // A request of 56 bytes over 128 domains: most domains are empty, and
+  // chunks start on and after runs of them.
+  {
+    StreamCase c{"chunks start after empty domains",
+                 format::supernova_desc(FileFormat::kNetcdf64, 16),
+                 {1},
+                 {},
+                 4096,
+                 3,
+                 {},
+                 true};
+    c.blocks = {{17, Box3i{{2, 5, 3}, {12, 6, 4}}},
+                {4000, Box3i{{6, 5, 3}, {17, 6, 4}}}};
+    cases.push_back(c);
+  }
+  // Dead nodes 1016-1023 move the last domain's aggregator to rank 0, so
+  // the chunk that holds domain 0 walks domains 0, 127, 1, ...; dead nodes
+  // 48-56 make domains 6 and 7 share rank 228.
+  {
+    StreamCase c{"chunks walk domains reassigned out of file order",
+                 format::supernova_desc(FileFormat::kShdf, 48),
+                 {3, 4},
+                 make_blocks({48, 48, 48}, 4096, 2),
+                 4096,
+                 50021,
+                 {},
+                 true};
+    for (std::int64_t node = 48; node <= 56; ++node) c.dead_nodes.push_back(node);
+    for (std::int64_t node = 1016; node < 1024; ++node) {
+      c.dead_nodes.push_back(node);
+    }
+    cases.push_back(c);
+    c.read = false;
+    c.desc = format::supernova_desc(FileFormat::kNetcdfRecord, 48);
+    c.vars = {4};
+    c.cb = 4099;
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+TEST(CollectiveIoTest, StreamedPlanMatchesPinnedDigests) {
+  // Phase 3 sweeps each chunk's own file range: it seeds the sweep at the
+  // chunk's first domain and again wherever fault reassignment breaks file
+  // order. Each case makes chunks start where that seeding is delicate,
+  // over at least two chunks. The digests were captured from the plan that
+  // swept the whole request into one entry list; every case must give them
+  // with no pool and on 2- and 4-thread pools.
+  constexpr std::uint64_t kDigests[] = {
+      0xbedab5d562702c91ull, 0xebdf812ac596616eull, 0x58734b228a0e4037ull,
+      0x1d45c1e6c035a8c3ull, 0xd354bcd86633606aull, 0x8b3d896c831d00deull,
+  };
+  const std::vector<StreamCase> cases = stream_cases();
+  ASSERT_EQ(cases.size(), std::size(kDigests));
+  par::ThreadPool pool2(2);
+  par::ThreadPool pool4(4);
+  par::ThreadPool* const pools[] = {nullptr, &pool2, &pool4};
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const StreamCase& c = cases[i];
+    Env env(c.ranks);
+    fault::FaultPlan plan;
+    for (const std::int64_t node : c.dead_nodes) plan.fail_node(node);
+    Hints hints;
+    hints.cb_buffer_bytes = c.cb;
+    const format::VolumeLayout layout(c.desc);
+    for (par::ThreadPool* pool : pools) {
+      fault::FaultStats stats;
+      obs::Tracer tracer;
+      storage::AccessLog log;
+      env.model_rt.set_faults(&plan, &stats);
+      env.model_rt.set_tracer(&tracer);
+      env.model_rt.set_pool(pool);
+      const ReadResult r =
+          c.read ? CollectiveReader(env.model_rt, env.storage, hints)
+                       .read_vars(layout, c.vars, c.blocks, nullptr, {}, &log)
+                 : CollectiveWriter(env.model_rt, env.storage, hints)
+                       .write_vars(layout, c.vars, c.blocks, nullptr, {},
+                                   &log);
+      env.model_rt.set_pool(nullptr);
+      env.model_rt.set_tracer(nullptr);
+      env.model_rt.set_faults(nullptr, nullptr);
+      const std::uint64_t got = report_digest(r, log, tracer);
+      EXPECT_EQ(got, kDigests[i])
+          << c.what << (c.read ? ", read" : ", write") << ", pool "
+          << (pool == nullptr ? 0 : pool->threads()) << std::hex
+          << "; digest 0x" << got;
+    }
+  }
+}
+
+// ---- Execute-mode collective I/O against serial reads and writes ----
+
+/// The bits the differential's bricks hold at a voxel of a variable: a hash,
+/// so overlapping blocks write the same value whichever lands last.
+std::uint32_t voxel_bits(int var, std::int64_t x, std::int64_t y,
+                         std::int64_t z) {
+  std::uint64_t h = std::uint64_t(var) * 0x9e3779b97f4a7c15ull ^
+                    std::uint64_t(x) * 0xbf58476d1ce4e5b9ull ^
+                    std::uint64_t(y) * 0x94d049bb133111ebull ^
+                    std::uint64_t(z) * 0x2545f4914f6cdd1dull;
+  h ^= h >> 31;
+  h *= 0xd6e8feb86659fd93ull;
+  return std::uint32_t(h >> 32);
+}
+
+/// The element at `offset` of `bytes` as the format stores it.
+std::uint32_t stored_bits(const format::VolumeLayout& layout,
+                          const std::vector<std::byte>& bytes,
+                          std::int64_t offset) {
+  const auto at = [&](int i) {
+    return std::uint32_t(bytes[std::size_t(offset + i)]);
+  };
+  if (layout.big_endian_data()) {
+    return at(0) << 24 | at(1) << 16 | at(2) << 8 | at(3);
+  }
+  std::uint32_t bits;
+  std::memcpy(&bits, &bytes[std::size_t(offset)], 4);
+  return bits;
+}
+
+TEST(CollectiveIoTest, ExecuteMatchesSerialIoOverASeededSweep) {
+  // Seeded execute-mode cases over formats, variable subsets, boxes
+  // (duplicates and boxes past the volume included), buffer sizes that are
+  // no multiple of the element size, aggregator counts, dead nodes, both
+  // directions, with no pool and on a 2-thread pool. Small requests split
+  // into file domains by bytes, so domain and window boundaries cut
+  // elements apart. A read must give every in-volume voxel of every brick
+  // the bits a serial read of the file gives it; a write must leave the
+  // file byte-identical to serial element writes of the same bricks into
+  // the same prior contents.
+  using format::FileFormat;
+  constexpr FileFormat kFormats[] = {FileFormat::kRaw,
+                                     FileFormat::kNetcdfRecord,
+                                     FileFormat::kNetcdf64, FileFormat::kShdf};
+  constexpr std::int64_t kRanks[] = {8, 16, 64};
+  constexpr const char* kNames[] = {"v0", "v1", "v2"};
+  par::ThreadPool pool2(2);
+  Rng rng(1109);
+  std::map<std::int64_t, std::unique_ptr<Env>> envs;
+  for (int i = 0; i < 240; ++i) {
+    format::DatasetDesc desc;
+    desc.format = kFormats[rng.next_below(4)];
+    desc.dims = {2 + std::int64_t(rng.next_below(12)),
+                 2 + std::int64_t(rng.next_below(12)),
+                 2 + std::int64_t(rng.next_below(12))};
+    const int num_vars =
+        desc.format == FileFormat::kRaw ? 1 : 1 + int(rng.next_below(3));
+    for (int v = 0; v < num_vars; ++v) {
+      desc.variables.push_back(kNames[v]);
+    }
+    std::vector<int> vars;
+    for (int v = 0; v < num_vars; ++v) {
+      if (v + 1 == num_vars || rng.next_below(2) == 0) vars.push_back(v);
+    }
+    const std::int64_t ranks = kRanks[rng.next_below(3)];
+    std::vector<RankBlock> blocks;
+    const std::size_t num_blocks = 1 + rng.next_below(8);
+    for (std::size_t b = 0; b < num_blocks; ++b) {
+      const auto rank = std::int64_t(rng.next_below(std::uint64_t(ranks)));
+      const Box3i box = b > 0 && rng.next_below(4) == 0
+                            ? blocks[rng.next_below(b)].box
+                            : random_box(rng, desc.dims);
+      blocks.push_back(RankBlock{rank, box});
+    }
+    Hints hints;
+    hints.cb_buffer_bytes = 1 + std::int64_t(rng.next_below(700));
+    hints.aggregators_per_ion = 1 + int(rng.next_below(8));
+    const bool faults = rng.next_below(3) == 0;
+    const auto dead_node = std::int64_t(rng.next_below(std::uint64_t(ranks / 4)));
+    const bool read = rng.next_below(2) == 0;
+    par::ThreadPool* pool = rng.next_below(2) == 0 ? nullptr : &pool2;
+
+    std::unique_ptr<Env>& env = envs[ranks];
+    if (env == nullptr) env = std::make_unique<Env>(ranks);
+    const format::VolumeLayout layout(desc);
+    std::vector<std::byte> prior(std::size_t(layout.file_bytes()));
+    for (std::byte& b : prior) b = std::byte(rng.next_below(256));
+    std::vector<Brick> bricks;
+    for (const RankBlock& b : blocks) {
+      for (const int v : vars) {
+        Brick brick(b.box);
+        if (!read) {
+          for (std::int64_t z = b.box.lo.z; z < b.box.hi.z; ++z) {
+            for (std::int64_t y = b.box.lo.y; y < b.box.hi.y; ++y) {
+              for (std::int64_t x = b.box.lo.x; x < b.box.hi.x; ++x) {
+                const std::uint32_t bits = voxel_bits(v, x, y, z);
+                std::memcpy(&brick.at(x, y, z), &bits, 4);
+              }
+            }
+          }
+        }
+        bricks.push_back(std::move(brick));
+      }
+    }
+
+    fault::FaultPlan plan;
+    fault::FaultStats stats;
+    if (faults) {
+      plan.fail_node(dead_node);
+      env->execute_rt.set_faults(&plan, &stats);
+    }
+    env->execute_rt.set_pool(pool);
+    format::MemoryFile file(prior);
+    if (read) {
+      CollectiveReader(env->execute_rt, env->storage, hints)
+          .read_vars(layout, vars, blocks, &file, bricks);
+    } else {
+      CollectiveWriter(env->execute_rt, env->storage, hints)
+          .write_vars(layout, vars, blocks, &file, bricks);
+    }
+    env->execute_rt.set_pool(nullptr);
+    env->execute_rt.set_faults(nullptr, nullptr);
+
+    // The serial side: element by element, through the layout.
+    std::vector<std::byte> serial = prior;
+    const Box3i volume{{0, 0, 0}, desc.dims};
+    std::int64_t wrong = 0;
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      const Box3i box = blocks[b].box.intersect(volume);
+      for (std::size_t k = 0; k < vars.size(); ++k) {
+        const int v = vars[k];
+        const Brick& brick = bricks[b * vars.size() + k];
+        for (std::int64_t z = box.lo.z; z < box.hi.z; ++z) {
+          for (std::int64_t y = box.lo.y; y < box.hi.y; ++y) {
+            for (std::int64_t x = box.lo.x; x < box.hi.x; ++x) {
+              const std::int64_t offset = layout.element_offset(v, {x, y, z});
+              if (read) {
+                std::uint32_t got;
+                std::memcpy(&got,
+                            &brick.data()[brick.row_index(y, z) +
+                                          std::size_t(x - brick.box().lo.x)],
+                            4);
+                if (got != stored_bits(layout, prior, offset)) ++wrong;
+                continue;
+              }
+              const std::uint32_t bits = voxel_bits(v, x, y, z);
+              for (int j = 0; j < 4; ++j) {
+                const int shift =
+                    layout.big_endian_data() ? 24 - 8 * j : 8 * j;
+                serial[std::size_t(offset + j)] = std::byte(bits >> shift);
+              }
+            }
+          }
+        }
+      }
+    }
+    if (!read) {
+      for (std::size_t j = 0; j < serial.size(); ++j) {
+        if (serial[j] != file.bytes()[j]) ++wrong;
+      }
+    }
+    EXPECT_EQ(wrong, 0) << "case " << i << ": "
+                        << format::format_name(desc.format) << " "
+                        << desc.dims.x << "x" << desc.dims.y << "x"
+                        << desc.dims.z << ", " << blocks.size()
+                        << " blocks on " << ranks << " ranks, cb "
+                        << hints.cb_buffer_bytes << ", "
+                        << hints.aggregators_per_ion << " aggregators/ION"
+                        << (faults ? ", a dead node" : "")
+                        << (pool != nullptr ? ", pool 2" : "")
+                        << (read ? ", read: wrong voxels"
+                                 : ", write: wrong bytes");
   }
 }
 
