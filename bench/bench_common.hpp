@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -61,63 +60,6 @@ inline ExperimentConfig paper_config(
   cfg.composite.policy = pvr::compose::CompositorPolicy::kImproved;
   return cfg;
 }
-
-/// Exact nearest-rank percentile over SORTED ascending samples: the value at
-/// rank ceil(p/100 * n) (1-based), clamped to [1, n]. No interpolation — the
-/// result is always an observed sample, so p50/p99 rows in the bench JSON
-/// are byte-stable functions of the sample set. Guards: an empty sample set
-/// yields 0.0; a single sample is every percentile of itself.
-inline double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const std::int64_t n = std::int64_t(sorted.size());
-  std::int64_t rank = std::int64_t(std::ceil(p / 100.0 * double(n)));
-  if (rank < 1) rank = 1;
-  if (rank > n) rank = n;
-  return sorted[std::size_t(rank - 1)];
-}
-
-/// Latency sample accumulator: collects seconds, sorts once, answers
-/// nearest-rank percentiles and mean. Benches fill one per sweep row and
-/// emit p50/p99 counters from it.
-class LatencyHistogram {
- public:
-  void record(double seconds) {
-    samples_.push_back(seconds);
-    sorted_ = false;
-  }
-  void record_all(const std::vector<double>& seconds) {
-    samples_.insert(samples_.end(), seconds.begin(), seconds.end());
-    sorted_ = false;
-  }
-
-  std::int64_t count() const { return std::int64_t(samples_.size()); }
-  double mean() const {
-    if (samples_.empty()) return 0.0;
-    double sum = 0.0;
-    for (const double s : samples_) sum += s;
-    return sum / double(samples_.size());
-  }
-  double max() const {
-    double m = 0.0;
-    for (const double s : samples_) m = s > m ? s : m;
-    return m;
-  }
-  /// Nearest-rank percentile (see pvrbench::percentile).
-  double p(double pct) {
-    sort_once();
-    return percentile(samples_, pct);
-  }
-
- private:
-  void sort_once() {
-    if (sorted_) return;
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-
-  std::vector<double> samples_;
-  bool sorted_ = true;
-};
 
 /// One recorded sweep row: benchmark name, modeled seconds, extra counters.
 struct SimRow {

@@ -241,7 +241,7 @@ std::string report(const Tracer& tracer, int top_n) {
   out += slow.str();
 
   // --- Hot entries of every indexed counter (links, ranks, servers,
-  // datasets). hottest() totally orders ties by index, so the table is
+  // thieves). hottest() totally orders ties by index, so the table is
   // byte-identical across runs even when several entries share a value.
   for (const auto& [name, ic] : tracer.metrics().indexed_counters()) {
     const std::vector<std::pair<std::int64_t, std::int64_t>> entries =

@@ -70,8 +70,8 @@ struct IndexedCounter {
   std::pair<std::int64_t, std::int64_t> busiest() const;
   /// All entries hottest-first with a deterministic tie-break: value
   /// descending, then index ascending. Two counters holding the same
-  /// contents always rank identically — the human report and the serve
-  /// hot-dataset table depend on this ordering being total.
+  /// contents always rank identically — the human report depends on this
+  /// ordering being total.
   std::vector<std::pair<std::int64_t, std::int64_t>> hottest() const;
 };
 

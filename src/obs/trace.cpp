@@ -17,7 +17,6 @@ const char* to_string(Category cat) {
     case Category::kFault: return "fault";
     case Category::kCheckpoint: return "ckpt";
     case Category::kSteal: return "steal";
-    case Category::kServe: return "serve";
     case Category::kOther: return "other";
   }
   return "other";

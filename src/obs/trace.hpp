@@ -43,7 +43,6 @@ enum class Category {
   kFault,       ///< fault census / recovery actions
   kCheckpoint,  ///< checkpoint write / restart read / rollback phases
   kSteal,       ///< work-stealing claim / block-replication phases
-  kServe,       ///< render-service phases: admission, queueing, cache, idle
   kOther,
 };
 

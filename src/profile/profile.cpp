@@ -77,13 +77,6 @@ Bucket attribute_slice(const Span& span, Picos self_ps, Picos compute_child_ps,
     case Category::kCompute:
       out->add(Bucket::kCompute, self_ps);
       return Bucket::kCompute;
-    case Category::kServe:
-      // Service-layer overhead: admission bookkeeping, queue idle gaps,
-      // retry backoff stalls, stale-frame delivery. The render/fetch work a
-      // sweep triggers is emitted as kCompute/kStorage children and books
-      // itself; only the service's own time lands here.
-      out->add(Bucket::kService, self_ps);
-      return Bucket::kService;
     case Category::kExchange: {
       // seconds = max(link, endpoint) + latency + skew, with retry stalls
       // folded into the endpoint term; carve skew and retry out of the
@@ -252,7 +245,6 @@ const char* to_string(Bucket bucket) {
     case Bucket::kFaultRecovery: return "fault_recovery";
     case Bucket::kCheckpoint: return "checkpoint";
     case Bucket::kSteal: return "steal";
-    case Bucket::kService: return "service";
     case Bucket::kOther: return "other";
   }
   return "other";

@@ -51,10 +51,9 @@ enum class Bucket {
   kFaultRecovery,  ///< retries, partner discovery, recovery stalls
   kCheckpoint,     ///< checkpoint writes, restart reads, lost work
   kSteal,          ///< work-stealing claim and block-replication traffic
-  kService,        ///< render-service queueing, admission, cache, backoff
   kOther,          ///< residual self time not matching any rule
 };
-inline constexpr int kNumBuckets = 10;
+inline constexpr int kNumBuckets = 9;
 
 const char* to_string(Bucket bucket);
 

@@ -11,8 +11,6 @@
 //   pvr::ckpt      — checkpoint/restart codec and Young/Daly intervals
 //   pvr::fault     — deterministic fault injection, plans and timelines
 //   pvr::steal     — deterministic render-stage work-stealing schedules
-//   pvr::serve     — multi-tenant render service: admission, degradation,
-//                    shared brick cache, deterministic overload behavior
 //   pvr::obs       — simulated-clock tracing, metrics, trace/metric export
 //   pvr::profile   — critical path, bottleneck attribution, perf gating
 //   pvr::runtime   — superstep rank runtime (execute & model modes)
@@ -61,8 +59,6 @@
 #include "render/simd/vec8.hpp"
 #include "render/transfer_function.hpp"
 #include "runtime/runtime.hpp"
-#include "serve/cache.hpp"
-#include "serve/serve.hpp"
 #include "steal/steal.hpp"
 #include "storage/access_log.hpp"
 #include "storage/storage_model.hpp"

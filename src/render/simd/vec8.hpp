@@ -25,7 +25,17 @@
 #endif
 
 #if defined(PVR_SIMD_VECTOR_EXT) && defined(__AVX__)
+// GCC 12 flags the _mm512_undefined_* temporaries inside the AVX-512
+// intrinsics that gather2 inlines as -Wmaybe-uninitialized (GCC bug
+// 105593); silence it for the intrinsics header only.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #endif
 
 namespace pvr::render::simd {

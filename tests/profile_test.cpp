@@ -395,6 +395,19 @@ TEST(PerfGateTest, PassesAgainstItself) {
   ASSERT_EQ(run.profiles.size(), 1u);
   const GateResult result = perf_gate(run, run);
   EXPECT_TRUE(result.passed()) << report(result);
+  // A baseline dumped before a bucket was retired still carries that
+  // bucket's key. The parser reads only the buckets the taxonomy knows, so
+  // the key drops out and the baseline gates against a fresh dump without
+  // it. A nonzero value shows the key is dropped, not folded into a bucket.
+  std::string retired = bench_text(1.0, 6.5, 3.0);
+  const std::string last_bucket = "\"compute\": 1.0}";
+  retired.replace(retired.find(last_bucket), last_bucket.size(),
+                  "\"compute\": 1.0, \"service\": 0.25}");
+  const BenchRun old = parse_bench_run(parse_json(retired));
+  ASSERT_EQ(old.profiles.size(), 1u);
+  EXPECT_EQ(old.profiles[0].bucket_seconds, run.profiles[0].bucket_seconds);
+  const GateResult against_old = perf_gate(old, run);
+  EXPECT_TRUE(against_old.passed()) << report(against_old);
 }
 
 TEST(PerfGateTest, FailsOnInjectedRegressionNamingRowAndKey) {
