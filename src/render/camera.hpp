@@ -49,9 +49,14 @@ class Camera {
   int height() const { return height_; }
   const Vec3d& eye() const { return eye_; }
   const Vec3d& forward() const { return forward_; }
+  const Vec3d& right() const { return right_; }
+  const Vec3d& up() const { return up_; }
+  double tan_half_fov() const { return tan_half_fov_; }
+  double view_height() const { return view_height_; }
   bool orthographic() const { return orthographic_; }
 
-  /// Ray through the center of pixel (px, py).
+  /// Ray through the center of pixel (px, py). The packet kernel's ray
+  /// setup (src/render/simd/) replays these expressions over 8 pixels.
   Ray ray(int px, int py) const;
 
   /// Projects a world point to continuous pixel coordinates; also returns

@@ -30,6 +30,12 @@ Raycaster::Raycaster(const Vec3i& volume_dims, RenderConfig config)
   h_ = voxel_size(dims_);
   inv_h_ = 1.0 / h_;
   step_world_ = config_.step_voxels * h_;
+  // The packet kernel carries lattice indices in int32 lanes. No ray's
+  // lattice range is longer than the world box's diagonal plus a step at
+  // each end; half of int32 leaves room for the rounding of t.
+  PVR_REQUIRE(world_box(dims_).extent().length() / step_world_ <= 0x1p30,
+              "step too small: the world box spans more than 2^30 lattice "
+              "steps");
   value_scale_ = 1.0f / (config_.value_hi - config_.value_lo);
   value_bias_ = -config_.value_lo * value_scale_;
 }

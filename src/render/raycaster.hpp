@@ -42,6 +42,8 @@ struct SubImage {
 class Raycaster {
  public:
   /// `volume_dims` defines the world box and the global sample lattice.
+  /// The packet kernel indexes the lattice in int32 lanes, so a step under
+  /// 2^-30 of the world box's diagonal throws pvr::Error.
   Raycaster(const Vec3i& volume_dims, RenderConfig config);
 
   const RenderConfig& config() const { return config_; }

@@ -1,7 +1,6 @@
 #include "render/simd/packet_kernel.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -17,12 +16,12 @@ namespace {
 /// lockstep. Dead lanes keep their last accumulated color; lanes that never
 /// hit the region stay transparent, matching the scalar early returns.
 struct Packet {
-  Double8 ox, oy, oz;      ///< ray origins (per-lane scalar setup)
+  Double8 ox, oy, oz;      ///< ray origins
   Double8 dx, dy, dz;      ///< ray directions
   Double8 t0;              ///< lattice origin: volume entry t per lane
   Double8 t_exit;          ///< volume exit t (the scalar break bound)
-  Int8 k_begin, k_end;     ///< per-lane lattice index range (int32: see
-                           ///< setup_packet's clamp note)
+  Int8 k_begin, k_end;     ///< per-lane lattice index range (int32: the
+                           ///< Raycaster bounds the lattice to fit)
   Float8 r, g, b, a;       ///< accumulated premultiplied color
   Int8 alive;              ///< still marching (scalar: loop not broken)
   std::int64_t k_min = 0;  ///< min k_begin over hit lanes
@@ -32,136 +31,210 @@ struct Packet {
   bool done = false;       ///< no lane alive (whole packet early-out)
 };
 
-/// Per-axis constants of sample_trilinear's edge clamp, broadcast once. All
-/// index math is int32 — linear offsets are bounded by the brick's voxel
-/// count, which render_rows requires to be below 2^31 — because int32 is
-/// the integer width with native SIMD multiply and double<->int conversion
-/// down to SSE2 (int64 lane ops scalarize below AVX-512).
+/// Per-axis constants of sample_trilinear's edge clamp, broadcast once. The
+/// floor is compared against the clamp bounds as doubles (exact: both sides
+/// are integers) and converted to int32 once, after the clamp. Linear
+/// offsets are int32 — bounded by the brick's voxel count, which
+/// render_rows requires to be below 2^31 — because int32 is the integer
+/// width with native SIMD multiply and double->int conversion down to SSE2.
 struct AxisClamp {
-  Int8 lo;         ///< brick.box().lo[a]
-  Int8 hm2;        ///< brick.box().hi[a] - 2
-  Int8 clampi;     ///< max(lo, hi - 2): the upper-clamp index
-  Int8 x1_max;     ///< hi - 1: bound of the +1 stencil neighbor
+  Double8 lo;      ///< brick.box().lo[a]
+  Double8 hm2;     ///< brick.box().hi[a] - 2
+  Double8 clampi;  ///< max(lo, hi - 2): the upper-clamp index
   Double8 edge_f;  ///< extent > 1 ? 1.0 : 0.0: the upper-clamp fraction
+  Int8 lo_i;       ///< lo, for the brick-relative offsets
+};
+
+/// One axis of a world box, broadcast for the vectorized intersect.
+struct Slab {
+  Double8 lo, hi;
+};
+
+/// Camera::ray and intersect's constants, broadcast once. The scalar
+/// camera's per-pixel expressions are reproduced operation for operation;
+/// terms that do not vary along a scanline (the v coordinate and the up
+/// vector's contribution) are computed as the same scalar expressions.
+struct RayConstants {
+  bool ortho = false;
+  double height = 0.0;
+  double scale = 0.0;  ///< tan_half_fov, or half the orthographic height
+  Double8 lane;        ///< 0, 1, ..., 7
+  Double8 width, aspect, scale8;  ///< scale8: scale, broadcast
+  Double8 eye[3], forward[3], right[3];
+  Vec3d up;
+  Slab vol[3];  ///< whole-volume box (the lattice origin)
 };
 
 /// March constants shared by every packet of a render_rows call.
 struct Constants {
-  Double8 rlo_x, rlo_y, rlo_z, rhi_x, rhi_y, rhi_z;  // region membership box
-  Double8 inv_h, half, dzero;
+  Slab region[3];  // half-open region membership box
+  Double8 inv_h, half, dzero, one, two;
   AxisClamp ax[3];
-  Int8 ex, ey;  // brick extents for linear indexing
-  Int8 ione;
+  Int8 ex, exy;  // linear-index strides of y and z
+  bool x_pairs = false;  // x extent > 1: the x neighbors are adjacent
+  std::ptrdiff_t step_y = 0, step_z = 0;  // offsets of the y, z neighbors
   Float8 scale, bias, early, fone;
+  RayConstants ray;
   const float* data = nullptr;
   const TfLut* lut = nullptr;
 };
 
 Constants make_constants(const KernelParams& kp) {
   Constants c;
-  c.rlo_x = Double8::broadcast(kp.region.lo.x);
-  c.rlo_y = Double8::broadcast(kp.region.lo.y);
-  c.rlo_z = Double8::broadcast(kp.region.lo.z);
-  c.rhi_x = Double8::broadcast(kp.region.hi.x);
-  c.rhi_y = Double8::broadcast(kp.region.hi.y);
-  c.rhi_z = Double8::broadcast(kp.region.hi.z);
+  for (int axis = 0; axis < 3; ++axis) {
+    c.region[axis] = {Double8::broadcast(kp.region.lo[axis]),
+                      Double8::broadcast(kp.region.hi[axis])};
+  }
   c.inv_h = Double8::broadcast(kp.inv_h);
   c.half = Double8::broadcast(0.5);
   c.dzero = Double8::broadcast(0.0);
+  c.one = Double8::broadcast(1.0);
+  c.two = Double8::broadcast(2.0);
   const Box3i& b = kp.brick->box();
   const Vec3i e = b.extent();
   for (int axis = 0; axis < 3; ++axis) {
     AxisClamp& ax = c.ax[axis];
-    const std::int32_t lo = std::int32_t(b.lo[axis]);
-    const std::int32_t hm2 = std::int32_t(b.hi[axis] - 2);
-    ax.lo = Int8::broadcast(lo);
-    ax.hm2 = Int8::broadcast(hm2);
-    ax.clampi = Int8::broadcast(std::max(lo, hm2));
-    ax.x1_max = Int8::broadcast(std::int32_t(b.hi[axis] - 1));
+    const std::int64_t lo = b.lo[axis], hm2 = b.hi[axis] - 2;
+    ax.lo = Double8::broadcast(double(lo));
+    ax.hm2 = Double8::broadcast(double(hm2));
+    ax.clampi = Double8::broadcast(double(std::max(lo, hm2)));
     ax.edge_f = Double8::broadcast((b.hi[axis] - b.lo[axis]) > 1 ? 1.0 : 0.0);
+    ax.lo_i = Int8::broadcast(std::int32_t(lo));
   }
   c.ex = Int8::broadcast(std::int32_t(e.x));
-  c.ey = Int8::broadcast(std::int32_t(e.y));
-  c.ione = Int8::broadcast(1);
+  c.exy = Int8::broadcast(std::int32_t(e.x * e.y));
+  c.x_pairs = e.x > 1;
+  c.step_y = e.y > 1 ? std::ptrdiff_t(e.x) : 0;
+  c.step_z = e.z > 1 ? std::ptrdiff_t(e.x * e.y) : 0;
   c.scale = Float8::broadcast(kp.value_scale);
   c.bias = Float8::broadcast(kp.value_bias);
   c.early = Float8::broadcast(kp.early_termination);
   c.fone = Float8::broadcast(1.0f);
+
+  const Camera& cam = *kp.camera;
+  RayConstants& rc = c.ray;
+  rc.ortho = cam.orthographic();
+  rc.height = double(cam.height());
+  rc.scale = rc.ortho ? cam.view_height() * 0.5 : cam.tan_half_fov();
+  for (int i = 0; i < kLanes; ++i) rc.lane.set_lane(i, double(i));
+  rc.width = Double8::broadcast(double(cam.width()));
+  rc.aspect = Double8::broadcast(double(cam.width()) / double(cam.height()));
+  rc.scale8 = Double8::broadcast(rc.scale);
+  for (int axis = 0; axis < 3; ++axis) {
+    rc.eye[axis] = Double8::broadcast(cam.eye()[axis]);
+    rc.forward[axis] = Double8::broadcast(cam.forward()[axis]);
+    rc.right[axis] = Double8::broadcast(cam.right()[axis]);
+    rc.vol[axis] = {Double8::broadcast(kp.vol.lo[axis]),
+                    Double8::broadcast(kp.vol.hi[axis])};
+  }
+  rc.up = cam.up();
   c.data = kp.brick->data().data();
   c.lut = kp.lut;
   return c;
 }
 
-/// Per-lane scalar ray setup for one packet: camera ray + box intersections
-/// + lattice bounds, exactly the per-ray reference march's prologue. Lanes
-/// that miss (or pad a short tail packet) get alive = 0 and k_end = -1, so
-/// they never sample and stay transparent.
-void setup_packet(const KernelParams& kp, int px_begin, int px_count, int py,
-                  std::size_t out_base, Packet* pkt) {
+/// intersect() over 8 rays: the slab method with the same expressions,
+/// its `|d| < 1e-300` branch and its swap as mask selects, and std::max /
+/// std::min as the selects they are defined as. The scalar exits after the
+/// first axis that empties the interval; t0 only grows and t1 only shrinks,
+/// so one `t0 > t1` test after the last axis decides the same lanes.
+/// Returns the lanes that hit; *t_enter / *t_exit are defined on those.
+Mask64 intersect8(const Double8 o[3], const Double8 d[3], const Slab box[3],
+                  Double8* t_enter, Double8* t_exit) {
+  const Double8 tiny = Double8::broadcast(1e-300);
+  const Double8 neg_tiny = Double8::broadcast(-1e-300);
+  Double8 t0 = Double8::broadcast(0.0);
+  Double8 t1 = Double8::broadcast(std::numeric_limits<double>::infinity());
+  Mask64 miss{};
+  for (int a = 0; a < 3; ++a) {
+    const Slab& s = box[a];
+    // std::fabs(d) < 1e-300, without the fabs.
+    const Mask64 flat = mask_lt(d[a], tiny) & mask_gt(d[a], neg_tiny);
+    miss = miss | (flat & (mask_lt(o[a], s.lo) | mask_ge(o[a], s.hi)));
+    const Double8 ta = (s.lo - o[a]) / d[a];
+    const Double8 tb = (s.hi - o[a]) / d[a];
+    const Mask64 swap = mask_gt(ta, tb);
+    const Double8 near = select(swap, tb, ta);
+    const Double8 far = select(swap, ta, tb);
+    t0 = select(flat, t0, select(mask_lt(t0, near), near, t0));
+    t1 = select(flat, t1, select(mask_lt(far, t1), far, t1));
+  }
+  *t_enter = t0;
+  *t_exit = t1;
+  return ~(miss | mask_gt(t0, t1));
+}
+
+/// Ray setup for one packet in Double8 lanes: Camera::ray, the volume and
+/// region intersections and the lattice bounds — the per-ray reference
+/// march's prologue, expression for expression. Lanes that miss (or pad a
+/// short tail packet) get alive = 0 and k_end = -1, so they never sample
+/// and stay transparent.
+void setup_packet(const KernelParams& kp, const Constants& c, int px_begin,
+                  int px_count, int py, std::size_t out_base, Packet* pkt) {
+  const RayConstants& rc = c.ray;
   pkt->r = pkt->g = pkt->b = pkt->a = Float8::broadcast(0.0f);
   pkt->out_base = out_base;
   pkt->nlanes = px_count;
   pkt->done = false;
+
+  // Camera::ray: u per lane; v is one scalar for the whole scanline.
+  const Double8 px = Double8::broadcast(double(px_begin)) + rc.lane;
+  const Double8 u = ((px + c.half) / rc.width) * c.two - c.one;
+  const double v = 1.0 - ((py + 0.5) / rc.height) * 2.0;
+  const Double8 su = (u * rc.scale8) * rc.aspect;
+  const double sv = v * rc.scale;
+  Double8 o[3], d[3];
+  if (rc.ortho) {
+    for (int a = 0; a < 3; ++a) {
+      o[a] = (rc.eye[a] + rc.right[a] * su) +
+             Double8::broadcast(rc.up[a] * sv);
+      d[a] = rc.forward[a];
+    }
+  } else {
+    Double8 raw[3];
+    for (int a = 0; a < 3; ++a) {
+      o[a] = rc.eye[a];
+      raw[a] = (rc.forward[a] + rc.right[a] * su) +
+               Double8::broadcast(rc.up[a] * sv);
+    }
+    // Vec3d::normalized(): divide by the length where it is positive.
+    const Double8 len = sqrt((raw[0] * raw[0] + raw[1] * raw[1]) +
+                             raw[2] * raw[2]);
+    const Mask64 pos = mask_gt(len, c.dzero);
+    for (int a = 0; a < 3; ++a) d[a] = select(pos, raw[a] / len, c.dzero);
+  }
+
+  Double8 t0, t_exit;
+  Mask64 hit = mask_lt(rc.lane, Double8::broadcast(double(px_count))) &
+               intersect8(o, d, rc.vol, &t0, &t_exit);
+  Double8 reg_enter = t0, reg_exit = t_exit;
+  if (!kp.region_is_volume) {
+    hit = hit & intersect8(o, d, c.region, &reg_enter, &reg_exit);
+  }
+  // Lattice bounds: max(0, floor((enter - t0) / dt) - 1) and
+  // ceil((exit - t0) / dt) + 1, in doubles (exact: the Raycaster keeps
+  // every lattice index below 2^31), converted once on hit lanes.
+  const Double8 dt = Double8::broadcast(kp.dt);
+  const Double8 kb = floor((reg_enter - t0) / dt) - c.one;
+  const Double8 ke = ceil((reg_exit - t0) / dt) + c.one;
+  pkt->k_begin = to_int(select(hit, select(mask_lt(c.dzero, kb), kb, c.dzero),
+                               c.dzero));
+  pkt->k_end = to_int(select(hit, ke, Double8::broadcast(-1.0)));
+  pkt->ox = select(hit, o[0], c.dzero);
+  pkt->oy = select(hit, o[1], c.dzero);
+  pkt->oz = select(hit, o[2], c.dzero);
+  pkt->dx = select(hit, d[0], c.dzero);
+  pkt->dy = select(hit, d[1], c.dzero);
+  pkt->dz = select(hit, d[2], c.dzero);
+  pkt->t0 = select(hit, t0, c.dzero);
+  pkt->t_exit = select(hit, t_exit, Double8::broadcast(-1.0));
+  pkt->alive = narrow(hit);
   pkt->k_min = std::numeric_limits<std::int64_t>::max();
   pkt->k_max = -1;
   for (int lane = 0; lane < kLanes; ++lane) {
-    double o[3] = {0.0, 0.0, 0.0}, d[3] = {0.0, 0.0, 0.0};
-    double t0 = 0.0, t_exit = -1.0;
-    std::int64_t kb = 0, ke = -1;
-    bool hit = false;
-    if (lane < px_count) {
-      const Ray ray = kp.camera->ray(px_begin + lane, py);
-      const auto vol_hit = intersect(ray, kp.vol);
-      if (vol_hit) {
-        double reg_enter = vol_hit->t_enter;
-        double reg_exit = vol_hit->t_exit;
-        hit = true;
-        if (!kp.region_is_volume) {
-          const auto reg_hit = intersect(ray, kp.region);
-          if (reg_hit) {
-            reg_enter = reg_hit->t_enter;
-            reg_exit = reg_hit->t_exit;
-          } else {
-            hit = false;
-          }
-        }
-        if (hit) {
-          o[0] = ray.origin.x;
-          o[1] = ray.origin.y;
-          o[2] = ray.origin.z;
-          d[0] = ray.dir.x;
-          d[1] = ray.dir.y;
-          d[2] = ray.dir.z;
-          t0 = vol_hit->t_enter;
-          t_exit = vol_hit->t_exit;
-          kb = std::max<std::int64_t>(
-              0, std::int64_t(std::floor((reg_enter - t0) / kp.dt)) - 1);
-          ke = std::int64_t(std::ceil((reg_exit - t0) / kp.dt)) + 1;
-          // Lattice indices ride in int32 lanes. The `t > t_exit` break
-          // ends every march at k ~ (t_exit - t0) / dt <= ke, so a range
-          // that exceeds int32 would mean >2^31 samples on one ray — far
-          // beyond any renderable configuration. Clamp defensively.
-          const std::int64_t k_cap =
-              std::numeric_limits<std::int32_t>::max() - 1;
-          kb = std::min(kb, k_cap);
-          ke = std::min(ke, k_cap);
-        }
-      }
-    }
-    pkt->ox.set_lane(lane, o[0]);
-    pkt->oy.set_lane(lane, o[1]);
-    pkt->oz.set_lane(lane, o[2]);
-    pkt->dx.set_lane(lane, d[0]);
-    pkt->dy.set_lane(lane, d[1]);
-    pkt->dz.set_lane(lane, d[2]);
-    pkt->t0.set_lane(lane, t0);
-    pkt->t_exit.set_lane(lane, t_exit);
-    pkt->k_begin.set_lane(lane, std::int32_t(kb));
-    pkt->k_end.set_lane(lane, std::int32_t(ke));
-    pkt->alive.set_lane(lane, hit ? -1 : 0);
-    if (hit) {
-      pkt->k_min = std::min(pkt->k_min, kb);
-      pkt->k_max = std::max(pkt->k_max, ke);
+    if (pkt->alive.lane(lane) != 0) {
+      pkt->k_min = std::min<std::int64_t>(pkt->k_min, pkt->k_begin.lane(lane));
+      pkt->k_max = std::max<std::int64_t>(pkt->k_max, pkt->k_end.lane(lane));
     }
   }
   if (pkt->k_max < 0) pkt->done = true;
@@ -193,52 +266,51 @@ void setup_packet(const KernelParams& kp, int px_begin, int px_count, int py,
   const Double8 pz = pkt->oz + pkt->dz * t;
   // Six double compares AND together in the 64-bit mask domain and narrow
   // once (a narrowing shuffle per compare was measurable).
+  const Slab* r = c.region;
   member = member &
-           narrow(mask_ge(px, c.rlo_x) & mask_lt(px, c.rhi_x) &
-                  mask_ge(py, c.rlo_y) & mask_lt(py, c.rhi_y) &
-                  mask_ge(pz, c.rlo_z) & mask_lt(pz, c.rhi_z));
+           narrow(mask_ge(px, r[0].lo) & mask_lt(px, r[0].hi) &
+                  mask_ge(py, r[1].lo) & mask_lt(py, r[1].hi) &
+                  mask_ge(pz, r[2].lo) & mask_lt(pz, r[2].hi));
   if (!any(member)) return 0;
 
   // sample_trilinear, vectorized. The edge clamp bounds every lane's indices
-  // into the brick (even non-member lanes, whose positions are finite), so
-  // the corner gathers below are unconditionally in-bounds.
+  // into the brick (non-member lanes too), so the corner gathers below are
+  // unconditionally in-bounds.
   Int8 i0[3];
   Double8 frac[3];
   const Double8 p[3] = {px, py, pz};
   for (int axis = 0; axis < 3; ++axis) {
     const AxisClamp& ax = c.ax[axis];
     const Double8 v = p[axis] * c.inv_h - c.half;
-    Double8 fl;
-    Int8 iv = floor_int(v, &fl);
-    Double8 f = v - fl;
-    const Int8 below = iv < ax.lo;
-    const Int8 above = iv > ax.hm2;
-    iv = select(below, ax.lo, select(above, ax.clampi, iv));
-    f = select(below, c.dzero, select(above, ax.edge_f, f));
-    i0[axis] = iv;
-    frac[axis] = f;
+    const Double8 fl = floor(v);
+    const Double8 f = v - fl;
+    // The scalar `i < lo` / `i > hi - 2` tests on the floor itself. Written
+    // !(fl >= lo), the lower test also sends a NaN lane to the clamp, so
+    // every lane's corner index stays inside the brick.
+    const Mask64 below = ~mask_ge(fl, ax.lo);
+    const Mask64 above = mask_gt(fl, ax.hm2);
+    i0[axis] = to_int(select(below, ax.lo, select(above, ax.clampi, fl)));
+    frac[axis] = select(below, c.dzero, select(above, ax.edge_f, f));
   }
-  const Int8 x1 = min(i0[0] + c.ione, c.ax[0].x1_max);
-  const Int8 y1 = min(i0[1] + c.ione, c.ax[1].x1_max);
-  const Int8 z1 = min(i0[2] + c.ione, c.ax[2].x1_max);
-  // Linear indices: ((z - lo.z) * ey + (y - lo.y)) * ex + (x - lo.x).
-  const Int8 rx0 = i0[0] - c.ax[0].lo, rx1 = x1 - c.ax[0].lo;
-  const Int8 ry0 = i0[1] - c.ax[1].lo, ry1 = y1 - c.ax[1].lo;
-  const Int8 rz0 = i0[2] - c.ax[2].lo, rz1 = z1 - c.ax[2].lo;
-  const Int8 b00 = (rz0 * c.ey + ry0) * c.ex;
-  const Int8 b10 = (rz0 * c.ey + ry1) * c.ex;
-  const Int8 b01 = (rz1 * c.ey + ry0) * c.ex;
-  const Int8 b11 = (rz1 * c.ey + ry1) * c.ex;
-  const Int8 i000 = b00 + rx0, i100 = b00 + rx1;
-  const Int8 i010 = b10 + rx0, i110 = b10 + rx1;
-  const Int8 i001 = b01 + rx0, i101 = b01 + rx1;
-  const Int8 i011 = b11 + rx0, i111 = b11 + rx1;
-  const float* data = c.data;
+  // The clamp keeps i0 <= hi - 2 on an axis of extent >= 2, so the +1
+  // neighbor min(i0 + 1, hi - 1) is i0 + 1; on an axis of extent 1 it is
+  // i0. Either way its linear offset is a brick constant, and the eight
+  // corners are one base index read at eight fixed offsets. The x
+  // neighbors are adjacent floats, read as pairs.
+  const Int8 base = (i0[2] - c.ax[2].lo_i) * c.exy +
+                    (i0[1] - c.ax[1].lo_i) * c.ex + (i0[0] - c.ax[0].lo_i);
   Float8 c000, c100, c010, c110, c001, c101, c011, c111;
-  gather2(data, i000, i100, &c000, &c100);
-  gather2(data, i010, i110, &c010, &c110);
-  gather2(data, i001, i101, &c001, &c101);
-  gather2(data, i011, i111, &c011, &c111);
+  const auto x_pair = [&](const float* at, Float8* x0, Float8* x1) {
+    if (c.x_pairs) {
+      gather_pairs(at, base, x0, x1);
+    } else {
+      *x0 = *x1 = gather(at, base);
+    }
+  };
+  x_pair(c.data, &c000, &c100);
+  x_pair(c.data + c.step_y, &c010, &c110);
+  x_pair(c.data + c.step_z, &c001, &c101);
+  x_pair(c.data + c.step_y + c.step_z, &c011, &c111);
   const Float8 fx = to_float(frac[0]);
   const Float8 fy = to_float(frac[1]);
   const Float8 fz = to_float(frac[2]);
@@ -356,7 +428,7 @@ std::int64_t render_rows(const KernelParams& kp, const Rect& rect,
         const int py = rect.y0 + int(row);
         for (int x = tx; x < tx_end; x += kLanes) {
           Packet pkt;
-          setup_packet(kp, rect.x0 + x, std::min(kLanes, tx_end - x), py,
+          setup_packet(kp, c, rect.x0 + x, std::min(kLanes, tx_end - x), py,
                        std::size_t(row) * std::size_t(width) + std::size_t(x),
                        &pkt);
           packets.push_back(pkt);

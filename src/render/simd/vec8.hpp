@@ -11,14 +11,18 @@
 //   * scalar fallback (PVR_SIMD_SCALAR, or a compiler without the
 //     extensions): plain arrays and lane loops with identical semantics.
 //
-// Masks are 32-bit integer lanes holding 0 (false) or -1 (all bits, true),
-// matching the result of vector comparisons. `select(m, a, b)` picks a
-// where m is true — exactly one of the two values, never a blend — so
-// masked arithmetic preserves bitwise equality lane by lane.
+// Masks come in two widths, both 0 (false) or -1 (all bits, true) per lane:
+// Int8 for float and int32 lanes, Mask64 for double lanes (the native width
+// of a double comparison). `select(m, a, b)` picks a where m is true —
+// exactly one of the two values, never a blend — so masked arithmetic
+// preserves bitwise equality lane by lane. Double work selects on Mask64
+// and narrows to Int8 only where it meets float or int32 lanes: GCC 12
+// lowers each Int8-masked double select to a widening shuffle.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #if !defined(PVR_SIMD_SCALAR) && (defined(__clang__) || defined(__GNUC__))
 #define PVR_SIMD_VECTOR_EXT 1
@@ -26,8 +30,8 @@
 
 #if defined(PVR_SIMD_VECTOR_EXT) && defined(__AVX__)
 // GCC 12 flags the _mm512_undefined_* temporaries inside the AVX-512
-// intrinsics that gather2 inlines as -Wmaybe-uninitialized (GCC bug
-// 105593); silence it for the intrinsics header only.
+// gather intrinsics that gather_pairs inlines as -Wmaybe-uninitialized
+// (GCC bug 105593); silence it for the intrinsics header only.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
@@ -49,9 +53,10 @@ typedef float vf8 __attribute__((vector_size(32)));
 typedef std::int32_t vi8 __attribute__((vector_size(32)));
 typedef double vd8 __attribute__((vector_size(64)));
 typedef std::int64_t vl8 __attribute__((vector_size(64)));
+typedef double vd4 __attribute__((vector_size(32)));
 }  // namespace detail
 
-/// 8 int32 lanes; also the mask type (0 / -1 per lane).
+/// 8 int32 lanes; also the mask type of float and int32 lanes.
 struct Int8 {
   detail::vi8 v;
 
@@ -62,7 +67,6 @@ struct Int8 {
   void set_lane(int i, std::int32_t x) { v[i] = x; }
 
   Int8 operator&(const Int8& o) const { return {v & o.v}; }
-  Int8 operator|(const Int8& o) const { return {v | o.v}; }
   Int8 operator~() const { return {~v}; }
 
   Int8 operator+(const Int8& o) const { return {v + o.v}; }
@@ -78,6 +82,12 @@ struct Float8 {
 
   static Float8 broadcast(float x) {
     return {detail::vf8{x, x, x, x, x, x, x, x}};
+  }
+  /// Lanes p[0..7]; p need not be aligned.
+  static Float8 load(const float* p) {
+    Float8 r;
+    std::memcpy(&r.v, p, sizeof r.v);
+    return r;
   }
   float lane(int i) const { return v[i]; }
   void set_lane(int i, float x) { v[i] = x; }
@@ -108,92 +118,158 @@ struct Double8 {
   Double8 operator-(const Double8& o) const { return {v - o.v}; }
   Double8 operator*(const Double8& o) const { return {v * o.v}; }
   Double8 operator/(const Double8& o) const { return {v / o.v}; }
-
-  Int8 operator>(const Double8& o) const {
-    return {__builtin_convertvector(v > o.v, detail::vi8)};
-  }
-  Int8 operator>=(const Double8& o) const {
-    return {__builtin_convertvector(v >= o.v, detail::vi8)};
-  }
-  Int8 operator<(const Double8& o) const {
-    return {__builtin_convertvector(v < o.v, detail::vi8)};
-  }
 };
 
 /// 8 int64 mask lanes (0 / -1): the native width of a double comparison.
-/// Chains of double compares AND together in this domain and narrow to an
-/// Int8 mask once, instead of paying a narrowing shuffle per compare.
+/// Chains of double compares combine in this domain and narrow to an Int8
+/// mask once, instead of paying a narrowing shuffle per compare.
 struct Mask64 {
   detail::vl8 v;
   Mask64 operator&(const Mask64& o) const { return {v & o.v}; }
+  Mask64 operator|(const Mask64& o) const { return {v | o.v}; }
+  Mask64 operator~() const { return {~v}; }
 };
 
+#if defined(__AVX__) && !defined(__AVX512F__)
+#define PVR_SIMD_HALVES 1
+// Below AVX-512, GCC 12 splits 8-lane double arithmetic into two 256-bit
+// halves but lowers 8-lane double compares and Mask64 selects lane by lane
+// (scalar compares and branches). Those are written on the halves, where
+// each is one AVX instruction. The helpers return the 8-lane structs, not
+// raw 64-byte vectors, whose by-value ABI differs below AVX-512.
+namespace detail {
+typedef std::int64_t vl4 __attribute__((vector_size(32)));
+inline vd4 lo(const vd8& x) {
+  return __builtin_shufflevector(x, x, 0, 1, 2, 3);
+}
+inline vd4 hi(const vd8& x) {
+  return __builtin_shufflevector(x, x, 4, 5, 6, 7);
+}
+inline vl4 lo(const vl8& x) {
+  return __builtin_shufflevector(x, x, 0, 1, 2, 3);
+}
+inline vl4 hi(const vl8& x) {
+  return __builtin_shufflevector(x, x, 4, 5, 6, 7);
+}
+inline Double8 join(const vd4& a, const vd4& b) {
+  return {__builtin_shufflevector(a, b, 0, 1, 2, 3, 4, 5, 6, 7)};
+}
+inline Mask64 join(const vl4& a, const vl4& b) {
+  return {__builtin_shufflevector(a, b, 0, 1, 2, 3, 4, 5, 6, 7)};
+}
+}  // namespace detail
+#define PVR_SIMD_MASK64_CMP(a, b, op)                      \
+  detail::join(detail::lo(a.v) op detail::lo(b.v),         \
+               detail::hi(a.v) op detail::hi(b.v))
+#else
+#define PVR_SIMD_MASK64_CMP(a, b, op) Mask64{a.v op b.v}
+#endif
+
 inline Mask64 mask_gt(const Double8& a, const Double8& b) {
-  return {a.v > b.v};
+  return PVR_SIMD_MASK64_CMP(a, b, >);
 }
 inline Mask64 mask_ge(const Double8& a, const Double8& b) {
-  return {a.v >= b.v};
+  return PVR_SIMD_MASK64_CMP(a, b, >=);
 }
 inline Mask64 mask_lt(const Double8& a, const Double8& b) {
-  return {a.v < b.v};
+  return PVR_SIMD_MASK64_CMP(a, b, <);
 }
+#undef PVR_SIMD_MASK64_CMP
 inline Int8 narrow(const Mask64& m) {
   return {__builtin_convertvector(m.v, detail::vi8)};
 }
 
-/// 8 int64 lanes (voxel indices).
-struct Long8 {
-  detail::vl8 v;
-
-  static Long8 broadcast(std::int64_t x) {
-    return {detail::vl8{x, x, x, x, x, x, x, x}};
-  }
-  std::int64_t lane(int i) const { return v[i]; }
-  void set_lane(int i, std::int64_t x) { v[i] = x; }
-
-  Long8 operator+(const Long8& o) const { return {v + o.v}; }
-  Long8 operator-(const Long8& o) const { return {v - o.v}; }
-  Long8 operator*(const Long8& o) const { return {v * o.v}; }
-  Int8 operator<(const Long8& o) const {
-    return {__builtin_convertvector(v < o.v, detail::vi8)};
-  }
-  Int8 operator>(const Long8& o) const {
-    return {__builtin_convertvector(v > o.v, detail::vi8)};
-  }
-};
-
 inline Float8 select(const Int8& m, const Float8& a, const Float8& b) {
   return {m.v != 0 ? a.v : b.v};
 }
-inline Double8 select(const Int8& m, const Double8& a, const Double8& b) {
-  return {__builtin_convertvector(m.v, detail::vl8) != 0 ? a.v : b.v};
-}
-inline Long8 select(const Int8& m, const Long8& a, const Long8& b) {
-  return {__builtin_convertvector(m.v, detail::vl8) != 0 ? a.v : b.v};
-}
-inline Int8 select(const Int8& m, const Int8& a, const Int8& b) {
+inline Double8 select(const Mask64& m, const Double8& a, const Double8& b) {
+#if defined(PVR_SIMD_HALVES)
+  using detail::hi, detail::lo;
+  return detail::join(lo(m.v) != 0 ? lo(a.v) : lo(b.v),
+                      hi(m.v) != 0 ? hi(a.v) : hi(b.v));
+#else
   return {m.v != 0 ? a.v : b.v};
+#endif
 }
 
-/// Truncation toward zero, exact for |x| < 2^63.
-inline Long8 to_long(const Double8& x) {
-  return {__builtin_convertvector(x.v, detail::vl8)};
+/// table.lane(idx.lane(i)) per lane: one vpermps on AVX2 and AVX-512.
+/// Every idx lane must lie in [0, 8).
+inline Float8 permute(const Float8& table, const Int8& idx) {
+  return {__builtin_shuffle(table.v, idx.v)};
 }
-inline Double8 to_double(const Long8& x) {
-  return {__builtin_convertvector(x.v, detail::vd8)};
-}
-/// Truncation toward zero, exact for |x| < 2^31. Unlike the int64 pair
-/// above, both directions are single native instructions down to SSE2
-/// (cvttpd2dq / cvtdq2pd) — the hot kernel keeps all index math in int32
-/// for this reason.
+
+/// Truncation toward zero, exact for |x| < 2^31: one cvttpd2dq (the kernel
+/// keeps its index math in int32, whose conversion is native down to
+/// SSE2). Lanes outside int32 have no defined result.
 inline Int8 to_int(const Double8& x) {
   return {__builtin_convertvector(x.v, detail::vi8)};
 }
-inline Double8 to_double(const Int8& x) {
-  return {__builtin_convertvector(x.v, detail::vd8)};
-}
 inline Float8 to_float(const Double8& x) {
   return {__builtin_convertvector(x.v, detail::vf8)};
+}
+
+namespace detail {
+#if defined(PVR_SIMD_HALVES)
+/// Applies a 4-lane AVX intrinsic to both halves of a Double8.
+template <typename Op>
+inline Double8 by_halves(const Double8& x, Op op) {
+  return join(op((__m256d)lo(x.v)), op((__m256d)hi(x.v)));
+}
+#endif
+/// `fn` per lane: the fallback below AVX, where std::floor, std::ceil and
+/// std::sqrt are exactly rounded one lane at a time.
+template <typename Fn>
+inline Double8 per_lane(const Double8& x, Fn fn) {
+  Double8 r;
+  for (int i = 0; i < kLanes; ++i) r.v[i] = fn(x.v[i]);
+  return r;
+}
+}  // namespace detail
+
+/// Rounding to integral and square root, exactly rounded, so every lane
+/// equals std::floor / std::ceil / std::sqrt of its value bitwise (signed
+/// zeros, infinities and NaNs included): roundscale/vsqrtpd on AVX-512,
+/// vroundpd/vsqrtpd per 256-bit half on AVX. The AVX-512 forms are the
+/// zero-masking ones under an all-lanes mask: the unmasked intrinsics pass
+/// _mm512_undefined_pd, which GCC 12 reports as used uninitialized.
+#if defined(__AVX512F__)
+inline constexpr __mmask8 kAllLanes = 0xff;
+#endif
+inline Double8 floor(const Double8& x) {
+#if defined(__AVX512F__)
+  return {(detail::vd8)_mm512_maskz_roundscale_pd(
+      kAllLanes, (__m512d)x.v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC)};
+#elif defined(PVR_SIMD_HALVES)
+  return detail::by_halves(x, [](__m256d h) {
+    return (detail::vd4)_mm256_round_pd(
+        h, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  });
+#else
+  return detail::per_lane(x, [](double d) { return std::floor(d); });
+#endif
+}
+inline Double8 ceil(const Double8& x) {
+#if defined(__AVX512F__)
+  return {(detail::vd8)_mm512_maskz_roundscale_pd(
+      kAllLanes, (__m512d)x.v, _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC)};
+#elif defined(PVR_SIMD_HALVES)
+  return detail::by_halves(x, [](__m256d h) {
+    return (detail::vd4)_mm256_round_pd(
+        h, _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
+  });
+#else
+  return detail::per_lane(x, [](double d) { return std::ceil(d); });
+#endif
+}
+inline Double8 sqrt(const Double8& x) {
+#if defined(__AVX512F__)
+  return {(detail::vd8)_mm512_maskz_sqrt_pd(kAllLanes, (__m512d)x.v)};
+#elif defined(PVR_SIMD_HALVES)
+  return detail::by_halves(
+      x, [](__m256d h) { return (detail::vd4)_mm256_sqrt_pd(h); });
+#else
+  return detail::per_lane(x, [](double d) { return std::sqrt(d); });
+#endif
 }
 
 /// Lane-occupancy tests. Mask lanes are 0 / -1, so the sign bits collected
@@ -232,7 +308,14 @@ inline Float8 gather(const float* base, const Int8& idx) {
 }
 
 
+#undef PVR_SIMD_HALVES
+
 #else  // scalar fallback -------------------------------------------------
+
+#define PVR_SIMD_LANEWISE(T, E, expr)                 \
+  T r;                                                \
+  for (int i = 0; i < kLanes; ++i) r.v[i] = E(expr);  \
+  return r
 
 struct Int8 {
   std::int32_t v[kLanes];
@@ -246,51 +329,25 @@ struct Int8 {
   void set_lane(int i, std::int32_t x) { v[i] = x; }
 
   Int8 operator&(const Int8& o) const {
-    Int8 r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = v[i] & o.v[i];
-    return r;
+    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] & o.v[i]);
   }
-  Int8 operator|(const Int8& o) const {
-    Int8 r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = v[i] | o.v[i];
-    return r;
-  }
-  Int8 operator~() const {
-    Int8 r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = ~v[i];
-    return r;
-  }
+  Int8 operator~() const { PVR_SIMD_LANEWISE(Int8, std::int32_t, ~v[i]); }
   Int8 operator+(const Int8& o) const {
-    Int8 r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = v[i] + o.v[i];
-    return r;
+    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] + o.v[i]);
   }
   Int8 operator-(const Int8& o) const {
-    Int8 r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = v[i] - o.v[i];
-    return r;
+    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] - o.v[i]);
   }
   Int8 operator*(const Int8& o) const {
-    Int8 r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = v[i] * o.v[i];
-    return r;
+    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] * o.v[i]);
   }
   Int8 operator<(const Int8& o) const {
-    Int8 r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = v[i] < o.v[i] ? -1 : 0;
-    return r;
+    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] < o.v[i] ? -1 : 0);
   }
   Int8 operator>(const Int8& o) const {
-    Int8 r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = v[i] > o.v[i] ? -1 : 0;
-    return r;
+    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] > o.v[i] ? -1 : 0);
   }
 };
-
-#define PVR_SIMD_LANEWISE(T, E, expr)                 \
-  T r;                                                \
-  for (int i = 0; i < kLanes; ++i) r.v[i] = E(expr);  \
-  return r
 
 struct Float8 {
   float v[kLanes];
@@ -298,6 +355,11 @@ struct Float8 {
   static Float8 broadcast(float x) {
     Float8 r;
     for (int i = 0; i < kLanes; ++i) r.v[i] = x;
+    return r;
+  }
+  static Float8 load(const float* p) {
+    Float8 r;
+    std::memcpy(r.v, p, sizeof r.v);
     return r;
   }
   float lane(int i) const { return v[i]; }
@@ -346,15 +408,6 @@ struct Double8 {
   Double8 operator/(const Double8& o) const {
     PVR_SIMD_LANEWISE(Double8, double, v[i] / o.v[i]);
   }
-  Int8 operator>(const Double8& o) const {
-    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] > o.v[i] ? -1 : 0);
-  }
-  Int8 operator>=(const Double8& o) const {
-    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] >= o.v[i] ? -1 : 0);
-  }
-  Int8 operator<(const Double8& o) const {
-    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] < o.v[i] ? -1 : 0);
-  }
 };
 
 /// 8 int64 mask lanes; see the vector backend for the rationale. The
@@ -362,109 +415,56 @@ struct Double8 {
 struct Mask64 {
   std::int64_t v[kLanes];
   Mask64 operator&(const Mask64& o) const {
-    Mask64 r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = v[i] & o.v[i];
-    return r;
+    PVR_SIMD_LANEWISE(Mask64, std::int64_t, v[i] & o.v[i]);
   }
+  Mask64 operator|(const Mask64& o) const {
+    PVR_SIMD_LANEWISE(Mask64, std::int64_t, v[i] | o.v[i]);
+  }
+  Mask64 operator~() const { PVR_SIMD_LANEWISE(Mask64, std::int64_t, ~v[i]); }
 };
 
 inline Mask64 mask_gt(const Double8& a, const Double8& b) {
-  Mask64 r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = a.v[i] > b.v[i] ? -1 : 0;
-  return r;
+  PVR_SIMD_LANEWISE(Mask64, std::int64_t, a.v[i] > b.v[i] ? -1 : 0);
 }
 inline Mask64 mask_ge(const Double8& a, const Double8& b) {
-  Mask64 r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = a.v[i] >= b.v[i] ? -1 : 0;
-  return r;
+  PVR_SIMD_LANEWISE(Mask64, std::int64_t, a.v[i] >= b.v[i] ? -1 : 0);
 }
 inline Mask64 mask_lt(const Double8& a, const Double8& b) {
-  Mask64 r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = a.v[i] < b.v[i] ? -1 : 0;
-  return r;
+  PVR_SIMD_LANEWISE(Mask64, std::int64_t, a.v[i] < b.v[i] ? -1 : 0);
 }
 inline Int8 narrow(const Mask64& m) {
-  Int8 r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = m.v[i] != 0 ? -1 : 0;
-  return r;
+  PVR_SIMD_LANEWISE(Int8, std::int32_t, m.v[i] != 0 ? -1 : 0);
 }
-
-struct Long8 {
-  std::int64_t v[kLanes];
-
-  static Long8 broadcast(std::int64_t x) {
-    Long8 r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = x;
-    return r;
-  }
-  std::int64_t lane(int i) const { return v[i]; }
-  void set_lane(int i, std::int64_t x) { v[i] = x; }
-
-  Long8 operator+(const Long8& o) const {
-    PVR_SIMD_LANEWISE(Long8, std::int64_t, v[i] + o.v[i]);
-  }
-  Long8 operator-(const Long8& o) const {
-    PVR_SIMD_LANEWISE(Long8, std::int64_t, v[i] - o.v[i]);
-  }
-  Long8 operator*(const Long8& o) const {
-    PVR_SIMD_LANEWISE(Long8, std::int64_t, v[i] * o.v[i]);
-  }
-  Int8 operator<(const Long8& o) const {
-    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] < o.v[i] ? -1 : 0);
-  }
-  Int8 operator>(const Long8& o) const {
-    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] > o.v[i] ? -1 : 0);
-  }
-};
-
-#undef PVR_SIMD_LANEWISE
 
 inline Float8 select(const Int8& m, const Float8& a, const Float8& b) {
-  Float8 r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = m.v[i] != 0 ? a.v[i] : b.v[i];
-  return r;
+  PVR_SIMD_LANEWISE(Float8, float, m.v[i] != 0 ? a.v[i] : b.v[i]);
 }
-inline Double8 select(const Int8& m, const Double8& a, const Double8& b) {
-  Double8 r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = m.v[i] != 0 ? a.v[i] : b.v[i];
-  return r;
-}
-inline Long8 select(const Int8& m, const Long8& a, const Long8& b) {
-  Long8 r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = m.v[i] != 0 ? a.v[i] : b.v[i];
-  return r;
-}
-inline Int8 select(const Int8& m, const Int8& a, const Int8& b) {
-  Int8 r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = m.v[i] != 0 ? a.v[i] : b.v[i];
-  return r;
+inline Double8 select(const Mask64& m, const Double8& a, const Double8& b) {
+  PVR_SIMD_LANEWISE(Double8, double, m.v[i] != 0 ? a.v[i] : b.v[i]);
 }
 
-inline Long8 to_long(const Double8& x) {
-  Long8 r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = std::int64_t(x.v[i]);
-  return r;
+inline Float8 permute(const Float8& table, const Int8& idx) {
+  PVR_SIMD_LANEWISE(Float8, float, table.v[idx.v[i]]);
 }
-inline Double8 to_double(const Long8& x) {
-  Double8 r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = double(x.v[i]);
-  return r;
-}
+
 inline Int8 to_int(const Double8& x) {
-  Int8 r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = std::int32_t(x.v[i]);
-  return r;
-}
-inline Double8 to_double(const Int8& x) {
-  Double8 r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = double(x.v[i]);
-  return r;
+  PVR_SIMD_LANEWISE(Int8, std::int32_t, x.v[i]);
 }
 inline Float8 to_float(const Double8& x) {
-  Float8 r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = float(x.v[i]);
-  return r;
+  PVR_SIMD_LANEWISE(Float8, float, x.v[i]);
 }
+
+inline Double8 floor(const Double8& x) {
+  PVR_SIMD_LANEWISE(Double8, double, std::floor(x.v[i]));
+}
+inline Double8 ceil(const Double8& x) {
+  PVR_SIMD_LANEWISE(Double8, double, std::ceil(x.v[i]));
+}
+inline Double8 sqrt(const Double8& x) {
+  PVR_SIMD_LANEWISE(Double8, double, std::sqrt(x.v[i]));
+}
+
+#undef PVR_SIMD_LANEWISE
 
 inline bool any(const Int8& m) {
   for (int i = 0; i < kLanes; ++i) {
@@ -489,49 +489,40 @@ inline Float8 gather(const float* base, const Int8& idx) {
 
 /// Shared helpers (element-wise on either backend).
 
-/// Two gathers from the same base, as one 16-lane gather where AVX-512 is
-/// available (the packet kernel's eight trilinear-corner gathers pair up
-/// into four of these). Identical loads, fewer instructions.
-inline void gather2(const float* base, const Int8& ia, const Int8& ib,
-                    Float8* ra, Float8* rb) {
-#if defined(PVR_SIMD_VECTOR_EXT) && defined(__AVX512F__) && \
-    defined(__AVX512DQ__)
-  const __m512i idx = _mm512_inserti64x4(
-      _mm512_castsi256_si512((__m256i)ia.v), (__m256i)ib.v, 1);
-  const __m512 g = _mm512_i32gather_ps(idx, base, 4);
-  *ra = {(detail::vf8)_mm512_castps512_ps256(g)};
-  *rb = {(detail::vf8)_mm512_extractf32x8_ps(g, 1)};
+/// base[idx.lane(i)] into *lo and base[idx.lane(i) + 1] into *hi, for
+/// every lane (indices and their successors must be in-bounds). With AVX2
+/// each adjacent pair is one 64-bit gather element and a permute splits the
+/// halves, so 8 lanes cost 8 loads, not 16; the floats are the same.
+inline void gather_pairs(const float* base, const Int8& idx, Float8* lo,
+                         Float8* hi) {
+#if defined(PVR_SIMD_VECTOR_EXT) && defined(__AVX512F__)
+  const __m512 g = _mm512_castpd_ps(_mm512_mask_i32gather_pd(
+      _mm512_setzero_pd(), kAllLanes, (__m256i)idx.v, base, sizeof(float)));
+  const __m512 split = _mm512_permutexvar_ps(
+      _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15),
+      g);
+  *lo = {(detail::vf8)_mm512_castps512_ps256(split)};
+  *hi = {(detail::vf8)_mm256_castpd_ps(
+      _mm512_extractf64x4_pd(_mm512_castps_pd(split), 1))};
+#elif defined(PVR_SIMD_VECTOR_EXT) && defined(__AVX2__)
+  const __m256i iv = (__m256i)idx.v;
+  const double* pairs = reinterpret_cast<const double*>(base);
+  const __m256 g0 = _mm256_castpd_ps(
+      _mm256_i32gather_pd(pairs, _mm256_castsi256_si128(iv), sizeof(float)));
+  const __m256 g1 = _mm256_castpd_ps(_mm256_i32gather_pd(
+      pairs, _mm256_extracti128_si256(iv, 1), sizeof(float)));
+  // Even floats of g0:g1 are the lo halves, odd ones the hi halves; the
+  // in-lane shuffle leaves them in 64-bit order 0, 2, 1, 3.
+  *lo = {(detail::vf8)_mm256_castpd_ps(_mm256_permute4x64_pd(
+      _mm256_castps_pd(_mm256_shuffle_ps(g0, g1, 0x88)), 0xd8))};
+  *hi = {(detail::vf8)_mm256_castpd_ps(_mm256_permute4x64_pd(
+      _mm256_castps_pd(_mm256_shuffle_ps(g0, g1, 0xdd)), 0xd8))};
 #else
-  *ra = gather(base, ia);
-  *rb = gather(base, ib);
+  for (int i = 0; i < kLanes; ++i) {
+    lo->set_lane(i, base[idx.lane(i)]);
+    hi->set_lane(i, base[idx.lane(i) + 1]);
+  }
 #endif
-}
-
-inline Long8 min(const Long8& a, const Long8& b) { return select(b < a, b, a); }
-inline Long8 max(const Long8& a, const Long8& b) { return select(a < b, b, a); }
-inline Int8 min(const Int8& a, const Int8& b) { return select(b < a, b, a); }
-inline Int8 max(const Int8& a, const Int8& b) { return select(a < b, b, a); }
-
-/// floor(x) per lane, exact for |x| < 2^53: truncate toward zero, then
-/// subtract one where truncation rounded up (negative non-integers). The
-/// result is the unique correctly-rounded floor, so it matches std::floor
-/// bitwise.
-inline Double8 floor(const Double8& x) {
-  const Double8 t = to_double(to_long(x));
-  return select(t > x, t - Double8::broadcast(1.0), t);
-}
-
-/// floor(x) per lane for |x| < 2^31, returned as int32 indices with the
-/// double floor value in *fl. Same truncate-then-adjust construction as
-/// floor() above (the adjust adds the -1 mask lanes directly), but staying
-/// in the int32 domain where both conversion directions are native
-/// instructions. Exact: *fl matches std::floor bitwise over the range.
-inline Int8 floor_int(const Double8& x, Double8* fl) {
-  const Int8 t = to_int(x);
-  const Double8 td = to_double(t);
-  const Int8 f = t + (td > x);
-  *fl = to_double(f);
-  return f;
 }
 
 /// The configured backend, for logs/benches.

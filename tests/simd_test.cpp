@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <vector>
 
 #include "data/synthetic.hpp"
 #include "par/thread_pool.hpp"
@@ -121,15 +126,62 @@ void expect_identical(const SubImage& a, const SubImage& b) {
 
 // ---------------- vec8 wrapper ----------------
 
-TEST(Vec8Test, FloorMatchesStdFloorBitwise) {
-  const double cases[] = {-2.5,  -2.0, -1.0000001, -0.5, -0.0, 0.0,
-                          0.4999, 1.0,  1.5,        2.0,  17.75, 1e9 + 0.5};
-  for (double x : cases) {
-    simd::Double8 v = simd::Double8::broadcast(x);
-    const simd::Double8 f = simd::floor(v);
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+std::uint32_t bits(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+/// Signed zeros, halves on both sides of zero, the 2^52 boundary where
+/// every double is integral, a denormal and infinities.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+constexpr double kRoundingCases[] = {
+    -0.0,    0.0,    0.5,          -0.5,         1.5,
+    -1.5,    -2.5,   2.5,          -1.0000001,   0.4999,
+    17.75,   -17.75, 1e9 + 0.5,    0x1p52,       -0x1p52,
+    0x1p53,  kTiny,  0x1p52 + 1.0, 0x1p52 - 0.5, -0x1p52 + 0.5,
+    -1e-300, 1e300,  kInf,         -kInf};
+
+/// Checks `vec(x)` lane by lane against `scalar` on every rounding case
+/// (those `domain` accepts), bitwise, sign of zero included.
+template <typename Vec, typename Scalar, typename Domain>
+void expect_lanes_match(Vec vec, Scalar scalar, Domain domain) {
+  constexpr int n = int(std::size(kRoundingCases));
+  for (int base = 0; base < n; base += simd::kLanes) {
+    simd::Double8 v = simd::Double8::broadcast(0.25);
     for (int i = 0; i < simd::kLanes; ++i) {
-      EXPECT_EQ(f.lane(i), std::floor(x)) << "x=" << x;
+      v.set_lane(i, kRoundingCases[(base + i) % n]);
     }
+    const simd::Double8 got = vec(v);
+    for (int i = 0; i < simd::kLanes; ++i) {
+      const double x = v.lane(i);
+      if (domain(x)) {
+        EXPECT_EQ(bits(got.lane(i)), bits(scalar(x))) << "x=" << x;
+      }
+    }
+  }
+}
+
+TEST(Vec8Test, FloorMatchesStdFloorBitwise) {
+  const auto all = [](double) { return true; };
+  expect_lanes_match([](const simd::Double8& v) { return simd::floor(v); },
+                     [](double x) { return std::floor(x); }, all);
+  expect_lanes_match([](const simd::Double8& v) { return simd::ceil(v); },
+                     [](double x) { return std::ceil(x); }, all);
+  EXPECT_TRUE(std::isnan(
+      simd::floor(simd::Double8::broadcast(std::nan(""))).lane(3)));
+}
+
+TEST(Vec8Test, SqrtMatchesStdSqrtBitwise) {
+  expect_lanes_match([](const simd::Double8& v) { return simd::sqrt(v); },
+                     [](double x) { return std::sqrt(x); },
+                     [](double x) { return x >= 0.0; });
+  // Square roots of sums of squares, as the ray setup normalizes.
+  simd::Double8 s = simd::Double8::broadcast(0.0);
+  for (int i = 0; i < simd::kLanes; ++i) {
+    s.set_lane(i, 0.1 * i * i + 1.0 / (i + 3));
+  }
+  const simd::Double8 r = simd::sqrt(s);
+  for (int i = 0; i < simd::kLanes; ++i) {
+    EXPECT_EQ(bits(r.lane(i)), bits(std::sqrt(s.lane(i))));
   }
 }
 
@@ -147,6 +199,37 @@ TEST(Vec8Test, SelectPicksExactLaneValues) {
   EXPECT_FALSE(simd::any(simd::Int8::broadcast(0)));
 }
 
+TEST(Vec8Test, Mask64SelectAndLogicMatchScalar) {
+  // Double lanes select on their own mask width: the scalar `m ? a : b`
+  // per lane, with -0.0 and NaN passed through untouched.
+  simd::Double8 x = simd::Double8::broadcast(0.0);
+  simd::Double8 a = simd::Double8::broadcast(0.0);
+  simd::Double8 b = simd::Double8::broadcast(0.0);
+  const double xs[] = {-1.0, 0.0, 0.5, 1.0, 2.0, -0.0, 3.0, 1.0};
+  for (int i = 0; i < simd::kLanes; ++i) {
+    x.set_lane(i, xs[i]);
+    a.set_lane(i, i == 2 ? -0.0 : 10.0 + i);
+    b.set_lane(i, i == 5 ? std::nan("") : -20.0 - i);
+  }
+  const simd::Double8 lo = simd::Double8::broadcast(0.0);
+  const simd::Double8 hi = simd::Double8::broadcast(1.0);
+  const simd::Mask64 in = simd::mask_ge(x, lo) & simd::mask_lt(x, hi);
+  const simd::Mask64 out = simd::mask_lt(x, lo) | ~simd::mask_ge(hi, x);
+  const simd::Mask64 gt = simd::mask_gt(x, hi);
+  const simd::Double8 r = simd::select(in, a, b);
+  const simd::Int8 narrowed = simd::narrow(in);
+  for (int i = 0; i < simd::kLanes; ++i) {
+    const double v = xs[i];
+    const bool want_in = v >= 0.0 && v < 1.0;
+    const bool want_out = v < 0.0 || !(1.0 >= v);
+    EXPECT_EQ(bits(r.lane(i)), bits(want_in ? a.lane(i) : b.lane(i)))
+        << "lane " << i;
+    EXPECT_EQ(narrowed.lane(i), want_in ? -1 : 0) << "lane " << i;
+    EXPECT_EQ(simd::narrow(out).lane(i), want_out ? -1 : 0) << "lane " << i;
+    EXPECT_EQ(simd::narrow(gt).lane(i), v > 1.0 ? -1 : 0) << "lane " << i;
+  }
+}
+
 TEST(Vec8Test, ComparisonsProduceFullLaneMasks) {
   simd::Float8 a = simd::Float8::broadcast(1.0f);
   simd::Float8 b = simd::Float8::broadcast(2.0f);
@@ -155,15 +238,80 @@ TEST(Vec8Test, ComparisonsProduceFullLaneMasks) {
   for (int i = 0; i < simd::kLanes; ++i) {
     EXPECT_EQ(lt.lane(i), i == 3 ? 0 : -1);
   }
-  simd::Long8 x = simd::Long8::broadcast(7);
-  simd::Long8 y = simd::Long8::broadcast(7);
+  simd::Int8 x = simd::Int8::broadcast(7);
+  simd::Int8 y = simd::Int8::broadcast(7);
   y.set_lane(5, 9);
+  y.set_lane(1, -4);
   const simd::Int8 gt = y > x;
+  const simd::Int8 ls = y < x;
   for (int i = 0; i < simd::kLanes; ++i) {
     EXPECT_EQ(gt.lane(i), i == 5 ? -1 : 0);
+    EXPECT_EQ(ls.lane(i), i == 1 ? -1 : 0);
   }
-  EXPECT_EQ(simd::min(x, y).lane(5), 7);
-  EXPECT_EQ(simd::max(x, y).lane(5), 9);
+}
+
+TEST(Vec8Test, PermuteReadsTableLanes) {
+  simd::Float8 table = simd::Float8::broadcast(0.0f);
+  for (int i = 0; i < simd::kLanes; ++i) {
+    table.set_lane(i, i == 4 ? -0.0f : 0.125f * float(i) - 0.3f);
+  }
+  // Every index pattern of a small LCG, repeats and identity included.
+  std::uint32_t state = 12345;
+  for (int trial = 0; trial < 64; ++trial) {
+    simd::Int8 idx = simd::Int8::broadcast(0);
+    for (int i = 0; i < simd::kLanes; ++i) {
+      state = state * 1664525u + 1013904223u;
+      idx.set_lane(i, trial == 0 ? i : std::int32_t(state >> 29));
+    }
+    const simd::Float8 got = simd::permute(table, idx);
+    for (int i = 0; i < simd::kLanes; ++i) {
+      EXPECT_EQ(bits(got.lane(i)), bits(table.lane(idx.lane(i))));
+    }
+  }
+}
+
+TEST(Vec8Test, GatherPairsReadAdjacentFloats) {
+  // Each lane reads base[i] and base[i + 1]: odd and even indices,
+  // repeats, and the array's last pair, from an aligned and an unaligned
+  // base.
+  std::vector<float> data(37);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = 0.5f * float(i) - 3.0f;
+  }
+  data[4] = -0.0f;
+  const std::int32_t lanes[simd::kLanes] = {0, 35, 1, 17, 4, 3, 35, 8};
+  simd::Int8 idx = simd::Int8::broadcast(0);
+  for (int i = 0; i < simd::kLanes; ++i) idx.set_lane(i, lanes[i]);
+  for (const std::size_t offset : {std::size_t{0}, std::size_t{1}}) {
+    const float* base = data.data() + offset;
+    // From the unaligned base the last pair starts at 34.
+    simd::Int8 at = idx;
+    for (int i = 0; i < simd::kLanes; ++i) {
+      at.set_lane(i, std::min(lanes[i], std::int32_t(35 - offset)));
+    }
+    simd::Float8 lo, hi;
+    simd::gather_pairs(base, at, &lo, &hi);
+    const simd::Float8 one = simd::gather(base, at);
+    for (int i = 0; i < simd::kLanes; ++i) {
+      const std::int32_t j = at.lane(i);
+      EXPECT_EQ(bits(lo.lane(i)), bits(base[j])) << "lane " << i;
+      EXPECT_EQ(bits(hi.lane(i)), bits(base[j + 1])) << "lane " << i;
+      EXPECT_EQ(bits(one.lane(i)), bits(base[j])) << "lane " << i;
+    }
+  }
+}
+
+TEST(Vec8Test, ConversionsAreExactOnIntegralLanes) {
+  simd::Double8 x = simd::Double8::broadcast(0.0);
+  const double xs[] = {-0.0, 1.0, -1.0, 2147483647.0, -2147483648.0,
+                       1234567.0, 2.75, -2.75};
+  for (int i = 0; i < simd::kLanes; ++i) x.set_lane(i, xs[i]);
+  const simd::Int8 xi = simd::to_int(x);
+  const simd::Float8 xf = simd::to_float(x);
+  for (int i = 0; i < simd::kLanes; ++i) {
+    EXPECT_EQ(xi.lane(i), std::int32_t(xs[i]));
+    EXPECT_EQ(bits(xf.lane(i)), bits(float(xs[i])));
+  }
 }
 
 // ---------------- transfer-function LUT ----------------
@@ -182,6 +330,84 @@ TEST(TfLutTest, MatchesTransferFunctionSampleBitwise) {
         EXPECT_EQ(want.g, got.g) << "v=" << v << " step=" << step;
         EXPECT_EQ(want.b, got.b) << "v=" << v << " step=" << step;
         EXPECT_EQ(want.a, got.a) << "v=" << v << " step=" << step;
+      }
+    }
+  }
+}
+
+/// A seeded transfer function of `n` points: control values inside
+/// (0, 1) so both endpoint returns occur, some repeated (zero-length
+/// segments), colors in [0, 1] and opacities in [-0.1, 1.1] so the clamp
+/// engages.
+TransferFunction seeded_tf(int n, std::uint32_t seed) {
+  std::uint32_t state = seed * 2654435761u + 1u;
+  const auto next = [&] {
+    state = state * 1664525u + 1013904223u;
+    return float(state >> 8) / float(1u << 24);
+  };
+  std::vector<TransferFunction::ControlPoint> pts(static_cast<std::size_t>(n));
+  for (auto& p : pts) {
+    p.value = 0.05f + 0.9f * next();
+    p.r = next();
+    p.g = next();
+    p.b = next();
+    p.opacity = 1.2f * next() - 0.1f;
+  }
+  std::sort(pts.begin(), pts.end(), [](const auto& a, const auto& b) {
+    return a.value < b.value;
+  });
+  for (std::size_t j = 1; j < pts.size(); ++j) {
+    if (j % 3 == 2) pts[j].value = pts[j - 1].value;  // duplicate value
+  }
+  return TransferFunction(std::move(pts));
+}
+
+TEST(TfLutTest, Sample8SweepMatchesTransferFunctionBitwise) {
+  // 1 to 12 points: the permute path up to 8 segments, the gather path
+  // beyond. Values sweep past both ends and hit every control value and
+  // its float neighbors; the mask pattern changes from packet to packet.
+  for (int n = 1; n <= 12; ++n) {
+    for (std::uint32_t seed = 1; seed <= 3; ++seed) {
+      const TransferFunction tf = seeded_tf(n, seed);
+      std::vector<float> values;
+      for (int i = -40; i <= 1064; ++i) values.push_back(float(i) / 1024.0f);
+      for (const auto& p : tf.points()) {
+        values.push_back(p.value);
+        values.push_back(std::nextafter(p.value, 0.0f));
+        values.push_back(std::nextafter(p.value, 1.0f));
+      }
+      for (const float step : {1.0f, 0.5f, 1.7f}) {
+        const simd::TfLut lut(tf, step);
+        for (std::size_t base = 0; base < values.size(); base += 8) {
+          simd::Float8 v = simd::Float8::broadcast(0.5f);
+          simd::Int8 mask = simd::Int8::broadcast(0);
+          for (int i = 0; i < simd::kLanes; ++i) {
+            v.set_lane(i, values[(base + std::size_t(i)) % values.size()]);
+            mask.set_lane(i, (base / 8 + std::size_t(i)) % 3 != 0 ? -1 : 0);
+          }
+          simd::Float8 r, g, b, a;
+          lut.sample8(v, mask, &r, &g, &b, &a);
+          for (int i = 0; i < simd::kLanes; ++i) {
+            SCOPED_TRACE(testing::Message() << "points " << n << " seed "
+                                            << seed << " step " << step
+                                            << " v " << v.lane(i));
+            if (mask.lane(i) == 0) {
+              EXPECT_EQ(r.lane(i), 0.0f);
+              EXPECT_EQ(g.lane(i), 0.0f);
+              EXPECT_EQ(b.lane(i), 0.0f);
+              EXPECT_EQ(a.lane(i), 0.0f);
+              continue;
+            }
+            const Rgba want = tf.sample(v.lane(i), step);
+            EXPECT_EQ(bits(r.lane(i)), bits(want.r));
+            EXPECT_EQ(bits(g.lane(i)), bits(want.g));
+            EXPECT_EQ(bits(b.lane(i)), bits(want.b));
+            EXPECT_EQ(bits(a.lane(i)), bits(want.a));
+            const Rgba one = lut.sample1(v.lane(i));
+            EXPECT_EQ(bits(one.r), bits(want.r));
+            EXPECT_EQ(bits(one.a), bits(want.a));
+          }
+        }
       }
     }
   }
@@ -313,6 +539,127 @@ TEST_P(KernelEquality, BlockDecompositionImagesBitwiseEqual) {
   }
 }
 
+/// Renders the whole volume and every block of a `blocks`-way decomposition
+/// of `dims` through `cam` and checks each image and tally against the
+/// oracle. Returns the blocks' total samples.
+std::int64_t expect_blocks_match_oracle(const Vec3i& dims,
+                                        std::int64_t blocks,
+                                        const Camera& cam,
+                                        par::ThreadPool* pool) {
+  const TransferFunction tf = TransferFunction::supernova();
+  const Raycaster rc(dims, base_config());
+  const Brick whole = whole_brick(dims, 17);
+  const Box3i all{{0, 0, 0}, dims};
+  expect_identical(oracle_block(rc, dims, whole, all, cam, tf),
+                   rc.render_block(whole, all, cam, tf, pool));
+  const Decomposition d(dims, blocks);
+  std::int64_t samples = 0;
+  for (std::int64_t b = 0; b < d.num_blocks(); ++b) {
+    SCOPED_TRACE(testing::Message() << "block " << b);
+    Brick brick(d.ghost_box(b, 1));
+    data::SupernovaField(17).fill_brick(data::Variable::kDensity, dims,
+                                        &brick);
+    const SubImage got = rc.render_block(brick, d.block_box(b), cam, tf, pool);
+    expect_identical(oracle_block(rc, dims, brick, d.block_box(b), cam, tf),
+                     got);
+    samples += got.samples;
+  }
+  return samples;
+}
+
+Vec3d world_center(const Vec3i& dims) {
+  const Box3d wb = world_box(dims);
+  return {wb.center().x, wb.center().y, wb.center().z};
+}
+
+TEST_P(KernelEquality, OrthographicCamerasBitwiseEqual) {
+  // Orthographic rays share one direction and differ in origin. The
+  // axis-aligned view's directions are exactly 0 on two axes, so every ray
+  // takes intersect's parallel-slab branch there.
+  const Vec3i dims{20, 16, 24};
+  const Vec3d c = world_center(dims);
+  par::ThreadPool pool(GetParam());
+  const Camera oblique =
+      Camera::ortho_look_at(c + Vec3d{0.9, 0.6, -1.3}, c, {0, 1, 0}, 1.4, 45,
+                            37);
+  EXPECT_GT(expect_blocks_match_oracle(dims, 8, oblique, &pool), 0);
+  const Camera axis =
+      Camera::ortho_look_at(c + Vec3d{0, 0, 2}, c, {0, 1, 0}, 1.1, 33, 29);
+  ASSERT_EQ(axis.ray(3, 4).dir.x, 0.0);
+  ASSERT_EQ(axis.ray(3, 4).dir.y, 0.0);
+  EXPECT_GT(expect_blocks_match_oracle(dims, 8, axis, &pool), 0);
+}
+
+TEST_P(KernelEquality, AxisAlignedOddImageTakesTheFlatBranch) {
+  // With the eye on the z axis through the volume's center and an odd
+  // image, the center column's rays have direction x exactly 0 and the
+  // center row's have y exactly 0: the |d| < 1e-300 branch of intersect.
+  const Vec3i dims{24, 24, 24};
+  const Vec3d c = world_center(dims);
+  par::ThreadPool pool(GetParam());
+  const Camera cam =
+      Camera::look_at(c + Vec3d{0, 0, 2}, c, {0, 1, 0}, 45.0, 33, 27);
+  ASSERT_EQ(cam.ray(16, 3).dir.x, 0.0);
+  ASSERT_EQ(cam.ray(5, 13).dir.y, 0.0);
+  ASSERT_TRUE(intersect(cam.ray(16, 13), world_box(dims)).has_value());
+  EXPECT_GT(expect_blocks_match_oracle(dims, 8, cam, &pool), 0);
+}
+
+TEST_P(KernelEquality, EyeInsideTheVolumeEntersAtZero) {
+  // An eye inside the volume box: intersect clamps t_enter to 0, so the
+  // lattice starts at the eye, and the wide view leaves rays missing
+  // blocks behind the eye.
+  const Vec3i dims{24, 24, 24};
+  const Vec3d c = world_center(dims);
+  par::ThreadPool pool(GetParam());
+  const Camera cam = Camera::look_at(c + Vec3d{0.11, -0.07, 0.19},
+                                     c + Vec3d{0.3, 0.1, -0.4}, {0, 1, 0},
+                                     100.0, 41, 31);
+  const auto hit = intersect(cam.ray(20, 15), world_box(dims));
+  ASSERT_TRUE(hit.has_value());
+  ASSERT_EQ(hit->t_enter, 0.0);
+  EXPECT_GT(expect_blocks_match_oracle(dims, 8, cam, &pool), 0);
+}
+
+TEST_P(KernelEquality, FootprintCornersMissingTheirBlock) {
+  // A block's footprint is the bounding rectangle of its projected
+  // corners, so rays near its corners hit the volume but miss the block:
+  // those lanes must stay transparent and take no samples.
+  const Vec3i dims{24, 24, 24};
+  const Camera cam = Camera::default_view(dims, 56, 48);
+  par::ThreadPool pool(GetParam());
+  const Decomposition d(dims, 27);
+  std::int64_t missing = 0;
+  for (std::int64_t b = 0; b < d.num_blocks(); ++b) {
+    const Box3d region = world_box_of(d.block_box(b), dims);
+    const Rect fp = cam.footprint(region);
+    for (int py = fp.y0; py < fp.y1; ++py) {
+      for (int px = fp.x0; px < fp.x1; ++px) {
+        const Ray ray = cam.ray(px, py);
+        missing += intersect(ray, world_box(dims)).has_value() &&
+                           !intersect(ray, region).has_value()
+                       ? 1
+                       : 0;
+      }
+    }
+  }
+  ASSERT_GT(missing, 0);
+  EXPECT_GT(expect_blocks_match_oracle(dims, 27, cam, &pool), 0);
+}
+
+TEST_P(KernelEquality, OneVoxelThickVolumes) {
+  // A brick one voxel thick on an axis clamps both trilinear neighbors to
+  // the same voxel (upper-clamp fraction 0).
+  par::ThreadPool pool(GetParam());
+  for (const Vec3i dims : {Vec3i{1, 16, 12}, Vec3i{14, 1, 16},
+                           Vec3i{16, 12, 1}}) {
+    SCOPED_TRACE(testing::Message()
+                 << dims.x << "x" << dims.y << "x" << dims.z);
+    const Camera cam = Camera::default_view(dims, 35, 29);
+    expect_blocks_match_oracle(dims, 4, cam, &pool);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, KernelEquality, ::testing::Values(1, 4));
 
 TEST(SimdKernelTest, EarlyTerminationSaturatesWholePackets) {
@@ -333,6 +680,28 @@ TEST(SimdKernelTest, EarlyTerminationSaturatesWholePackets) {
   // Early termination must actually have cut samples vs the full march.
   const Raycaster full(dims, base_config());
   EXPECT_LT(got.samples, full.render_block(whole, owned, cam, tf).samples);
+}
+
+TEST(SimdKernelTest, LatticeBeyondInt32Throws) {
+  // The kernel carries lattice indices in int32 lanes, so a step that puts
+  // more than 2^30 steps along the world box's diagonal is refused up
+  // front; ordinary steps still render and match the oracle.
+  const Vec3i dims{8, 8, 8};
+  RenderConfig tiny = base_config();
+  tiny.step_voxels = 1e-9;
+  EXPECT_THROW(Raycaster(dims, tiny), Error);
+  const Brick whole = whole_brick(dims, 3);
+  const Camera cam = Camera::default_view(dims, 4, 4);
+  const TransferFunction tf = TransferFunction::supernova();
+  const Box3i owned{{0, 0, 0}, dims};
+  for (const double step : {0.5, 1.7}) {
+    RenderConfig cfg = base_config();
+    cfg.step_voxels = step;
+    const Raycaster rc(dims, cfg);
+    const SubImage got = rc.render_block(whole, owned, cam, tf);
+    EXPECT_GT(got.samples, 0);
+    expect_identical(oracle_block(rc, dims, whole, owned, cam, tf), got);
+  }
 }
 
 TEST(SimdKernelTest, NarrowRectRemainderPackets) {
