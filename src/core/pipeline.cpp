@@ -1096,11 +1096,15 @@ FrameStats ParallelVolumeRenderer::execute_insitu_frame(
   const auto blocks = io_blocks();
   std::vector<Brick> bricks;
   bricks.reserve(blocks.size());
-  for (const auto& b : blocks) {
-    Brick brick(b.box);
-    field.fill_brick(var, config_.dataset.dims, &brick);
-    bricks.push_back(std::move(brick));
-  }
+  for (const auto& b : blocks) bricks.emplace_back(b.box);
+  // Each chunk fills whole bricks, so no voxel depends on the thread count.
+  par::parallel_for(pool_.get(), std::int64_t(bricks.size()), 1,
+                    [&](std::int64_t begin, std::int64_t end, std::int64_t) {
+                      for (std::int64_t b = begin; b < end; ++b) {
+                        field.fill_brick(var, config_.dataset.dims,
+                                         &bricks[std::size_t(b)]);
+                      }
+                    });
   obs::ScopedSpan frame(tracer_, "frame", obs::Category::kFrame);
   execute_render_and_composite(bricks, &stats, out);
   if (tracer_ != nullptr) {

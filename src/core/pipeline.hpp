@@ -283,8 +283,8 @@ class ParallelVolumeRenderer {
   FrameStats execute_frame(const std::string& path, Image* out);
 
   /// Execute-mode in-situ frame: bricks are filled from the analytic field
-  /// (the "simulation") instead of storage; renders and composites as
-  /// usual.
+  /// (the "simulation") instead of storage, whole bricks per chunk on the
+  /// host pool; renders and composites as usual.
   FrameStats execute_insitu_frame(const data::SupernovaField& field,
                                   Image* out);
 

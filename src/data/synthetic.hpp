@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "util/brick.hpp"
@@ -38,15 +39,19 @@ class SupernovaField {
   /// convention: position (i + 0.5) / n).
   float at_voxel(Variable var, const Vec3i& voxel, const Vec3i& dims) const;
 
-  /// Fills a brick (its box interpreted on a grid of `dims`).
+  /// Voxels [x_lo, x_hi) of row (y, z) of a `dims` grid, for every variable
+  /// in `vars` (any order, repeats allowed): out[k][x - x_lo] receives
+  /// at_voxel(vars[k], {x, y, z}, dims) bit for bit. Each voxel computes the
+  /// terms its variables share once, and each noise octave reuses its
+  /// lattice corners while consecutive voxels stay in one cell.
+  void fill_row(std::span<const Variable> vars, std::int64_t y,
+                std::int64_t z, std::int64_t x_lo, std::int64_t x_hi,
+                const Vec3i& dims, std::span<float* const> out) const;
+
+  /// Fills a brick (its box interpreted on a grid of `dims`), row by row.
   void fill_brick(Variable var, const Vec3i& dims, Brick* brick) const;
 
  private:
-  /// Smooth value noise in [-1, 1] at frequency `freq`.
-  double noise(const Vec3d& p, double freq, std::uint64_t salt) const;
-  /// Three-octave fractal noise in [-1, 1].
-  double fbm(const Vec3d& p, double base_freq, std::uint64_t salt) const;
-
   std::uint64_t seed_;
 };
 

@@ -86,12 +86,16 @@ void upsample_dataset(const format::VolumeLayout& src_layout,
               "destination dims must be factor * source dims");
   PVR_REQUIRE(dd.variables == sd.variables, "variable sets must match");
 
-  const std::int64_t s_elems = sd.dims.x * sd.dims.y;
-  std::vector<std::byte> raw(std::size_t(s_elems) * 4);
-  // Two source slices bracket each destination slice.
-  std::vector<float> s0(static_cast<std::size_t>(s_elems)), s1(static_cast<std::size_t>(s_elems));
-  std::int64_t loaded_z0 = -1, loaded_z1 = -1;
-  int loaded_var = -1;
+  const std::size_t s_elems = std::size_t(sd.dims.x * sd.dims.y);
+  std::vector<std::byte> raw(s_elems * 4);
+  // Per variable, the two source slices that bracket the destination slice.
+  struct Bracket {
+    std::vector<float> s0, s1;
+    std::int64_t z0 = -1, z1 = -1;
+  };
+  std::vector<Bracket> loaded(
+      std::size_t(sd.num_variables()),
+      Bracket{std::vector<float>(s_elems), std::vector<float>(s_elems)});
 
   const auto load_slice = [&](int var, std::int64_t z, std::vector<float>* out) {
     src_file.read_at(src_layout.element_offset(var, {0, 0, z}), raw);
@@ -104,39 +108,42 @@ void upsample_dataset(const format::VolumeLayout& src_layout,
 
   write_dataset(
       dst_layout,
-      [&](int var, std::int64_t z, std::span<float> slice) {
+      [&](std::int64_t z, std::span<const std::span<float>> slices) {
         const Tap tz = tap_for(z, factor, sd.dims.z);
-        if (var != loaded_var || tz.i0 != loaded_z0 || tz.i1 != loaded_z1) {
-          load_slice(var, tz.i0, &s0);
-          if (tz.i1 != tz.i0) {
-            load_slice(var, tz.i1, &s1);
-          } else {
-            s1 = s0;
+        for (int var = 0; var < int(sd.num_variables()); ++var) {
+          Bracket& br = loaded[std::size_t(var)];
+          if (tz.i0 != br.z0 || tz.i1 != br.z1) {
+            load_slice(var, tz.i0, &br.s0);
+            if (tz.i1 != tz.i0) {
+              load_slice(var, tz.i1, &br.s1);
+            } else {
+              br.s1 = br.s0;
+            }
+            br.z0 = tz.i0;
+            br.z1 = tz.i1;
           }
-          loaded_z0 = tz.i0;
-          loaded_z1 = tz.i1;
-          loaded_var = var;
-        }
-        const auto src_at = [&](const std::vector<float>& sl, std::int64_t x,
-                                std::int64_t y) {
-          return sl[std::size_t(y * sd.dims.x + x)];
-        };
-        std::size_t i = 0;
-        for (std::int64_t y = 0; y < dd.dims.y; ++y) {
-          const Tap ty = tap_for(y, factor, sd.dims.y);
-          for (std::int64_t x = 0; x < dd.dims.x; ++x) {
-            const Tap tx = tap_for(x, factor, sd.dims.x);
-            const float a0 = src_at(s0, tx.i0, ty.i0) * (1 - tx.w) +
-                             src_at(s0, tx.i1, ty.i0) * tx.w;
-            const float a1 = src_at(s0, tx.i0, ty.i1) * (1 - tx.w) +
-                             src_at(s0, tx.i1, ty.i1) * tx.w;
-            const float b0 = src_at(s1, tx.i0, ty.i0) * (1 - tx.w) +
-                             src_at(s1, tx.i1, ty.i0) * tx.w;
-            const float b1 = src_at(s1, tx.i0, ty.i1) * (1 - tx.w) +
-                             src_at(s1, tx.i1, ty.i1) * tx.w;
-            const float a = a0 + ty.w * (a1 - a0);
-            const float b = b0 + ty.w * (b1 - b0);
-            slice[i++] = a + tz.w * (b - a);
+          const auto src_at = [&](const std::vector<float>& sl,
+                                  std::int64_t x, std::int64_t y) {
+            return sl[std::size_t(y * sd.dims.x + x)];
+          };
+          const std::span<float> slice = slices[std::size_t(var)];
+          std::size_t i = 0;
+          for (std::int64_t y = 0; y < dd.dims.y; ++y) {
+            const Tap ty = tap_for(y, factor, sd.dims.y);
+            for (std::int64_t x = 0; x < dd.dims.x; ++x) {
+              const Tap tx = tap_for(x, factor, sd.dims.x);
+              const float a0 = src_at(br.s0, tx.i0, ty.i0) * (1 - tx.w) +
+                               src_at(br.s0, tx.i1, ty.i0) * tx.w;
+              const float a1 = src_at(br.s0, tx.i0, ty.i1) * (1 - tx.w) +
+                               src_at(br.s0, tx.i1, ty.i1) * tx.w;
+              const float b0 = src_at(br.s1, tx.i0, ty.i0) * (1 - tx.w) +
+                               src_at(br.s1, tx.i1, ty.i0) * tx.w;
+              const float b1 = src_at(br.s1, tx.i0, ty.i1) * (1 - tx.w) +
+                               src_at(br.s1, tx.i1, ty.i1) * tx.w;
+              const float a = a0 + ty.w * (a1 - a0);
+              const float b = b0 + ty.w * (b1 - b0);
+              slice[i++] = a + tz.w * (b - a);
+            }
           }
         }
       },

@@ -1,8 +1,9 @@
 // Trilinear upsampling (paper §IV-B: the 2240^3 and 4480^3 time steps were
 // produced by upsampling the 1120^3 data "efficiently, in parallel ... as a
 // separate step prior to executing the visualization"). The streaming
-// variant upsamples file-to-file two output slices per input slice pair, so
-// memory stays O(slice) regardless of volume size.
+// variant upsamples file-to-file one output z-slice of every variable at a
+// time, from the two input slices of each variable that bracket it, so
+// memory stays O(slice * variables) regardless of volume size.
 #pragma once
 
 #include <cstdint>

@@ -32,19 +32,22 @@ void write_dataset(const format::VolumeLayout& layout,
     }
   }
 
-  const std::int64_t slice_elems = desc.dims.x * desc.dims.y;
-  std::vector<float> slice(static_cast<std::size_t>(slice_elems));
-  std::vector<std::byte> bytes(std::size_t(slice_elems) * 4);
-  for (int var = 0; var < int(desc.num_variables()); ++var) {
-    for (std::int64_t z = 0; z < desc.dims.z; ++z) {
-      producer(var, z, slice);
+  const std::size_t slice_elems = std::size_t(desc.dims.x * desc.dims.y);
+  std::vector<std::vector<float>> buffers(
+      std::size_t(desc.num_variables()), std::vector<float>(slice_elems));
+  std::vector<std::span<float>> slices(buffers.begin(), buffers.end());
+  std::vector<std::byte> bytes(slice_elems * 4);
+  for (std::int64_t z = 0; z < desc.dims.z; ++z) {
+    producer(z, slices);
+    for (int var = 0; var < int(desc.num_variables()); ++var) {
+      const std::span<const float> slice = slices[std::size_t(var)];
       if (layout.big_endian_data()) {
         format::floats_to_big_endian(slice, bytes);
       } else {
         std::memcpy(bytes.data(), slice.data(), bytes.size());
       }
       // A slice is contiguous in every studied format; its position comes
-      // from the layout.
+      // from the layout, so the write order does not change the file.
       const std::int64_t off = layout.element_offset(var, {0, 0, z});
       file->write_at(off, bytes);
     }
@@ -55,16 +58,20 @@ void write_supernova_file(const format::DatasetDesc& desc,
                           const std::string& path, std::uint64_t seed) {
   const format::VolumeLayout layout(desc);
   const SupernovaField field(seed);
+  std::vector<Variable> vars;
+  for (const std::string& name : desc.variables) {
+    vars.push_back(variable_from_name(name));
+  }
+  std::vector<float*> rows(vars.size());
   format::DiskFile file(path, format::DiskFile::OpenMode::kTruncate);
   write_dataset(
       layout,
-      [&](int var, std::int64_t z, std::span<float> slice) {
-        const Variable v = variable_from_name(desc.variables[std::size_t(var)]);
-        std::size_t i = 0;
+      [&](std::int64_t z, std::span<const std::span<float>> slices) {
         for (std::int64_t y = 0; y < desc.dims.y; ++y) {
-          for (std::int64_t x = 0; x < desc.dims.x; ++x) {
-            slice[i++] = field.at_voxel(v, {x, y, z}, desc.dims);
+          for (std::size_t v = 0; v < vars.size(); ++v) {
+            rows[v] = slices[v].data() + std::size_t(y * desc.dims.x);
           }
+          field.fill_row(vars, y, z, 0, desc.dims.x, desc.dims, rows);
         }
       },
       &file);

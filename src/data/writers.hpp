@@ -13,17 +13,20 @@
 
 namespace pvr::data {
 
-/// Produces one z-slice (dims.x * dims.y floats, x fastest) of a variable.
-using SliceProducer =
-    std::function<void(int var, std::int64_t z, std::span<float> slice)>;
+/// Produces z-slice `z` of every variable at once: slices[var] receives
+/// dims.x * dims.y floats of variable `var`, x fastest.
+using SliceProducer = std::function<void(
+    std::int64_t z, std::span<const std::span<float>> slices)>;
 
 /// Writes a complete dataset file described by `layout` into `file`,
-/// pulling slice data from `producer`. Handles headers and on-disk byte
-/// order per format.
+/// pulling slice data from `producer` one z-slice of every variable at a
+/// time, so it holds one slice buffer per variable and never a volume.
+/// Handles headers and on-disk byte order per format.
 void write_dataset(const format::VolumeLayout& layout,
                    const SliceProducer& producer, format::FileHandle* file);
 
-/// Convenience: writes the synthetic supernova time step to `path`.
+/// Convenience: writes the synthetic supernova time step to `path`,
+/// evaluating each voxel once for all of the file's variables.
 void write_supernova_file(const format::DatasetDesc& desc,
                           const std::string& path,
                           std::uint64_t seed = 1530);

@@ -1,29 +1,11 @@
 #include "render/simd/tf_lut.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "util/error.hpp"
 
 namespace pvr::render::simd {
-
-namespace {
-
-/// powf(x, 1) == x is an IEEE-754 special case; verify the host libm
-/// honors it before relying on the identity to skip per-sample pow calls.
-bool pow_identity_holds() {
-  for (int i = 0; i <= 1024; ++i) {
-    const float x = float(i) / 1024.0f;
-    if (std::pow(x, 1.0f) != x) return false;
-  }
-  for (const float x : {1e-30f, 1e-7f, 0.3333333f, 0.9999999f, 1.0f}) {
-    if (std::pow(x, 1.0f) != x) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 TfLut::TfLut(const TransferFunction& tf, float step_voxels)
     : step_(step_voxels) {
@@ -51,7 +33,7 @@ TfLut::TfLut(const TransferFunction& tf, float step_voxels)
   for (int j = 0; j < inner_count_; ++j) {
     inner_[std::size_t(j)] = points[std::size_t(j) + 1].value;
   }
-  unit_step_ = step_ == 1.0f && pow_identity_holds();
+  unit_step_ = step_ == 1.0f;
 }
 
 }  // namespace pvr::render::simd

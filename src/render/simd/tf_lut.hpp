@@ -19,11 +19,12 @@
 //   * The clamp and premultiply are the same float expressions, evaluated
 //     element-wise.
 //   * Opacity correction: for the common step_voxels == 1 case the
-//     1 - pow(1 - a, 1) round trip collapses to 1 - (1 - a). The LUT uses
-//     that identity only after verifying at construction that the host's
-//     powf(x, 1) == x (IEEE-754 requires it; the check is cheap insurance
-//     against a non-conforming libm). Any other step calls the same
-//     std::pow per lane.
+//     1 - pow(1 - a, 1) round trip collapses to 1 - (1 - a), because
+//     IEEE 754 makes pow(x, 1) == x exact (GCC folds the call to x at -O2
+//     anyway, so no run-time check could observe a libm that differs).
+//     Any other step calls the same std::pow per lane.
+//   * NaN takes the first control point: the below-front test is
+//     !(front < v), which NaN passes, in TransferFunction::lookup too.
 //
 // sample8 lives in the header so the packet kernel inlines it — it runs
 // once per lattice step and the call/ABI overhead was measurable.

@@ -18,7 +18,9 @@ TransferFunction::TransferFunction(std::vector<ControlPoint> points)
 
 TransferFunction::ControlPoint TransferFunction::lookup(float value) const {
   const float v = std::clamp(value, 0.0f, 1.0f);
-  if (v <= points_.front().value) return points_.front();
+  // Written so that NaN, which std::clamp passes through, takes the first
+  // control point, as TfLut's samplers do.
+  if (!(points_.front().value < v)) return points_.front();
   if (v >= points_.back().value) return points_.back();
   std::size_t hi = 1;
   while (points_[hi].value < v) ++hi;

@@ -26,7 +26,7 @@ class TransferFunction {
   Rgba sample(float value, float step_voxels = 1.0f) const;
 
   /// Raw piecewise-linear lookup: straight (non-premultiplied) color and
-  /// uncorrected opacity at `value`.
+  /// uncorrected opacity at `value`. NaN maps to the first control point.
   ControlPoint lookup(float value) const;
 
   const std::vector<ControlPoint>& points() const { return points_; }

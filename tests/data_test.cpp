@@ -2,7 +2,10 @@
 #include <unistd.h>
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <span>
+#include <vector>
 
 #include "data/synthetic.hpp"
 #include "data/upsample.hpp"
@@ -80,6 +83,123 @@ TEST(SyntheticTest, FillBrickMatchesAtVoxel) {
   Brick b(Box3i{{4, 4, 4}, {8, 8, 8}});
   f.fill_brick(Variable::kVx, dims, &b);
   EXPECT_EQ(b.at(5, 6, 7), f.at_voxel(Variable::kVx, {5, 6, 7}, dims));
+}
+
+TEST(SyntheticTest, FillRowMatchesAtVoxelForVariableSubsets) {
+  // Subsets in non-canonical order, one with a repeat, on rows that start
+  // off the origin. On the 29-wide grid the top octaves jump several
+  // lattice cells per voxel; on the 200-wide one every octave steps cell
+  // by cell, reusing the corners it shares with the last cell.
+  const SupernovaField f(77);
+  const std::vector<std::vector<Variable>> subsets = {
+      {Variable::kVz, Variable::kPressure},
+      {Variable::kDensity},
+      {Variable::kVy, Variable::kVx, Variable::kVy},
+      {Variable::kVz, Variable::kVy, Variable::kVx, Variable::kDensity,
+       Variable::kPressure}};
+  struct Row {
+    Vec3i dims;
+    std::int64_t y, z, x_lo, x_hi;
+  };
+  const Row rows[] = {{{29, 13, 17}, 5, 11, 3, 29},
+                      {{29, 13, 17}, 0, 0, 28, 29},
+                      {{200, 9, 7}, 4, 3, 0, 200},
+                      {{200, 9, 7}, 8, 6, 117, 151}};
+  for (const auto& vars : subsets) {
+    for (const Row& row : rows) {
+      const std::size_t n = std::size_t(row.x_hi - row.x_lo);
+      std::vector<std::vector<float>> values(vars.size(),
+                                             std::vector<float>(n, -1.0f));
+      std::vector<float*> out;
+      for (auto& v : values) out.push_back(v.data());
+      f.fill_row(vars, row.y, row.z, row.x_lo, row.x_hi, row.dims, out);
+      for (std::size_t k = 0; k < vars.size(); ++k) {
+        for (std::int64_t x = row.x_lo; x < row.x_hi; ++x) {
+          ASSERT_EQ(values[k][std::size_t(x - row.x_lo)],
+                    f.at_voxel(vars[k], {x, row.y, row.z}, row.dims))
+              << "variable " << int(vars[k]) << " at " << x << "," << row.y
+              << "," << row.z << " of a " << row.dims.x << "-wide grid";
+        }
+      }
+    }
+  }
+}
+
+/// FNV-1a (64-bit) of `bytes`.
+std::uint64_t fnv1a(std::span<const std::byte> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::byte b : bytes) {
+    h ^= std::uint8_t(b);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Digests of the files write_supernova_file writes, indexed [format][n]
+/// [seed] over the loops below, and of fill_brick's voxels, indexed
+/// [box][variable]. They were captured from the field as first written,
+/// which evaluated every voxel of every variable on its own, so they pin
+/// the row evaluator (shared terms, cached lattice corners) to it.
+constexpr std::uint64_t kFileDigests[4][4][3] = {
+    {{0x4b72477f9c5c2f98ull, 0x4b72477f9c5c2f98ull, 0x4b72477f9c5c2f98ull},
+     {0x5b0cfb00bcf718ecull, 0x1416c4765b0538e3ull, 0xe14364db2e7e3c18ull},
+     {0x036a735980cc077aull, 0xbd12c41f3a2ad2c0ull, 0x134efee0028f64dfull},
+     {0x92e19f46d479b07eull, 0x2bcbddfd108a2be6ull, 0xf80bb2db494393f3ull}},
+    {{0x51a99c77f2512f3eull, 0x655daccc0f28d769ull, 0xa39db40f02e34b2dull},
+     {0x53ac05a596cd0a0bull, 0xcfc4c474a67290b9ull, 0x69491a501b3551a4ull},
+     {0xd53d4ada3e447be7ull, 0xf9b53408abdd80cfull, 0xfb1df08f904e1356ull},
+     {0x711cc091673cef3aull, 0x94cea2b3f55d7854ull, 0x297bc68cd4690a17ull}},
+    {{0x412dd8deaa414347ull, 0x295e48acb3db6674ull, 0xf0b74e68a90f1864ull},
+     {0xfcb3ba6df31c9544ull, 0x2c68e9278f4d94e2ull, 0xfcb4cfac552d125full},
+     {0x0edb984d94d7b0e7ull, 0x525ae9472b72a90full, 0x828c871238e55cc2ull},
+     {0xdbf09ec5d06e0ef5ull, 0x382f683c8b62f153ull, 0xbc62b253f701578cull}},
+    {{0x6caaad5e3e63dad0ull, 0x23144b43c8d1c4c1ull, 0x55368bc20373a325ull},
+     {0x2a3b40b756c9a3fbull, 0xbddb186516c0067dull, 0x3d7769bf7d3e1b26ull},
+     {0x33d3ca38c2638564ull, 0xe751cfc36dc0d384ull, 0xab3dd648cee1dd0bull},
+     {0x5b5ea8252b544e6full, 0xa62596c57c8ab185ull, 0x75d9ccc2db53b974ull}}};
+constexpr std::uint64_t kBrickDigests[2][5] = {
+    {0x9413eb3c72c60956ull, 0x6db2a9acdd575a56ull, 0x4a3277d565e93ccaull,
+     0xecc0b4702aea6cdfull, 0x4aa8f8655259e8d6ull},
+    {0x602ddfde950b19d6ull, 0x5344063b49bb08dcull, 0x569ca95b761499c1ull,
+     0x45a40a14a999492full, 0x27887c5f107bfa75ull}};
+
+TEST(SyntheticTest, PinnedVoxelDigests) {
+  TempDir dir;
+  const format::FileFormat formats[] = {
+      format::FileFormat::kRaw, format::FileFormat::kNetcdfRecord,
+      format::FileFormat::kNetcdf64, format::FileFormat::kShdf};
+  const std::int64_t sizes[] = {1, 7, 12, 33};
+  const std::uint64_t seeds[] = {1, 77, 1530};
+  const std::string path = dir.file("pinned.dat");
+  for (int f = 0; f < 4; ++f) {
+    for (int i = 0; i < 4; ++i) {
+      for (int s = 0; s < 3; ++s) {
+        write_supernova_file(format::supernova_desc(formats[f], sizes[i]),
+                             path, seeds[s]);
+        const format::DiskFile file(path, format::DiskFile::OpenMode::kRead);
+        std::vector<std::byte> bytes(std::size_t(file.size()));
+        file.read_at(0, bytes);
+        const std::uint64_t got = fnv1a(bytes);
+        EXPECT_EQ(got, kFileDigests[f][i][s])
+            << format_name(formats[f]) << " n=" << sizes[i]
+            << " seed=" << seeds[s] << " got 0x" << std::hex << got;
+      }
+    }
+  }
+
+  // An off-origin box, and one a single voxel wide in x.
+  const Vec3i dims{24, 20, 11};
+  const Box3i boxes[] = {{{3, 0, 5}, {21, 17, 9}}, {{13, 2, 1}, {14, 19, 10}}};
+  const SupernovaField field(77);
+  for (int b = 0; b < 2; ++b) {
+    for (int v = 0; v < 5; ++v) {
+      Brick brick(boxes[b]);
+      field.fill_brick(Variable(v), dims, &brick);
+      const std::uint64_t got = fnv1a(std::as_bytes(std::span(brick.data())));
+      EXPECT_EQ(got, kBrickDigests[b][v])
+          << "box " << b << " variable " << v << " got 0x" << std::hex << got;
+    }
+  }
 }
 
 class WriterRoundTrip : public ::testing::TestWithParam<format::FileFormat> {};
@@ -195,18 +315,21 @@ TEST(UpsampleDatasetTest, MatchesBrickUpsampling) {
     upsample_dataset(slayout, sfile, 2, dlayout, &dfile);
   }
 
-  // Reference: upsample variable 0 in memory.
+  // Reference: upsample every variable in memory (the streaming pass
+  // interpolates all variables of a slice together).
   format::DiskFile sfile(spath, format::DiskFile::OpenMode::kRead);
-  Brick small;
-  read_variable(slayout, 0, sfile, &small);
-  Brick big(Box3i{{0, 0, 0}, ddesc.dims});
-  upsample_brick(small, sdesc.dims, 2, &big);
-
   format::DiskFile dfile(dpath, format::DiskFile::OpenMode::kRead);
-  Brick from_file;
-  read_variable(dlayout, 0, dfile, &from_file);
-  for (std::int64_t i = 0; i < big.num_elements(); i += 13) {
-    EXPECT_EQ(from_file.data()[std::size_t(i)], big.data()[std::size_t(i)]);
+  for (int var = 0; var < int(sdesc.num_variables()); ++var) {
+    Brick small;
+    read_variable(slayout, var, sfile, &small);
+    Brick big(Box3i{{0, 0, 0}, ddesc.dims});
+    upsample_brick(small, sdesc.dims, 2, &big);
+    Brick from_file;
+    read_variable(dlayout, var, dfile, &from_file);
+    for (std::int64_t i = 0; i < big.num_elements(); i += 13) {
+      EXPECT_EQ(from_file.data()[std::size_t(i)], big.data()[std::size_t(i)])
+          << "variable " << var;
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 #include <unistd.h>
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 
 #include "core/pipeline.hpp"
@@ -49,6 +50,30 @@ TEST(InsituTest, ExecuteInsituMatchesPosthocImage) {
   EXPECT_DOUBLE_EQ(sf.io_seconds, 0.0);
   EXPECT_EQ(sf.render.total_samples, pf.render.total_samples);
   fs::remove_all(dir);
+}
+
+TEST(InsituTest, ImageIsByteIdenticalAcrossHostThreads) {
+  // The bricks fill on the host pool, whole bricks per chunk, so neither
+  // the voxels nor the frame may depend on the thread count.
+  ExperimentConfig cfg = small_config(8, 2);
+  const data::SupernovaField field(77);
+  FrameStats stats[2];
+  Image images[2];
+  for (const int threads : {1, 4}) {
+    cfg.host_threads = threads;
+    ParallelVolumeRenderer renderer(cfg);
+    const int i = threads == 1 ? 0 : 1;
+    stats[i] = renderer.execute_insitu_frame(field, &images[i]);
+  }
+  ASSERT_EQ(images[0].pixels().size(), images[1].pixels().size());
+  EXPECT_EQ(std::memcmp(images[0].pixels().data(), images[1].pixels().data(),
+                        images[0].pixels().size_bytes()),
+            0);
+  EXPECT_GT(stats[0].render.total_samples, 0);
+  EXPECT_EQ(stats[0].render.total_samples, stats[1].render.total_samples);
+  EXPECT_EQ(stats[0].render.max_rank_samples,
+            stats[1].render.max_rank_samples);
+  EXPECT_EQ(stats[0].total_seconds(), stats[1].total_seconds());
 }
 
 TEST(InsituTest, ModelInsituDropsExactlyTheIoStage) {

@@ -362,6 +362,40 @@ TransferFunction seeded_tf(int n, std::uint32_t seed) {
   return TransferFunction(std::move(pts));
 }
 
+/// Values a file may legally hold that the [0, 1] sweeps miss: NaN of
+/// both signs, infinities, and denormals of both signs.
+constexpr float kNonFiniteAndDenormal[] = {
+    std::numeric_limits<float>::quiet_NaN(),
+    -std::numeric_limits<float>::quiet_NaN(),
+    std::numeric_limits<float>::infinity(),
+    -std::numeric_limits<float>::infinity(),
+    std::numeric_limits<float>::denorm_min(),
+    -std::numeric_limits<float>::denorm_min(),
+    0x1.fffffcp-127f};
+
+TEST(TfLutTest, NanTakesTheFirstControlPoint) {
+  // The LUT's below-front test !(front < v) is true for NaN, and
+  // TransferFunction::lookup makes the same test, so the oracle and the
+  // kernel agree on a NaN voxel: it samples as the first control point.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const TransferFunction& tf :
+       {TransferFunction::supernova(), seeded_tf(5, 2), seeded_tf(12, 3)}) {
+    const TransferFunction::ControlPoint front = tf.points().front();
+    for (const float step : {1.0f, 0.5f}) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      const Rgba want = tf.sample(nan, step);
+      const Rgba got = simd::TfLut(tf, step).sample1(nan);
+      EXPECT_EQ(bits(got.r), bits(want.r));
+      EXPECT_EQ(bits(got.g), bits(want.g));
+      EXPECT_EQ(bits(got.b), bits(want.b));
+      EXPECT_EQ(bits(got.a), bits(want.a));
+      EXPECT_EQ(bits(want.a), bits(tf.sample(front.value, step).a));
+    }
+    EXPECT_EQ(bits(tf.lookup(nan).r), bits(front.r));
+    EXPECT_EQ(bits(tf.lookup(nan).opacity), bits(front.opacity));
+  }
+}
+
 TEST(TfLutTest, Sample8SweepMatchesTransferFunctionBitwise) {
   // 1 to 12 points: the permute path up to 8 segments, the gather path
   // beyond. Values sweep past both ends and hit every control value and
@@ -376,6 +410,8 @@ TEST(TfLutTest, Sample8SweepMatchesTransferFunctionBitwise) {
         values.push_back(std::nextafter(p.value, 0.0f));
         values.push_back(std::nextafter(p.value, 1.0f));
       }
+      values.insert(values.end(), std::begin(kNonFiniteAndDenormal),
+                    std::end(kNonFiniteAndDenormal));
       for (const float step : {1.0f, 0.5f, 1.7f}) {
         const simd::TfLut lut(tf, step);
         for (std::size_t base = 0; base < values.size(); base += 8) {
@@ -657,6 +693,39 @@ TEST_P(KernelEquality, OneVoxelThickVolumes) {
                  << dims.x << "x" << dims.y << "x" << dims.z);
     const Camera cam = Camera::default_view(dims, 35, 29);
     expect_blocks_match_oracle(dims, 4, cam, &pool);
+  }
+}
+
+TEST_P(KernelEquality, NonFiniteAndDenormalVoxelsBitwiseEqual) {
+  // NaN, infinite and denormal voxels, which a file may legally hold, in
+  // an otherwise smooth field. Trilinear blends spread them into NaN and
+  // infinite samples; the transfer function's first control point is
+  // opaque, so a NaN sample shows in the image, and kernel and oracle must
+  // still agree bitwise, at unit and non-unit steps.
+  const Vec3i dims{20, 20, 20};
+  Brick whole = whole_brick(dims, 23);
+  const Vec3i planted[] = {{10, 10, 10}, {4, 12, 7},  {15, 5, 9},
+                           {8, 8, 16},   {12, 14, 3}, {6, 3, 12},
+                           {17, 16, 11}};
+  ASSERT_EQ(std::size(planted), std::size(kNonFiniteAndDenormal));
+  for (std::size_t i = 0; i < std::size(planted); ++i) {
+    whole.at(planted[i].x, planted[i].y, planted[i].z) =
+        kNonFiniteAndDenormal[i];
+  }
+  const TransferFunction tf({{0.1f, 0.8f, 0.2f, 0.1f, 0.3f},
+                             {0.5f, 0.1f, 0.6f, 0.9f, 0.05f},
+                             {0.9f, 1.0f, 1.0f, 0.8f, 0.4f}});
+  const Camera cam = Camera::default_view(dims, 43, 37);
+  const Box3i all{{0, 0, 0}, dims};
+  par::ThreadPool pool(GetParam());
+  for (const double step : {1.0, 0.6}) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    RenderConfig cfg = base_config();
+    cfg.step_voxels = step;
+    const Raycaster rc(dims, cfg);
+    const SubImage got = rc.render_block(whole, all, cam, tf, &pool);
+    expect_identical(oracle_block(rc, dims, whole, all, cam, tf), got);
+    EXPECT_GT(got.samples, 0);
   }
 }
 
