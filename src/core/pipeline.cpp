@@ -426,35 +426,47 @@ struct AsyncChain {
 AsyncChain schedule_async_frame(const AsyncInputs& in,
                                 const compose::DirectSendDetail& detail,
                                 std::int64_t num_ranks) {
-  runtime::TaskGraph graph(num_ranks);
-  runtime::TaskId io_task = -1;
-  if (in.has_io) io_task = graph.add("io", -1, in.io_seconds, kTagIo, {});
-  std::vector<runtime::TaskId> pre;
-  if (io_task >= 0) pre.push_back(io_task);
-  if (in.has_steal) {
-    pre = {graph.add("steal", -1, in.steal_seconds, kTagSteal, pre)};
+  // Size the graph first, so building it allocates once. Every render task
+  // waits on the same task, if any: the steal gate (which waits on the
+  // read), else the read.
+  const std::int64_t gate_tasks = (in.has_io ? 1 : 0) + (in.has_steal ? 1 : 0);
+  const std::size_t render_deps = gate_tasks > 0 ? 1 : 0;
+  std::int64_t tasks = gate_tasks;
+  std::int64_t edges = gate_tasks - std::int64_t(render_deps);
+  for (std::int64_t r = 0; r < num_ranks; ++r) {
+    const std::size_t sources = detail.sources[std::size_t(r)].size();
+    const bool live = in.live[std::size_t(r)] != 0;
+    tasks += (live ? 1 : 0) + (sources > 0 ? 1 : 0);
+    edges += std::int64_t((live ? render_deps : 0) + sources);
   }
+  runtime::TaskGraph graph(num_ranks);
+  graph.reserve(tasks, edges);
+  runtime::TaskId gate = -1;
+  if (in.has_io) gate = graph.add(-1, in.io_seconds, kTagIo, {});
+  if (in.has_steal) {
+    const std::span<const runtime::TaskId> read(&gate, in.has_io ? 1 : 0);
+    gate = graph.add(-1, in.steal_seconds, kTagSteal, read);
+  }
+  const std::span<const runtime::TaskId> pre(&gate, render_deps);
   std::vector<runtime::TaskId> render_task(std::size_t(num_ranks), -1);
   for (std::int64_t r = 0; r < num_ranks; ++r) {
     if (!in.live[std::size_t(r)]) continue;
     render_task[std::size_t(r)] =
-        graph.add("render." + std::to_string(r), r,
-                  in.render_seconds[std::size_t(r)], kTagRender, pre);
+        graph.add(r, in.render_seconds[std::size_t(r)], kTagRender, pre);
   }
+  std::vector<runtime::TaskId> deps;  // one compositor's, reused
   for (std::int64_t c = 0; c < num_ranks; ++c) {
     const std::vector<std::int64_t>& srcs = detail.sources[std::size_t(c)];
     if (srcs.empty()) continue;
-    std::vector<runtime::TaskId> deps;
-    deps.reserve(srcs.size());
+    deps.clear();
     for (const std::int64_t s : srcs) {
       // Dead renderers were filtered from the message set, so every source
       // of a delivered fragment has a render task.
       PVR_ASSERT(render_task[std::size_t(s)] >= 0);
       deps.push_back(render_task[std::size_t(s)]);
     }
-    graph.add("composite." + std::to_string(c), c,
-              in.exchange_seconds + in.blend_seconds[std::size_t(c)],
-              kTagComposite, std::move(deps));
+    graph.add(c, in.exchange_seconds + in.blend_seconds[std::size_t(c)],
+              kTagComposite, deps);
   }
 
   AsyncChain out;
@@ -462,7 +474,7 @@ AsyncChain schedule_async_frame(const AsyncInputs& in,
   out.edges = graph.num_edges();
   out.sched = graph.run();
   for (const runtime::TaskId id : out.sched.critical_path) {
-    const runtime::Task& t = graph.task(id);
+    const runtime::Task t = graph.task(id);
     switch (t.tag) {
       case kTagIo: out.io_seg += t.seconds; break;
       case kTagSteal: out.steal_seg += t.seconds; break;
@@ -481,9 +493,9 @@ AsyncChain schedule_async_frame(const AsyncInputs& in,
 
 }  // namespace
 
-FrameStats ParallelVolumeRenderer::price_frame(const fault::FaultPlan* plan,
-                                               bool insitu,
-                                               double readahead_seconds) {
+FrameStats ParallelVolumeRenderer::price_frame(
+    const fault::FaultPlan* plan, bool insitu, double readahead_seconds,
+    const iolib::ReadResult* priced_read) {
   runtime::Runtime& rt = model_rt();
   const bool faulty = plan != nullptr;
   const bool async = config_.runtime_mode == runtime::RuntimeMode::kAsync;
@@ -513,24 +525,29 @@ FrameStats ParallelVolumeRenderer::price_frame(const fault::FaultPlan* plan,
   double readahead_credit = 0.0;
   if (!insitu) {
     obs::ScopedSpan stage(tracer_, "stage.io", obs::Category::kIo);
-    auto blocks = io_blocks();
-    if (faulty) {
-      const std::size_t before = blocks.size();
-      std::erase_if(blocks, [&](const iolib::RankBlock& b) {
-        return plan->rank_failed(b.rank, *partition_);
-      });
-      stats.faults.dropped_blocks += std::int64_t(before - blocks.size());
-      if (tracer_ != nullptr && before != blocks.size()) {
-        tracer_->instant("fault.blocks_dropped", obs::Category::kFault,
-                         {{"blocks", double(before - blocks.size())}});
-      }
-    }
-    iolib::CollectiveReader reader(rt, *storage_, config_.hints);
     // A read-ahead read is priced untraced and traced as a synthetic
     // fetch/shuffle split: only the open + storage portion can hide under
     // the previous frame (the shuffle needs the renderers themselves).
     const bool split = readahead_seconds > 0.0;
-    {
+    if (priced_read != nullptr) {
+      // model_run's fault-free read-ahead frames: the read is the healthy
+      // frame's, and a split read emits no spans of its own.
+      PVR_ASSERT(split && !faulty);
+      stats.io = *priced_read;
+    } else {
+      auto blocks = io_blocks();
+      if (faulty) {
+        const std::size_t before = blocks.size();
+        std::erase_if(blocks, [&](const iolib::RankBlock& b) {
+          return plan->rank_failed(b.rank, *partition_);
+        });
+        stats.faults.dropped_blocks += std::int64_t(before - blocks.size());
+        if (tracer_ != nullptr && before != blocks.size()) {
+          tracer_->instant("fault.blocks_dropped", obs::Category::kFault,
+                           {{"blocks", double(before - blocks.size())}});
+        }
+      }
+      iolib::CollectiveReader reader(rt, *storage_, config_.hints);
       std::optional<Untraced<runtime::Runtime>> untraced;
       if (split) untraced.emplace(rt);
       stats.io = reader.read(*layout_, variable_, blocks, nullptr, {});
@@ -772,7 +789,7 @@ RunStats ParallelVolumeRenderer::model_run(
   if (async && n_frames > 1) {
     steady_credit = healthy.composite_seconds;
     const Untraced untraced(*this);
-    steady = price_frame(nullptr, /*insitu=*/false, steady_credit);
+    steady = price_frame(nullptr, /*insitu=*/false, steady_credit, &healthy.io);
   }
   run.ideal_seconds =
       async ? healthy_seconds + double(n_frames - 1) * steady.total_seconds()
@@ -800,6 +817,15 @@ RunStats ParallelVolumeRenderer::model_run(
     }
   }
 
+  // Untraced, one model-mode write and one restart read price every
+  // checkpoint and rollback of the run: both depend only on the state
+  // layout, the state blocks and the image bytes, and on no fault plan (the
+  // runtime is armed only inside price_frame). A traced run prices each, so
+  // each emits its spans.
+  const bool reprice = tracer_ != nullptr;
+  std::optional<ckpt::CheckpointIo> written;
+  std::optional<ckpt::CheckpointIo> restart;
+
   std::int64_t last_ckpt_frame = -1;  // nothing persisted yet
   for (std::int64_t f = 0; f < n_frames; ++f) {
     const fault::FaultArrival* arrival = timeline.arrival_at(f);
@@ -824,10 +850,12 @@ RunStats ParallelVolumeRenderer::model_run(
       if (last_ckpt_frame >= 0) {
         // Rollback: reload the surviving block state from the last
         // checkpoint before re-rendering under the arrival's plan.
-        const ckpt::CheckpointIo restart =
-            codec.read(*ckpt_layout, state_blocks, nullptr, {}, image_bytes);
+        if (reprice || !restart) {
+          restart = codec.read(*ckpt_layout, state_blocks, nullptr, {},
+                               image_bytes);
+        }
         ++run.checkpoints_read;
-        run.checkpoint_seconds += restart.seconds;
+        run.checkpoint_seconds += restart->seconds;
       }
     }
 
@@ -839,6 +867,8 @@ RunStats ParallelVolumeRenderer::model_run(
                                                      : nullptr;
     // Untraced fault-free frames reuse the reference frames above, which
     // determinism makes bit-identical; traced frames emit their own spans.
+    // A fault-free read-ahead frame reuses the healthy read either way: it
+    // is priced untraced, so only the credit split and the later stages run.
     const bool cached = plan == nullptr && tracer_ == nullptr;
     FrameStats stats;
     if (cached && credit == 0.0) {
@@ -846,19 +876,23 @@ RunStats ParallelVolumeRenderer::model_run(
     } else if (cached && credit == steady_credit) {
       stats = steady;
     } else {
-      stats = price_frame(plan, /*insitu=*/false, credit);
+      stats = price_frame(plan, /*insitu=*/false, credit,
+                          plan == nullptr && credit > 0.0 ? &healthy.io
+                                                          : nullptr);
     }
 
     // Checkpoint after the frame per policy; the final frame never
     // checkpoints (there is nothing after it left to protect).
     if (policy.enabled() && (f + 1) % policy.interval_frames == 0 &&
         f + 1 < n_frames) {
-      const ckpt::CheckpointIo ck =
-          codec.write(*ckpt_layout, state_blocks, f, image_bytes);
-      stats.write_io = ck.io;
-      stats.write_seconds = ck.seconds;
+      if (reprice || !written) {
+        written = codec.write(*ckpt_layout, state_blocks, f, image_bytes);
+      }
+      written->frame_index = f;
+      stats.write_io = written->io;
+      stats.write_seconds = written->seconds;
       ++run.checkpoints_written;
-      run.checkpoint_seconds += ck.seconds;
+      run.checkpoint_seconds += written->seconds;
       last_ckpt_frame = f;
     }
 
@@ -1094,15 +1128,15 @@ FrameStats ParallelVolumeRenderer::execute_insitu_frame(
   FrameStats stats;
   const data::Variable var = data::variable_from_name(config_.variable);
   const auto blocks = io_blocks();
-  std::vector<Brick> bricks;
-  bricks.reserve(blocks.size());
-  for (const auto& b : blocks) bricks.emplace_back(b.box);
-  // Each chunk fills whole bricks, so no voxel depends on the thread count.
+  std::vector<Brick> bricks(blocks.size());
+  // Each chunk constructs and fills whole bricks, so no voxel depends on the
+  // thread count and the zero fill runs on the pool too.
   par::parallel_for(pool_.get(), std::int64_t(bricks.size()), 1,
                     [&](std::int64_t begin, std::int64_t end, std::int64_t) {
                       for (std::int64_t b = begin; b < end; ++b) {
-                        field.fill_brick(var, config_.dataset.dims,
-                                         &bricks[std::size_t(b)]);
+                        Brick& brick = bricks[std::size_t(b)];
+                        brick = Brick(blocks[std::size_t(b)].box);
+                        field.fill_brick(var, config_.dataset.dims, &brick);
                       }
                     });
   obs::ScopedSpan frame(tracer_, "frame", obs::Category::kFrame);

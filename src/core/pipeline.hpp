@@ -273,6 +273,17 @@ class ParallelVolumeRenderer {
   /// timeline and a disabled policy the per-frame stats are byte-identical
   /// to n_frames calls of model_frame(). Deterministic for a given
   /// (timeline, policy), including across host_threads settings.
+  ///
+  /// Determinism lets an untraced run price repeated work once. Its
+  /// fault-free frames copy the healthy (or, under kAsync, steady
+  /// read-ahead) reference frame. Its checkpoints copy the first write and
+  /// its rollbacks the first restart read: both depend only on the state
+  /// layout, the state blocks and the image bytes, and no fault plan is
+  /// armed outside a frame. A fault-free frame at a read-ahead credit,
+  /// traced or not, reuses the healthy frame's collective read, which a
+  /// read-ahead frame prices untraced anyway. A traced run prices every
+  /// frame, write and read, so each emits its spans; its RunStats equal the
+  /// untraced run's bitwise.
   RunStats model_run(std::int64_t n_frames,
                      const fault::FaultTimeline& timeline = {},
                      const ckpt::CheckpointPolicy& policy = {});
@@ -319,9 +330,13 @@ class ParallelVolumeRenderer {
   /// and render estimate, per-rank task inputs (kAsync only), composite —
   /// and folds the stages into a frame time: barrier maxima (kBsp), or the
   /// free dependency graph's critical path, reclaiming skew as overlap
-  /// (kAsync). kAsync frames fill stats.async.
+  /// (kAsync). kAsync frames fill stats.async. A non-null `priced_read`
+  /// (fault-free read-ahead frames only) is the frame's collective read,
+  /// already priced; the frame then prices only the credit split and the
+  /// later stages.
   FrameStats price_frame(const fault::FaultPlan* plan, bool insitu,
-                         double readahead_seconds);
+                         double readahead_seconds,
+                         const iolib::ReadResult* priced_read = nullptr);
   /// Shared execute-mode stages 2+3: render the bricks, composite, fill
   /// stats.render/composite; `out` receives the image if non-null.
   void execute_render_and_composite(std::span<Brick> bricks,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -112,14 +113,22 @@ void upsample_dataset(const format::VolumeLayout& src_layout,
         const Tap tz = tap_for(z, factor, sd.dims.z);
         for (int var = 0; var < int(sd.num_variables()); ++var) {
           Bracket& br = loaded[std::size_t(var)];
-          if (tz.i0 != br.z0 || tz.i1 != br.z1) {
+          // The bracket moves by at most one source slice per destination
+          // slice: the old upper slice becomes the new lower one, so each
+          // source slice is read once.
+          if (tz.i0 == br.z1) {
+            std::swap(br.s0, br.s1);
+            std::swap(br.z0, br.z1);
+          } else if (tz.i0 != br.z0) {
             load_slice(var, tz.i0, &br.s0);
-            if (tz.i1 != tz.i0) {
-              load_slice(var, tz.i1, &br.s1);
-            } else {
-              br.s1 = br.s0;
-            }
             br.z0 = tz.i0;
+          }
+          if (tz.i1 != br.z1) {
+            if (tz.i1 == tz.i0) {
+              br.s1 = br.s0;
+            } else {
+              load_slice(var, tz.i1, &br.s1);
+            }
             br.z1 = tz.i1;
           }
           const auto src_at = [&](const std::vector<float>& sl,

@@ -32,7 +32,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace pvr::runtime {
@@ -59,13 +60,14 @@ using TaskId = std::int32_t;
 /// executing rank, or -1 for the shared machine lane used by collective
 /// phases), runnable once every task in `deps` has finished. `tag` is a
 /// caller-defined classification (e.g. pipeline stage) used to segment the
-/// critical path; the scheduler never reads it.
+/// critical path; the scheduler never reads it. TaskGraph::task returns
+/// this by value; `deps` views the graph's flat edge array and stays valid
+/// until the next add().
 struct Task {
-  std::string name;
   std::int64_t lane = -1;
   double seconds = 0.0;
   std::int32_t tag = 0;
-  std::vector<TaskId> deps;
+  std::span<const TaskId> deps;
 };
 
 /// Scheduled interval of one task. `ready` is the max dependency finish
@@ -95,27 +97,51 @@ struct TaskSchedule {
 
 /// Append-only DAG builder + deterministic scheduler. Dependencies must
 /// point at already-added tasks (ids are issued in add order), which makes
-/// cycles unrepresentable by construction.
+/// cycles unrepresentable by construction. Tasks and their dependency lists
+/// live in flat arrays (one offset per task into one edge array), so adding
+/// a task allocates nothing once reserve() has sized the graph.
 class TaskGraph {
  public:
   /// `num_lanes` ranks, each a serial processor, plus the shared lane -1.
   explicit TaskGraph(std::int64_t num_lanes);
 
-  TaskId add(std::string name, std::int64_t lane, double seconds,
-             std::int32_t tag, std::vector<TaskId> deps);
+  /// Room for `tasks` tasks with `edges` dependencies in all.
+  void reserve(std::int64_t tasks, std::int64_t edges);
 
-  std::int64_t num_tasks() const { return std::int64_t(tasks_.size()); }
-  std::int64_t num_edges() const { return num_edges_; }
-  const Task& task(TaskId id) const;
+  /// `deps` is copied; it must not view this graph's own edges.
+  TaskId add(std::int64_t lane, double seconds, std::int32_t tag,
+             std::span<const TaskId> deps);
+  TaskId add(std::int64_t lane, double seconds, std::int32_t tag,
+             std::initializer_list<TaskId> deps) {
+    return add(lane, seconds, tag,
+               std::span<const TaskId>(deps.begin(), deps.size()));
+  }
+
+  std::int64_t num_tasks() const { return std::int64_t(nodes_.size()); }
+  std::int64_t num_edges() const { return std::int64_t(deps_.size()); }
+  Task task(TaskId id) const;
 
   /// Runs the graph to completion. Pure: same graph, same schedule, no
   /// internal state mutated (add() may be called again afterwards).
   TaskSchedule run() const;
 
  private:
+  struct Node {
+    std::int64_t lane = -1;
+    double seconds = 0.0;
+    std::int32_t tag = 0;
+  };
+  std::span<const TaskId> deps_of(std::size_t id) const {
+    return std::span<const TaskId>(deps_).subspan(
+        std::size_t(dep_begin_[id]),
+        std::size_t(dep_begin_[id + 1] - dep_begin_[id]));
+  }
+
   std::int64_t num_lanes_ = 0;
-  std::int64_t num_edges_ = 0;
-  std::vector<Task> tasks_;
+  std::vector<Node> nodes_;
+  /// Task i's dependencies are deps_[dep_begin_[i], dep_begin_[i + 1]).
+  std::vector<std::int64_t> dep_begin_{0};
+  std::vector<TaskId> deps_;
 };
 
 /// Per-frame async-runtime accounting embedded in core::FrameStats.

@@ -122,10 +122,10 @@ TEST(TaskGraphTest, EmptyGraphHasZeroMakespan) {
 
 TEST(TaskGraphTest, DiamondChargesTheSlowArm) {
   runtime::TaskGraph graph(3);
-  const auto a = graph.add("a", 0, 1.0, 0, {});
-  const auto b = graph.add("b", 1, 2.0, 0, {a});
-  const auto c = graph.add("c", 2, 3.0, 0, {a});
-  const auto d = graph.add("d", 0, 1.0, 0, {b, c});
+  const auto a = graph.add(0, 1.0, 0, {});
+  const auto b = graph.add(1, 2.0, 0, {a});
+  const auto c = graph.add(2, 3.0, 0, {a});
+  const auto d = graph.add(0, 1.0, 0, {b, c});
   const auto sched = graph.run();
   EXPECT_EQ(sched.times[std::size_t(a)].finish, 1.0);
   EXPECT_EQ(sched.times[std::size_t(b)].finish, 3.0);
@@ -144,8 +144,8 @@ TEST(TaskGraphTest, DiamondChargesTheSlowArm) {
 
 TEST(TaskGraphTest, SameLaneSerializesAndChargesWait) {
   runtime::TaskGraph graph(1);
-  const auto a = graph.add("a", 0, 2.0, 0, {});
-  const auto b = graph.add("b", 0, 1.0, 0, {});
+  const auto a = graph.add(0, 2.0, 0, {});
+  const auto b = graph.add(0, 1.0, 0, {});
   const auto sched = graph.run();
   // b was ready at time zero but its lane was busy until a finished.
   EXPECT_EQ(sched.times[std::size_t(b)].ready, 0.0);
@@ -162,9 +162,9 @@ TEST(TaskGraphTest, SharedLaneAndRankLanesCoexist) {
   runtime::TaskGraph graph(2);
   // A collective on the shared lane gates two rank tasks, which run
   // concurrently on their own lanes.
-  const auto gate = graph.add("gate", -1, 1.0, 0, {});
-  const auto r0 = graph.add("r0", 0, 2.0, 1, {gate});
-  const auto r1 = graph.add("r1", 1, 5.0, 1, {gate});
+  const auto gate = graph.add(-1, 1.0, 0, {});
+  const auto r0 = graph.add(0, 2.0, 1, {gate});
+  const auto r1 = graph.add(1, 5.0, 1, {gate});
   const auto sched = graph.run();
   EXPECT_EQ(sched.times[std::size_t(r0)].start, 1.0);
   EXPECT_EQ(sched.times[std::size_t(r1)].start, 1.0);
@@ -176,14 +176,13 @@ TEST(TaskGraphTest, SharedLaneAndRankLanesCoexist) {
 TEST(TaskGraphTest, CriticalPathTelescopesToMakespan) {
   runtime::TaskGraph graph(4);
   std::vector<runtime::TaskId> renders;
-  const auto io = graph.add("io", -1, 0.75, 0, {});
+  const auto io = graph.add(-1, 0.75, 0, {});
   for (std::int64_t r = 0; r < 4; ++r) {
-    renders.push_back(
-        graph.add("render", r, 1.0 + 0.125 * double(r), 1, {io}));
+    renders.push_back(graph.add(r, 1.0 + 0.125 * double(r), 1, {io}));
   }
   for (std::int64_t c = 0; c < 4; ++c) {
-    graph.add("composite", c, 0.5,
-              2, {renders[std::size_t(c)], renders[std::size_t(3 - c)]});
+    graph.add(c, 0.5, 2,
+              {renders[std::size_t(c)], renders[std::size_t(3 - c)]});
   }
   const auto sched = graph.run();
   ASSERT_FALSE(sched.critical_path.empty());
@@ -208,8 +207,8 @@ TEST(TaskGraphTest, CriticalPathTelescopesToMakespan) {
 
 TEST(TaskGraphTest, RunIsPureAndDeterministic) {
   runtime::TaskGraph graph(2);
-  const auto a = graph.add("a", 0, 1.5, 0, {});
-  graph.add("b", 1, 2.5, 0, {a});
+  const auto a = graph.add(0, 1.5, 0, {});
+  graph.add(1, 2.5, 0, {a});
   const auto first = graph.run();
   const auto second = graph.run();
   ASSERT_EQ(first.times.size(), second.times.size());
@@ -221,14 +220,14 @@ TEST(TaskGraphTest, RunIsPureAndDeterministic) {
   EXPECT_EQ(first.makespan, second.makespan);
   EXPECT_EQ(first.critical_path, second.critical_path);
   // run() leaves the graph appendable.
-  graph.add("c", 0, 1.0, 0, {a});
+  graph.add(0, 1.0, 0, {a});
   EXPECT_EQ(graph.num_tasks(), 3);
 }
 
 TEST(TaskGraphTest, LastTaskTieBreaksToLowestId) {
   runtime::TaskGraph graph(2);
-  const auto a = graph.add("a", 0, 2.0, 0, {});
-  graph.add("b", 1, 2.0, 0, {});
+  const auto a = graph.add(0, 2.0, 0, {});
+  graph.add(1, 2.0, 0, {});
   const auto sched = graph.run();
   EXPECT_EQ(sched.makespan, 2.0);
   EXPECT_EQ(sched.last_task, a);
@@ -376,7 +375,7 @@ TEST(TaskGraphTest, TouchedLaneSchedulerMatchesAFullLaneScan) {
       for (std::uint64_t k = id == 0 ? 0 : rng.next_below(4); k > 0; --k) {
         deps.push_back(runtime::TaskId(rng.next_below(std::uint64_t(id))));
       }
-      graph.add("t", lane, durations[rng.next_below(4)], 0, std::move(deps));
+      graph.add(lane, durations[rng.next_below(4)], 0, std::move(deps));
     }
     const runtime::TaskSchedule got = graph.run();
     const runtime::TaskSchedule want = full_scan_schedule(graph, lanes);
@@ -481,23 +480,22 @@ ChainSegments chained_oracle(const core::ParallelVolumeRenderer& pvr,
 
   runtime::TaskGraph graph(ranks);
   std::vector<runtime::TaskId> pre;
-  if (!insitu) pre = {graph.add("io", -1, bsp.io_seconds, kTagIo, {})};
+  if (!insitu) pre = {graph.add(-1, bsp.io_seconds, kTagIo, {})};
   if (!sched.empty()) {
-    pre = {graph.add("steal", -1, bsp.steal.steal_seconds, kTagSteal, pre)};
+    pre = {graph.add(-1, bsp.steal.steal_seconds, kTagSteal, pre)};
   }
   std::vector<runtime::TaskId> renders;
   for (std::int64_t r = 0; r < ranks; ++r) {
     if (slowdown != nullptr && !(slowdown(r) > 0.0)) continue;
-    renders.push_back(graph.add("render", r,
-                                render_seconds[std::size_t(r)], kTagRender,
-                                pre));
+    renders.push_back(
+        graph.add(r, render_seconds[std::size_t(r)], kTagRender, pre));
   }
   const runtime::TaskId barrier =
-      graph.add("render.barrier", -1, 0.0, kTagBarrier, renders);
+      graph.add(-1, 0.0, kTagBarrier, renders);
   const double bps = part.config().blends_per_second;
   for (std::int64_t c = 0; c < ranks; ++c) {
     if (detail.sources[std::size_t(c)].empty()) continue;
-    graph.add("composite", c,
+    graph.add(c,
               composite.exchange.seconds +
                   double(detail.blend_pixels[std::size_t(c)]) / bps,
               kTagComposite, {barrier});

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
@@ -49,17 +50,24 @@ core::ExperimentConfig run_config(int host_threads = 0) {
   return cfg;
 }
 
+void expect_same_read(const iolib::ReadResult& a,
+                      const iolib::ReadResult& b) {
+  EXPECT_EQ(a.seconds, b.seconds);
+  EXPECT_EQ(a.open_seconds, b.open_seconds);
+  EXPECT_EQ(a.storage_cost.seconds, b.storage_cost.seconds);
+  EXPECT_EQ(a.shuffle_cost.seconds, b.shuffle_cost.seconds);
+  EXPECT_EQ(a.useful_bytes, b.useful_bytes);
+  EXPECT_EQ(a.physical_bytes, b.physical_bytes);
+  EXPECT_EQ(a.accesses, b.accesses);
+}
+
 void expect_same_frame(const core::FrameStats& a, const core::FrameStats& b) {
   EXPECT_EQ(a.io_seconds, b.io_seconds);
   EXPECT_EQ(a.render_seconds, b.render_seconds);
   EXPECT_EQ(a.composite_seconds, b.composite_seconds);
   EXPECT_EQ(a.write_seconds, b.write_seconds);
-  EXPECT_EQ(a.io.useful_bytes, b.io.useful_bytes);
-  EXPECT_EQ(a.io.physical_bytes, b.io.physical_bytes);
-  EXPECT_EQ(a.io.accesses, b.io.accesses);
-  EXPECT_EQ(a.write_io.useful_bytes, b.write_io.useful_bytes);
-  EXPECT_EQ(a.write_io.physical_bytes, b.write_io.physical_bytes);
-  EXPECT_EQ(a.write_io.accesses, b.write_io.accesses);
+  expect_same_read(a.io, b.io);
+  expect_same_read(a.write_io, b.write_io);
   EXPECT_EQ(a.render.total_samples, b.render.total_samples);
   EXPECT_EQ(a.render.max_rank_samples, b.render.max_rank_samples);
   EXPECT_EQ(a.render.seconds, b.render.seconds);
@@ -67,6 +75,13 @@ void expect_same_frame(const core::FrameStats& a, const core::FrameStats& b) {
   EXPECT_EQ(a.composite.messages, b.composite.messages);
   EXPECT_EQ(a.composite.bytes, b.composite.bytes);
   EXPECT_EQ(a.faults.coverage, b.faults.coverage);
+  EXPECT_EQ(a.async.enabled, b.async.enabled);
+  EXPECT_EQ(a.async.tasks, b.async.tasks);
+  EXPECT_EQ(a.async.edges, b.async.edges);
+  EXPECT_EQ(a.async.bsp_seconds, b.async.bsp_seconds);
+  EXPECT_EQ(a.async.reclaimed_seconds, b.async.reclaimed_seconds);
+  EXPECT_EQ(a.async.lane_wait_seconds, b.async.lane_wait_seconds);
+  EXPECT_EQ(a.async.readahead_seconds, b.async.readahead_seconds);
 }
 
 void expect_same_run(const core::RunStats& a, const core::RunStats& b) {
@@ -414,6 +429,70 @@ TEST(ModelRunTest, DeterministicAcrossHostThreadsIncludingTrace) {
   EXPECT_TRUE(saw_write);
   EXPECT_TRUE(saw_lost);
   EXPECT_EQ(saw_read, runs[0].checkpoints_read > 0);
+}
+
+TEST(ModelRunTest, UntracedRunMatchesTracedRun) {
+  // A traced run prices every checkpoint write, restart read and frame; an
+  // untraced one may reuse what it already priced. Arrivals strike frame 0
+  // (nothing to restart from), frame 2 (after two checkpoints at interval
+  // 1, before any at interval 3), and frames 6 and 7 back to back (after
+  // two checkpoints at interval 3). The one at 6 carries an empty plan, so
+  // its frame renders fault-free right after a restart read.
+  constexpr std::int64_t kFrames = 9;
+  fault::FaultPlan damage;
+  damage.fail_node(1);
+  fault::FaultTimeline timeline;
+  timeline.add(fault::FaultArrival{0, 0.5, damage});
+  timeline.add(fault::FaultArrival{2, 0.25, damage});
+  timeline.add(fault::FaultArrival{6, 0.75, fault::FaultPlan{}});
+  timeline.add(fault::FaultArrival{7, 0.5, damage});
+
+  for (const auto mode :
+       {runtime::RuntimeMode::kBsp, runtime::RuntimeMode::kAsync}) {
+    for (const std::int64_t interval : {1, 3}) {
+      SCOPED_TRACE(std::string(runtime::to_string(mode)) + " interval " +
+                   std::to_string(interval));
+      core::ExperimentConfig cfg = run_config();
+      cfg.runtime_mode = mode;
+      ckpt::CheckpointPolicy policy;
+      policy.interval_frames = interval;
+      policy.persist_image = true;
+
+      core::ParallelVolumeRenderer untraced(cfg);
+      const core::RunStats run = untraced.model_run(kFrames, timeline, policy);
+      obs::Tracer tracer;
+      core::ParallelVolumeRenderer traced(cfg);
+      traced.set_tracer(&tracer);
+      const core::RunStats want = traced.model_run(kFrames, timeline, policy);
+      expect_same_run(run, want);
+      EXPECT_EQ(run.faults_struck, 4);
+      EXPECT_GT(run.checkpoints_read, 0);
+
+      std::int64_t frames = 0, writes = 0, reads = 0;
+      for (const obs::Span& span : tracer.spans()) {
+        frames += span.name == "frame" ? 1 : 0;
+        writes += span.name == "ckpt.write" ? 1 : 0;
+        reads += span.name == "ckpt.read" ? 1 : 0;
+      }
+      EXPECT_EQ(frames, kFrames);
+      EXPECT_EQ(writes, want.checkpoints_written);
+      EXPECT_EQ(reads, want.checkpoints_read);
+
+      // Whatever either run reused, each frame read what its arrival's
+      // plan left readable.
+      core::ParallelVolumeRenderer fresh(cfg);
+      const iolib::ReadResult healthy_read = fresh.model_frame().io;
+      const iolib::ReadResult damaged_read =
+          fresh.model_frame_with_faults(damage).io;
+      for (std::int64_t f = 0; f < kFrames; ++f) {
+        const fault::FaultArrival* arrival = timeline.arrival_at(f);
+        const bool damaged = arrival != nullptr && !arrival->plan.empty();
+        SCOPED_TRACE("frame " + std::to_string(f));
+        expect_same_read(run.frames[std::size_t(f)].io,
+                         damaged ? damaged_read : healthy_read);
+      }
+    }
+  }
 }
 
 TEST(ModelRunTest, ThroughputDegradesMonotonicallyPastTheOptimum) {

@@ -333,6 +333,45 @@ TEST(UpsampleDatasetTest, MatchesBrickUpsampling) {
   }
 }
 
+/// Read-only view of a file that counts the reads reaching it.
+class CountingFile : public format::FileHandle {
+ public:
+  explicit CountingFile(const format::FileHandle& file) : file_(&file) {}
+  std::int64_t size() const override { return file_->size(); }
+  void read_at(std::int64_t offset, std::span<std::byte> buf) const override {
+    ++reads_;
+    file_->read_at(offset, buf);
+  }
+  void write_at(std::int64_t, std::span<const std::byte>) override {
+    throw Error("CountingFile is read-only");
+  }
+  std::int64_t reads() const { return reads_; }
+
+ private:
+  const format::FileHandle* file_;
+  mutable std::int64_t reads_ = 0;
+};
+
+TEST(UpsampleDatasetTest, ReadsEachSourceSliceOnce) {
+  // Each variable's bracket slides one source slice at a time, keeping its
+  // old upper slice as the new lower one.
+  TempDir dir;
+  const format::DatasetDesc sdesc =
+      format::supernova_desc(format::FileFormat::kNetcdfRecord, 8);
+  const std::string spath = dir.file("small.nc");
+  write_supernova_file(sdesc, spath, 1530);
+  format::DatasetDesc ddesc = sdesc;
+  ddesc.dims = sdesc.dims * std::int64_t(2);
+  const format::VolumeLayout slayout(sdesc), dlayout(ddesc);
+
+  const format::DiskFile sfile(spath, format::DiskFile::OpenMode::kRead);
+  const CountingFile counted(sfile);
+  format::MemoryFile dfile;
+  upsample_dataset(slayout, counted, 2, dlayout, &dfile);
+  ASSERT_EQ(sdesc.num_variables(), 5);
+  EXPECT_EQ(counted.reads(), 40);  // 5 variables x 8 source slices
+}
+
 TEST(DiskFileTest, ReadWriteAndErrors) {
   TempDir dir;
   const std::string path = dir.file("f.bin");
