@@ -222,6 +222,22 @@ inline ExecResult measure_exec_kernel(std::int64_t grid, int image,
   return result;
 }
 
+/// Fastest wall ms of `repeats` calls of `run`: the host time of one
+/// execute-mode frame for a "host.exec" row.
+template <typename Run>
+double fastest_ms(Run&& run, int repeats = 5) {
+  double best = 0.0;
+  for (int rep = 0; rep < repeats; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    run();
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    if (rep == 0 || ms < best) best = ms;
+  }
+  return best;
+}
+
 /// Start of the next host row. Set during static initialization — before
 /// any row's work runs — and advanced by every register_sim, so the first
 /// row measures its own work like every other row.

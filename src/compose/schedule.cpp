@@ -19,13 +19,6 @@ std::vector<ScheduledMessage> build_direct_send_schedule(
   return schedule;
 }
 
-std::int64_t total_scheduled_pixels(
-    std::span<const ScheduledMessage> schedule) {
-  std::int64_t total = 0;
-  for (const ScheduledMessage& m : schedule) total += m.pixels();
-  return total;
-}
-
 PixelTally tally_block_pixels(std::span<const BlockScreenInfo> blocks,
                               int width, int height,
                               const fault::FaultPlan& plan,

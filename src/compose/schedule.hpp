@@ -60,11 +60,6 @@ void for_each_scheduled(std::span<const BlockScreenInfo> blocks,
 std::vector<ScheduledMessage> build_direct_send_schedule(
     std::span<const BlockScreenInfo> blocks, const ImagePartition& partition);
 
-/// Schedule invariants (used by tests and asserted cheaply in debug):
-/// every pixel of every non-empty footprint appears in exactly one message.
-std::int64_t total_scheduled_pixels(
-    std::span<const ScheduledMessage> schedule);
-
 // --- fault-path helpers shared by both compositors ---
 
 /// Scheduled-vs-delivered pixel tally: the single coverage metric every

@@ -907,7 +907,26 @@ RunStats ParallelVolumeRenderer::model_run(
 }
 
 void ParallelVolumeRenderer::execute_render_and_composite(
-    std::span<Brick> bricks, FrameStats* stats, Image* out) {
+    std::span<const Brick> bricks, FrameStats* stats, Image* out) {
+  PVR_ASSERT(std::int64_t(bricks.size()) == decomp_->num_blocks());
+  const render::TransferFunction tf = render::TransferFunction::supernova();
+  execute_render_and_composite(
+      [&](const render::Raycaster& caster, std::int64_t b,
+          const render::RowBand* band) {
+        const Brick& brick = bricks[std::size_t(b)];
+        const Box3i owned = decomp_->block_box(b);
+        return band == nullptr
+                   ? caster.render_block(brick, owned, camera_, tf,
+                                         pool_.get())
+                   : caster.render_block_rows(brick, owned, camera_, tf,
+                                              band->begin, band->end,
+                                              pool_.get());
+      },
+      stats, out);
+}
+
+void ParallelVolumeRenderer::execute_render_and_composite(
+    const BlockRenderFn& render_block, FrameStats* stats, Image* out) {
   runtime::Runtime& rt = execute_rt();
 
   // --- Stage 2: ray casting, real samples. With stealing enabled, the
@@ -922,9 +941,7 @@ void ParallelVolumeRenderer::execute_render_and_composite(
   {
     obs::ScopedSpan stage(tracer_, "stage.render", obs::Category::kRender);
     const render::Raycaster caster(config_.dataset.dims, config_.render);
-    const render::TransferFunction tf = render::TransferFunction::supernova();
     infos = screen_blocks();
-    PVR_ASSERT(bricks.size() == infos.size());
     subimages.reserve(infos.size());
     std::vector<std::int64_t> rank_samples(std::size_t(config_.num_ranks), 0);
     steal::StealSchedule sched;
@@ -933,7 +950,6 @@ void ParallelVolumeRenderer::execute_render_and_composite(
     }
     std::size_t next_claim = 0;  // claims are sorted by (block, row_begin)
     for (std::int64_t b = 0; b < decomp_->num_blocks(); ++b) {
-      const Box3i owned = decomp_->block_box(b);
       const std::int64_t owner = infos[std::size_t(b)].rank;
       const std::size_t claims_begin = next_claim;
       while (next_claim < sched.claims.size() &&
@@ -941,8 +957,7 @@ void ParallelVolumeRenderer::execute_render_and_composite(
         ++next_claim;
       }
       if (claims_begin == next_claim) {
-        render::SubImage sub = caster.render_block(
-            bricks[std::size_t(b)], owned, camera_, tf, pool_.get());
+        render::SubImage sub = render_block(caster, b, nullptr);
         rank_samples[std::size_t(owner)] += sub.samples;
         subimages.push_back(std::move(sub));
         continue;
@@ -957,9 +972,8 @@ void ParallelVolumeRenderer::execute_render_and_composite(
                                    std::int64_t row_end,
                                    std::int64_t renderer) {
         if (row_begin >= row_end) return;
-        render::SubImage band =
-            caster.render_block_rows(bricks[std::size_t(b)], owned, camera_,
-                                     tf, row_begin, row_end, pool_.get());
+        const render::RowBand rows{row_begin, row_end};
+        render::SubImage band = render_block(caster, b, &rows);
         std::copy(band.pixels.begin(), band.pixels.end(),
                   sub.pixels.begin() +
                       std::ptrdiff_t(std::size_t(row_begin) * width));
@@ -1077,46 +1091,23 @@ FrameStats ParallelVolumeRenderer::execute_frame_bivariate(
     stats.io_seconds = stats.io.seconds;
   }
 
-  // --- Stage 2: bivariate ray casting. ---
-  const auto infos = screen_blocks();
-  std::vector<render::SubImage> subimages;
-  {
-    obs::ScopedSpan stage(tracer_, "stage.render", obs::Category::kRender);
-    const render::Raycaster caster(config_.dataset.dims, config_.render);
-    subimages.reserve(infos.size());
-    std::vector<std::int64_t> rank_samples(std::size_t(config_.num_ranks), 0);
-    for (std::int64_t b = 0; b < decomp_->num_blocks(); ++b) {
-      render::SubImage sub = caster.render_block_bivariate(
-          bricks[std::size_t(b) * 2], bricks[std::size_t(b) * 2 + 1],
-          decomp_->block_box(b), camera_, tf, pool_.get());
-      rank_samples[std::size_t(infos[std::size_t(b)].rank)] += sub.samples;
-      subimages.push_back(std::move(sub));
-    }
-    const render::RenderModel rmodel(config_.machine);
-    for (const auto& s : subimages) stats.render.total_samples += s.samples;
-    const auto worst =
-        std::max_element(rank_samples.begin(), rank_samples.end());
-    stats.render.max_rank_samples = *worst;
-    stats.render.straggler_rank = worst - rank_samples.begin();
-    stats.render.seconds =
-        rmodel.seconds_for_samples(stats.render.max_rank_samples);
-    stats.render_seconds = stats.render.seconds;
-    if (tracer_ != nullptr) {
-      stage.arg("total_samples", double(stats.render.total_samples));
-      stage.arg("max_rank_samples", double(stats.render.max_rank_samples));
-      stage.arg("ranks", double(config_.num_ranks));
-      stage.arg("straggler_rank", double(stats.render.straggler_rank));
-      tracer_->advance(stats.render_seconds);
-    }
-  }
-
-  // --- Stage 3: compositing is variable-agnostic. ---
-  {
-    obs::ScopedSpan stage(tracer_, "stage.composite",
-                          obs::Category::kComposite);
-    stats.composite = composite_configured(rt, infos, subimages, out);
-    stats.composite_seconds = stats.composite.seconds;
-  }
+  // --- Stages 2 and 3, as in every execute frame: only the render call
+  // differs. Both bricks of a block come from Brick(b.box), so they share
+  // the box the kernel requires. ---
+  execute_render_and_composite(
+      [&](const render::Raycaster& caster, std::int64_t b,
+          const render::RowBand* band) {
+        const Brick& color = bricks[std::size_t(b) * 2];
+        const Brick& opacity = bricks[std::size_t(b) * 2 + 1];
+        const Box3i owned = decomp_->block_box(b);
+        return band == nullptr
+                   ? caster.render_block(color, opacity, owned, camera_, tf,
+                                         pool_.get())
+                   : caster.render_block_rows(color, opacity, owned, camera_,
+                                              tf, band->begin, band->end,
+                                              pool_.get());
+      },
+      &stats, out);
   if (tracer_ != nullptr) {
     stats.trace = obs::summarize_frame(*tracer_, frame.close());
   }

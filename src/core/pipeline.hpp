@@ -22,6 +22,7 @@
 // percentages of frame time, message statistics, and I/O bandwidths.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -38,6 +39,7 @@
 #include "obs/trace.hpp"
 #include "par/thread_pool.hpp"
 #include "render/decomposition.hpp"
+#include "render/raycaster.hpp"
 #include "render/render_model.hpp"
 #include "runtime/taskgraph.hpp"
 #include "steal/steal.hpp"
@@ -337,9 +339,22 @@ class ParallelVolumeRenderer {
   FrameStats price_frame(const fault::FaultPlan* plan, bool insitu,
                          double readahead_seconds,
                          const iolib::ReadResult* priced_read = nullptr);
-  /// Shared execute-mode stages 2+3: render the bricks, composite, fill
-  /// stats.render/composite; `out` receives the image if non-null.
-  void execute_render_and_composite(std::span<Brick> bricks,
+  /// An execute frame's render call: renders block `b` through `caster`,
+  /// over its whole screen footprint, or only the rows of `band` (a stolen
+  /// band) when `band` is non-null.
+  using BlockRenderFn =
+      std::function<render::SubImage(const render::Raycaster& caster,
+                                     std::int64_t b,
+                                     const render::RowBand* band)>;
+  /// Shared execute-mode stages 2+3 of every execute frame: render each
+  /// block with `render_block` (stealing row bands when config().steal is
+  /// on), composite, fill stats.render/steal/composite; `out` receives the
+  /// image if non-null.
+  void execute_render_and_composite(const BlockRenderFn& render_block,
+                                    FrameStats* stats, Image* out);
+  /// Stages 2+3 for one univariate brick per block, rendered with the
+  /// supernova transfer function.
+  void execute_render_and_composite(std::span<const Brick> bricks,
                                     FrameStats* stats, Image* out);
   /// Per-block render work for the steal planner (modeled samples, footprint
   /// rows, replication bytes), in block order.

@@ -132,18 +132,6 @@ std::int64_t VolumeLayout::element_offset(int var, const Vec3i& idx) const {
   throw Error("unknown format");
 }
 
-void VolumeLayout::subvolume_extents(int var, const Box3i& box,
-                                     std::vector<Extent>* out) const {
-  PVR_REQUIRE(out != nullptr, "null output vector");
-  const SlabRun run = slab_run(var, box);
-  for (std::int64_t k = 0; k < run.slices; ++k) {
-    const SlabRequest s = run.slice(k, slice_stride_);
-    for (std::int64_t r = 0; r < s.nrows; ++r) {
-      out->push_back(Extent{s.first + r * s.row_stride, s.row_bytes});
-    }
-  }
-}
-
 SlabRun VolumeLayout::slab_run(int var, const Box3i& box) const {
   const Box3i clipped = box.intersect(Box3i{{0, 0, 0}, desc_.dims});
   if (clipped.empty()) return {};

@@ -1,17 +1,14 @@
 // Unified layout API over all storage formats: maps (variable, subvolume) to
 // file byte ranges.
 //
-// Two granularities are provided:
-//   * exact per-row extents (subvolume_extents) — used by execute-mode
-//     ground-truth reads, file writers, and the Fig 8 layout dump;
-//   * SlabRequest summaries — one per z-slice of a block, describing its
-//     regular row structure (row length, stride, count, hull). Every format
-//     puts a variable's consecutive z-slices one slice_stride() apart, so a
-//     block's whole request is a SlabRun: its first slice, the slice count
-//     and that stride. The collective I/O engine works on slab runs, which
-//     keeps model-mode runs at 32 Ki ranks tractable while remaining
-//     byte-exact: any individual row position is recoverable arithmetically
-//     from the run.
+// A subvolume's bytes are summarized as SlabRequests — one per z-slice of
+// a block, describing its regular row structure (row length, stride,
+// count, hull). Every format puts a variable's consecutive z-slices one
+// slice_stride() apart, so a block's whole request is a SlabRun: its first
+// slice, the slice count and that stride. The collective I/O engine works
+// on slab runs, which keeps model-mode runs at 32 Ki ranks tractable while
+// remaining byte-exact: any individual row position is recoverable
+// arithmetically from the run.
 #pragma once
 
 #include <memory>
@@ -81,10 +78,6 @@ class VolumeLayout {
 
   /// File offset of element (x, y, z) of a variable.
   std::int64_t element_offset(int var, const Vec3i& idx) const;
-
-  /// Exact per-row extents of a subvolume (appended to *out, not coalesced).
-  void subvolume_extents(int var, const Box3i& box,
-                         std::vector<Extent>* out) const;
 
   /// Bytes between consecutive z-slices of one variable: one record for
   /// netCDF record variables, one xy-plane otherwise. The same for every

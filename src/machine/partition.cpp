@@ -13,19 +13,6 @@ Partition::Partition(const MachineConfig& cfg, std::int64_t num_ranks)
   torus_dims_ = cubic_factorization(num_nodes_);
 }
 
-std::int64_t Partition::torus_hops(std::int64_t node_a,
-                                   std::int64_t node_b) const {
-  const Vec3i a = coords_of_node(node_a);
-  const Vec3i b = coords_of_node(node_b);
-  std::int64_t hops = 0;
-  for (int d = 0; d < 3; ++d) {
-    const std::int64_t dim = torus_dims_[d];
-    const std::int64_t fwd = (b[d] - a[d] + dim) % dim;
-    hops += std::min(fwd, dim - fwd);  // wraparound: go the short way
-  }
-  return hops;
-}
-
 Vec3i Partition::cubic_factorization(std::int64_t n) {
   PVR_REQUIRE(n > 0, "factorization needs n > 0");
   // Pick the divisor pair/triple minimizing surface: search c from cbrt(n)

@@ -57,9 +57,6 @@ class Partition {
     return ion_of_node(node_of_rank(rank));
   }
 
-  /// Minimum hop count between two nodes on the torus (with wraparound).
-  std::int64_t torus_hops(std::int64_t node_a, std::int64_t node_b) const;
-
   /// The most cubic factorization a*b*c = n with a <= b <= c. Exposed for
   /// tests and for the data decomposition, which uses the same shape rule.
   static Vec3i cubic_factorization(std::int64_t n);

@@ -16,32 +16,4 @@ double TreeModel::barrier() const {
   return 2.0 * depth_ * partition_->config().tree_latency;
 }
 
-double TreeModel::broadcast(std::int64_t bytes) const {
-  const auto& cfg = partition_->config();
-  return depth_ * cfg.tree_latency + double(bytes) / cfg.tree_link_bw;
-}
-
-double TreeModel::reduce(std::int64_t bytes) const {
-  const auto& cfg = partition_->config();
-  // The combining tree performs the arithmetic in hardware at line rate on
-  // BG/P; model a 10% derate for the combine.
-  return depth_ * cfg.tree_latency + double(bytes) / (0.9 * cfg.tree_link_bw);
-}
-
-double TreeModel::allreduce(std::int64_t bytes) const {
-  const auto& cfg = partition_->config();
-  return 2.0 * depth_ * cfg.tree_latency +
-         double(bytes) / (0.9 * cfg.tree_link_bw);
-}
-
-double TreeModel::gather(std::int64_t bytes_per_rank) const {
-  const auto& cfg = partition_->config();
-  const double total = double(bytes_per_rank) * double(partition_->num_ranks());
-  return depth_ * cfg.tree_latency + total / cfg.tree_link_bw;
-}
-
-double TreeModel::scatter(std::int64_t bytes_per_rank) const {
-  return gather(bytes_per_rank);  // symmetric on the tree
-}
-
 }  // namespace pvr::net

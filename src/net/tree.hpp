@@ -1,7 +1,6 @@
 // BG/P collective (tree) network model. Collectives traverse a binary
-// combining tree over the nodes of the partition: cost is
-// depth * per-hop latency + payload serialization at tree-link bandwidth,
-// with reduction compute folded into an effective bandwidth derate.
+// combining tree over the nodes of the partition; the one the library runs,
+// the barrier, costs an up-sweep and a down-sweep of per-hop latency.
 #pragma once
 
 #include <cstdint>
@@ -19,22 +18,6 @@ class TreeModel {
 
   /// Barrier across all ranks.
   double barrier() const;
-
-  /// Broadcast of `bytes` from one rank to all ranks.
-  double broadcast(std::int64_t bytes) const;
-
-  /// Reduce of `bytes` per rank to a single root (combining tree).
-  double reduce(std::int64_t bytes) const;
-
-  /// Allreduce of `bytes` per rank (reduce + broadcast pipelined).
-  double allreduce(std::int64_t bytes) const;
-
-  /// Gather of `bytes_per_rank` from every rank to the root; the root link
-  /// serializes the full payload.
-  double gather(std::int64_t bytes_per_rank) const;
-
-  /// Scatter of `bytes_per_rank` from the root to every rank.
-  double scatter(std::int64_t bytes_per_rank) const;
 
  private:
   const machine::Partition* partition_;

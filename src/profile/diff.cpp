@@ -36,13 +36,6 @@ bool drifted(double baseline, double fresh, const GateConfig& config) {
 // ---------------------------------------------------------------------------
 // Profile A/B diff
 
-bool ProfileDiff::within(double tol) const {
-  for (const BucketDelta& d : buckets) {
-    if (std::abs(d.delta_seconds()) > tol) return false;
-  }
-  return std::abs(delta_total()) <= tol;
-}
-
 ProfileDiff diff_profiles(const Attribution& base, const Attribution& other) {
   ProfileDiff diff;
   for (int b = 0; b < kNumBuckets; ++b) {

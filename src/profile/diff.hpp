@@ -49,8 +49,6 @@ struct ProfileDiff {
   double other_total = 0.0;
 
   double delta_total() const { return other_total - base_total; }
-  /// True when every bucket and the total agree within `tol` seconds.
-  bool within(double tol) const;
 };
 
 ProfileDiff diff_profiles(const Attribution& base, const Attribution& other);

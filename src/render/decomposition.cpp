@@ -58,16 +58,4 @@ Box3i Decomposition::ghost_box(std::int64_t block, int ghost) const {
   return Box3i{max(own.lo - g, Vec3i{0, 0, 0}), min(own.hi + g, dims_)};
 }
 
-std::int64_t Decomposition::block_of_voxel(const Vec3i& v) const {
-  PVR_ASSERT(v.x >= 0 && v.x < dims_.x && v.y >= 0 && v.y < dims_.y &&
-             v.z >= 0 && v.z < dims_.z);
-  Vec3i c;
-  for (int a = 0; a < 3; ++a) {
-    const auto& b = bounds_[a];
-    const auto it = std::upper_bound(b.begin(), b.end(), v[a]);
-    c[a] = std::int64_t(it - b.begin()) - 1;
-  }
-  return block_of_coords(c);
-}
-
 }  // namespace pvr::render

@@ -39,9 +39,6 @@ class Decomposition {
   /// its owned box).
   Box3i ghost_box(std::int64_t block, int ghost = 1) const;
 
-  /// Block containing voxel `v`.
-  std::int64_t block_of_voxel(const Vec3i& v) const;
-
   /// Round-robin static block assignment: block b belongs to rank b when
   /// one block per rank; with `blocks_per_rank` > 1 the blocks cycle over
   /// ranks, matching the paper's static allocation.

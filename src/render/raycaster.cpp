@@ -1,11 +1,10 @@
 #include "render/raycaster.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <optional>
 
 #include "render/simd/packet_kernel.hpp"
 #include "render/simd/tf_lut.hpp"
-#include "render/trilinear.hpp"
 #include "util/error.hpp"
 
 namespace pvr::render {
@@ -40,10 +39,6 @@ Raycaster::Raycaster(const Vec3i& volume_dims, RenderConfig config)
   value_bias_ = -config_.value_lo * value_scale_;
 }
 
-float Raycaster::sample_world(const Brick& brick, const Vec3d& world) const {
-  return sample_trilinear(brick, inv_h_, world);
-}
-
 namespace {
 
 /// The brick must cover `owned` plus a one-voxel ghost layer clipped to the
@@ -63,10 +58,9 @@ bool same_box(const Box3d& a, const Box3d& b) {
 
 }  // namespace
 
-void Raycaster::render_rect(const Brick& brick, const Box3d& region,
+void Raycaster::render_rect(const Source& src, const Box3d& region,
                             bool region_is_volume, const Camera& camera,
-                            const TransferFunction& tf, par::ThreadPool* pool,
-                            SubImage* out) const {
+                            par::ThreadPool* pool, SubImage* out) const {
   out->pixels.assign(std::size_t(out->rect.pixel_count()), kTransparent);
 
   // Scanline chunks: each chunk writes a disjoint row range of out->pixels
@@ -76,11 +70,18 @@ void Raycaster::render_rect(const Brick& brick, const Box3d& region,
   const std::int64_t rows = out->rect.y1 - out->rect.y0;
   std::vector<std::int64_t> chunk_samples(
       std::size_t(par::plan_chunks(rows).count), 0);
-  const simd::TfLut lut(tf, float(config_.step_voxels));
+  const float step = float(config_.step_voxels);
+  const simd::TfLut lut(*src.tf, step);
+  std::optional<simd::TfLut> opacity_lut;
   simd::KernelParams kp;
-  kp.brick = &brick;
+  kp.brick = src.brick;
   kp.camera = &camera;
   kp.lut = &lut;
+  if (src.opacity_brick != nullptr) {
+    opacity_lut.emplace(*src.opacity_tf, step);
+    kp.opacity_brick = src.opacity_brick;
+    kp.opacity_lut = &*opacity_lut;
+  }
   kp.region = region;
   kp.vol = world_box(dims_);
   kp.region_is_volume = region_is_volume;
@@ -98,21 +99,38 @@ void Raycaster::render_rect(const Brick& brick, const Box3d& region,
   out->samples = merge_samples(chunk_samples);
 }
 
-SubImage Raycaster::render_block(const Brick& brick, const Box3i& owned,
-                                 const Camera& camera,
-                                 const TransferFunction& tf,
+SubImage Raycaster::render_owned(const Source& src, const Box3i& owned,
+                                 const Camera& camera, const RowBand* band,
                                  par::ThreadPool* pool) const {
   PVR_REQUIRE(!owned.empty(), "owned box must not be empty");
-  require_ghost_coverage(brick, owned, dims_);
+  require_ghost_coverage(*src.brick, owned, dims_);
+  PVR_REQUIRE(src.opacity_brick == nullptr ||
+                  src.opacity_brick->box() == src.brick->box(),
+              "colour and opacity bricks must share one box");
 
   const Box3d region = world_box_of(owned, dims_);
   const bool region_is_volume = same_box(region, world_box(dims_));
   SubImage out;
   out.rect = camera.footprint(region);
+  if (band != nullptr) {
+    const std::int64_t rows = std::max(0, out.rect.height());
+    PVR_REQUIRE(band->begin >= 0 && band->begin <= band->end &&
+                    band->end <= rows,
+                "row band outside the block footprint");
+    out.rect = Rect{out.rect.x0, out.rect.y0 + int(band->begin), out.rect.x1,
+                    out.rect.y0 + int(band->end)};
+  }
   out.depth = camera.depth_of(
       {region.center().x, region.center().y, region.center().z});
-  render_rect(brick, region, region_is_volume, camera, tf, pool, &out);
+  render_rect(src, region, region_is_volume, camera, pool, &out);
   return out;
+}
+
+SubImage Raycaster::render_block(const Brick& brick, const Box3i& owned,
+                                 const Camera& camera,
+                                 const TransferFunction& tf,
+                                 par::ThreadPool* pool) const {
+  return render_owned({&brick, &tf}, owned, camera, nullptr, pool);
 }
 
 SubImage Raycaster::render_block_rows(const Brick& brick, const Box3i& owned,
@@ -121,96 +139,32 @@ SubImage Raycaster::render_block_rows(const Brick& brick, const Box3i& owned,
                                       std::int64_t row_begin,
                                       std::int64_t row_end,
                                       par::ThreadPool* pool) const {
-  PVR_REQUIRE(!owned.empty(), "owned box must not be empty");
-  require_ghost_coverage(brick, owned, dims_);
-
-  const Box3d region = world_box_of(owned, dims_);
-  const bool region_is_volume = same_box(region, world_box(dims_));
-  const Rect full = camera.footprint(region);
-  const std::int64_t rows = std::max(0, full.height());
-  PVR_REQUIRE(row_begin >= 0 && row_begin <= row_end && row_end <= rows,
-              "row band outside the block footprint");
-  SubImage out;
-  out.rect = Rect{full.x0, full.y0 + int(row_begin), full.x1,
-                  full.y0 + int(row_end)};
-  out.depth = camera.depth_of(
-      {region.center().x, region.center().y, region.center().z});
-  render_rect(brick, region, region_is_volume, camera, tf, pool, &out);
-  return out;
+  const RowBand band{row_begin, row_end};
+  return render_owned({&brick, &tf}, owned, camera, &band, pool);
 }
 
-SubImage Raycaster::render_block_bivariate(
-    const Brick& color_brick, const Brick& opacity_brick, const Box3i& owned,
-    const Camera& camera, const BivariateTransferFunction& tf,
-    par::ThreadPool* pool) const {
-  PVR_REQUIRE(!owned.empty(), "owned box must not be empty");
-  require_ghost_coverage(color_brick, owned, dims_);
-  require_ghost_coverage(opacity_brick, owned, dims_);
+SubImage Raycaster::render_block(const Brick& color_brick,
+                                 const Brick& opacity_brick,
+                                 const Box3i& owned, const Camera& camera,
+                                 const BivariateTransferFunction& tf,
+                                 par::ThreadPool* pool) const {
+  return render_owned(
+      {&color_brick, &tf.color_tf(), &opacity_brick, &tf.opacity_tf()}, owned,
+      camera, nullptr, pool);
+}
 
-  const Box3d vol = world_box(dims_);
-  const Box3d region = world_box_of(owned, dims_);
-  const bool region_is_volume = same_box(region, vol);
-  SubImage out;
-  out.rect = camera.footprint(region);
-  out.depth = camera.depth_of(
-      {region.center().x, region.center().y, region.center().z});
-  out.pixels.assign(std::size_t(out.rect.pixel_count()), kTransparent);
-
-  const float step = float(config_.step_voxels);
-  const double dt = step_world_;
-  const std::int64_t rows = out.rect.y1 - out.rect.y0;
-  const std::size_t width = std::size_t(out.rect.x1 - out.rect.x0);
-  std::vector<std::int64_t> chunk_samples(
-      std::size_t(par::plan_chunks(rows).count), 0);
-  par::parallel_for(
-      pool, rows, /*min_grain=*/1,
-      [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t chunk) {
-        std::int64_t samples = 0;
-        for (std::int64_t row = row_begin; row < row_end; ++row) {
-          const int py = out.rect.y0 + int(row);
-          std::size_t i = std::size_t(row) * width;
-          for (int px = out.rect.x0; px < out.rect.x1; ++px, ++i) {
-            const Ray ray = camera.ray(px, py);
-            const auto vol_hit = intersect(ray, vol);
-            if (!vol_hit) continue;
-            double reg_enter = vol_hit->t_enter;
-            double reg_exit = vol_hit->t_exit;
-            if (!region_is_volume) {
-              const auto reg_hit = intersect(ray, region);
-              if (!reg_hit) continue;
-              reg_enter = reg_hit->t_enter;
-              reg_exit = reg_hit->t_exit;
-            }
-            const double t0 = vol_hit->t_enter;
-            std::int64_t k = std::max<std::int64_t>(
-                0, std::int64_t(std::floor((reg_enter - t0) / dt)) - 1);
-            const std::int64_t k_end =
-                std::int64_t(std::ceil((reg_exit - t0) / dt)) + 1;
-            Rgba acc = kTransparent;
-            for (; k <= k_end; ++k) {
-              const double t = t0 + double(k) * dt;
-              if (t > vol_hit->t_exit) break;
-              const Vec3d p = ray.at(t);
-              if (p.x < region.lo.x || p.x >= region.hi.x ||
-                  p.y < region.lo.y || p.y >= region.hi.y ||
-                  p.z < region.lo.z || p.z >= region.hi.z) {
-                continue;
-              }
-              const float cv =
-                  sample_world(color_brick, p) * value_scale_ + value_bias_;
-              const float ov =
-                  sample_world(opacity_brick, p) * value_scale_ + value_bias_;
-              acc.blend_under(tf.sample(cv, ov, step));
-              ++samples;
-              if (acc.a >= float(config_.early_termination)) break;
-            }
-            out.pixels[i] = acc;
-          }
-        }
-        chunk_samples[std::size_t(chunk)] = samples;
-      });
-  out.samples = merge_samples(chunk_samples);
-  return out;
+SubImage Raycaster::render_block_rows(const Brick& color_brick,
+                                      const Brick& opacity_brick,
+                                      const Box3i& owned,
+                                      const Camera& camera,
+                                      const BivariateTransferFunction& tf,
+                                      std::int64_t row_begin,
+                                      std::int64_t row_end,
+                                      par::ThreadPool* pool) const {
+  const RowBand band{row_begin, row_end};
+  return render_owned(
+      {&color_brick, &tf.color_tf(), &opacity_brick, &tf.opacity_tf()}, owned,
+      camera, &band, pool);
 }
 
 Image Raycaster::render_full(const Brick& brick, const Camera& camera,
@@ -223,8 +177,8 @@ Image Raycaster::render_full(const Brick& brick, const Camera& camera,
   // equals the sum over any block decomposition of the same volume).
   SubImage sub;
   sub.rect = Rect{0, 0, camera.width(), camera.height()};
-  render_rect(brick, world_box(dims_), /*region_is_volume=*/true, camera, tf,
-              pool, &sub);
+  render_rect({&brick, &tf}, world_box(dims_), /*region_is_volume=*/true,
+              camera, pool, &sub);
   Image img(camera.width(), camera.height());
   std::copy(sub.pixels.begin(), sub.pixels.end(), img.pixels().begin());
   if (samples != nullptr) *samples = sub.samples;

@@ -3,7 +3,9 @@
 // (t = t_enter(volume) + k * dt), and a sample belongs to exactly the block
 // whose half-open voxel box contains its position — so compositing the
 // per-block subimages in visibility order reproduces the serial rendering
-// bit-for-bit up to floating-point blending order.
+// bit-for-bit up to floating-point blending order. Univariate and bivariate
+// (colour from one variable, opacity from another) renders march the same
+// packet kernel over the same lattice.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +30,12 @@ struct RenderConfig {
   /// Values mapped to [0,1] for the transfer function: (v - lo) / (hi - lo).
   float value_lo = 0.0f;
   float value_hi = 1.0f;
+};
+
+/// Rows [begin, end) of a block's screen footprint, counted from its top
+/// edge: the unit of render-stage work stealing.
+struct RowBand {
+  std::int64_t begin = 0, end = 0;
 };
 
 /// A rendered block subimage: packed pixels over a screen rectangle plus the
@@ -74,14 +82,22 @@ class Raycaster {
                              std::int64_t row_begin, std::int64_t row_end,
                              par::ThreadPool* pool = nullptr) const;
 
-  /// Bivariate variant: color sampled from `color_brick`, opacity from
-  /// `opacity_brick` (both must cover owned + ghost). It has no packet path:
-  /// each ray is marched on its own through sample_world.
-  SubImage render_block_bivariate(const Brick& color_brick,
-                                  const Brick& opacity_brick,
-                                  const Box3i& owned, const Camera& camera,
-                                  const BivariateTransferFunction& tf,
-                                  par::ThreadPool* pool = nullptr) const;
+  /// Bivariate render_block and render_block_rows: r, g, b from
+  /// `color_brick` through tf.color_tf(), opacity from `opacity_brick`
+  /// through tf.opacity_tf() (BivariateTransferFunction::sample). The two
+  /// bricks must share one box, which covers owned plus the ghost layer;
+  /// unequal boxes throw pvr::Error. Same packet kernel, lattice and
+  /// bitwise guarantees as the univariate renders.
+  SubImage render_block(const Brick& color_brick, const Brick& opacity_brick,
+                        const Box3i& owned, const Camera& camera,
+                        const BivariateTransferFunction& tf,
+                        par::ThreadPool* pool = nullptr) const;
+  SubImage render_block_rows(const Brick& color_brick,
+                             const Brick& opacity_brick, const Box3i& owned,
+                             const Camera& camera,
+                             const BivariateTransferFunction& tf,
+                             std::int64_t row_begin, std::int64_t row_end,
+                             par::ThreadPool* pool = nullptr) const;
 
   /// Serial reference: renders the whole volume from a single brick
   /// covering it, into a full image. `samples`, if non-null, receives the
@@ -91,20 +107,29 @@ class Raycaster {
                     const TransferFunction& tf, par::ThreadPool* pool = nullptr,
                     std::int64_t* samples = nullptr) const;
 
-  /// Trilinear sample of the brick at a world position (voxel-center
-  /// convention, edge-clamped at volume borders).
-  float sample_world(const Brick& brick, const Vec3d& world) const;
-
  private:
+  /// What a render samples: one brick through one transfer function, or
+  /// (bivariate) colour and opacity bricks through their own.
+  struct Source {
+    const Brick* brick = nullptr;
+    const TransferFunction* tf = nullptr;
+    const Brick* opacity_brick = nullptr;
+    const TransferFunction* opacity_tf = nullptr;
+  };
+
+  /// The four render_block* entry points: renders `owned` from `src`, over
+  /// its whole screen footprint or only the rows of `band` if non-null.
+  SubImage render_owned(const Source& src, const Box3i& owned,
+                        const Camera& camera, const RowBand* band,
+                        par::ThreadPool* pool) const;
   /// Fills `out->pixels` for the preset `out->rect` (full footprint or a row
   /// band of it) with the packet kernel (src/render/simd/), in scanline
-  /// chunks; shared by render_block, render_block_rows and render_full.
-  /// `region_is_volume` lets the kernel skip the second (redundant) box
-  /// intersection when the region is the whole volume box.
-  void render_rect(const Brick& brick, const Box3d& region,
+  /// chunks; shared by every render entry point. `region_is_volume` lets
+  /// the kernel skip the second (redundant) box intersection when the
+  /// region is the whole volume box.
+  void render_rect(const Source& src, const Box3d& region,
                    bool region_is_volume, const Camera& camera,
-                   const TransferFunction& tf, par::ThreadPool* pool,
-                   SubImage* out) const;
+                   par::ThreadPool* pool, SubImage* out) const;
 
   Vec3i dims_;
   RenderConfig config_;

@@ -77,9 +77,14 @@ struct Constants {
   RayConstants ray;
   const float* data = nullptr;
   const TfLut* lut = nullptr;
+  const float* opacity_data = nullptr;  // bivariate renders only
+  const TfLut* opacity_lut = nullptr;
 };
 
-Constants make_constants(const KernelParams& kp) {
+/// Force-inlined into each render_rows_impl instantiation, so the march
+/// sees the broadcast constants (zeros, ones) as constants, not as loads.
+[[gnu::always_inline]] inline Constants make_constants(
+    const KernelParams& kp) {
   Constants c;
   for (int axis = 0; axis < 3; ++axis) {
     c.region[axis] = {Double8::broadcast(kp.region.lo[axis]),
@@ -130,6 +135,10 @@ Constants make_constants(const KernelParams& kp) {
   rc.up = cam.up();
   c.data = kp.brick->data().data();
   c.lut = kp.lut;
+  if (kp.opacity_brick != nullptr) {
+    c.opacity_data = kp.opacity_brick->data().data();
+    c.opacity_lut = kp.opacity_lut;
+  }
   return c;
 }
 
@@ -168,9 +177,13 @@ Mask64 intersect8(const Double8 o[3], const Double8 d[3], const Slab box[3],
 /// region intersections and the lattice bounds — the per-ray reference
 /// march's prologue, expression for expression. Lanes that miss (or pad a
 /// short tail packet) get alive = 0 and k_end = -1, so they never sample
-/// and stay transparent.
-void setup_packet(const KernelParams& kp, const Constants& c, int px_begin,
-                  int px_count, int py, std::size_t out_base, Packet* pkt) {
+/// and stay transparent. Force-inlined: it runs once per packet in both
+/// render_rows_impl instantiations.
+[[gnu::always_inline]] inline void setup_packet(const KernelParams& kp,
+                                                const Constants& c,
+                                                int px_begin, int px_count,
+                                                int py, std::size_t out_base,
+                                                Packet* pkt) {
   const RayConstants& rc = c.ray;
   pkt->r = pkt->g = pkt->b = pkt->a = Float8::broadcast(0.0f);
   pkt->out_base = out_base;
@@ -240,10 +253,43 @@ void setup_packet(const KernelParams& kp, const Constants& c, int px_begin,
   if (pkt->k_max < 0) pkt->done = true;
 }
 
+/// sample_trilinear's corner reads and lerps for 8 lanes: each lane's
+/// eight cell corners, read from `data` at `base` plus the brick-constant
+/// neighbor offsets, blended along x, then y, then z.
+[[gnu::always_inline]] inline Float8 trilerp8(const Constants& c,
+                                              const float* data,
+                                              const Int8& base,
+                                              const Float8& fx,
+                                              const Float8& fy,
+                                              const Float8& fz) {
+  Float8 c000, c100, c010, c110, c001, c101, c011, c111;
+  const auto x_pair = [&](const float* at, Float8* x0, Float8* x1) {
+    if (c.x_pairs) {
+      gather_pairs(at, base, x0, x1);
+    } else {
+      *x0 = *x1 = gather(at, base);
+    }
+  };
+  x_pair(data, &c000, &c100);
+  x_pair(data + c.step_y, &c010, &c110);
+  x_pair(data + c.step_z, &c001, &c101);
+  x_pair(data + c.step_y + c.step_z, &c011, &c111);
+  const Float8 c00 = c000 + fx * (c100 - c000);
+  const Float8 c10 = c010 + fx * (c110 - c010);
+  const Float8 c01 = c001 + fx * (c101 - c001);
+  const Float8 c11 = c011 + fx * (c111 - c011);
+  const Float8 c0 = c00 + fy * (c10 - c00);
+  const Float8 c1 = c01 + fy * (c11 - c01);
+  return c0 + fz * (c1 - c0);
+}
+
 /// One lattice step k for one packet; returns samples taken. `kd` is the
 /// precomputed double(k) * dt — the same product every scalar lane computes.
 /// Force-inlined (with sample8) into the tile loop: at ~100 ns per call the
 /// out-of-line ABI — 10 vector outputs through pointers — was measurable.
+/// A bivariate step reads the opacity brick at the colour brick's corners
+/// and takes r, g, b from the colour LUT and opacity from the opacity LUT.
+template <bool kBivariate>
 [[gnu::always_inline]] inline std::int64_t march_step(const Constants& c,
                                                       Packet* pkt,
                                                       std::int64_t k,
@@ -299,32 +345,22 @@ void setup_packet(const KernelParams& kp, const Constants& c, int px_begin,
   // neighbors are adjacent floats, read as pairs.
   const Int8 base = (i0[2] - c.ax[2].lo_i) * c.exy +
                     (i0[1] - c.ax[1].lo_i) * c.ex + (i0[0] - c.ax[0].lo_i);
-  Float8 c000, c100, c010, c110, c001, c101, c011, c111;
-  const auto x_pair = [&](const float* at, Float8* x0, Float8* x1) {
-    if (c.x_pairs) {
-      gather_pairs(at, base, x0, x1);
-    } else {
-      *x0 = *x1 = gather(at, base);
-    }
-  };
-  x_pair(c.data, &c000, &c100);
-  x_pair(c.data + c.step_y, &c010, &c110);
-  x_pair(c.data + c.step_z, &c001, &c101);
-  x_pair(c.data + c.step_y + c.step_z, &c011, &c111);
   const Float8 fx = to_float(frac[0]);
   const Float8 fy = to_float(frac[1]);
   const Float8 fz = to_float(frac[2]);
-  const Float8 c00 = c000 + fx * (c100 - c000);
-  const Float8 c10 = c010 + fx * (c110 - c010);
-  const Float8 c01 = c001 + fx * (c101 - c001);
-  const Float8 c11 = c011 + fx * (c111 - c011);
-  const Float8 c0 = c00 + fy * (c10 - c00);
-  const Float8 c1 = c01 + fy * (c11 - c01);
-  const Float8 raw = c0 + fz * (c1 - c0);
-
-  const Float8 vn = raw * c.scale + c.bias;
+  const Float8 vn = trilerp8(c, c.data, base, fx, fy, fz) * c.scale + c.bias;
   Float8 sr, sg, sb, sa;
-  c.lut->sample8(vn, member, &sr, &sg, &sb, &sa);
+  if constexpr (kBivariate) {
+    // The bricks share one box, so base and offsets address both.
+    const Float8 on =
+        trilerp8(c, c.opacity_data, base, fx, fy, fz) * c.scale + c.bias;
+    Float8 ch[4];
+    c.lut->lookup8(vn, 0, 3, ch);
+    c.opacity_lut->lookup8(on, 3, 4, ch);
+    c.lut->finish8(ch, &sr, &sg, &sb, &sa);
+  } else {
+    c.lut->sample8(vn, member, &sr, &sg, &sb, &sa);
+  }
 
   // Front-to-back "over" accumulation (Rgba::blend_under), masked so
   // non-member lanes keep their color bit-for-bit.
@@ -359,13 +395,34 @@ struct LaneRay {
   Rgba acc;
 };
 
+/// One scalar-tail sample at p: sample_trilinear, the value normalization
+/// and TfLut::sample1 — or, bivariate, the opacity brick's sample too, with
+/// colour and opacity lookups finished together (march_step's lanes).
+template <bool kBivariate>
+Rgba sample_point(const KernelParams& kp, const Vec3d& p) {
+  const float raw = sample_trilinear(*kp.brick, kp.inv_h, p);
+  const float vn = raw * kp.value_scale + kp.value_bias;
+  if constexpr (kBivariate) {
+    const float on = sample_trilinear(*kp.opacity_brick, kp.inv_h, p) *
+                         kp.value_scale +
+                     kp.value_bias;
+    float ch[4];
+    kp.lut->lookup1(vn, 0, 3, ch);
+    kp.opacity_lut->lookup1(on, 3, 4, ch);
+    return kp.lut->finish1(ch);
+  } else {
+    return kp.lut->sample1(vn);
+  }
+}
+
 /// Marches one extracted lane alone from lattice step `k` to completion:
 /// the per-ray reference march (t lattice, t_exit break, k_begin skip,
-/// half-open membership, sample_trilinear, TfLut::sample1, blend_under,
-/// early termination) on the lane's state. Takes the lane state by value
-/// rather than a Packet pointer so the march loop's packet can live
-/// entirely in registers (an escaping address would force it to memory).
-/// Returns the final color; `*samples` accumulates.
+/// half-open membership, sample_point, blend_under, early termination) on
+/// the lane's state. Takes the lane state by value rather than a Packet
+/// pointer so the march loop's packet can live entirely in registers (an
+/// escaping address would force it to memory). Returns the final color;
+/// `*samples` accumulates.
+template <bool kBivariate>
 Rgba finish_lane_scalar(const KernelParams& kp, const LaneRay ln,
                         std::int64_t k, std::int64_t* samples) {
   const double ox = ln.ox, oy = ln.oy, oz = ln.oz;
@@ -385,9 +442,7 @@ Rgba finish_lane_scalar(const KernelParams& kp, const LaneRay ln,
         pz < kp.region.lo.z || pz >= kp.region.hi.z) {
       continue;
     }
-    const float raw = sample_trilinear(*kp.brick, kp.inv_h, {px, py, pz});
-    const float vn = raw * kp.value_scale + kp.value_bias;
-    const Rgba s = kp.lut->sample1(vn);
+    const Rgba s = sample_point<kBivariate>(kp, {px, py, pz});
     const float tt = 1.0f - a;
     r = r + tt * s.r;
     g = g + tt * s.g;
@@ -399,18 +454,13 @@ Rgba finish_lane_scalar(const KernelParams& kp, const LaneRay ln,
   return Rgba{r, g, b, a};
 }
 
-}  // namespace
-
-std::int64_t render_rows(const KernelParams& kp, const Rect& rect,
-                         std::int64_t row_begin, std::int64_t row_end,
-                         Rgba* out) {
+/// render_rows for one transfer-function kind: the univariate and the
+/// bivariate instantiations share every line but the sample itself.
+template <bool kBivariate>
+std::int64_t render_rows_impl(const KernelParams& kp, const Rect& rect,
+                              std::int64_t row_begin, std::int64_t row_end,
+                              Rgba* out) {
   const int width = rect.width();
-  if (width <= 0 || row_begin >= row_end) return 0;
-  // The kernel's index math rides in int32 lanes, which limits the
-  // renderer to bricks under 2^31 voxels (8 GiB of float data).
-  PVR_REQUIRE(kp.brick->data().size() <
-                  std::size_t(std::numeric_limits<std::int32_t>::max()),
-              "brick too large for int32 kernel indexing");
   const Constants c = make_constants(kp);
   const int packets_per_row = (std::min(kTileW, width) + kLanes - 1) / kLanes;
   std::vector<Packet> packets;
@@ -461,7 +511,8 @@ std::int64_t render_rows(const KernelParams& kp, const Rect& rect,
                                  pkt.k_begin.lane(lane), pkt.k_end.lane(lane),
                                  Rgba{pkt.r.lane(lane), pkt.g.lane(lane),
                                       pkt.b.lane(lane), pkt.a.lane(lane)}};
-                const Rgba fin = finish_lane_scalar(kp, ln, k, &samples);
+                const Rgba fin =
+                    finish_lane_scalar<kBivariate>(kp, ln, k, &samples);
                 pkt.r.set_lane(lane, fin.r);
                 pkt.g.set_lane(lane, fin.g);
                 pkt.b.set_lane(lane, fin.b);
@@ -470,7 +521,8 @@ std::int64_t render_rows(const KernelParams& kp, const Rect& rect,
             }
             break;
           }
-          samples += march_step(c, &pkt, k, double(k) * kp.dt);
+          samples +=
+              march_step<kBivariate>(c, &pkt, k, double(k) * kp.dt);
         }
         slot = pkt;
       }
@@ -485,6 +537,27 @@ std::int64_t render_rows(const KernelParams& kp, const Rect& rect,
     }
   }
   return samples;
+}
+
+}  // namespace
+
+std::int64_t render_rows(const KernelParams& kp, const Rect& rect,
+                         std::int64_t row_begin, std::int64_t row_end,
+                         Rgba* out) {
+  if (rect.width() <= 0 || row_begin >= row_end) return 0;
+  // The kernel's index math rides in int32 lanes, which limits the
+  // renderer to bricks under 2^31 voxels (8 GiB of float data).
+  PVR_REQUIRE(kp.brick->data().size() <
+                  std::size_t(std::numeric_limits<std::int32_t>::max()),
+              "brick too large for int32 kernel indexing");
+  if (kp.opacity_brick == nullptr) {
+    return render_rows_impl<false>(kp, rect, row_begin, row_end, out);
+  }
+  // A bivariate step reads both bricks at one base index.
+  PVR_REQUIRE(kp.opacity_lut != nullptr &&
+                  kp.opacity_brick->box() == kp.brick->box(),
+              "colour and opacity bricks must share one box");
+  return render_rows_impl<true>(kp, rect, row_begin, row_end, out);
 }
 
 }  // namespace pvr::render::simd

@@ -1,6 +1,10 @@
 // Flattened transfer function for the ray-packet kernel: control points in
 // table form with a masked 8-lane sampler whose per-lane results are
-// bitwise-identical to TransferFunction::sample on the same inputs.
+// bitwise-identical to TransferFunction::sample on the same inputs. The
+// sampler splits into a lookup and a finish, so a bivariate sample takes
+// r, g, b from the colour function's LUT and opacity from the opacity
+// function's, then finishes them once: BivariateTransferFunction::sample,
+// bitwise.
 //
 // Exactness contract (the basis of the scalar/SIMD image-identity tests):
 //
@@ -53,11 +57,58 @@ class TfLut {
                                              const Int8& mask, Float8* r,
                                              Float8* g, Float8* b,
                                              Float8* a) const {
+    // Finished in each branch: one straight-line path per table form.
+    Float8 c[kChannels];
     if (wide_) {
-      sample8_impl<true>(value, mask, r, g, b, a);
+      lookup8_impl<true, false>(value, mask, 0, kChannels, c);
+      finish8(c, r, g, b, a);
     } else {
-      sample8_impl<false>(value, mask, r, g, b, a);
+      lookup8_impl<false, false>(value, mask, 0, kChannels, c);
+      finish8(c, r, g, b, a);
     }
+  }
+
+  /// The lookup half of sample8 (TransferFunction::lookup) for every lane:
+  /// channels [first, last) of each lane's straight r, g, b and uncorrected
+  /// opacity (indices 0-3) into c[first..last). A bivariate sample takes
+  /// channels 0-2 from the colour LUT and channel 3 from the opacity LUT,
+  /// then finishes them with finish8. Per lane it equals sample8's lookup;
+  /// it applies no mask (the march blends member lanes only) and scans
+  /// only the function's own interior values, which keeps two lookups per
+  /// step within the vector shuffle ports' budget.
+  [[gnu::always_inline]] inline void lookup8(const Float8& value, int first,
+                                             int last, Float8* c) const {
+    const Int8 all = Int8::broadcast(-1);
+    if (wide_) {
+      lookup8_impl<true, true>(value, all, first, last, c);
+    } else {
+      lookup8_impl<false, true>(value, all, first, last, c);
+    }
+  }
+
+  /// The finish half of sample8 (finish_sample): clamps the opacity c[3],
+  /// corrects it for the step and premultiplies c[0..2] by it. A lane whose
+  /// opacity is 0 (every lane sample8 masks out) comes back all zero.
+  [[gnu::always_inline]] inline void finish8(const Float8* c, Float8* r,
+                                             Float8* g, Float8* b,
+                                             Float8* a) const {
+    const Float8 zero = Float8::broadcast(0.0f);
+    const Float8 one = Float8::broadcast(1.0f);
+    Float8 op = select(c[3] < zero, zero, c[3]);
+    op = select(one < op, one, op);
+    Float8 alpha;
+    if (unit_step_) {
+      alpha = one - (one - op);
+    } else {
+      const Float8 base = one - op;
+      for (int i = 0; i < kLanes; ++i) {
+        alpha.set_lane(i, 1.0f - std::pow(base.lane(i), step_));
+      }
+    }
+    *r = c[0] * alpha;
+    *g = c[1] * alpha;
+    *b = c[2] * alpha;
+    *a = alpha;
   }
 
   /// One-lane sample through the same tables: sample8's per-lane
@@ -66,13 +117,19 @@ class TfLut {
   /// packet kernel's scalar-tail marcher calls this once per sample, so it
   /// lives in the header too.
   Rgba sample1(float value) const {
+    float c[kChannels];
+    lookup1(value, 0, kChannels, c);
+    return finish1(c);
+  }
+
+  /// lookup8 for one lane.
+  void lookup1(float value, int first, int last, float* c) const {
     float v = value < 0.0f ? 0.0f : value;
     v = 1.0f < v ? 1.0f : v;
-    float c[kChannels];
     if (!(front(kValue) < v)) {  // below (wins over above, like sample8)
-      for (int ch = 0; ch < kChannels; ++ch) c[ch] = front(kColumns[ch]);
+      for (int ch = first; ch < last; ++ch) c[ch] = front(kColumns[ch]);
     } else if (v >= back(kValue)) {  // above
-      for (int ch = 0; ch < kChannels; ++ch) c[ch] = back(kColumns[ch]);
+      for (int ch = first; ch < last; ++ch) c[ch] = back(kColumns[ch]);
     } else {  // front < v < back: an interior segment
       std::size_t seg = 0;
       for (int j = 0; j < inner_count_; ++j) {
@@ -81,10 +138,14 @@ class TfLut {
       const float av = row(kValue)[seg];
       const float span = row(kValue + 1)[seg];
       const float t = 0.0f < span ? (v - av) / span : 0.0f;
-      for (int ch = 0; ch < kChannels; ++ch) {
+      for (int ch = first; ch < last; ++ch) {
         c[ch] = row(kColumns[ch])[seg] + t * row(kColumns[ch] + 1)[seg];
       }
     }
+  }
+
+  /// finish8 for one lane.
+  Rgba finish1(const float* c) const {
     float op = c[3] < 0.0f ? 0.0f : c[3];
     op = 1.0f < op ? 1.0f : op;
     const float alpha = unit_step_
@@ -124,11 +185,13 @@ class TfLut {
     }
   }
 
-  template <bool kWide>
-  [[gnu::always_inline]] inline void sample8_impl(const Float8& value,
-                                                  const Int8& mask, Float8* r,
-                                                  Float8* g, Float8* b,
-                                                  Float8* a) const {
+  /// kLean is lookup8's form: no mask, and the permute path's scan runs
+  /// over the interior values only instead of a fixed kPermuteInner
+  /// compares (the +inf padding never counts, so the segment is the same).
+  template <bool kWide, bool kLean>
+  [[gnu::always_inline]] inline void lookup8_impl(const Float8& value,
+                                                  const Int8& mask, int first,
+                                                  int last, Float8* c) const {
     const Float8 zero = Float8::broadcast(0.0f);
     const Float8 one = Float8::broadcast(1.0f);
 
@@ -145,7 +208,7 @@ class TfLut {
     // below v (each true compare is -1). Lanes outside (front, back) get some
     // in-range segment; their endpoint selects override below.
     Int8 seg = Int8::broadcast(0);
-    const int inner = kWide ? inner_count_ : kPermuteInner;
+    const int inner = kWide || kLean ? inner_count_ : kPermuteInner;
     for (int j = 0; j < inner; ++j) {
       seg = seg - (Float8::broadcast(inner_[std::size_t(j)]) < v);
     }
@@ -156,36 +219,18 @@ class TfLut {
     const Float8 t = select(zero < span, (v - av) / span, zero);
 
     // Per channel: lerp, apply the scalar early-return endpoints (below
-    // wins over above), zero masked-out lanes.
-    const auto channel = [&](int col) {
+    // wins over above), and (sample8's form) zero masked-out lanes.
+    for (int ch = first; ch < last; ++ch) {
+      const int col = kColumns[ch];
       Float8 cx = fetch<kWide>(col, seg) + t * fetch<kWide>(col + 1, seg);
       cx = select(below, Float8::broadcast(front(col)),
                   select(above, Float8::broadcast(back(col)), cx));
-      return select(mask, cx, zero);
-    };
-    const Float8 cr = channel(kR);
-    const Float8 cg = channel(kG);
-    const Float8 cb = channel(kB);
-    const Float8 co = channel(kOpacity);
-
-    // Opacity correction + premultiply (finish_sample), element-wise.
-    Float8 op = select(co < zero, zero, co);
-    op = select(one < op, one, op);
-    Float8 alpha;
-    if (unit_step_) {
-      alpha = one - (one - op);
-    } else {
-      const Float8 base = one - op;
-      for (int i = 0; i < kLanes; ++i) {
-        alpha.set_lane(i, 1.0f - std::pow(base.lane(i), step_));
+      if constexpr (kLean) {
+        c[ch] = cx;
+      } else {
+        c[ch] = select(mask, cx, zero);
       }
     }
-    *r = cr * alpha;
-    *g = cg * alpha;
-    *b = cb * alpha;
-    *a = alpha;
-    // A masked-out lane has op == 0, so alpha == 1 - pow(1, step) == 0 and
-    // every channel is zero — safe to blend unmasked if a caller wants to.
   }
 
   std::vector<float> tables_;  ///< kRows rows of stride_ floats

@@ -1,7 +1,7 @@
-// The renderer's one scalar trilinear sample. Raycaster::sample_world (the
-// bivariate walk) and the packet kernel's scalar tail both call it, and the
-// packet kernel's vector march replays it expression by expression, so
-// every path interpolates with the same IEEE operations.
+// The renderer's one scalar trilinear sample. The packet kernel's scalar
+// tail and the per-ray test oracle call it, and the kernel's vector march
+// replays it expression by expression, so every path interpolates with the
+// same IEEE operations.
 #pragma once
 
 #include <algorithm>
@@ -16,8 +16,10 @@ namespace pvr::render {
 /// Trilinear sample of `brick` at world position `world`, with `inv_h` the
 /// reciprocal voxel size h (voxel-center convention: voxel i's value sits
 /// at (i + 0.5) * h). The 2-sample stencil is edge-clamped into the brick.
-inline float sample_trilinear(const Brick& brick, double inv_h,
-                              const Vec3d& world) {
+/// Force-inlined: the kernel's scalar tail calls it once per sample.
+[[gnu::always_inline]] inline float sample_trilinear(const Brick& brick,
+                                                   double inv_h,
+                                                   const Vec3d& world) {
   const Box3i& b = brick.box();
   std::int64_t i0[3];
   double frac[3];

@@ -6,35 +6,9 @@
 
 namespace pvr::runtime {
 
-void Sender::send(std::int64_t dst_rank, std::int32_t tag,
-                  std::int64_t bytes) {
-  PVR_REQUIRE(dst_rank >= 0 && dst_rank < num_ranks_,
-              "send destination out of range");
-  PVR_REQUIRE(bytes >= 0, "message size must be >= 0");
-  sink_->push_back(Message{src_, dst_rank, tag, bytes, {}});
-}
-
-void Sender::send(std::int64_t dst_rank, std::int32_t tag, Payload payload) {
-  PVR_REQUIRE(dst_rank >= 0 && dst_rank < num_ranks_,
-              "send destination out of range");
-  const auto bytes = static_cast<std::int64_t>(payload.size());
-  sink_->push_back(Message{src_, dst_rank, tag, bytes, std::move(payload)});
-}
-
 Runtime::Runtime(const machine::Partition& partition, Mode mode)
     : partition_(&partition), mode_(mode), torus_(partition),
       tree_(partition) {}
-
-net::ExchangeCost Runtime::exchange(const ProduceFn& produce,
-                                    const ConsumeFn& consume,
-                                    ConsumePolicy policy) {
-  std::vector<Message> messages;
-  for (std::int64_t r = 0; r < num_ranks(); ++r) {
-    Sender sender(r, num_ranks(), &messages);
-    produce(r, sender);
-  }
-  return exchange_messages(std::move(messages), consume, policy);
-}
 
 net::ExchangeCost Runtime::exchange_messages(std::vector<Message> messages,
                                              const ConsumeFn& consume,
@@ -72,7 +46,6 @@ net::ExchangeCost Runtime::price_transfers(
     cost.seconds -= cost.skew_seconds;
     cost.skew_seconds = 0.0;
   }
-  ledger_.exchange += cost.seconds;
   if (tracer_ != nullptr) {
     span.arg("messages", double(cost.messages));
     span.arg("local_messages", double(cost.local_messages));
@@ -168,58 +141,18 @@ net::ExchangeCost Runtime::exchange_messages_impl(std::vector<Message> messages,
   return cost;
 }
 
-double Runtime::compute(const std::function<double(std::int64_t)>& body) {
-  obs::ScopedSpan span(tracer_, "compute", obs::Category::kCompute);
-  double worst = 0.0;
-  std::int64_t worst_rank = -1;
-  for (std::int64_t r = 0; r < num_ranks(); ++r) {
-    const double t = body(r);
-    PVR_ASSERT(t >= 0.0);
-    if (t > worst) {  // strict: lowest rank wins ties
-      worst = t;
-      worst_rank = r;
-    }
-  }
-  ledger_.compute += worst;
+double Runtime::barrier() {
+  const double seconds = tree_.barrier();
   if (tracer_ != nullptr) {
-    span.arg("ranks", double(num_ranks()));
-    span.arg("straggler_rank", double(worst_rank));
-    tracer_->advance(worst);
-  }
-  return worst;
-}
-
-/// Spans + ledger bookkeeping shared by the tree collectives: charge the
-/// modeled seconds, trace them, and advance the simulated clock.
-double Runtime::charge_collective(const char* name, std::int64_t bytes,
-                                  double seconds) {
-  ledger_.collective += seconds;
-  if (tracer_ != nullptr) {
-    obs::ScopedSpan span(tracer_, name, obs::Category::kCollective);
-    span.arg("bytes", double(bytes));
+    obs::ScopedSpan span(tracer_, "tree.barrier", obs::Category::kCollective);
+    span.arg("bytes", 0.0);
     span.arg("tree_depth", double(tree_.depth()));
     tracer_->metrics().counter("tree.collectives").add(1);
-    tracer_->metrics().counter("tree.bytes").add(bytes);
+    // A barrier moves no payload; the counter keeps its key in exports.
+    tracer_->metrics().counter("tree.bytes").add(0);
     tracer_->advance(seconds);
   }
   return seconds;
-}
-
-double Runtime::barrier() {
-  return charge_collective("tree.barrier", 0, tree_.barrier());
-}
-
-double Runtime::allreduce(std::int64_t bytes) {
-  return charge_collective("tree.allreduce", bytes, tree_.allreduce(bytes));
-}
-
-double Runtime::broadcast(std::int64_t bytes) {
-  return charge_collective("tree.broadcast", bytes, tree_.broadcast(bytes));
-}
-
-double Runtime::gather(std::int64_t bytes_per_rank) {
-  return charge_collective("tree.gather", bytes_per_rank,
-                           tree_.gather(bytes_per_rank));
 }
 
 }  // namespace pvr::runtime

@@ -1,13 +1,10 @@
 // Superstep (bulk-synchronous) rank runtime.
 //
-// Parallel algorithms in this library are phase-structured: every rank
-// computes, then all ranks exchange messages, then every rank consumes its
-// inbox. The runtime executes the per-rank code sequentially (deterministic,
-// single process) while charging simulated time:
-//
-//   * compute phases cost the *maximum* of the per-rank durations (BSP),
-//   * exchanges are priced by the torus contention model,
-//   * collectives by the tree network model.
+// Parallel algorithms in this library are phase-structured: all ranks
+// exchange messages, then every receiving rank consumes its inbox. The
+// runtime delivers the messages sequentially (deterministic, single
+// process) while charging simulated time: exchanges are priced by the torus
+// contention model, the barrier by the tree network model.
 //
 // Two modes share all code paths: kExecute moves real payload bytes between
 // ranks (used by tests/examples at small scale to validate algorithm output);
@@ -36,33 +33,6 @@ enum class Mode {
   kModel,    ///< modeled time only; payloads are sized, not materialized
 };
 
-/// Per-rank send interface handed to the produce callback of an exchange.
-class Sender {
- public:
-  /// Sends a sized message without payload (valid in both modes; in execute
-  /// mode only for algorithms that don't need the bytes delivered).
-  void send(std::int64_t dst_rank, std::int32_t tag, std::int64_t bytes);
-  /// Sends a message with payload (execute mode).
-  void send(std::int64_t dst_rank, std::int32_t tag, Payload payload);
-
- private:
-  friend class Runtime;
-  Sender(std::int64_t src, std::int64_t num_ranks,
-         std::vector<Message>* sink)
-      : src_(src), num_ranks_(num_ranks), sink_(sink) {}
-  std::int64_t src_;
-  std::int64_t num_ranks_;
-  std::vector<Message>* sink_;
-};
-
-/// Accumulated simulated time, split by category.
-struct TimeLedger {
-  double compute = 0.0;
-  double exchange = 0.0;
-  double collective = 0.0;
-  double total() const { return compute + exchange + collective; }
-};
-
 class Runtime {
  public:
   Runtime(const machine::Partition& partition, Mode mode);
@@ -70,8 +40,6 @@ class Runtime {
   Mode mode() const { return mode_; }
   std::int64_t num_ranks() const { return partition_->num_ranks(); }
   const machine::Partition& partition() const { return *partition_; }
-  const net::TorusModel& torus() const { return torus_; }
-  const net::TreeModel& tree() const { return tree_; }
 
   /// Installs (or with nullptrs clears) a fault plan for subsequent phases.
   /// While a plan is active every exchange is priced fault-aware: routes
@@ -91,11 +59,11 @@ class Runtime {
   fault::FaultStats* fault_stats() const { return fault_stats_; }
 
   /// Attaches (or with nullptr detaches) a simulated-clock tracer. While
-  /// attached, every priced phase — exchange rounds, compute phases, tree
-  /// collectives — emits a span with its full cost breakdown and advances
-  /// the tracer's clock by the phase's modeled seconds; the torus feeds the
-  /// tracer's metrics registry. Borrowed pointer; a null tracer (the
-  /// default) makes all instrumentation free.
+  /// attached, every priced phase — exchange rounds and the barrier — emits
+  /// a span with its full cost breakdown and advances the tracer's clock by
+  /// the phase's modeled seconds; the torus feeds the tracer's metrics
+  /// registry. Borrowed pointer; a null tracer (the default) makes all
+  /// instrumentation free.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const { return tracer_; }
 
@@ -113,7 +81,6 @@ class Runtime {
            fault_plan_->rank_failed(rank, *partition_);
   }
 
-  using ProduceFn = std::function<void(std::int64_t rank, Sender& out)>;
   using ConsumeFn =
       std::function<void(std::int64_t rank, std::span<const Message> inbox)>;
 
@@ -125,22 +92,17 @@ class Runtime {
   /// — the produced data is identical to a serial drain.
   enum class ConsumePolicy { kSerial, kParallelRanks };
 
-  /// One communication superstep: every rank produces messages, the round is
-  /// priced on the torus, and (in any mode) each receiving rank consumes its
-  /// inbox in deterministic order. Returns the round's cost; also adds it to
-  /// the ledger.
-  net::ExchangeCost exchange(const ProduceFn& produce, const ConsumeFn& consume,
-                             ConsumePolicy policy = ConsumePolicy::kSerial);
-
-  /// Prices an explicit message list (schedule-driven phases that already
-  /// built their messages). Consumes inboxes if `consume` is non-null.
+  /// One communication superstep over an explicit message list: the round
+  /// is priced on the torus and, if `consume` is non-null, each receiving
+  /// rank consumes its inbox in deterministic (dst, src, tag) order, in any
+  /// mode. Returns the round's cost.
   net::ExchangeCost exchange_messages(
       std::vector<Message> messages, const ConsumeFn& consume = nullptr,
       ConsumePolicy policy = ConsumePolicy::kSerial);
 
   /// Prices a payload-free transfer list (phases that only size their
-  /// traffic, like the two-phase I/O shuffle): the same net.exchange span,
-  /// args, and ledger charge as exchange_messages, with nothing delivered.
+  /// traffic, like the two-phase I/O shuffle): the same net.exchange span
+  /// and args as exchange_messages, with nothing delivered.
   /// `rounds` models pipelined issue (see TorusModel::exchange).
   net::ExchangeCost exchange_transfers(std::span<const net::Transfer> transfers,
                                        std::int64_t rounds = 1);
@@ -155,38 +117,23 @@ class Runtime {
       std::vector<Message> messages, const ConsumeFn& consume = nullptr,
       ConsumePolicy policy = ConsumePolicy::kSerial);
 
-  /// Compute phase: runs `body` on every rank; the phase costs the maximum
-  /// of the reported per-rank durations. `body` returns its rank's modeled
-  /// compute seconds.
-  double compute(const std::function<double(std::int64_t rank)>& body);
-
-  /// Collectives (semantics executed by the caller where needed; these
-  /// charge time). bytes are per-rank payload sizes.
+  /// Barrier across all ranks on the tree network; returns its modeled
+  /// seconds (a tree.barrier span when traced).
   double barrier();
-  double allreduce(std::int64_t bytes);
-  double broadcast(std::int64_t bytes);
-  double gather(std::int64_t bytes_per_rank);
-
-  const TimeLedger& ledger() const { return ledger_; }
-  void reset_ledger() { ledger_ = {}; }
 
  private:
   net::ExchangeCost exchange_messages_impl(std::vector<Message> messages,
                                            const ConsumeFn& consume,
                                            ConsumePolicy policy,
                                            bool overlapped);
-  /// The one pricing path: the net.exchange span, the torus price, and the
-  /// ledger charge.
+  /// The one pricing path: the net.exchange span and the torus price.
   net::ExchangeCost price_transfers(std::span<const net::Transfer> transfers,
                                     std::int64_t rounds, bool overlapped);
-  double charge_collective(const char* name, std::int64_t bytes,
-                           double seconds);
 
   const machine::Partition* partition_;
   Mode mode_;
   net::TorusModel torus_;
   net::TreeModel tree_;
-  TimeLedger ledger_;
   const fault::FaultPlan* fault_plan_ = nullptr;
   fault::FaultStats* fault_stats_ = nullptr;
   obs::Tracer* tracer_ = nullptr;

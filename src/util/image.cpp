@@ -31,19 +31,6 @@ void Image::insert(const Rect& r, std::span<const Rgba> src) {
   }
 }
 
-void Image::composite_over(const Rect& r, std::span<const Rgba> front) {
-  PVR_REQUIRE(r.x0 >= 0 && r.y0 >= 0 && r.x1 <= width_ && r.y1 <= height_,
-              "composite rectangle out of bounds");
-  PVR_REQUIRE(std::int64_t(front.size()) == r.pixel_count(),
-              "composite buffer size mismatch");
-  std::size_t i = 0;
-  for (int y = r.y0; y < r.y1; ++y) {
-    for (int x = r.x0; x < r.x1; ++x) {
-      at(x, y) = front[i++].over(at(x, y));
-    }
-  }
-}
-
 float Image::max_difference(const Image& other) const {
   PVR_REQUIRE(width_ == other.width_ && height_ == other.height_,
               "image size mismatch");

@@ -64,8 +64,6 @@ class Image {
   std::vector<Rgba> extract(const Rect& r) const;
   /// Writes a tightly packed pixel buffer into the given rectangle.
   void insert(const Rect& r, std::span<const Rgba> src);
-  /// Composites a packed subimage over the rectangle (subimage in front).
-  void composite_over(const Rect& r, std::span<const Rgba> front);
 
   /// Largest absolute channel difference against another image of the same
   /// size. Throws if sizes differ.

@@ -54,19 +54,6 @@ std::string TextTable::str() const {
 
 void TextTable::print() const { std::fputs(str().c_str(), stdout); }
 
-std::string TextTable::csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      os << row[i];
-      if (i + 1 < row.size()) os << ',';
-    }
-    os << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
 
 std::string fmt_f(double v, int precision) {
   char buf[64];

@@ -18,8 +18,6 @@ class TextTable {
 
   std::string str() const;
   void print() const;
-  /// Comma-separated rendering (header + rows), for machine consumption.
-  std::string csv() const;
 
   std::size_t row_count() const { return rows_.size(); }
 

@@ -76,16 +76,19 @@ TEST(RuntimeReuseTest, MultipleExchangesAccumulateIndependently) {
   runtime::Runtime rt(part, runtime::Mode::kExecute);
   int delivered = 0;
   for (int round = 0; round < 3; ++round) {
-    rt.exchange(
-        [round](std::int64_t rank, runtime::Sender& out) {
-          out.send((rank + round + 1) % 16, round, 128);
-        },
+    std::vector<runtime::Message> msgs;
+    for (std::int64_t rank = 0; rank < 16; ++rank) {
+      msgs.push_back(
+          runtime::Message{rank, (rank + round + 1) % 16, round, 128, {}});
+    }
+    const net::ExchangeCost cost = rt.exchange_messages(
+        std::move(msgs),
         [&](std::int64_t, std::span<const runtime::Message> inbox) {
           delivered += int(inbox.size());
         });
+    EXPECT_GT(cost.seconds, 0.0);
   }
   EXPECT_EQ(delivered, 3 * 16);
-  EXPECT_GT(rt.ledger().exchange, 0.0);
 }
 
 TEST(NetcdfAttrTest, FloatAttributeValuesRoundTripExactly) {

@@ -94,17 +94,22 @@ TEST(LayoutTest, SubvolumeExtentsMatchElementOffsets) {
         FileFormat::kShdf}) {
     const VolumeLayout layout(make_desc(fmt, 8));
     const Box3i box{{2, 3, 1}, {6, 7, 4}};
-    std::vector<Extent> extents;
-    layout.subvolume_extents(0, box, &extents);
-    // One run per (y, z) pair.
-    EXPECT_EQ(std::int64_t(extents.size()),
-              (box.hi.y - box.lo.y) * (box.hi.z - box.lo.z));
-    // Every element offset of the box falls inside some extent.
+    std::vector<SlabRequest> slabs;
+    layout.subvolume_slabs(0, box, &slabs);
+    // One slab per z, one row per (y, z) pair, each row starting at its
+    // first element's offset.
+    ASSERT_EQ(std::int64_t(slabs.size()), box.hi.z - box.lo.z);
     std::int64_t bytes = 0;
-    for (const auto& e : extents) bytes += e.length;
+    for (std::int64_t z = box.lo.z; z < box.hi.z; ++z) {
+      const SlabRequest& s = slabs[std::size_t(z - box.lo.z)];
+      ASSERT_EQ(s.nrows, box.hi.y - box.lo.y);
+      for (std::int64_t r = 0; r < s.nrows; ++r) {
+        EXPECT_EQ(s.first + r * s.row_stride,
+                  layout.element_offset(0, {box.lo.x, box.lo.y + r, z}));
+      }
+      bytes += s.nrows * s.row_bytes;
+    }
     EXPECT_EQ(bytes, box.volume() * 4);
-    EXPECT_EQ(extents.front().offset,
-              layout.element_offset(0, {box.lo.x, box.lo.y, box.lo.z}));
   }
 }
 

@@ -106,29 +106,6 @@ TEST(PartitionTest, IonMapping) {
   EXPECT_EQ(p.ion_of_rank(1023), 3);
 }
 
-TEST(PartitionTest, TorusHopsProperties) {
-  const MachineConfig cfg;
-  const Partition p(cfg, 512 * 4);  // 8x8x8 torus
-  // Self distance is zero; symmetry; wraparound shortcut.
-  EXPECT_EQ(p.torus_hops(0, 0), 0);
-  for (std::int64_t a : {std::int64_t(0), std::int64_t(100),
-                         std::int64_t(511)}) {
-    for (std::int64_t b : {std::int64_t(1), std::int64_t(333)}) {
-      EXPECT_EQ(p.torus_hops(a, b), p.torus_hops(b, a));
-    }
-  }
-  // Neighbors along x.
-  EXPECT_EQ(p.torus_hops(0, 1), 1);
-  // Wraparound: 0 -> 7 along x is one hop the short way.
-  EXPECT_EQ(p.torus_hops(0, 7), 1);
-  // Maximum distance on an 8^3 torus is 4+4+4.
-  std::int64_t max_hops = 0;
-  for (std::int64_t n = 0; n < p.num_nodes(); n += 37) {
-    max_hops = std::max(max_hops, p.torus_hops(0, n));
-  }
-  EXPECT_LE(max_hops, 12);
-}
-
 TEST(PartitionTest, InvalidArgsThrow) {
   const MachineConfig cfg;
   EXPECT_THROW(Partition(cfg, 0), Error);

@@ -67,8 +67,16 @@ TEST_P(LayoutProperty, ExtentsEqualExpandedSlabs) {
   const format::VolumeLayout layout(
       format::supernova_desc(format::FileFormat::kNetcdfRecord, n));
   Box3i box{{1, 2, 0}, {n - 1, n - 2, n / 2}};
+  // The per-row extents of the box, walked from its slab run (the
+  // expansion the layout's callers do arithmetically).
   std::vector<format::Extent> extents;
-  layout.subvolume_extents(2, box, &extents);
+  const format::SlabRun run = layout.slab_run(2, box);
+  for (std::int64_t k = 0; k < run.slices; ++k) {
+    const format::SlabRequest s = run.slice(k, layout.slice_stride());
+    for (std::int64_t r = 0; r < s.nrows; ++r) {
+      extents.push_back({s.first + r * s.row_stride, s.row_bytes});
+    }
+  }
   std::vector<format::SlabRequest> slabs;
   layout.subvolume_slabs(2, box, &slabs);
   std::size_t k = 0;
@@ -122,7 +130,6 @@ TEST_P(DecompositionProperty2, EveryVoxelOwnedExactlyOnce) {
       if (d.block_box(b).contains(v)) ++owners;
     }
     EXPECT_EQ(owners, 1);
-    EXPECT_TRUE(d.block_box(d.block_of_voxel(v)).contains(v));
   }
 }
 

@@ -1,8 +1,8 @@
 // Tests for the ray-packet kernel (src/render/simd/), the renderer's only
-// univariate kernel: bitwise image and sample-count equality with the
-// per-ray oracle below, packet remainder and early-exit handling, row-band
-// stitching, the vec8 wrapper's exactness guarantees, and the hoisted value
-// normalization.
+// kernel for univariate and bivariate renders: bitwise image and
+// sample-count equality with the per-ray oracle below, packet remainder and
+// early-exit handling, row-band stitching, the vec8 wrapper's exactness
+// guarantees, and the hoisted value normalization.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +23,7 @@
 #include "render/simd/tf_lut.hpp"
 #include "render/simd/vec8.hpp"
 #include "render/transfer_function.hpp"
+#include "render/trilinear.hpp"
 
 namespace pvr::render {
 namespace {
@@ -30,16 +31,40 @@ namespace {
 // ---------------- the per-ray oracle ----------------
 //
 // One ray at a time over the global sample lattice, through
-// Raycaster::sample_world and TransferFunction::sample: the reference march
-// that the packet kernel's lanes replay. The kernel must match its pixels
-// and sample counts bitwise.
+// sample_trilinear and TransferFunction::sample (or, bivariate,
+// BivariateTransferFunction::sample): the reference march that the packet
+// kernel's lanes replay. The kernel must match its pixels and sample
+// counts bitwise.
+
+/// What the oracle samples: `brick` through `tf`, or colour from `brick`
+/// and opacity from `opacity` through the bivariate `bi`.
+struct Source {
+  Source(const Brick& b, const TransferFunction& t) : brick(&b), tf(&t) {}
+  Source(const Brick& color, const Brick& o,
+         const BivariateTransferFunction& t)
+      : brick(&color), opacity(&o), bi(&t) {}
+
+  /// The premultiplied sample at world position p, with raw voxel values
+  /// normalized as raw * scale + bias.
+  Rgba sample(double inv_h, const Vec3d& p, float scale, float bias,
+              float step) const {
+    const float v = sample_trilinear(*brick, inv_h, p) * scale + bias;
+    if (bi == nullptr) return tf->sample(v, step);
+    const float ov = sample_trilinear(*opacity, inv_h, p) * scale + bias;
+    return bi->sample(v, ov, step);
+  }
+
+  const Brick* brick;
+  const TransferFunction* tf = nullptr;
+  const Brick* opacity = nullptr;
+  const BivariateTransferFunction* bi = nullptr;
+};
 
 /// Marches one ray through the half-open `region` (world space) of a
 /// volume of `dims`; returns its premultiplied color and adds the samples
 /// it took to `*samples`.
-Rgba oracle_ray(const Raycaster& rc, const Vec3i& dims, const Brick& brick,
-                const Box3d& region, const Ray& ray,
-                const TransferFunction& tf, std::int64_t* samples) {
+Rgba oracle_ray(const Raycaster& rc, const Vec3i& dims, const Source& src,
+                const Box3d& region, const Ray& ray, std::int64_t* samples) {
   const RenderConfig& cfg = rc.config();
   const auto vol_hit = intersect(ray, world_box(dims));
   if (!vol_hit) return kTransparent;
@@ -55,6 +80,7 @@ Rgba oracle_ray(const Raycaster& rc, const Vec3i& dims, const Brick& brick,
   const std::int64_t k_end =
       std::int64_t(std::ceil((reg_hit->t_exit - t0) / dt)) + 1;
 
+  const double inv_h = 1.0 / voxel_size(dims);
   const float step = float(cfg.step_voxels);
   const float scale = 1.0f / (cfg.value_hi - cfg.value_lo);
   const float bias = -cfg.value_lo * scale;
@@ -68,8 +94,7 @@ Rgba oracle_ray(const Raycaster& rc, const Vec3i& dims, const Brick& brick,
         p.y >= region.hi.y || p.z < region.lo.z || p.z >= region.hi.z) {
       continue;
     }
-    const float v = rc.sample_world(brick, p) * scale + bias;
-    acc.blend_under(tf.sample(v, step));
+    acc.blend_under(src.sample(inv_h, p, scale, bias, step));
     ++*samples;
     if (acc.a >= float(cfg.early_termination)) break;
   }
@@ -78,15 +103,14 @@ Rgba oracle_ray(const Raycaster& rc, const Vec3i& dims, const Brick& brick,
 
 /// The oracle's image of `rect` for the rays through `region`.
 SubImage oracle_rect(const Raycaster& rc, const Vec3i& dims,
-                     const Brick& brick, const Box3d& region,
-                     const Camera& cam, const TransferFunction& tf,
-                     const Rect& rect) {
+                     const Source& src, const Box3d& region,
+                     const Camera& cam, const Rect& rect) {
   SubImage out;
   out.rect = rect;
   for (int py = rect.y0; py < rect.y1; ++py) {
     for (int px = rect.x0; px < rect.x1; ++px) {
-      out.pixels.push_back(oracle_ray(rc, dims, brick, region,
-                                      cam.ray(px, py), tf, &out.samples));
+      out.pixels.push_back(
+          oracle_ray(rc, dims, src, region, cam.ray(px, py), &out.samples));
     }
   }
   return out;
@@ -94,11 +118,10 @@ SubImage oracle_rect(const Raycaster& rc, const Vec3i& dims,
 
 /// The oracle's render_block: the block's whole screen footprint.
 SubImage oracle_block(const Raycaster& rc, const Vec3i& dims,
-                      const Brick& brick, const Box3i& owned,
-                      const Camera& cam, const TransferFunction& tf) {
+                      const Source& src, const Box3i& owned,
+                      const Camera& cam) {
   const Box3d region = world_box_of(owned, dims);
-  return oracle_rect(rc, dims, brick, region, cam, tf,
-                     cam.footprint(region));
+  return oracle_rect(rc, dims, src, region, cam, cam.footprint(region));
 }
 
 RenderConfig base_config() {
@@ -400,9 +423,15 @@ TEST(TfLutTest, Sample8SweepMatchesTransferFunctionBitwise) {
   // 1 to 12 points: the permute path up to 8 segments, the gather path
   // beyond. Values sweep past both ends and hit every control value and
   // its float neighbors; the mask pattern changes from packet to packet.
+  // The bivariate split (lookup8 of colour and opacity, then finish8; its
+  // scalar lookup1/finish1) is swept against BivariateTransferFunction on
+  // every lane, with an opacity function of 13 - n points, so each table
+  // path meets the other.
   for (int n = 1; n <= 12; ++n) {
     for (std::uint32_t seed = 1; seed <= 3; ++seed) {
       const TransferFunction tf = seeded_tf(n, seed);
+      const TransferFunction opacity_tf = seeded_tf(13 - n, seed + 7);
+      const BivariateTransferFunction bi(tf, opacity_tf);
       std::vector<float> values;
       for (int i = -40; i <= 1064; ++i) values.push_back(float(i) / 1024.0f);
       for (const auto& p : tf.points()) {
@@ -414,19 +443,39 @@ TEST(TfLutTest, Sample8SweepMatchesTransferFunctionBitwise) {
                     std::end(kNonFiniteAndDenormal));
       for (const float step : {1.0f, 0.5f, 1.7f}) {
         const simd::TfLut lut(tf, step);
+        const simd::TfLut opacity_lut(opacity_tf, step);
         for (std::size_t base = 0; base < values.size(); base += 8) {
           simd::Float8 v = simd::Float8::broadcast(0.5f);
+          simd::Float8 ov = simd::Float8::broadcast(0.5f);
           simd::Int8 mask = simd::Int8::broadcast(0);
           for (int i = 0; i < simd::kLanes; ++i) {
-            v.set_lane(i, values[(base + std::size_t(i)) % values.size()]);
+            const std::size_t k = (base + std::size_t(i)) % values.size();
+            v.set_lane(i, values[k]);
+            ov.set_lane(i, values[values.size() - 1 - k]);
             mask.set_lane(i, (base / 8 + std::size_t(i)) % 3 != 0 ? -1 : 0);
           }
           simd::Float8 r, g, b, a;
           lut.sample8(v, mask, &r, &g, &b, &a);
+          simd::Float8 ch[4], br, bg, bb, ba;
+          lut.lookup8(v, 0, 3, ch);
+          opacity_lut.lookup8(ov, 3, 4, ch);
+          lut.finish8(ch, &br, &bg, &bb, &ba);
           for (int i = 0; i < simd::kLanes; ++i) {
             SCOPED_TRACE(testing::Message() << "points " << n << " seed "
                                             << seed << " step " << step
-                                            << " v " << v.lane(i));
+                                            << " v " << v.lane(i) << " ov "
+                                            << ov.lane(i));
+            const Rgba bwant = bi.sample(v.lane(i), ov.lane(i), step);
+            EXPECT_EQ(bits(br.lane(i)), bits(bwant.r));
+            EXPECT_EQ(bits(bg.lane(i)), bits(bwant.g));
+            EXPECT_EQ(bits(bb.lane(i)), bits(bwant.b));
+            EXPECT_EQ(bits(ba.lane(i)), bits(bwant.a));
+            float c1[4];
+            lut.lookup1(v.lane(i), 0, 3, c1);
+            opacity_lut.lookup1(ov.lane(i), 3, 4, c1);
+            const Rgba bone = lut.finish1(c1);
+            EXPECT_EQ(bits(bone.r), bits(bwant.r));
+            EXPECT_EQ(bits(bone.a), bits(bwant.a));
             if (mask.lane(i) == 0) {
               EXPECT_EQ(r.lane(i), 0.0f);
               EXPECT_EQ(g.lane(i), 0.0f);
@@ -526,7 +575,7 @@ TEST_P(KernelEquality, WholeVolumeImagesBitwiseEqual) {
   const Raycaster rc(dims, base_config());
   const Box3i owned{{0, 0, 0}, dims};
   const SubImage got = rc.render_block(whole, owned, cam, tf, &pool);
-  expect_identical(oracle_block(rc, dims, whole, owned, cam, tf), got);
+  expect_identical(oracle_block(rc, dims, {whole, tf}, owned, cam), got);
   EXPECT_GT(got.samples, 0);
 }
 
@@ -565,7 +614,8 @@ TEST_P(KernelEquality, BlockDecompositionImagesBitwiseEqual) {
           const Box3i owned = d.block_box(b);
           const Brick& brick = bricks[std::size_t(b)];
           const SubImage got = rc.render_block(brick, owned, cam, tf, &pool);
-          expect_identical(oracle_block(rc, dims, brick, owned, cam, tf), got);
+          expect_identical(oracle_block(rc, dims, {brick, tf}, owned, cam),
+                           got);
           samples_by_termination[early < 1.0 ? 1 : 0] += got.samples;
         }
       }
@@ -575,18 +625,40 @@ TEST_P(KernelEquality, BlockDecompositionImagesBitwiseEqual) {
   }
 }
 
+/// Colour (pressure) and opacity (density) bricks of one box, from the
+/// synthetic field of `seed`.
+struct BivariateBricks {
+  BivariateBricks(const Box3i& box, const Vec3i& dims, std::uint64_t seed)
+      : color(box), opacity(box) {
+    const data::SupernovaField field(seed);
+    field.fill_brick(data::Variable::kPressure, dims, &color);
+    field.fill_brick(data::Variable::kDensity, dims, &opacity);
+  }
+  Brick color, opacity;
+};
+
+/// The bivariate scenes' transfer function: colours from a 12-point
+/// function (the LUT's gather path) and opacity from the supernova one
+/// (its permute path).
+BivariateTransferFunction test_bivariate_tf() {
+  return BivariateTransferFunction(seeded_tf(12, 4),
+                                   TransferFunction::supernova());
+}
+
 /// Renders the whole volume and every block of a `blocks`-way decomposition
 /// of `dims` through `cam` and checks each image and tally against the
-/// oracle. Returns the blocks' total samples.
-std::int64_t expect_blocks_match_oracle(const Vec3i& dims,
-                                        std::int64_t blocks,
-                                        const Camera& cam,
-                                        par::ThreadPool* pool) {
+/// oracle: univariate at a unit step, and bivariate at steps 1 and 0.6,
+/// each with early termination off and at 0.3. Returns the univariate
+/// blocks' total samples; `bivariate_samples`, if non-null, receives the
+/// bivariate blocks' totals with early termination off and on.
+std::int64_t expect_blocks_match_oracle(
+    const Vec3i& dims, std::int64_t blocks, const Camera& cam,
+    par::ThreadPool* pool, std::int64_t* bivariate_samples = nullptr) {
   const TransferFunction tf = TransferFunction::supernova();
   const Raycaster rc(dims, base_config());
   const Brick whole = whole_brick(dims, 17);
   const Box3i all{{0, 0, 0}, dims};
-  expect_identical(oracle_block(rc, dims, whole, all, cam, tf),
+  expect_identical(oracle_block(rc, dims, {whole, tf}, all, cam),
                    rc.render_block(whole, all, cam, tf, pool));
   const Decomposition d(dims, blocks);
   std::int64_t samples = 0;
@@ -596,9 +668,40 @@ std::int64_t expect_blocks_match_oracle(const Vec3i& dims,
     data::SupernovaField(17).fill_brick(data::Variable::kDensity, dims,
                                         &brick);
     const SubImage got = rc.render_block(brick, d.block_box(b), cam, tf, pool);
-    expect_identical(oracle_block(rc, dims, brick, d.block_box(b), cam, tf),
+    expect_identical(oracle_block(rc, dims, {brick, tf}, d.block_box(b), cam),
                      got);
     samples += got.samples;
+  }
+
+  // Bivariate: the whole volume (block -1), then every block.
+  const BivariateTransferFunction bi = test_bivariate_tf();
+  std::vector<BivariateBricks> bricks;
+  bricks.emplace_back(all, dims, 17);
+  for (std::int64_t b = 0; b < d.num_blocks(); ++b) {
+    bricks.emplace_back(d.ghost_box(b, 1), dims, 17);
+  }
+  for (const double step : {1.0, 0.6}) {
+    for (const double early : {1.0, 0.3}) {
+      RenderConfig cfg = base_config();
+      cfg.step_voxels = step;
+      cfg.early_termination = early;
+      const Raycaster brc(dims, cfg);
+      for (std::int64_t b = -1; b < d.num_blocks(); ++b) {
+        SCOPED_TRACE(testing::Message() << "bivariate step " << step
+                                        << " early " << early << " block "
+                                        << b);
+        const Box3i owned = b < 0 ? all : d.block_box(b);
+        const BivariateBricks& bb = bricks[std::size_t(b + 1)];
+        const SubImage got =
+            brc.render_block(bb.color, bb.opacity, owned, cam, bi, pool);
+        expect_identical(
+            oracle_block(brc, dims, {bb.color, bb.opacity, bi}, owned, cam),
+            got);
+        if (bivariate_samples != nullptr && b >= 0) {
+          bivariate_samples[early < 1.0 ? 1 : 0] += got.samples;
+        }
+      }
+    }
   }
   return samples;
 }
@@ -724,12 +827,130 @@ TEST_P(KernelEquality, NonFiniteAndDenormalVoxelsBitwiseEqual) {
     cfg.step_voxels = step;
     const Raycaster rc(dims, cfg);
     const SubImage got = rc.render_block(whole, all, cam, tf, &pool);
-    expect_identical(oracle_block(rc, dims, whole, all, cam, tf), got);
+    expect_identical(oracle_block(rc, dims, {whole, tf}, all, cam), got);
     EXPECT_GT(got.samples, 0);
   }
 }
 
+TEST_P(KernelEquality, BivariateBlockDecompositionBitwiseEqual) {
+  // The bivariate fig5-style scene: colour and opacity bricks per block,
+  // at steps 1 and 0.6 with early termination off and at 0.3, which must
+  // actually cut rays short here.
+  const Vec3i dims{24, 24, 24};
+  const Camera cam = Camera::default_view(dims, 48, 48);
+  par::ThreadPool pool(GetParam());
+  std::int64_t bivariate_samples[2] = {0, 0};
+  EXPECT_GT(expect_blocks_match_oracle(dims, 8, cam, &pool, bivariate_samples),
+            0);
+  EXPECT_GT(bivariate_samples[1], 0);
+  EXPECT_LT(bivariate_samples[1], bivariate_samples[0]);
+}
+
+TEST_P(KernelEquality, BivariateNonFiniteAndDenormalVoxelsBitwiseEqual) {
+  // NaN, infinite and denormal voxels planted in the colour brick, then in
+  // the opacity brick: the colour and opacity lookups each take the first
+  // control point on a NaN, in kernel and oracle alike.
+  const Vec3i dims{20, 20, 20};
+  const Vec3i planted[] = {{10, 10, 10}, {4, 12, 7},  {15, 5, 9},
+                           {8, 8, 16},   {12, 14, 3}, {6, 3, 12},
+                           {17, 16, 11}};
+  ASSERT_EQ(std::size(planted), std::size(kNonFiniteAndDenormal));
+  const BivariateTransferFunction bi(
+      TransferFunction({{0.1f, 0.8f, 0.2f, 0.1f, 0.3f},
+                        {0.5f, 0.1f, 0.6f, 0.9f, 0.05f},
+                        {0.9f, 1.0f, 1.0f, 0.8f, 0.4f}}),
+      TransferFunction({{0.1f, 0.0f, 0.0f, 0.0f, 0.35f},
+                        {0.6f, 0.0f, 0.0f, 0.0f, 0.02f},
+                        {0.9f, 0.0f, 0.0f, 0.0f, 0.3f}}));
+  const Camera cam = Camera::default_view(dims, 43, 37);
+  const Box3i all{{0, 0, 0}, dims};
+  par::ThreadPool pool(GetParam());
+  for (const bool in_opacity : {false, true}) {
+    BivariateBricks bb(all, dims, 23);
+    Brick& target = in_opacity ? bb.opacity : bb.color;
+    for (std::size_t i = 0; i < std::size(planted); ++i) {
+      target.at(planted[i].x, planted[i].y, planted[i].z) =
+          kNonFiniteAndDenormal[i];
+    }
+    for (const double step : {1.0, 0.6}) {
+      SCOPED_TRACE(testing::Message() << "in opacity " << in_opacity
+                                      << " step " << step);
+      RenderConfig cfg = base_config();
+      cfg.step_voxels = step;
+      const Raycaster rc(dims, cfg);
+      const SubImage got =
+          rc.render_block(bb.color, bb.opacity, all, cam, bi, &pool);
+      expect_identical(oracle_block(rc, dims, {bb.color, bb.opacity, bi}, all,
+                                    cam),
+                       got);
+      EXPECT_GT(got.samples, 0);
+    }
+  }
+}
+
+TEST_P(KernelEquality, BivariateRowBandsStitchBitwiseEqual) {
+  // Steal-mode contract for bivariate blocks: disjoint render_block_rows
+  // bands stitched in row order reproduce render_block bit-for-bit, and
+  // both match the oracle.
+  const Vec3i dims{24, 24, 24};
+  const Camera cam = Camera::default_view(dims, 64, 64);
+  const BivariateTransferFunction bi = test_bivariate_tf();
+  const Decomposition d(dims, 8);
+  par::ThreadPool pool(GetParam());
+  for (const std::int64_t block : {std::int64_t{3}, std::int64_t{6}}) {
+    SCOPED_TRACE(testing::Message() << "block " << block);
+    const Box3i owned = d.block_box(block);
+    const BivariateBricks bb(d.ghost_box(block, 1), dims, 13);
+    const Raycaster rc(dims, base_config());
+    const SubImage whole =
+        rc.render_block(bb.color, bb.opacity, owned, cam, bi, &pool);
+    expect_identical(
+        oracle_block(rc, dims, {bb.color, bb.opacity, bi}, owned, cam), whole);
+
+    const std::int64_t rows = std::max(0, whole.rect.height());
+    ASSERT_GT(rows, 2);
+    SubImage stitched;
+    stitched.rect = whole.rect;
+    stitched.pixels.assign(whole.pixels.size(), kTransparent);
+    const std::size_t width = std::size_t(whole.rect.width());
+    for (const auto& [r0, r1] : {std::pair{std::int64_t{0}, rows / 3},
+                                 {rows / 3, 2 * rows / 3},
+                                 {2 * rows / 3, rows}}) {
+      const SubImage band = rc.render_block_rows(bb.color, bb.opacity, owned,
+                                                 cam, bi, r0, r1, &pool);
+      std::copy(band.pixels.begin(), band.pixels.end(),
+                stitched.pixels.begin() +
+                    std::ptrdiff_t(std::size_t(r0) * width));
+      stitched.samples += band.samples;
+    }
+    expect_identical(whole, stitched);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, KernelEquality, ::testing::Values(1, 4));
+
+TEST(SimdKernelTest, BivariateBricksMustShareOneBox) {
+  // The kernel reads the opacity brick at the colour brick's indices, so
+  // bricks of different boxes are refused, even when each covers the
+  // block and its ghost layer.
+  const Vec3i dims{16, 16, 16};
+  const Camera cam = Camera::default_view(dims, 24, 24);
+  const BivariateTransferFunction bi = test_bivariate_tf();
+  const Decomposition d(dims, 8);
+  const Box3i owned = d.block_box(0);
+  const Raycaster rc(dims, base_config());
+  const BivariateBricks ghosted(d.ghost_box(0, 1), dims, 3);
+  const BivariateBricks wider(d.ghost_box(0, 2), dims, 3);
+  ASSERT_FALSE(cam.footprint(world_box_of(owned, dims)).empty());
+  EXPECT_THROW(
+      rc.render_block(ghosted.color, wider.opacity, owned, cam, bi), Error);
+  EXPECT_THROW(rc.render_block_rows(wider.color, ghosted.opacity, owned, cam,
+                                    bi, 0, 1),
+               Error);
+  // Equal boxes render, whichever covering box they share.
+  EXPECT_GT(
+      rc.render_block(wider.color, wider.opacity, owned, cam, bi).samples, 0);
+}
 
 TEST(SimdKernelTest, EarlyTerminationSaturatesWholePackets) {
   // A low termination threshold plus an opaque ramp makes whole packets die
@@ -745,7 +966,7 @@ TEST(SimdKernelTest, EarlyTerminationSaturatesWholePackets) {
   const Raycaster rc(dims, cfg);
   const Box3i owned{{0, 0, 0}, dims};
   const SubImage got = rc.render_block(whole, owned, cam, tf);
-  expect_identical(oracle_block(rc, dims, whole, owned, cam, tf), got);
+  expect_identical(oracle_block(rc, dims, {whole, tf}, owned, cam), got);
   // Early termination must actually have cut samples vs the full march.
   const Raycaster full(dims, base_config());
   EXPECT_LT(got.samples, full.render_block(whole, owned, cam, tf).samples);
@@ -769,7 +990,7 @@ TEST(SimdKernelTest, LatticeBeyondInt32Throws) {
     const Raycaster rc(dims, cfg);
     const SubImage got = rc.render_block(whole, owned, cam, tf);
     EXPECT_GT(got.samples, 0);
-    expect_identical(oracle_block(rc, dims, whole, owned, cam, tf), got);
+    expect_identical(oracle_block(rc, dims, {whole, tf}, owned, cam), got);
   }
 }
 
@@ -781,7 +1002,7 @@ TEST(SimdKernelTest, NarrowRectRemainderPackets) {
   const TransferFunction tf = TransferFunction::supernova();
   const Raycaster rc(dims, base_config());
   const Box3i owned{{0, 0, 0}, dims};
-  expect_identical(oracle_block(rc, dims, whole, owned, cam, tf),
+  expect_identical(oracle_block(rc, dims, {whole, tf}, owned, cam),
                    rc.render_block(whole, owned, cam, tf));
 }
 
@@ -799,7 +1020,7 @@ TEST(SimdKernelTest, RowBandStitchingUnderSimd) {
 
   const Raycaster rc(dims, base_config());
   const SubImage whole = rc.render_block(brick, owned, cam, tf);
-  expect_identical(oracle_block(rc, dims, brick, owned, cam, tf), whole);
+  expect_identical(oracle_block(rc, dims, {brick, tf}, owned, cam), whole);
 
   const std::int64_t rows = std::max(0, whole.rect.height());
   const std::int64_t cut1 = rows / 3, cut2 = 2 * rows / 3;
@@ -828,7 +1049,7 @@ TEST(SimdKernelTest, RenderFullMatchesScalarAndReportsSamples) {
   std::int64_t samples = 0;
   const Image got = rc.render_full(whole, cam, tf, nullptr, &samples);
   const SubImage want =
-      oracle_rect(rc, dims, whole, world_box(dims), cam, tf,
+      oracle_rect(rc, dims, {whole, tf}, world_box(dims), cam,
                   Rect{0, 0, cam.width(), cam.height()});
   EXPECT_EQ(samples, want.samples);
   EXPECT_GT(samples, 0);
