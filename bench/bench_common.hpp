@@ -89,7 +89,8 @@ inline std::vector<HostRow>& host_rows() {
   return rows;
 }
 
-/// Measured render wall time of one execute-mode row. Lives in the JSON
+/// Measured wall time of one timed row: an execute-mode frame, or a model
+/// run (bench_async). Lives in the JSON
 /// "host" section ("exec" array) next to wall_ms: the modeled seconds in
 /// "rows" stay byte-identical across backends and thread counts, while the
 /// measured time is a committed, machine-dependent number.
@@ -223,7 +224,7 @@ inline ExecResult measure_exec_kernel(std::int64_t grid, int image,
 }
 
 /// Fastest wall ms of `repeats` calls of `run`: the host time of one
-/// execute-mode frame for a "host.exec" row.
+/// execute-mode frame or model run for a "host.exec" row.
 template <typename Run>
 double fastest_ms(Run&& run, int repeats = 5) {
   double best = 0.0;
@@ -406,8 +407,8 @@ inline std::string bench_json(const std::string& name) {
     first = false;
   }
   out += first ? "]," : "\n    ],";
-  // Execute-mode render timings: measured wall ms of the raycast kernel on
-  // real scenes, with the SIMD backend it was built for.
+  // Timed rows: measured wall ms of execute-mode frames on real scenes (and
+  // of bench_async's model run), with the SIMD backend the build targets.
   out += "\n    \"exec\": [";
   first = true;
   for (const HostExecRow& row : host_exec_rows()) {

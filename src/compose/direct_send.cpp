@@ -220,9 +220,7 @@ CompositeStats DirectSendCompositor::run(
         }
       }
     };
-    stats.exchange = rt_->exchange_messages(
-        std::move(messages), consume,
-        runtime::Runtime::ConsumePolicy::kParallelRanks);
+    stats.exchange = rt_->exchange_messages(std::move(messages), consume);
   }
 
   const std::int64_t worst_blend =

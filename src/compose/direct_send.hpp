@@ -46,8 +46,8 @@ struct CompositeStats {
   }
 };
 
-/// Per-rank structure of one modeled direct-send round, for the async task
-/// graph (DESIGN.md §9): which source ranks each destination (compositor)
+/// Per-rank structure of one modeled direct-send round, for the async
+/// schedule (DESIGN.md §9): which source ranks each destination (compositor)
 /// rank waits on, and how many pixels it blends. Indexed by rank; filled
 /// from the post-fault-filter message set of the same single pricing pass,
 /// so a dead renderer appears in nobody's sources and reassigned tiles land

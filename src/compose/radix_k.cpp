@@ -262,9 +262,7 @@ CompositeStats RadixKCompositor::run(
     // consume writes only buffers[rank] (kept/pos/order are read-only
     // here), so rank inboxes may drain in parallel.
     stats.exchange.seconds +=
-        rt_->exchange_messages(std::move(messages), consume,
-                               runtime::Runtime::ConsumePolicy::kParallelRanks)
-            .seconds;
+        rt_->exchange_messages(std::move(messages), consume).seconds;
     if (faulty && redirected > 0) {
       // A sender discovers a dead peer the hard way: max_retries failed
       // attempts before re-addressing the piece to the proxy. Priced like

@@ -51,7 +51,7 @@ void validate(const ExperimentConfig& config) {
   if (config.runtime_mode == runtime::RuntimeMode::kAsync &&
       config.composite.algorithm != compose::CompositeAlgorithm::kDirectSend) {
     fail("composite.algorithm", int(config.composite.algorithm),
-         "the async task-graph runtime (runtime_mode == kAsync) derives "
+         "the async runtime (runtime_mode == kAsync) derives "
          "per-compositor dependencies from the direct-send schedule; use "
          "RuntimeMode::kBsp with radix-k");
   }
@@ -173,8 +173,8 @@ iolib::ReadResult ParallelVolumeRenderer::model_io_independent(
   return reader.read(*layout_, variable_, blocks, nullptr, {}, log);
 }
 
-std::vector<steal::BlockWork> ParallelVolumeRenderer::steal_block_work()
-    const {
+std::vector<steal::BlockWork> ParallelVolumeRenderer::steal_block_work(
+    int vars) const {
   const render::RenderModel rmodel(config_.machine);
   const double step_world =
       config_.render.step_voxels * render::voxel_size(config_.dataset.dims);
@@ -191,7 +191,7 @@ std::vector<steal::BlockWork> ParallelVolumeRenderer::steal_block_work()
     w.samples = rmodel.block_samples(wb, camera_, step_world, edge_scale);
     w.rows = std::max(0, fp.height());
     w.bytes = decomp_->ghost_box(b, config_.ghost).volume() *
-              config_.dataset.element_bytes;
+              config_.dataset.element_bytes * vars;
     work.push_back(w);
   }
   return work;
@@ -199,13 +199,13 @@ std::vector<steal::BlockWork> ParallelVolumeRenderer::steal_block_work()
 
 steal::StealSchedule ParallelVolumeRenderer::steal_stage(
     runtime::Runtime& rt,
-    const std::function<double(std::int64_t)>& rank_slowdown,
+    const std::function<double(std::int64_t)>& rank_slowdown, int vars,
     FrameStats* stats) {
   stats->steal.policy = config_.steal.policy;
   if (!config_.steal.enabled()) return {};
 
   const steal::StealPlanner planner(config_.machine, config_.steal);
-  const auto work = steal_block_work();
+  const auto work = steal_block_work(vars);
   steal::StealSchedule sched =
       planner.plan(work, config_.num_ranks, rank_slowdown);
   stats->steal.chunks_stolen = sched.chunks_stolen;
@@ -387,110 +387,6 @@ class Untraced {
   obs::Tracer* tracer_;
 };
 
-// --- Async task-graph assembly (DESIGN.md §9). One modeled frame becomes a
-// DAG: the collective read and the steal gate on the shared machine lane,
-// one render task per live rank on its own lane, and one composite task per
-// compositor rank depending on exactly the renderers that feed it.
-// Critical-path segments by tag give the frame's async stage charges. ---
-
-constexpr std::int32_t kTagIo = 0;
-constexpr std::int32_t kTagSteal = 1;
-constexpr std::int32_t kTagRender = 2;
-constexpr std::int32_t kTagComposite = 3;
-
-struct AsyncInputs {
-  bool has_io = false;
-  double io_seconds = 0.0;
-  bool has_steal = false;
-  double steal_seconds = 0.0;
-  std::vector<double> render_seconds;  ///< per rank (imbalance included)
-  std::vector<char> live;              ///< render task created iff live[r]
-  double exchange_seconds = 0.0;       ///< per-compositor exchange term
-  std::vector<double> blend_seconds;   ///< per dst rank
-};
-
-struct AsyncChain {
-  runtime::TaskSchedule sched;
-  std::int64_t tasks = 0;
-  std::int64_t edges = 0;
-  /// Critical-path durations summed by stage tag. The chain is gap-free, so
-  /// these telescope exactly to the makespan.
-  double io_seg = 0.0;
-  double steal_seg = 0.0;
-  double render_seg = 0.0;
-  double composite_seg = 0.0;
-  std::int64_t render_rank = -1;     ///< lane of the chain's render task
-  std::int64_t composite_rank = -1;  ///< lane of the chain's composite task
-};
-
-AsyncChain schedule_async_frame(const AsyncInputs& in,
-                                const compose::DirectSendDetail& detail,
-                                std::int64_t num_ranks) {
-  // Size the graph first, so building it allocates once. Every render task
-  // waits on the same task, if any: the steal gate (which waits on the
-  // read), else the read.
-  const std::int64_t gate_tasks = (in.has_io ? 1 : 0) + (in.has_steal ? 1 : 0);
-  const std::size_t render_deps = gate_tasks > 0 ? 1 : 0;
-  std::int64_t tasks = gate_tasks;
-  std::int64_t edges = gate_tasks - std::int64_t(render_deps);
-  for (std::int64_t r = 0; r < num_ranks; ++r) {
-    const std::size_t sources = detail.sources[std::size_t(r)].size();
-    const bool live = in.live[std::size_t(r)] != 0;
-    tasks += (live ? 1 : 0) + (sources > 0 ? 1 : 0);
-    edges += std::int64_t((live ? render_deps : 0) + sources);
-  }
-  runtime::TaskGraph graph(num_ranks);
-  graph.reserve(tasks, edges);
-  runtime::TaskId gate = -1;
-  if (in.has_io) gate = graph.add(-1, in.io_seconds, kTagIo, {});
-  if (in.has_steal) {
-    const std::span<const runtime::TaskId> read(&gate, in.has_io ? 1 : 0);
-    gate = graph.add(-1, in.steal_seconds, kTagSteal, read);
-  }
-  const std::span<const runtime::TaskId> pre(&gate, render_deps);
-  std::vector<runtime::TaskId> render_task(std::size_t(num_ranks), -1);
-  for (std::int64_t r = 0; r < num_ranks; ++r) {
-    if (!in.live[std::size_t(r)]) continue;
-    render_task[std::size_t(r)] =
-        graph.add(r, in.render_seconds[std::size_t(r)], kTagRender, pre);
-  }
-  std::vector<runtime::TaskId> deps;  // one compositor's, reused
-  for (std::int64_t c = 0; c < num_ranks; ++c) {
-    const std::vector<std::int64_t>& srcs = detail.sources[std::size_t(c)];
-    if (srcs.empty()) continue;
-    deps.clear();
-    for (const std::int64_t s : srcs) {
-      // Dead renderers were filtered from the message set, so every source
-      // of a delivered fragment has a render task.
-      PVR_ASSERT(render_task[std::size_t(s)] >= 0);
-      deps.push_back(render_task[std::size_t(s)]);
-    }
-    graph.add(c, in.exchange_seconds + in.blend_seconds[std::size_t(c)],
-              kTagComposite, deps);
-  }
-
-  AsyncChain out;
-  out.tasks = graph.num_tasks();
-  out.edges = graph.num_edges();
-  out.sched = graph.run();
-  for (const runtime::TaskId id : out.sched.critical_path) {
-    const runtime::Task t = graph.task(id);
-    switch (t.tag) {
-      case kTagIo: out.io_seg += t.seconds; break;
-      case kTagSteal: out.steal_seg += t.seconds; break;
-      case kTagRender:
-        out.render_seg += t.seconds;
-        out.render_rank = t.lane;
-        break;
-      case kTagComposite:
-        out.composite_seg += t.seconds;
-        out.composite_rank = t.lane;
-        break;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 FrameStats ParallelVolumeRenderer::price_frame(
@@ -592,18 +488,20 @@ FrameStats ParallelVolumeRenderer::price_frame(
   // --- Stage 2: the straggler is the worst weighted live rank. With
   // stealing enabled, live idle ranks first claim scanline chunks from the
   // slowest live ranks (dead ranks are neither victims nor thieves), so the
-  // straggler term shrinks to the post-schedule worst. kAsync folds the
-  // stage inputs into the free graph here: it needs the composite's
-  // per-rank structure before the frame's render charge is known, so it
-  // prices the composite now, untraced. ---
+  // straggler term shrinks to the post-schedule worst. kAsync schedules
+  // the stage inputs here: it needs the composite's per-rank structure
+  // before the frame's render charge is known, so it prices the composite
+  // now, untraced. ---
   compose::DirectSendDetail detail;
-  AsyncChain chain;
+  runtime::AsyncFrameSchedule chain;
   double bsp_seconds = 0.0;
   double exchange_overlapped = 0.0;
   {
     obs::ScopedSpan stage(tracer_, "stage.render", obs::Category::kRender);
     steal::StealSchedule sched;
-    if (config_.steal.enabled()) sched = steal_stage(rt, slowdown, &stats);
+    if (config_.steal.enabled()) {
+      sched = steal_stage(rt, slowdown, /*vars=*/1, &stats);
+    }
     if (async) {
       const Untraced untraced(rt);
       stats.composite = composite_configured(rt, screen_blocks(), {},
@@ -612,7 +510,7 @@ FrameStats ParallelVolumeRenderer::price_frame(
     // The estimate is pure, so it runs last: the per-rank seconds it fills
     // under kAsync are then not held across the composite's allocations,
     // which would raise the frame's peak memory.
-    AsyncInputs in;
+    runtime::AsyncFrameInputs in;
     const render::RenderModel rmodel(config_.machine);
     stats.render = rmodel.estimate_degraded(
         *decomp_, config_.num_ranks, camera_, config_.render, slowdown,
@@ -650,16 +548,16 @@ FrameStats ParallelVolumeRenderer::price_frame(
       for (const std::int64_t pixels : detail.blend_pixels) {
         in.blend_seconds.push_back(double(pixels) / bps);
       }
-      chain = schedule_async_frame(in, detail, config_.num_ranks);
+      chain = runtime::schedule_async_frame(in, detail.sources);
       // BSP reference price of the same frame, composed exactly as
       // FrameStats::total_seconds() composes it: every async term is <= its
       // BSP term and FP addition is monotone, so reclaimed >= 0 bitwise.
       bsp_seconds = stats.io.seconds +
                     (stats.render.seconds + stats.steal.steal_seconds) +
                     stats.composite.seconds;
-      // The render charge is the chain's render segment: the rank whose
+      // The render charge is the critical path's render: the rank whose
       // finish actually bound the last compositor, not the global straggler.
-      stats.render.seconds = chain.render_seg;
+      stats.render.seconds = chain.render_seconds;
       if (chain.render_rank >= 0) {
         stats.render.straggler_rank = chain.render_rank;
       }
@@ -732,7 +630,7 @@ FrameStats ParallelVolumeRenderer::price_frame(
       stats.composite.exchange.seconds = exchange_chain;
       stats.composite.exchange.skew_seconds = 0.0;
       stats.composite.blend_seconds = blend_chain;
-      stats.composite.seconds = chain.composite_seg;
+      stats.composite.seconds = chain.composite_seconds;
     }
     stats.composite_seconds = stats.composite.seconds;
   }
@@ -748,7 +646,7 @@ FrameStats ParallelVolumeRenderer::price_frame(
     stats.async.edges = chain.edges;
     stats.async.bsp_seconds = bsp_seconds;
     stats.async.reclaimed_seconds = bsp_seconds - stats.total_seconds();
-    stats.async.lane_wait_seconds = chain.sched.lane_wait_seconds;
+    stats.async.lane_wait_seconds = chain.lane_wait_seconds;
     stats.async.readahead_seconds = readahead_credit;
   }
 
@@ -922,11 +820,12 @@ void ParallelVolumeRenderer::execute_render_and_composite(
                                               band->begin, band->end,
                                               pool_.get());
       },
-      stats, out);
+      /*vars=*/1, stats, out);
 }
 
 void ParallelVolumeRenderer::execute_render_and_composite(
-    const BlockRenderFn& render_block, FrameStats* stats, Image* out) {
+    const BlockRenderFn& render_block, int vars, FrameStats* stats,
+    Image* out) {
   runtime::Runtime& rt = execute_rt();
 
   // --- Stage 2: ray casting, real samples. With stealing enabled, the
@@ -946,7 +845,7 @@ void ParallelVolumeRenderer::execute_render_and_composite(
     std::vector<std::int64_t> rank_samples(std::size_t(config_.num_ranks), 0);
     steal::StealSchedule sched;
     if (config_.steal.enabled()) {
-      sched = steal_stage(rt, nullptr, stats);
+      sched = steal_stage(rt, nullptr, vars, stats);
     }
     std::size_t next_claim = 0;  // claims are sorted by (block, row_begin)
     for (std::int64_t b = 0; b < decomp_->num_blocks(); ++b) {
@@ -1107,7 +1006,7 @@ FrameStats ParallelVolumeRenderer::execute_frame_bivariate(
                                               tf, band->begin, band->end,
                                               pool_.get());
       },
-      &stats, out);
+      /*vars=*/2, &stats, out);
   if (tracer_ != nullptr) {
     stats.trace = obs::summarize_frame(*tracer_, frame.close());
   }

@@ -41,7 +41,7 @@
 #include "render/decomposition.hpp"
 #include "render/raycaster.hpp"
 #include "render/render_model.hpp"
-#include "runtime/taskgraph.hpp"
+#include "runtime/async_frame.hpp"
 #include "steal/steal.hpp"
 
 namespace pvr::core {
@@ -71,8 +71,8 @@ struct ExperimentConfig {
   steal::StealConfig steal;
   /// Runtime scheduling discipline (DESIGN.md §9). kBsp (the default) runs
   /// the paper's superstep pipeline: every stage is a global barrier.
-  /// kAsync prices the same frame through the deterministic event-driven
-  /// task graph: stage boundaries become per-rank dependencies, so a
+  /// kAsync prices the same frame through a deterministic barrier-free
+  /// schedule: stage boundaries become per-rank dependencies, so a
   /// compositor rank starts blending as soon as its own sources have
   /// rendered, and barrier skew is reclaimed as overlap. Model mode only
   /// (execute_* always runs the real superstep runtime); requires
@@ -122,7 +122,7 @@ struct FrameStats {
   /// inside the render stage.
   steal::StealStats steal;
 
-  /// Async task-graph accounting (DESIGN.md §9): graph size, the BSP price
+  /// Async runtime accounting (DESIGN.md §9): graph size, the BSP price
   /// of the same frame, and the seconds reclaimed by overlap. Disabled
   /// (enabled == false, all zero) for kBsp frames.
   runtime::OverlapStats async;
@@ -317,7 +317,7 @@ class ParallelVolumeRenderer {
   /// (direct-send, or radix-k with rounds of at most composite.radix). A
   /// model-mode `rt` prices the schedule of `blocks`; a non-null `detail`
   /// (direct-send only) receives the per-rank message structure for the
-  /// async task graph, and the priced stats are identical either way. An
+  /// async schedule, and the priced stats are identical either way. An
   /// execute-mode `rt` composites `subimages` (one per block) and, if `out`
   /// is non-null, assembles the image into it.
   compose::CompositeStats composite_configured(
@@ -348,27 +348,29 @@ class ParallelVolumeRenderer {
                                      const render::RowBand* band)>;
   /// Shared execute-mode stages 2+3 of every execute frame: render each
   /// block with `render_block` (stealing row bands when config().steal is
-  /// on), composite, fill stats.render/steal/composite; `out` receives the
-  /// image if non-null.
+  /// on; each block holds `vars` variables' bricks), composite, fill
+  /// stats.render/steal/composite; `out` receives the image if non-null.
   void execute_render_and_composite(const BlockRenderFn& render_block,
-                                    FrameStats* stats, Image* out);
+                                    int vars, FrameStats* stats, Image* out);
   /// Stages 2+3 for one univariate brick per block, rendered with the
   /// supernova transfer function.
   void execute_render_and_composite(std::span<const Brick> bricks,
                                     FrameStats* stats, Image* out);
   /// Per-block render work for the steal planner (modeled samples, footprint
-  /// rows, replication bytes), in block order.
-  std::vector<steal::BlockWork> steal_block_work() const;
+  /// rows, replication bytes), in block order. A block holds `vars`
+  /// variables' bricks, and a replicated block ships all of them.
+  std::vector<steal::BlockWork> steal_block_work(int vars) const;
   /// The steal phase, run inside the render stage span of any frame method
   /// when config().steal is enabled: plans the frame's schedule for the
   /// given per-rank slowdowns (null = all healthy), prices the claim — and,
   /// under kReplicateBlocks, the whole-block replication — exchanges
   /// through `rt` (fault-aware when a plan is armed on it), and fills
-  /// stats->steal. Returns the schedule; empty when stealing is off or the
-  /// load is already balanced.
+  /// stats->steal. Each block holds `vars` variables (steal_block_work).
+  /// Returns the schedule; empty when stealing is off or the load is
+  /// already balanced.
   steal::StealSchedule steal_stage(
       runtime::Runtime& rt,
-      const std::function<double(std::int64_t)>& rank_slowdown,
+      const std::function<double(std::int64_t)>& rank_slowdown, int vars,
       FrameStats* stats);
 
   ExperimentConfig config_;

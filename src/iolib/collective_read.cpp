@@ -841,9 +841,6 @@ ReadResult CollectiveReader::read_vars(const format::VolumeLayout& layout,
                                        format::FileHandle* file,
                                        std::span<Brick> bricks,
                                        storage::AccessLog* log) {
-  PVR_REQUIRE(hints_.collective_buffering,
-              "CollectiveReader requires collective_buffering; use "
-              "IndependentReader otherwise");
   PVR_REQUIRE(!vars.empty(), "need at least one variable");
   const bool execute =
       moves_bytes(*rt_, layout, vars.size(), blocks, file, bricks);

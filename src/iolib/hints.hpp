@@ -11,8 +11,6 @@
 namespace pvr::iolib {
 
 struct Hints {
-  /// Two-phase collective buffering on/off (romio_cb_read).
-  bool collective_buffering = true;
   /// Size of each aggregator's staging buffer (cb_buffer_size). ROMIO's
   /// default on the studied systems was 16 MiB.
   std::int64_t cb_buffer_bytes = 16 * MiB;

@@ -127,7 +127,7 @@ struct Lane {
 struct FrameProfile {
   std::int32_t frame_span = -1;
   double frame_seconds = 0.0;  ///< the frame span's duration (double clock)
-  /// Barrier skew the async task-graph runtime turned into overlap, read
+  /// Barrier skew the async runtime turned into overlap, read
   /// from the frame span's `overlap_reclaimed_seconds` arg (DESIGN.md §9).
   /// 0 for BSP frames: skew that disappears shows up here, it never just
   /// vanishes from the books.

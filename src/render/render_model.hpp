@@ -68,7 +68,7 @@ class RenderModel {
   /// exact in double precision).
   ///
   /// A non-null `rank_seconds` receives, from the same block pass, each
-  /// rank's render duration for the async task graph: its weighted time
+  /// rank's render duration for the async schedule: its weighted time
   /// including the imbalance factor, 0.0 for dead ranks. Each element is
   /// the expression that prices `seconds`, applied to that rank's weight,
   /// so the maximum element equals `seconds` bitwise and the straggler's

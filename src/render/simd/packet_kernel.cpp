@@ -285,10 +285,12 @@ Mask64 intersect8(const Double8 o[3], const Double8 d[3], const Slab box[3],
 
 /// One lattice step k for one packet; returns samples taken. `kd` is the
 /// precomputed double(k) * dt — the same product every scalar lane computes.
-/// Force-inlined (with sample8) into the tile loop: at ~100 ns per call the
-/// out-of-line ABI — 10 vector outputs through pointers — was measurable.
-/// A bivariate step reads the opacity brick at the colour brick's corners
-/// and takes r, g, b from the colour LUT and opacity from the opacity LUT.
+/// Force-inlined (with the LUT's lookup8 and finish8) into the tile loop:
+/// at ~100 ns per call the out-of-line ABI — 10 vector outputs through
+/// pointers — was measurable. A univariate step looks up all four channels
+/// in one LUT; a bivariate step reads the opacity brick at the colour
+/// brick's corners and takes r, g, b from the colour LUT and opacity from
+/// the opacity LUT. Either finishes once, and non-member lanes never blend.
 template <bool kBivariate>
 [[gnu::always_inline]] inline std::int64_t march_step(const Constants& c,
                                                       Packet* pkt,
@@ -349,18 +351,18 @@ template <bool kBivariate>
   const Float8 fy = to_float(frac[1]);
   const Float8 fz = to_float(frac[2]);
   const Float8 vn = trilerp8(c, c.data, base, fx, fy, fz) * c.scale + c.bias;
-  Float8 sr, sg, sb, sa;
+  Float8 ch[4];
   if constexpr (kBivariate) {
     // The bricks share one box, so base and offsets address both.
     const Float8 on =
         trilerp8(c, c.opacity_data, base, fx, fy, fz) * c.scale + c.bias;
-    Float8 ch[4];
     c.lut->lookup8(vn, 0, 3, ch);
     c.opacity_lut->lookup8(on, 3, 4, ch);
-    c.lut->finish8(ch, &sr, &sg, &sb, &sa);
   } else {
-    c.lut->sample8(vn, member, &sr, &sg, &sb, &sa);
+    c.lut->lookup8(vn, 0, 4, ch);
   }
+  Float8 sr, sg, sb, sa;
+  c.lut->finish8(ch, &sr, &sg, &sb, &sa);
 
   // Front-to-back "over" accumulation (Rgba::blend_under), masked so
   // non-member lanes keep their color bit-for-bit.

@@ -1,7 +1,6 @@
 #include "render/simd/tf_lut.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/error.hpp"
 
@@ -28,10 +27,8 @@ TfLut::TfLut(const TransferFunction& tf, float step_voxels)
   fill(kB, &TransferFunction::ControlPoint::b);
   fill(kOpacity, &TransferFunction::ControlPoint::opacity);
   inner_count_ = n > 2 ? int(n - 2) : 0;
-  inner_.assign(std::max(std::size_t(inner_count_), std::size_t(kPermuteInner)),
-                std::numeric_limits<float>::infinity());
   for (int j = 0; j < inner_count_; ++j) {
-    inner_[std::size_t(j)] = points[std::size_t(j) + 1].value;
+    inner_.push_back(points[std::size_t(j) + 1].value);
   }
   unit_step_ = step_ == 1.0f;
 }

@@ -1,17 +1,17 @@
 // Flattened transfer function for the ray-packet kernel: control points in
-// table form with a masked 8-lane sampler whose per-lane results are
-// bitwise-identical to TransferFunction::sample on the same inputs. The
-// sampler splits into a lookup and a finish, so a bivariate sample takes
-// r, g, b from the colour function's LUT and opacity from the opacity
-// function's, then finishes them once: BivariateTransferFunction::sample,
-// bitwise.
+// table form with an 8-lane lookup and finish whose per-lane results are
+// bitwise-identical to TransferFunction::sample on the same inputs. A
+// univariate sample looks up all four channels in one LUT; a bivariate
+// sample takes r, g, b from the colour function's LUT and opacity from the
+// opacity function's. Either then finishes once: TransferFunction::sample
+// or BivariateTransferFunction::sample, bitwise.
 //
 // Exactness contract (the basis of the scalar/SIMD image-identity tests):
 //
 //   * Segment selection is the scalar linear scan, vectorized: the control
 //     values are sorted, so the scan's stopping segment is the count of
 //     interior control values strictly below v — one vector compare per
-//     interior point.
+//     interior point of the function itself.
 //   * Each table row holds a control-point column (value, r, g, b or
 //     opacity) next to its forward differences tbl[j+1] - tbl[j], the same
 //     float subtraction the scalar lerp does per sample. A lane reads its
@@ -30,8 +30,9 @@
 //   * NaN takes the first control point: the below-front test is
 //     !(front < v), which NaN passes, in TransferFunction::lookup too.
 //
-// sample8 lives in the header so the packet kernel inlines it — it runs
-// once per lattice step and the call/ABI overhead was measurable.
+// lookup8 and finish8 live in the header so the packet kernel inlines them
+// — they run once per lattice step and the call/ABI overhead was
+// measurable. They apply no lane mask: the march blends member lanes only.
 #pragma once
 
 #include <cmath>
@@ -48,47 +49,27 @@ class TfLut {
   /// Flattens `tf` for sampling at a fixed step (one LUT per render pass).
   TfLut(const TransferFunction& tf, float step_voxels);
 
-  /// Samples 8 normalized values under `mask`: lanes where the mask is set
-  /// receive exactly TransferFunction::sample(value, step) split into
-  /// premultiplied SoA channels; masked-out lanes receive zeros.
-  /// Force-inlined: it runs once per lattice step inside the packet march
-  /// and the call/ABI overhead (10 vector outputs) was measurable.
-  [[gnu::always_inline]] inline void sample8(const Float8& value,
-                                             const Int8& mask, Float8* r,
-                                             Float8* g, Float8* b,
-                                             Float8* a) const {
-    // Finished in each branch: one straight-line path per table form.
-    Float8 c[kChannels];
-    if (wide_) {
-      lookup8_impl<true, false>(value, mask, 0, kChannels, c);
-      finish8(c, r, g, b, a);
-    } else {
-      lookup8_impl<false, false>(value, mask, 0, kChannels, c);
-      finish8(c, r, g, b, a);
-    }
-  }
-
-  /// The lookup half of sample8 (TransferFunction::lookup) for every lane:
-  /// channels [first, last) of each lane's straight r, g, b and uncorrected
-  /// opacity (indices 0-3) into c[first..last). A bivariate sample takes
-  /// channels 0-2 from the colour LUT and channel 3 from the opacity LUT,
-  /// then finishes them with finish8. Per lane it equals sample8's lookup;
-  /// it applies no mask (the march blends member lanes only) and scans
-  /// only the function's own interior values, which keeps two lookups per
-  /// step within the vector shuffle ports' budget.
+  /// TransferFunction::lookup for 8 normalized values: channels
+  /// [first, last) of each lane's straight r, g, b and uncorrected opacity
+  /// (indices 0-3) into c[first..last). A univariate sample looks up all
+  /// four and finishes them with finish8: per lane exactly
+  /// TransferFunction::sample(value, step), in premultiplied SoA channels.
+  /// A bivariate sample takes channels 0-2 from the colour LUT and channel 3
+  /// from the opacity LUT. Scanning only the function's own interior values
+  /// keeps even two lookups per step within the vector shuffle ports'
+  /// budget.
   [[gnu::always_inline]] inline void lookup8(const Float8& value, int first,
                                              int last, Float8* c) const {
-    const Int8 all = Int8::broadcast(-1);
     if (wide_) {
-      lookup8_impl<true, true>(value, all, first, last, c);
+      lookup8_impl<true>(value, first, last, c);
     } else {
-      lookup8_impl<false, true>(value, all, first, last, c);
+      lookup8_impl<false>(value, first, last, c);
     }
   }
 
-  /// The finish half of sample8 (finish_sample): clamps the opacity c[3],
+  /// The finish half of a sample (finish_sample): clamps the opacity c[3],
   /// corrects it for the step and premultiplies c[0..2] by it. A lane whose
-  /// opacity is 0 (every lane sample8 masks out) comes back all zero.
+  /// opacity is 0 comes back all zero.
   [[gnu::always_inline]] inline void finish8(const Float8* c, Float8* r,
                                              Float8* g, Float8* b,
                                              Float8* a) const {
@@ -111,9 +92,10 @@ class TfLut {
     *a = alpha;
   }
 
-  /// One-lane sample through the same tables: sample8's per-lane
-  /// expressions written scalar, so the result is bitwise-identical to any
-  /// sample8 lane carrying `value` (and to TransferFunction::sample). The
+  /// One-lane sample through the same tables: lookup8 and finish8's
+  /// per-lane expressions written scalar, so the result is bitwise-identical
+  /// to any of their lanes carrying `value` (and to
+  /// TransferFunction::sample). The
   /// packet kernel's scalar-tail marcher calls this once per sample, so it
   /// lives in the header too.
   Rgba sample1(float value) const {
@@ -126,7 +108,7 @@ class TfLut {
   void lookup1(float value, int first, int last, float* c) const {
     float v = value < 0.0f ? 0.0f : value;
     v = 1.0f < v ? 1.0f : v;
-    if (!(front(kValue) < v)) {  // below (wins over above, like sample8)
+    if (!(front(kValue) < v)) {  // below (wins over above, like lookup8)
       for (int ch = first; ch < last; ++ch) c[ch] = front(kColumns[ch]);
     } else if (v >= back(kValue)) {  // above
       for (int ch = first; ch < last; ++ch) c[ch] = back(kColumns[ch]);
@@ -164,9 +146,6 @@ class TfLut {
   static constexpr int kRows = 10;
   static constexpr int kChannels = 4;
   static constexpr int kColumns[kChannels] = {kR, kG, kB, kOpacity};
-  /// Interior control values the permute path always compares against:
-  /// up to 7 (8 segments), padded with +inf, which no value is below.
-  static constexpr int kPermuteInner = kLanes - 1;
 
   const float* row(int r) const {
     return tables_.data() + std::size_t(r) * stride_;
@@ -185,13 +164,10 @@ class TfLut {
     }
   }
 
-  /// kLean is lookup8's form: no mask, and the permute path's scan runs
-  /// over the interior values only instead of a fixed kPermuteInner
-  /// compares (the +inf padding never counts, so the segment is the same).
-  template <bool kWide, bool kLean>
+  template <bool kWide>
   [[gnu::always_inline]] inline void lookup8_impl(const Float8& value,
-                                                  const Int8& mask, int first,
-                                                  int last, Float8* c) const {
+                                                  int first, int last,
+                                                  Float8* c) const {
     const Float8 zero = Float8::broadcast(0.0f);
     const Float8 one = Float8::broadcast(1.0f);
 
@@ -208,8 +184,7 @@ class TfLut {
     // below v (each true compare is -1). Lanes outside (front, back) get some
     // in-range segment; their endpoint selects override below.
     Int8 seg = Int8::broadcast(0);
-    const int inner = kWide || kLean ? inner_count_ : kPermuteInner;
-    for (int j = 0; j < inner; ++j) {
+    for (int j = 0; j < inner_count_; ++j) {
       seg = seg - (Float8::broadcast(inner_[std::size_t(j)]) < v);
     }
 
@@ -218,23 +193,19 @@ class TfLut {
     const Float8 span = fetch<kWide>(kValue + 1, seg);
     const Float8 t = select(zero < span, (v - av) / span, zero);
 
-    // Per channel: lerp, apply the scalar early-return endpoints (below
-    // wins over above), and (sample8's form) zero masked-out lanes.
+    // Per channel: lerp, then apply the scalar early-return endpoints
+    // (below wins over above).
     for (int ch = first; ch < last; ++ch) {
       const int col = kColumns[ch];
-      Float8 cx = fetch<kWide>(col, seg) + t * fetch<kWide>(col + 1, seg);
-      cx = select(below, Float8::broadcast(front(col)),
-                  select(above, Float8::broadcast(back(col)), cx));
-      if constexpr (kLean) {
-        c[ch] = cx;
-      } else {
-        c[ch] = select(mask, cx, zero);
-      }
+      const Float8 cx =
+          fetch<kWide>(col, seg) + t * fetch<kWide>(col + 1, seg);
+      c[ch] = select(below, Float8::broadcast(front(col)),
+                     select(above, Float8::broadcast(back(col)), cx));
     }
   }
 
   std::vector<float> tables_;  ///< kRows rows of stride_ floats
-  std::vector<float> inner_;   ///< interior control values, +inf padded
+  std::vector<float> inner_;   ///< interior control values
   std::size_t stride_ = 0;     ///< row length: max(8, control points)
   std::size_t last_ = 0;       ///< index of the last control point
   int inner_count_ = 0;        ///< interior points: max(0, points - 2)

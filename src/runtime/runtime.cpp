@@ -10,18 +10,23 @@ Runtime::Runtime(const machine::Partition& partition, Mode mode)
     : partition_(&partition), mode_(mode), torus_(partition),
       tree_(partition) {}
 
-net::ExchangeCost Runtime::exchange_messages(std::vector<Message> messages,
-                                             const ConsumeFn& consume,
-                                             ConsumePolicy policy) {
-  return exchange_messages_impl(std::move(messages), consume, policy,
-                                /*overlapped=*/false);
+namespace {
+
+std::vector<net::Transfer> transfers_of(std::span<const Message> messages) {
+  std::vector<net::Transfer> transfers;
+  transfers.reserve(messages.size());
+  for (const Message& m : messages) {
+    transfers.push_back(net::Transfer{m.src_rank, m.dst_rank, m.bytes});
+  }
+  return transfers;
 }
 
+}  // namespace
+
 net::ExchangeCost Runtime::exchange_messages_overlapped(
-    std::vector<Message> messages, const ConsumeFn& consume,
-    ConsumePolicy policy) {
-  return exchange_messages_impl(std::move(messages), consume, policy,
-                                /*overlapped=*/true);
+    std::span<const Message> messages) {
+  return price_transfers(transfers_of(messages), /*rounds=*/1,
+                         /*overlapped=*/true);
 }
 
 net::ExchangeCost Runtime::exchange_transfers(
@@ -75,17 +80,10 @@ net::ExchangeCost Runtime::price_transfers(
   return cost;
 }
 
-net::ExchangeCost Runtime::exchange_messages_impl(std::vector<Message> messages,
-                                                  const ConsumeFn& consume,
-                                                  ConsumePolicy policy,
-                                                  bool overlapped) {
-  std::vector<net::Transfer> transfers;
-  transfers.reserve(messages.size());
-  for (const Message& m : messages) {
-    transfers.push_back(net::Transfer{m.src_rank, m.dst_rank, m.bytes});
-  }
-  const net::ExchangeCost cost =
-      price_transfers(transfers, /*rounds=*/1, overlapped);
+net::ExchangeCost Runtime::exchange_messages(std::vector<Message> messages,
+                                             const ConsumeFn& consume) {
+  const net::ExchangeCost cost = price_transfers(
+      transfers_of(messages), /*rounds=*/1, /*overlapped=*/false);
 
   if (consume != nullptr) {
     if (fault_plan_ != nullptr && !fault_plan_->empty()) {
@@ -101,10 +99,10 @@ net::ExchangeCost Runtime::exchange_messages_impl(std::vector<Message> messages,
     std::stable_sort(messages.begin(), messages.end(), MessageOrder{});
     // Group the sorted inbox by destination rank. Groups are disjoint, and
     // the message order within each group is the deterministic sorted order
-    // regardless of the consume policy. A proxy standing in for several
-    // dead ranks simply sees one larger inbox here: grouping by dst_rank is
-    // already substitution-aware, and ties (same dst, src, tag) keep their
-    // serial production order via the stable sort.
+    // on any number of threads. A proxy standing in for several dead ranks
+    // simply sees one larger inbox here: grouping by dst_rank is already
+    // substitution-aware, and ties (same dst, src, tag) keep their serial
+    // production order via the stable sort.
     struct Group {
       std::size_t begin, count;
     };
@@ -119,8 +117,7 @@ net::ExchangeCost Runtime::exchange_messages_impl(std::vector<Message> messages,
       groups.push_back(Group{i, j - i});
       i = j;
     }
-    if (policy == ConsumePolicy::kParallelRanks && pool_ != nullptr &&
-        pool_->threads() > 1) {
+    if (pool_ != nullptr && pool_->threads() > 1) {
       par::parallel_for(
           pool_, std::int64_t(groups.size()), /*min_grain=*/1,
           [&](std::int64_t begin, std::int64_t end, std::int64_t) {

@@ -69,10 +69,9 @@ class Runtime {
 
   /// Attaches (or with nullptr detaches) a host thread pool. While attached,
   /// torus exchange pricing routes transfers in parallel, two-phase I/O
-  /// plans build their file domains in parallel, and consumers that opt in
-  /// via ConsumePolicy::kParallelRanks drain rank inboxes in parallel. All
-  /// results stay bit-identical to the serial run (DESIGN.md §8). Borrowed
-  /// pointer.
+  /// plans build their file domains in parallel, and exchange_messages
+  /// drains rank inboxes in parallel. All results stay bit-identical to the
+  /// serial run (DESIGN.md §8). Borrowed pointer.
   void set_pool(par::ThreadPool* pool) { pool_ = pool; }
   par::ThreadPool* pool() const { return pool_; }
   /// True when an active fault plan marks the rank's node as failed.
@@ -84,21 +83,18 @@ class Runtime {
   using ConsumeFn =
       std::function<void(std::int64_t rank, std::span<const Message> inbox)>;
 
-  /// How the consume callback may be driven when a thread pool is attached.
-  /// kParallelRanks is an opt-in contract from the caller: consume(rank, ..)
-  /// touches only rank-private (rank-indexed, pre-sized) state, so distinct
-  /// ranks' inboxes may drain on different threads. Message order *within*
-  /// one rank's inbox is unchanged either way, and rank inboxes are disjoint
-  /// — the produced data is identical to a serial drain.
-  enum class ConsumePolicy { kSerial, kParallelRanks };
-
   /// One communication superstep over an explicit message list: the round
   /// is priced on the torus and, if `consume` is non-null, each receiving
   /// rank consumes its inbox in deterministic (dst, src, tag) order, in any
   /// mode. Returns the round's cost.
-  net::ExchangeCost exchange_messages(
-      std::vector<Message> messages, const ConsumeFn& consume = nullptr,
-      ConsumePolicy policy = ConsumePolicy::kSerial);
+  ///
+  /// Rank-private contract: with a thread pool attached, distinct ranks'
+  /// inboxes drain on different threads, so consume(rank, ..) must touch
+  /// only state private to `rank` (rank-indexed, pre-sized). Message order
+  /// *within* one rank's inbox is unchanged, and rank inboxes are disjoint,
+  /// so the produced data is identical to a serial drain.
+  net::ExchangeCost exchange_messages(std::vector<Message> messages,
+                                      const ConsumeFn& consume = nullptr);
 
   /// Prices a payload-free transfer list (phases that only size their
   /// traffic, like the two-phase I/O shuffle): the same net.exchange span
@@ -107,25 +103,20 @@ class Runtime {
   net::ExchangeCost exchange_transfers(std::span<const net::Transfer> transfers,
                                        std::int64_t rounds = 1);
 
-  /// Like exchange_messages, but priced as traffic overlapped with an
-  /// enclosing phase: routing, serialization, contention, and fault
-  /// handling all apply, but no synchronization-skew term is charged
-  /// because the messages do not close a BSP round of their own — the
-  /// enclosing stage's barrier does. Used by asynchronous protocols such
-  /// as render-stage work stealing (pvr::steal).
+  /// Like exchange_messages without delivery, but priced as traffic
+  /// overlapped with an enclosing phase: routing, serialization,
+  /// contention, and fault handling all apply, but no synchronization-skew
+  /// term is charged because the messages do not close a BSP round of their
+  /// own — the enclosing stage's barrier does. Used by asynchronous
+  /// protocols such as render-stage work stealing (pvr::steal).
   net::ExchangeCost exchange_messages_overlapped(
-      std::vector<Message> messages, const ConsumeFn& consume = nullptr,
-      ConsumePolicy policy = ConsumePolicy::kSerial);
+      std::span<const Message> messages);
 
   /// Barrier across all ranks on the tree network; returns its modeled
   /// seconds (a tree.barrier span when traced).
   double barrier();
 
  private:
-  net::ExchangeCost exchange_messages_impl(std::vector<Message> messages,
-                                           const ConsumeFn& consume,
-                                           ConsumePolicy policy,
-                                           bool overlapped);
   /// The one pricing path: the net.exchange span and the torus price.
   net::ExchangeCost price_transfers(std::span<const net::Transfer> transfers,
                                     std::int64_t rounds, bool overlapped);

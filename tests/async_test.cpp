@@ -1,11 +1,14 @@
-// Async task-graph runtime (DESIGN.md §9): TaskGraph scheduling invariants,
-// the barrier-chained oracle (a BSP frame's public stage inputs scheduled
-// with barrier edges reproduce its stage seconds bitwise) across
-// healthy/faulty/stealing/in-situ frames and host thread counts, free-mode
-// overlap reclamation with exact bookkeeping, the overlapped-exchange skew
-// attribution regression, model_run read-ahead, tracer reattachment after a
-// throwing frame, the pinned free-mode span structure, and the mixed-mode
-// scaling decomposition clamp.
+// Async runtime (DESIGN.md §9). The event-driven scheduler lives here as
+// the oracle: the closed-form schedule must match it bitwise on random
+// frames of the async shape and on the free graph of real frames rebuilt
+// from their public inputs; the barrier-chained oracle (a BSP frame's
+// public stage inputs scheduled with barrier edges) reproduces BSP stage
+// seconds bitwise across healthy/faulty/stealing/in-situ frames and host
+// thread counts. Also: free-mode overlap reclamation with exact
+// bookkeeping, the overlapped-exchange skew attribution regression,
+// model_run read-ahead, tracer reattachment after a throwing frame, the
+// pinned free-mode span structure, and the mixed-mode scaling
+// decomposition clamp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +16,7 @@
 #include <cmath>
 #include <functional>
 #include <queue>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,7 +29,7 @@
 #include "profile/diff.hpp"
 #include "profile/json.hpp"
 #include "profile/profile.hpp"
-#include "runtime/taskgraph.hpp"
+#include "runtime/async_frame.hpp"
 #include "steal/steal.hpp"
 #include "util/rng.hpp"
 
@@ -109,136 +113,67 @@ const double* span_arg(const obs::Span& span, const char* key) {
   return nullptr;
 }
 
-// --- TaskGraph scheduling ---------------------------------------------------
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-TEST(TaskGraphTest, EmptyGraphHasZeroMakespan) {
-  runtime::TaskGraph graph(4);
-  const auto sched = graph.run();
-  EXPECT_EQ(sched.makespan, 0.0);
-  EXPECT_EQ(sched.last_task, -1);
-  EXPECT_TRUE(sched.critical_path.empty());
-  EXPECT_EQ(sched.busy_seconds, 0.0);
-}
+// --- the event scheduler (test oracle) --------------------------------------
 
-TEST(TaskGraphTest, DiamondChargesTheSlowArm) {
-  runtime::TaskGraph graph(3);
-  const auto a = graph.add(0, 1.0, 0, {});
-  const auto b = graph.add(1, 2.0, 0, {a});
-  const auto c = graph.add(2, 3.0, 0, {a});
-  const auto d = graph.add(0, 1.0, 0, {b, c});
-  const auto sched = graph.run();
-  EXPECT_EQ(sched.times[std::size_t(a)].finish, 1.0);
-  EXPECT_EQ(sched.times[std::size_t(b)].finish, 3.0);
-  EXPECT_EQ(sched.times[std::size_t(c)].finish, 4.0);
-  // d becomes ready only when the slow arm (c) finishes.
-  EXPECT_EQ(sched.times[std::size_t(d)].ready, 4.0);
-  EXPECT_EQ(sched.times[std::size_t(d)].start, 4.0);
-  EXPECT_EQ(sched.makespan, 5.0);
-  EXPECT_EQ(sched.last_task, d);
-  EXPECT_EQ(sched.busy_seconds, 7.0);
-  EXPECT_EQ(sched.lane_wait_seconds, 0.0);
-  // The binding chain follows the slow arm: a -> c -> d.
-  const std::vector<runtime::TaskId> expected{a, c, d};
-  EXPECT_EQ(sched.critical_path, expected);
-}
+using TaskId = std::int32_t;
 
-TEST(TaskGraphTest, SameLaneSerializesAndChargesWait) {
-  runtime::TaskGraph graph(1);
-  const auto a = graph.add(0, 2.0, 0, {});
-  const auto b = graph.add(0, 1.0, 0, {});
-  const auto sched = graph.run();
-  // b was ready at time zero but its lane was busy until a finished.
-  EXPECT_EQ(sched.times[std::size_t(b)].ready, 0.0);
-  EXPECT_EQ(sched.times[std::size_t(b)].start, 2.0);
-  EXPECT_EQ(sched.times[std::size_t(b)].finish, 3.0);
-  EXPECT_EQ(sched.makespan, 3.0);
-  EXPECT_EQ(sched.lane_wait_seconds, 2.0);
-  // Lane occupancy is a binding link too: the chain is a -> b.
-  const std::vector<runtime::TaskId> expected{a, b};
-  EXPECT_EQ(sched.critical_path, expected);
-}
+/// One task of a test graph: `seconds` of work on serial lane `lane` (a
+/// rank, or -1 for the shared machine lane), runnable once every task in
+/// `deps` has finished. `tag` names its stage for the critical path.
+struct RefTask {
+  std::int64_t lane = -1;
+  double seconds = 0.0;
+  std::int32_t tag = 0;
+  std::vector<TaskId> deps;
+};
 
-TEST(TaskGraphTest, SharedLaneAndRankLanesCoexist) {
-  runtime::TaskGraph graph(2);
-  // A collective on the shared lane gates two rank tasks, which run
-  // concurrently on their own lanes.
-  const auto gate = graph.add(-1, 1.0, 0, {});
-  const auto r0 = graph.add(0, 2.0, 1, {gate});
-  const auto r1 = graph.add(1, 5.0, 1, {gate});
-  const auto sched = graph.run();
-  EXPECT_EQ(sched.times[std::size_t(r0)].start, 1.0);
-  EXPECT_EQ(sched.times[std::size_t(r1)].start, 1.0);
-  EXPECT_EQ(sched.makespan, 6.0);
-  EXPECT_EQ(sched.last_task, r1);
-  EXPECT_EQ(sched.lane_wait_seconds, 0.0);
-}
+/// A DAG over `lanes` rank lanes plus the shared lane. Ids follow add
+/// order, and dependencies must name earlier tasks, so no cycle is built.
+struct RefGraph {
+  std::int64_t lanes = 0;
+  std::vector<RefTask> tasks;
 
-TEST(TaskGraphTest, CriticalPathTelescopesToMakespan) {
-  runtime::TaskGraph graph(4);
-  std::vector<runtime::TaskId> renders;
-  const auto io = graph.add(-1, 0.75, 0, {});
-  for (std::int64_t r = 0; r < 4; ++r) {
-    renders.push_back(graph.add(r, 1.0 + 0.125 * double(r), 1, {io}));
+  TaskId add(std::int64_t lane, double seconds, std::int32_t tag,
+             std::vector<TaskId> deps) {
+    tasks.push_back(RefTask{lane, seconds, tag, std::move(deps)});
+    return TaskId(tasks.size() - 1);
   }
-  for (std::int64_t c = 0; c < 4; ++c) {
-    graph.add(c, 0.5, 2,
-              {renders[std::size_t(c)], renders[std::size_t(3 - c)]});
+  std::int64_t edges() const {
+    std::int64_t n = 0;
+    for (const RefTask& t : tasks) n += std::int64_t(t.deps.size());
+    return n;
   }
-  const auto sched = graph.run();
-  ASSERT_FALSE(sched.critical_path.empty());
-  // Every link is gap-free and the chain starts at time zero, so the task
-  // durations telescope exactly (associativity: summed in chain order).
-  const auto& first = sched.times[std::size_t(sched.critical_path.front())];
-  EXPECT_EQ(first.start, 0.0);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < sched.critical_path.size(); ++i) {
-    const auto id = sched.critical_path[i];
-    const auto& tt = sched.times[std::size_t(id)];
-    EXPECT_EQ(tt.finish - tt.start, graph.task(id).seconds);
-    if (i > 0) {
-      const auto& prev = sched.times[std::size_t(sched.critical_path[i - 1])];
-      EXPECT_EQ(prev.finish, tt.start);
-    }
-    sum += graph.task(id).seconds;
-  }
-  EXPECT_EQ(sum, sched.makespan);
-  EXPECT_EQ(sched.critical_path.back(), sched.last_task);
-}
+};
 
-TEST(TaskGraphTest, RunIsPureAndDeterministic) {
-  runtime::TaskGraph graph(2);
-  const auto a = graph.add(0, 1.5, 0, {});
-  graph.add(1, 2.5, 0, {a});
-  const auto first = graph.run();
-  const auto second = graph.run();
-  ASSERT_EQ(first.times.size(), second.times.size());
-  for (std::size_t i = 0; i < first.times.size(); ++i) {
-    EXPECT_EQ(first.times[i].ready, second.times[i].ready);
-    EXPECT_EQ(first.times[i].start, second.times[i].start);
-    EXPECT_EQ(first.times[i].finish, second.times[i].finish);
-  }
-  EXPECT_EQ(first.makespan, second.makespan);
-  EXPECT_EQ(first.critical_path, second.critical_path);
-  // run() leaves the graph appendable.
-  graph.add(0, 1.0, 0, {a});
-  EXPECT_EQ(graph.num_tasks(), 3);
-}
+/// Scheduled interval of one task: `ready` is its latest dependency's
+/// finish (0 with none); `start` > `ready` when its lane was busy.
+struct TaskTimes {
+  double ready = 0.0;
+  double start = 0.0;
+  double finish = 0.0;
+};
 
-TEST(TaskGraphTest, LastTaskTieBreaksToLowestId) {
-  runtime::TaskGraph graph(2);
-  const auto a = graph.add(0, 2.0, 0, {});
-  graph.add(1, 2.0, 0, {});
-  const auto sched = graph.run();
-  EXPECT_EQ(sched.makespan, 2.0);
-  EXPECT_EQ(sched.last_task, a);
-}
+struct RefSchedule {
+  std::vector<TaskTimes> times;  ///< indexed by TaskId
+  TaskId last_task = -1;         ///< max finish, lowest id on ties
+  /// Sum over tasks of (start - ready), in the order tasks start.
+  double lane_wait_seconds = 0.0;
+  /// Binding-predecessor chain from a task that starts at time zero to
+  /// `last_task`, in execution order.
+  std::vector<TaskId> critical_path;
+};
 
-/// The scheduler with a scan of every lane after every drain: the reference
-/// for TaskGraph::run, which visits only the lanes a drain touched. Same
-/// event order, pending order and critical-path walk.
-runtime::TaskSchedule full_scan_schedule(const runtime::TaskGraph& graph,
-                                         std::int64_t num_lanes) {
-  using runtime::TaskId;
+/// The deterministic event-driven scheduler: the reference for
+/// runtime::schedule_async_frame's closed form. Completion events drain in
+/// (finish, lane, sequence) order, every event at one time before any idle
+/// lane picks work; then a scan of every lane, in ascending order, starts
+/// each idle lane's pending task with the smallest (ready, id). The critical
+/// path walks back from the last task: to the task that held its lane when
+/// it started after it was ready, else to its lowest-id dependency whose
+/// finish equals its start, until a start of exactly 0.
+RefSchedule full_scan_schedule(const RefGraph& graph) {
   struct Event {
     double time;
     std::int64_t lane, seq;
@@ -261,22 +196,22 @@ runtime::TaskSchedule full_scan_schedule(const runtime::TaskGraph& graph,
       std::priority_queue<Pending, std::vector<Pending>,
                           decltype(pending_after)>;
 
-  runtime::TaskSchedule sched;
-  const auto n = std::size_t(graph.num_tasks());
-  sched.times.assign(n, runtime::TaskTimes{});
+  RefSchedule sched;
+  const std::size_t n = graph.tasks.size();
+  sched.times.assign(n, TaskTimes{});
   if (n == 0) return sched;
   std::vector<std::vector<TaskId>> dependents(n);
   std::vector<std::int32_t> indegree(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& deps = graph.task(TaskId(i)).deps;
+    const std::vector<TaskId>& deps = graph.tasks[i].deps;
     indegree[i] = std::int32_t(deps.size());
     for (const TaskId dep : deps) {
       dependents[std::size_t(dep)].push_back(TaskId(i));
     }
   }
-  const std::size_t lanes = std::size_t(num_lanes) + 1;
+  const std::size_t lanes = std::size_t(graph.lanes) + 1;
   const auto slot = [&](TaskId id) {
-    return std::size_t(graph.task(id).lane + 1);
+    return std::size_t(graph.tasks[std::size_t(id)].lane + 1);
   };
   std::vector<char> busy(lanes, 0);
   std::vector<double> free_at(lanes, 0.0);
@@ -290,15 +225,14 @@ runtime::TaskSchedule full_scan_schedule(const runtime::TaskGraph& graph,
     if (busy[l] || pending[l].empty()) return;
     const Pending p = pending[l].top();
     pending[l].pop();
-    const runtime::Task& t = graph.task(p.task);
-    runtime::TaskTimes& tt = sched.times[std::size_t(p.task)];
+    const RefTask& t = graph.tasks[std::size_t(p.task)];
+    TaskTimes& tt = sched.times[std::size_t(p.task)];
     tt.ready = p.ready;
     tt.start = std::max(p.ready, free_at[l]);
     tt.finish = tt.start + t.seconds;
     busy[l] = 1;
     lane_pred[std::size_t(p.task)] = lane_last[l];
     lane_last[l] = p.task;
-    sched.busy_seconds += t.seconds;
     sched.lane_wait_seconds += tt.start - tt.ready;
     events.push(Event{tt.finish, t.lane, seq++, p.task});
   };
@@ -325,22 +259,21 @@ runtime::TaskSchedule full_scan_schedule(const runtime::TaskGraph& graph,
     for (std::size_t l = 0; l < lanes; ++l) start_lane(l);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    const runtime::TaskTimes& tt = sched.times[i];
     if (sched.last_task < 0 ||
-        tt.finish > sched.times[std::size_t(sched.last_task)].finish) {
-      sched.makespan = tt.finish;
+        sched.times[i].finish >
+            sched.times[std::size_t(sched.last_task)].finish) {
       sched.last_task = TaskId(i);
     }
   }
   for (TaskId cur = sched.last_task; cur >= 0;) {
     sched.critical_path.push_back(cur);
-    const runtime::TaskTimes& tt = sched.times[std::size_t(cur)];
+    const TaskTimes& tt = sched.times[std::size_t(cur)];
     if (tt.start == 0.0) break;
     TaskId next = -1;
     if (tt.start > tt.ready) {
       next = lane_pred[std::size_t(cur)];
     } else {
-      for (const TaskId dep : graph.task(cur).deps) {
+      for (const TaskId dep : graph.tasks[std::size_t(cur)].deps) {
         if (sched.times[std::size_t(dep)].finish == tt.start &&
             (next < 0 || dep < next)) {
           next = dep;
@@ -353,77 +286,189 @@ runtime::TaskSchedule full_scan_schedule(const runtime::TaskGraph& graph,
   return sched;
 }
 
-TEST(TaskGraphTest, TouchedLaneSchedulerMatchesAFullLaneScan) {
-  // Durations from a set of four, so many completions share a time and
-  // zero-length tasks finish at their own start. Sums of the dyadic set
-  // are exact; odd seeds draw from a set whose sums round, so that
-  // busy_seconds and lane_wait_seconds also pin the order tasks start in.
-  constexpr double kDurations[2][4] = {{0.0, 0.25, 0.5, 1.0},
-                                       {0.0, 0.1, 0.3, 0.7}};
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    SCOPED_TRACE(seed);
-    const double* durations = kDurations[seed % 2];
-    Rng rng{seed};
-    const auto lanes = std::int64_t(1 + rng.next_below(64));
-    runtime::TaskGraph graph(lanes);
-    const auto tasks = runtime::TaskId(1 + rng.next_below(400));
-    for (runtime::TaskId id = 0; id < tasks; ++id) {
-      const auto lane =
-          std::int64_t(rng.next_below(std::uint64_t(lanes + 1))) - 1;
-      std::vector<runtime::TaskId> deps;
-      for (std::uint64_t k = id == 0 ? 0 : rng.next_below(4); k > 0; --k) {
-        deps.push_back(runtime::TaskId(rng.next_below(std::uint64_t(id))));
-      }
-      graph.add(lane, durations[rng.next_below(4)], 0, std::move(deps));
-    }
-    const runtime::TaskSchedule got = graph.run();
-    const runtime::TaskSchedule want = full_scan_schedule(graph, lanes);
-    ASSERT_EQ(got.times.size(), want.times.size());
-    for (std::size_t i = 0; i < got.times.size(); ++i) {
-      EXPECT_EQ(bits(got.times[i].ready), bits(want.times[i].ready)) << i;
-      EXPECT_EQ(bits(got.times[i].start), bits(want.times[i].start)) << i;
-      EXPECT_EQ(bits(got.times[i].finish), bits(want.times[i].finish)) << i;
-    }
-    EXPECT_EQ(bits(got.makespan), bits(want.makespan));
-    EXPECT_EQ(got.last_task, want.last_task);
-    EXPECT_EQ(bits(got.busy_seconds), bits(want.busy_seconds));
-    EXPECT_EQ(bits(got.lane_wait_seconds), bits(want.lane_wait_seconds));
-    EXPECT_EQ(got.critical_path, want.critical_path);
-  }
-}
-
-// --- the barrier-chained oracle -------------------------------------------
-
-/// Stage segments of a critical path, summed by task tag.
-struct ChainSegments {
-  double io = 0.0;
-  double steal = 0.0;
-  double render = 0.0;
-  double composite = 0.0;
-  std::int64_t tasks = 0;
-  std::int64_t edges = 0;
-};
-
 constexpr std::int32_t kTagIo = 0;
 constexpr std::int32_t kTagSteal = 1;
 constexpr std::int32_t kTagRender = 2;
 constexpr std::int32_t kTagComposite = 3;
 constexpr std::int32_t kTagBarrier = 4;
 
-/// The BSP schedule as a task graph, built only from a BSP frame's public
-/// inputs: its io and steal seconds on the shared lane, one render task per
-/// live rank (the steal schedule's post-steal seconds, or the render
-/// model's per-rank seconds, each with the imbalance factor), a
-/// zero-duration barrier every renderer fans into, and one composite task
-/// per direct-send compositor after the barrier (the full exchange, skew
-/// included, plus the compositor's own blend), priced on a fresh model
-/// runtime with the same plan armed. Task times combine only by + and max,
-/// so the critical path's stage segments must equal the barrier stage times
-/// bitwise.
-ChainSegments chained_oracle(const core::ParallelVolumeRenderer& pvr,
-                             const core::FrameStats& bsp,
-                             const fault::FaultPlan* plan, bool insitu) {
+/// A frame's dependency graph: the read and then the steal phase on the
+/// shared lane, one render per live rank waiting for them, and one
+/// composite per rank with sources, costing exchange + its blend. With
+/// `barrier`, every render fans into a zero-length barrier that every
+/// composite waits for (the BSP schedule); without, composite c waits for
+/// the renders of sources[c] (the free schedule).
+RefGraph frame_graph(const runtime::AsyncFrameInputs& in,
+                     std::span<const std::vector<std::int64_t>> sources,
+                     bool barrier) {
+  RefGraph graph;
+  graph.lanes = std::int64_t(sources.size());
+  std::vector<TaskId> gate;
+  if (in.has_io) gate = {graph.add(-1, in.io_seconds, kTagIo, {})};
+  if (in.has_steal) {
+    gate = {graph.add(-1, in.steal_seconds, kTagSteal, gate)};
+  }
+  std::vector<TaskId> render(sources.size(), -1);
+  std::vector<TaskId> renders;
+  for (std::int64_t r = 0; r < graph.lanes; ++r) {
+    if (!in.live[std::size_t(r)]) continue;
+    render[std::size_t(r)] = graph.add(
+        r, in.render_seconds[std::size_t(r)], kTagRender, gate);
+    renders.push_back(render[std::size_t(r)]);
+  }
+  std::vector<TaskId> after;
+  if (barrier) after = {graph.add(-1, 0.0, kTagBarrier, renders)};
+  for (std::int64_t c = 0; c < graph.lanes; ++c) {
+    const std::vector<std::int64_t>& srcs = sources[std::size_t(c)];
+    if (srcs.empty()) continue;
+    std::vector<TaskId> deps = after;
+    if (!barrier) {
+      for (const std::int64_t s : srcs) deps.push_back(render[std::size_t(s)]);
+    }
+    graph.add(c, in.exchange_seconds + in.blend_seconds[std::size_t(c)],
+              kTagComposite, std::move(deps));
+  }
+  return graph;
+}
+
+/// The event scheduler's view of a frame graph: its size, its lane wait,
+/// and its critical path's durations summed by stage, with the lanes of
+/// the path's render and composite (-1 when it holds none).
+struct ChainSegments {
+  double io = 0.0;
+  double steal = 0.0;
+  double render = 0.0;
+  double composite = 0.0;
+  std::int64_t render_lane = -1;
+  std::int64_t composite_lane = -1;
+  double lane_wait = 0.0;
+  std::int64_t tasks = 0;
+  std::int64_t edges = 0;
+};
+
+ChainSegments schedule_segments(const RefGraph& graph) {
+  const RefSchedule run = full_scan_schedule(graph);
+  ChainSegments seg;
+  seg.tasks = std::int64_t(graph.tasks.size());
+  seg.edges = graph.edges();
+  seg.lane_wait = run.lane_wait_seconds;
+  for (const TaskId id : run.critical_path) {
+    const RefTask& t = graph.tasks[std::size_t(id)];
+    switch (t.tag) {
+      case kTagIo: seg.io += t.seconds; break;
+      case kTagSteal: seg.steal += t.seconds; break;
+      case kTagRender:
+        seg.render += t.seconds;
+        seg.render_lane = t.lane;
+        break;
+      case kTagComposite:
+        seg.composite += t.seconds;
+        seg.composite_lane = t.lane;
+        break;
+    }
+  }
+  return seg;
+}
+
+// --- the closed form against the event scheduler --------------------------
+
+TEST(AsyncScheduleTest, ClosedFormMatchesEventScheduler) {
+  // Random frames of the async shape: 1-48 ranks, a quarter of them dead,
+  // each rank compositing 0-6 distinct live sources (a dead rank too), with
+  // and without the read and the steal phase. Durations come from a dyadic
+  // set (sums exact), a set whose sums round (so the lane wait pins the
+  // order compositors start in) and a set of repeated values and zeros
+  // (ties everywhere; zero-length tasks finish at their own start).
+  constexpr double kDurations[3][4] = {{0.0, 0.25, 0.5, 1.0},
+                                       {0.0, 0.1, 0.3, 0.7},
+                                       {0.0, 0.0, 0.5, 0.5}};
+  constexpr std::uint64_t kFrames = 100000;
+  std::int64_t failures = 0;
+  std::int64_t lane_bound = 0;  // paths through a composite's own render
+  std::int64_t summed_waits = 0;
+  std::int64_t gate_paths = 0;  // paths with no composite
+  for (std::uint64_t seed = 1; seed <= kFrames; ++seed) {
+    Rng rng{seed};
+    const double* durations = kDurations[seed % 3];
+    const auto draw = [&] { return durations[rng.next_below(4)]; };
+    const auto ranks = std::int64_t(1 + rng.next_below(48));
+    runtime::AsyncFrameInputs in;
+    in.has_io = rng.next_below(2) != 0;
+    in.io_seconds = draw();
+    in.has_steal = rng.next_below(2) != 0;
+    in.steal_seconds = draw();
+    in.exchange_seconds = draw();
+    std::vector<std::int64_t> live;
+    for (std::int64_t r = 0; r < ranks; ++r) {
+      const bool alive = rng.next_below(4) != 0;
+      in.live.push_back(alive ? 1 : 0);
+      in.render_seconds.push_back(alive ? draw() : 0.0);
+      in.blend_seconds.push_back(draw());
+      if (alive) live.push_back(r);
+    }
+    auto sources = std::vector<std::vector<std::int64_t>>(std::size_t(ranks));
+    for (std::vector<std::int64_t>& srcs : sources) {
+      if (live.empty()) break;
+      for (std::uint64_t k = rng.next_below(7); k > 0; --k) {
+        srcs.push_back(live[rng.next_below(live.size())]);
+      }
+      std::sort(srcs.begin(), srcs.end());
+      srcs.erase(std::unique(srcs.begin(), srcs.end()), srcs.end());
+    }
+
+    const runtime::AsyncFrameSchedule got =
+        runtime::schedule_async_frame(in, sources);
+    const ChainSegments want =
+        schedule_segments(frame_graph(in, sources, /*barrier=*/false));
+    const bool same = got.tasks == want.tasks && got.edges == want.edges &&
+                      bits(got.render_seconds) == bits(want.render) &&
+                      got.render_rank == want.render_lane &&
+                      bits(got.composite_seconds) == bits(want.composite) &&
+                      got.composite_rank == want.composite_lane &&
+                      bits(got.lane_wait_seconds) == bits(want.lane_wait);
+    if (!same) {
+      ADD_FAILURE() << "seed " << seed << ": tasks " << got.tasks << "/"
+                    << want.tasks << " edges " << got.edges << "/"
+                    << want.edges << " render " << got.render_seconds << "@"
+                    << got.render_rank << "/" << want.render << "@"
+                    << want.render_lane << " composite "
+                    << got.composite_seconds << "@" << got.composite_rank
+                    << "/" << want.composite << "@" << want.composite_lane
+                    << " lane wait " << got.lane_wait_seconds << "/"
+                    << want.lane_wait;
+      if (++failures == 10) return;
+    }
+    if (want.composite_lane >= 0 && want.render_lane == want.composite_lane) {
+      ++lane_bound;
+    }
+    if (want.composite_lane < 0) ++gate_paths;
+    if (want.lane_wait > 0.0) ++summed_waits;
+  }
+  // The sweep reaches every branch of the walk and of the wait sum.
+  EXPECT_GT(lane_bound, 1000);
+  EXPECT_GT(gate_paths, 100);
+  EXPECT_GT(summed_waits, 1000);
+}
+
+// --- frames rebuilt from their public inputs --------------------------------
+
+/// A frame's schedule inputs rebuilt from its public inputs, outside the
+/// renderer: the read and steal seconds the frame reports, per-rank render
+/// seconds (the steal schedule's post-steal seconds when it moved work,
+/// else the render model's, each with the imbalance factor), which ranks
+/// render, and the direct-send composite priced by
+/// DirectSendCompositor::model on a fresh model runtime with the same plan
+/// armed: its exchange (less its skew when `overlapped`, as the free fold
+/// prices it) and each compositor's blend.
+struct PublicInputs {
+  runtime::AsyncFrameInputs in;
+  compose::DirectSendDetail detail;
+};
+
+PublicInputs public_inputs(const core::ParallelVolumeRenderer& pvr,
+                           const core::FrameStats& frame,
+                           const fault::FaultPlan* plan, bool insitu,
+                           bool overlapped) {
   const core::ExperimentConfig& cfg = pvr.config();
   const machine::Partition& part = pvr.partition();
   const std::int64_t ranks = cfg.num_ranks;
@@ -435,8 +480,6 @@ ChainSegments chained_oracle(const core::ParallelVolumeRenderer& pvr,
     };
   }
 
-  // Per-rank render seconds: the steal schedule's loads when it moved work,
-  // else the render model's.
   const render::RenderModel model(cfg.machine);
   const render::Decomposition& decomp = pvr.decomposition();
   steal::StealSchedule sched;
@@ -459,14 +502,23 @@ ChainSegments chained_oracle(const core::ParallelVolumeRenderer& pvr,
     sched = steal::StealPlanner(cfg.machine, cfg.steal)
                 .plan(work, ranks, slowdown);
   }
-  std::vector<double> render_seconds;
+
+  PublicInputs pub;
+  runtime::AsyncFrameInputs& in = pub.in;
+  in.has_io = !insitu;
+  in.io_seconds = frame.io_seconds;
+  in.has_steal = !sched.empty();
+  in.steal_seconds = frame.steal.steal_seconds;
   if (!sched.empty()) {
     for (const double s : sched.rank_seconds_after) {
-      render_seconds.push_back(s * (1.0 + cfg.machine.render_imbalance));
+      in.render_seconds.push_back(s * (1.0 + cfg.machine.render_imbalance));
     }
   } else {
     model.estimate_degraded(decomp, ranks, pvr.camera(), cfg.render,
-                            slowdown, &render_seconds);
+                            slowdown, &in.render_seconds);
+  }
+  for (std::int64_t r = 0; r < ranks; ++r) {
+    in.live.push_back(slowdown == nullptr || slowdown(r) > 0.0 ? 1 : 0);
   }
 
   runtime::Runtime rt(part, runtime::Mode::kModel);
@@ -474,47 +526,29 @@ ChainSegments chained_oracle(const core::ParallelVolumeRenderer& pvr,
   fault::FaultStats fault_stats;
   if (plan != nullptr) rt.set_faults(plan, &fault_stats);
   compose::DirectSendCompositor compositor(rt, cfg.composite);
-  compose::DirectSendDetail detail;
   const compose::CompositeStats composite = compositor.model(
-      pvr.screen_blocks(), cfg.image_width, cfg.image_height, &detail);
-
-  runtime::TaskGraph graph(ranks);
-  std::vector<runtime::TaskId> pre;
-  if (!insitu) pre = {graph.add(-1, bsp.io_seconds, kTagIo, {})};
-  if (!sched.empty()) {
-    pre = {graph.add(-1, bsp.steal.steal_seconds, kTagSteal, pre)};
-  }
-  std::vector<runtime::TaskId> renders;
-  for (std::int64_t r = 0; r < ranks; ++r) {
-    if (slowdown != nullptr && !(slowdown(r) > 0.0)) continue;
-    renders.push_back(
-        graph.add(r, render_seconds[std::size_t(r)], kTagRender, pre));
-  }
-  const runtime::TaskId barrier =
-      graph.add(-1, 0.0, kTagBarrier, renders);
+      pvr.screen_blocks(), cfg.image_width, cfg.image_height, &pub.detail);
+  in.exchange_seconds = composite.exchange.seconds;
+  if (overlapped) in.exchange_seconds -= composite.exchange.skew_seconds;
   const double bps = part.config().blends_per_second;
-  for (std::int64_t c = 0; c < ranks; ++c) {
-    if (detail.sources[std::size_t(c)].empty()) continue;
-    graph.add(c,
-              composite.exchange.seconds +
-                  double(detail.blend_pixels[std::size_t(c)]) / bps,
-              kTagComposite, {barrier});
+  for (const std::int64_t pixels : pub.detail.blend_pixels) {
+    in.blend_seconds.push_back(double(pixels) / bps);
   }
+  return pub;
+}
 
-  const runtime::TaskSchedule run = graph.run();
-  ChainSegments seg;
-  seg.tasks = graph.num_tasks();
-  seg.edges = graph.num_edges();
-  for (const runtime::TaskId id : run.critical_path) {
-    const runtime::Task& t = graph.task(id);
-    switch (t.tag) {
-      case kTagIo: seg.io += t.seconds; break;
-      case kTagSteal: seg.steal += t.seconds; break;
-      case kTagRender: seg.render += t.seconds; break;
-      case kTagComposite: seg.composite += t.seconds; break;
-    }
-  }
-  return seg;
+/// The barrier-chained oracle: the BSP schedule as a frame graph, built
+/// only from a BSP frame's public inputs, its composites costing the full
+/// exchange, skew included, plus their blends. Task times combine only by
+/// + and max, so the critical path's stage segments must equal the barrier
+/// stage times bitwise.
+ChainSegments chained_oracle(const core::ParallelVolumeRenderer& pvr,
+                             const core::FrameStats& bsp,
+                             const fault::FaultPlan* plan, bool insitu) {
+  const PublicInputs pub =
+      public_inputs(pvr, bsp, plan, insitu, /*overlapped=*/false);
+  return schedule_segments(
+      frame_graph(pub.in, pub.detail.sources, /*barrier=*/true));
 }
 
 /// One traced BSP frame and its Chrome trace.
@@ -646,6 +680,83 @@ TEST(AsyncChainedTest, ExecuteImageMatchesBsp) {
 }
 
 // --- free mode: overlap reclamation ----------------------------------------
+
+/// Checks an async frame's schedule against the event scheduler over the
+/// free graph of the frame's public inputs: composite c waits for the
+/// renders of its direct-send sources and costs (exchange - skew) + blend_c.
+void expect_free_fold_matches(const core::ParallelVolumeRenderer& pvr,
+                              const core::FrameStats& frame,
+                              const fault::FaultPlan* plan, bool insitu) {
+  const PublicInputs pub =
+      public_inputs(pvr, frame, plan, insitu, /*overlapped=*/true);
+  const ChainSegments want = schedule_segments(
+      frame_graph(pub.in, pub.detail.sources, /*barrier=*/false));
+  ASSERT_TRUE(frame.async.enabled);
+  ASSERT_GE(want.render_lane, 0);
+  ASSERT_GE(want.composite_lane, 0);
+  EXPECT_EQ(bits(frame.render.seconds), bits(want.render));
+  EXPECT_EQ(frame.render.straggler_rank, want.render_lane);
+  EXPECT_EQ(bits(frame.composite.seconds), bits(want.composite));
+  EXPECT_EQ(frame.async.tasks, want.tasks);
+  EXPECT_EQ(frame.async.edges, want.edges);
+  EXPECT_EQ(bits(frame.async.lane_wait_seconds), bits(want.lane_wait));
+}
+
+TEST(AsyncFreeTest, FreeFoldMatchesEventScheduler) {
+  struct Case {
+    const char* name;
+    steal::StealPolicy policy;
+    std::function<fault::FaultPlan(const machine::Partition&)> plan;
+    bool insitu;
+  };
+  const auto degraded = [](const machine::Partition& part) {
+    return degrade_rank0(part, 4.0);
+  };
+  const auto dead = [](const machine::Partition& part) {
+    fault::FaultPlan plan;
+    plan.fail_node(part.node_of_rank(3));
+    return plan;
+  };
+  const std::vector<Case> cases = {
+      {"healthy", steal::StealPolicy::kOff, nullptr, false},
+      {"degraded rank 0", steal::StealPolicy::kOff, degraded, false},
+      {"dead node", steal::StealPolicy::kOff, dead, false},
+      {"scanline chunks", steal::StealPolicy::kScanlineChunks, degraded,
+       false},
+      {"replicate blocks", steal::StealPolicy::kReplicateBlocks, degraded,
+       false},
+      {"in situ", steal::StealPolicy::kOff, nullptr, true},
+  };
+  for (const int threads : {1, 4}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(testing::Message() << c.name << ", threads " << threads);
+      auto cfg = async_config();
+      cfg.host_threads = threads;
+      cfg.steal.policy = c.policy;
+      core::ParallelVolumeRenderer pvr(cfg);
+      const fault::FaultPlan plan =
+          c.plan ? c.plan(pvr.partition()) : fault::FaultPlan{};
+      const core::FrameStats frame = c.insitu
+                                         ? pvr.model_insitu_frame()
+                                         : pvr.model_frame_with_faults(plan);
+      if (c.policy != steal::StealPolicy::kOff) {
+        EXPECT_GT(frame.steal.chunks_stolen, 0);
+      }
+      expect_free_fold_matches(pvr, frame, plan.empty() ? nullptr : &plan,
+                               c.insitu);
+    }
+    SCOPED_TRACE(testing::Message() << "model_run(3), threads " << threads);
+    auto cfg = async_config();
+    cfg.host_threads = threads;
+    core::ParallelVolumeRenderer pvr(cfg);
+    const core::RunStats run = pvr.model_run(3);
+    ASSERT_EQ(run.frames.size(), 3u);
+    EXPECT_GT(run.frames[1].async.readahead_seconds, 0.0);
+    for (const core::FrameStats& frame : run.frames) {
+      expect_free_fold_matches(pvr, frame, nullptr, /*insitu=*/false);
+    }
+  }
+}
 
 TEST(AsyncFreeTest, FreeNeverExceedsBspOnAHealthyFrame) {
   core::ParallelVolumeRenderer bsp(small_config());

@@ -450,8 +450,10 @@ TEST(ModelRunTest, UntracedRunMatchesTracedRun) {
   for (const auto mode :
        {runtime::RuntimeMode::kBsp, runtime::RuntimeMode::kAsync}) {
     for (const std::int64_t interval : {1, 3}) {
-      SCOPED_TRACE(std::string(runtime::to_string(mode)) + " interval " +
-                   std::to_string(interval));
+      SCOPED_TRACE(std::string(mode == runtime::RuntimeMode::kBsp
+                                   ? "bsp"
+                                   : "async") +
+                   " interval " + std::to_string(interval));
       core::ExperimentConfig cfg = run_config();
       cfg.runtime_mode = mode;
       ckpt::CheckpointPolicy policy;

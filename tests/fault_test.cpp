@@ -397,7 +397,7 @@ TEST(FaultRenderTest, EstimateDegradedWithASingleLiveRank) {
   EXPECT_LE(lone.seconds, plain.seconds);
 }
 
-// The async task graph's per-rank render seconds come from the same block
+// The async schedule's per-rank render seconds come from the same block
 // pass as the estimate: their maximum is the phase time bitwise, the
 // straggler's entry is the phase time itself, and dead ranks read 0.0.
 TEST(FaultRenderTest, PerRankSecondsComeFromTheEstimatePass) {

@@ -505,18 +505,6 @@ TEST(CollectiveReadTest, BadHintsRejected) {
   Hints h;
   h.cb_buffer_bytes = 0;
   EXPECT_THROW(CollectiveReader(env.model_rt, env.storage, h), Error);
-  Hints h2;
-  h2.collective_buffering = false;
-  CollectiveReader reader(env.model_rt, env.storage, Hints::untuned());
-  const format::DatasetDesc desc =
-      format::supernova_desc(format::FileFormat::kRaw, 8);
-  const format::VolumeLayout layout(desc);
-  CollectiveReader r2(env.model_rt, env.storage, Hints::untuned());
-  (void)r2;
-  EXPECT_THROW(
-      CollectiveReader(env.model_rt, env.storage, h2)
-          .read(layout, 0, make_blocks(desc.dims, 4, 0)),
-      Error);
 }
 
 TEST(CollectiveReadTest, AggregatorCountScalesWithIons) {

@@ -196,12 +196,14 @@ TEST(BivariateFrameTest, EndToEndRendersAndMatchesSerial) {
   EXPECT_LT(out.max_difference(reference), 2e-3f);
 }
 
-/// A bivariate scene: a 24^3 netCDF record file on 8 ranks, colour from
+/// A bivariate scene: a grid^3 netCDF record file on 8 ranks, colour from
 /// pressure, with the file written to `path`.
-core::ExperimentConfig bivariate_config(const std::string& path) {
+core::ExperimentConfig bivariate_config(const std::string& path,
+                                        std::int64_t grid = 24) {
   core::ExperimentConfig cfg;
   cfg.num_ranks = 8;
-  cfg.dataset = format::supernova_desc(format::FileFormat::kNetcdfRecord, 24);
+  cfg.dataset =
+      format::supernova_desc(format::FileFormat::kNetcdfRecord, grid);
   cfg.variable = "pressure";
   cfg.image_width = cfg.image_height = 64;
   data::write_supernova_file(cfg.dataset, path, 1530);
@@ -241,6 +243,35 @@ TEST(BivariateFrameTest, StealingPricesAndStitchesAsUnivariateFrames) {
   expect_same_pixels(bi_img, off_img);
   EXPECT_EQ(bi.render.total_samples, off.render.total_samples);
   EXPECT_LE(bi.render.max_rank_samples, off.render.max_rank_samples);
+}
+
+TEST(BivariateFrameTest, ReplicationShipsBothBricks) {
+  // A bivariate block holds a colour and an opacity brick, so a thief that
+  // replicates it receives both: the univariate frame's claims, at twice
+  // its replicated bytes, priced as the larger messages they are. The
+  // stitched image is still the unstolen one bit for bit.
+  TempDir dir;
+  const std::string path = dir.file("vol.nc");
+  core::ExperimentConfig cfg = bivariate_config(path, 32);
+  const auto tf = render::BivariateTransferFunction::supernova_bivariate();
+  Image off_img;
+  core::ParallelVolumeRenderer(cfg).execute_frame_bivariate(path, "density",
+                                                            tf, &off_img);
+
+  cfg.steal.policy = steal::StealPolicy::kReplicateBlocks;
+  cfg.steal.chunks_per_block = 8;
+  Image bi_img;
+  const core::FrameStats bi =
+      core::ParallelVolumeRenderer(cfg).execute_frame_bivariate(
+          path, "density", tf, &bi_img);
+  const core::FrameStats uni =
+      core::ParallelVolumeRenderer(cfg).execute_frame(path, nullptr);
+
+  ASSERT_GT(uni.steal.bytes_replicated, 0);
+  EXPECT_EQ(bi.steal.bytes_replicated, 2 * uni.steal.bytes_replicated);
+  EXPECT_EQ(bi.steal.chunks_stolen, uni.steal.chunks_stolen);
+  EXPECT_GT(bi.steal.steal_seconds, uni.steal.steal_seconds);
+  expect_same_pixels(bi_img, off_img);
 }
 
 TEST(BivariateFrameTest, TracedFrameRecordsTheKernelSpan) {

@@ -422,11 +422,12 @@ TEST(TfLutTest, NanTakesTheFirstControlPoint) {
 TEST(TfLutTest, Sample8SweepMatchesTransferFunctionBitwise) {
   // 1 to 12 points: the permute path up to 8 segments, the gather path
   // beyond. Values sweep past both ends and hit every control value and
-  // its float neighbors; the mask pattern changes from packet to packet.
-  // The bivariate split (lookup8 of colour and opacity, then finish8; its
-  // scalar lookup1/finish1) is swept against BivariateTransferFunction on
-  // every lane, with an opacity function of 13 - n points, so each table
-  // path meets the other.
+  // its float neighbors. The univariate sample (lookup8 of all four
+  // channels, then finish8; its scalar sample1) is swept against
+  // TransferFunction on every lane. The bivariate split (lookup8 of colour
+  // and opacity, then finish8; its scalar lookup1/finish1) is swept against
+  // BivariateTransferFunction on every lane, with an opacity function of
+  // 13 - n points, so each table path meets the other.
   for (int n = 1; n <= 12; ++n) {
     for (std::uint32_t seed = 1; seed <= 3; ++seed) {
       const TransferFunction tf = seeded_tf(n, seed);
@@ -447,15 +448,14 @@ TEST(TfLutTest, Sample8SweepMatchesTransferFunctionBitwise) {
         for (std::size_t base = 0; base < values.size(); base += 8) {
           simd::Float8 v = simd::Float8::broadcast(0.5f);
           simd::Float8 ov = simd::Float8::broadcast(0.5f);
-          simd::Int8 mask = simd::Int8::broadcast(0);
           for (int i = 0; i < simd::kLanes; ++i) {
             const std::size_t k = (base + std::size_t(i)) % values.size();
             v.set_lane(i, values[k]);
             ov.set_lane(i, values[values.size() - 1 - k]);
-            mask.set_lane(i, (base / 8 + std::size_t(i)) % 3 != 0 ? -1 : 0);
           }
-          simd::Float8 r, g, b, a;
-          lut.sample8(v, mask, &r, &g, &b, &a);
+          simd::Float8 uch[4], r, g, b, a;
+          lut.lookup8(v, 0, 4, uch);
+          lut.finish8(uch, &r, &g, &b, &a);
           simd::Float8 ch[4], br, bg, bb, ba;
           lut.lookup8(v, 0, 3, ch);
           opacity_lut.lookup8(ov, 3, 4, ch);
@@ -476,13 +476,6 @@ TEST(TfLutTest, Sample8SweepMatchesTransferFunctionBitwise) {
             const Rgba bone = lut.finish1(c1);
             EXPECT_EQ(bits(bone.r), bits(bwant.r));
             EXPECT_EQ(bits(bone.a), bits(bwant.a));
-            if (mask.lane(i) == 0) {
-              EXPECT_EQ(r.lane(i), 0.0f);
-              EXPECT_EQ(g.lane(i), 0.0f);
-              EXPECT_EQ(b.lane(i), 0.0f);
-              EXPECT_EQ(a.lane(i), 0.0f);
-              continue;
-            }
             const Rgba want = tf.sample(v.lane(i), step);
             EXPECT_EQ(bits(r.lane(i)), bits(want.r));
             EXPECT_EQ(bits(g.lane(i)), bits(want.g));
@@ -494,26 +487,6 @@ TEST(TfLutTest, Sample8SweepMatchesTransferFunctionBitwise) {
           }
         }
       }
-    }
-  }
-}
-
-TEST(TfLutTest, MaskedLanesComeBackZero) {
-  const simd::TfLut lut(TransferFunction::supernova(), 1.0f);
-  simd::Int8 mask = simd::Int8::broadcast(-1);
-  mask.set_lane(2, 0);
-  mask.set_lane(6, 0);
-  simd::Float8 v = simd::Float8::broadcast(0.6f);
-  simd::Float8 r, g, b, a;
-  lut.sample8(v, mask, &r, &g, &b, &a);
-  const Rgba want = TransferFunction::supernova().sample(0.6f, 1.0f);
-  for (int i = 0; i < simd::kLanes; ++i) {
-    if (i == 2 || i == 6) {
-      EXPECT_EQ(r.lane(i), 0.0f);
-      EXPECT_EQ(a.lane(i), 0.0f);
-    } else {
-      EXPECT_EQ(r.lane(i), want.r);
-      EXPECT_EQ(a.lane(i), want.a);
     }
   }
 }
