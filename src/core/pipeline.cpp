@@ -240,24 +240,15 @@ steal::StealSchedule ParallelVolumeRenderer::steal_stage(
     }
   }
   if (config_.steal.policy == steal::StealPolicy::kReplicateBlocks) {
-    // One whole-block copy (ghost included) per distinct (block, thief)
-    // pair, shipped owner -> thief before the thief renders its bands.
+    // The schedule's replicas: one whole-block copy (ghost included) per
+    // distinct (block, thief) pair, shipped owner -> thief before the
+    // thief renders its bands.
     obs::ScopedSpan span(tracer_, "steal.transfer", obs::Category::kSteal);
     std::vector<runtime::Message> copies;
-    for (std::size_t k = 0; k < sched.claims.size(); ++k) {
-      const steal::StealClaim& c = sched.claims[k];
-      bool first_for_pair = true;
-      for (std::size_t j = 0; j < k; ++j) {
-        if (sched.claims[j].block == c.block &&
-            sched.claims[j].thief == c.thief) {
-          first_for_pair = false;
-          break;
-        }
-      }
-      if (!first_for_pair) continue;
-      copies.push_back(runtime::Message{c.victim, c.thief, kReplicateTag,
-                                        work[std::size_t(c.block)].bytes,
-                                        {}});
+    copies.reserve(sched.replicas.size());
+    for (const steal::StealReplica& r : sched.replicas) {
+      copies.push_back(
+          runtime::Message{r.victim, r.thief, kReplicateTag, r.bytes, {}});
     }
     const std::int64_t n_copies = std::int64_t(copies.size());
     const net::ExchangeCost cost =

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <map>
 
+#include "obs/export.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -379,8 +380,8 @@ std::string to_json(const obs::Tracer& tracer, const FrameProfile& profile) {
     const obs::Span& s = spans[std::size_t(slice.span)];
     out += i > 0 ? ",\n    " : "\n    ";
     out += "{\"span\": " + std::to_string(slice.span) + ", \"name\": \"" +
-           s.name + "\", \"bucket\": \"" + to_string(slice.bucket) +
-           "\", \"start\": " + fmt_double(s.start) +
+           obs::json_escape(s.name) + "\", \"bucket\": \"" +
+           to_string(slice.bucket) + "\", \"start\": " + fmt_double(s.start) +
            ", \"self\": " + fmt_double(to_seconds(slice.self_ps)) +
            ", \"slack\": " + fmt_double(slice.slack_seconds) + "}";
   }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "render/simd/vec8.hpp"
-#include "render/trilinear.hpp"
 #include "util/error.hpp"
 
 namespace pvr::render::simd {
@@ -377,84 +376,11 @@ template <bool kBivariate>
   return popcount(member);
 }
 
-/// Below this many live lanes a packet switches to the scalar tail: most
-/// lanes die early (termination / exit), and marching a nearly-empty packet
-/// pays full vector-step cost for one or two useful samples. The tail is
-/// the scalar reference march written on the packet's lane state — the same
-/// expressions in the same order — so the switch is invisible bit-for-bit.
-constexpr int kScalarTailMax = 2;
-
 /// Cache tile shape in pixels: 32x8 rays traverse the same brick slabs, so
 /// a tile's working set stays cache-resident. Tiling orders the work only;
 /// pixels and sample counts do not depend on it.
 constexpr int kTileW = 32;
 constexpr int kTileH = 8;
-
-/// One ray's state, extracted from a packet lane for the scalar tail.
-struct LaneRay {
-  double ox, oy, oz, dx, dy, dz, t0, t_exit;
-  std::int64_t k_begin, k_end;
-  Rgba acc;
-};
-
-/// One scalar-tail sample at p: sample_trilinear, the value normalization
-/// and TfLut::sample1 — or, bivariate, the opacity brick's sample too, with
-/// colour and opacity lookups finished together (march_step's lanes).
-template <bool kBivariate>
-Rgba sample_point(const KernelParams& kp, const Vec3d& p) {
-  const float raw = sample_trilinear(*kp.brick, kp.inv_h, p);
-  const float vn = raw * kp.value_scale + kp.value_bias;
-  if constexpr (kBivariate) {
-    const float on = sample_trilinear(*kp.opacity_brick, kp.inv_h, p) *
-                         kp.value_scale +
-                     kp.value_bias;
-    float ch[4];
-    kp.lut->lookup1(vn, 0, 3, ch);
-    kp.opacity_lut->lookup1(on, 3, 4, ch);
-    return kp.lut->finish1(ch);
-  } else {
-    return kp.lut->sample1(vn);
-  }
-}
-
-/// Marches one extracted lane alone from lattice step `k` to completion:
-/// the per-ray reference march (t lattice, t_exit break, k_begin skip,
-/// half-open membership, sample_point, blend_under, early termination) on
-/// the lane's state. Takes the lane state by value rather than a Packet
-/// pointer so the march loop's packet can live entirely in registers (an
-/// escaping address would force it to memory). Returns the final color;
-/// `*samples` accumulates.
-template <bool kBivariate>
-Rgba finish_lane_scalar(const KernelParams& kp, const LaneRay ln,
-                        std::int64_t k, std::int64_t* samples) {
-  const double ox = ln.ox, oy = ln.oy, oz = ln.oz;
-  const double dx = ln.dx, dy = ln.dy, dz = ln.dz;
-  const double t0 = ln.t0, t_exit = ln.t_exit;
-  const std::int64_t k_begin = ln.k_begin, k_end = ln.k_end;
-  float r = ln.acc.r, g = ln.acc.g, b = ln.acc.b, a = ln.acc.a;
-  for (; k <= k_end; ++k) {
-    const double t = t0 + double(k) * kp.dt;
-    if (t > t_exit) break;
-    if (k < k_begin) continue;
-    const double px = ox + dx * t;
-    const double py = oy + dy * t;
-    const double pz = oz + dz * t;
-    if (px < kp.region.lo.x || px >= kp.region.hi.x ||
-        py < kp.region.lo.y || py >= kp.region.hi.y ||
-        pz < kp.region.lo.z || pz >= kp.region.hi.z) {
-      continue;
-    }
-    const Rgba s = sample_point<kBivariate>(kp, {px, py, pz});
-    const float tt = 1.0f - a;
-    r = r + tt * s.r;
-    g = g + tt * s.g;
-    b = b + tt * s.b;
-    a = a + tt * s.a;
-    ++*samples;
-    if (a >= kp.early_termination) break;
-  }
-  return Rgba{r, g, b, a};
-}
 
 /// render_rows for one transfer-function kind: the univariate and the
 /// bivariate instantiations share every line but the sample itself.
@@ -500,31 +426,7 @@ std::int64_t render_rows_impl(const KernelParams& kp, const Rect& rect,
         // the whole depth loop instead of reloading state every step.
         Packet pkt = slot;
         for (std::int64_t k = pkt.k_min; !pkt.done && k <= pkt.k_max; ++k) {
-          // Nearly-empty packets (lane deaths are staggered, so the last
-          // survivor would otherwise drag the whole packet through the
-          // remaining depth range) finish their live lanes scalar.
-          if (popcount(pkt.alive) <= kScalarTailMax) {
-            for (int lane = 0; lane < kLanes; ++lane) {
-              if (pkt.alive.lane(lane) != 0) {
-                const LaneRay ln{pkt.ox.lane(lane),      pkt.oy.lane(lane),
-                                 pkt.oz.lane(lane),      pkt.dx.lane(lane),
-                                 pkt.dy.lane(lane),      pkt.dz.lane(lane),
-                                 pkt.t0.lane(lane),      pkt.t_exit.lane(lane),
-                                 pkt.k_begin.lane(lane), pkt.k_end.lane(lane),
-                                 Rgba{pkt.r.lane(lane), pkt.g.lane(lane),
-                                      pkt.b.lane(lane), pkt.a.lane(lane)}};
-                const Rgba fin =
-                    finish_lane_scalar<kBivariate>(kp, ln, k, &samples);
-                pkt.r.set_lane(lane, fin.r);
-                pkt.g.set_lane(lane, fin.g);
-                pkt.b.set_lane(lane, fin.b);
-                pkt.a.set_lane(lane, fin.a);
-              }
-            }
-            break;
-          }
-          samples +=
-              march_step<kBivariate>(c, &pkt, k, double(k) * kp.dt);
+          samples += march_step<kBivariate>(c, &pkt, k, double(k) * kp.dt);
         }
         slot = pkt;
       }

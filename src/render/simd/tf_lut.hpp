@@ -92,52 +92,7 @@ class TfLut {
     *a = alpha;
   }
 
-  /// One-lane sample through the same tables: lookup8 and finish8's
-  /// per-lane expressions written scalar, so the result is bitwise-identical
-  /// to any of their lanes carrying `value` (and to
-  /// TransferFunction::sample). The
-  /// packet kernel's scalar-tail marcher calls this once per sample, so it
-  /// lives in the header too.
-  Rgba sample1(float value) const {
-    float c[kChannels];
-    lookup1(value, 0, kChannels, c);
-    return finish1(c);
-  }
-
-  /// lookup8 for one lane.
-  void lookup1(float value, int first, int last, float* c) const {
-    float v = value < 0.0f ? 0.0f : value;
-    v = 1.0f < v ? 1.0f : v;
-    if (!(front(kValue) < v)) {  // below (wins over above, like lookup8)
-      for (int ch = first; ch < last; ++ch) c[ch] = front(kColumns[ch]);
-    } else if (v >= back(kValue)) {  // above
-      for (int ch = first; ch < last; ++ch) c[ch] = back(kColumns[ch]);
-    } else {  // front < v < back: an interior segment
-      std::size_t seg = 0;
-      for (int j = 0; j < inner_count_; ++j) {
-        seg += inner_[std::size_t(j)] < v ? 1 : 0;
-      }
-      const float av = row(kValue)[seg];
-      const float span = row(kValue + 1)[seg];
-      const float t = 0.0f < span ? (v - av) / span : 0.0f;
-      for (int ch = first; ch < last; ++ch) {
-        c[ch] = row(kColumns[ch])[seg] + t * row(kColumns[ch] + 1)[seg];
-      }
-    }
-  }
-
-  /// finish8 for one lane.
-  Rgba finish1(const float* c) const {
-    float op = c[3] < 0.0f ? 0.0f : c[3];
-    op = 1.0f < op ? 1.0f : op;
-    const float alpha = unit_step_
-                            ? 1.0f - (1.0f - op)
-                            : 1.0f - std::pow(1.0f - op, step_);
-    return Rgba{c[0] * alpha, c[1] * alpha, c[2] * alpha, alpha};
-  }
-
   bool unit_step() const { return unit_step_; }
-  float step_voxels() const { return step_; }
 
  private:
   /// Table rows: each column at an even row, its forward differences in

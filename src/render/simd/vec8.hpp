@@ -1,15 +1,14 @@
-// Portable 8-lane vector wrapper for the ray-packet raycasting kernel.
+// 8-lane vector wrapper for the ray-packet raycasting kernel.
 //
-// Two backends, selected at configure time via the PVR_SIMD cmake option:
-//
-//   * vector extensions (auto/avx2): GCC/Clang `vector_size` types. Every
-//     operation is element-wise IEEE arithmetic — lane i of `a + b * c` is
-//     bit-identical to the scalar expression on lane i's values, which is
-//     what lets the packet kernel promise bitwise equality with the scalar
-//     raycaster (the kernel translation units are compiled with
-//     -ffp-contract=off so neither path fuses multiply-adds).
-//   * scalar fallback (PVR_SIMD_SCALAR, or a compiler without the
-//     extensions): plain arrays and lane loops with identical semantics.
+// One implementation: GCC/Clang `vector_size` types. Every operation is
+// element-wise IEEE arithmetic — lane i of `a + b * c` is bit-identical to
+// the scalar expression on lane i's values, which is what lets the packet
+// kernel promise bitwise equality with its per-ray oracle (the kernel
+// translation units are compiled with -ffp-contract=off so neither fuses
+// multiply-adds). The PVR_SIMD cmake option picks the target ISA, and the
+// wrapper selects instructions for it: AVX-512 forms, AVX on 256-bit
+// halves, AVX2 gathers, and below AVX generic per-lane floor, ceil, sqrt,
+// any, popcount and gathers. Instruction selection never changes a bit.
 //
 // Masks come in two widths, both 0 (false) or -1 (all bits, true) per lane:
 // Int8 for float and int32 lanes, Mask64 for double lanes (the native width
@@ -24,11 +23,11 @@
 #include <cstdint>
 #include <cstring>
 
-#if !defined(PVR_SIMD_SCALAR) && (defined(__clang__) || defined(__GNUC__))
-#define PVR_SIMD_VECTOR_EXT 1
+#if !defined(__clang__) && !defined(__GNUC__)
+#error "vec8.hpp needs the GCC/Clang vector extensions"
 #endif
 
-#if defined(PVR_SIMD_VECTOR_EXT) && defined(__AVX__)
+#if defined(__AVX__)
 // GCC 12 flags the _mm512_undefined_* temporaries inside the AVX-512
 // gather intrinsics that gather_pairs inlines as -Wmaybe-uninitialized
 // (GCC bug 105593); silence it for the intrinsics header only.
@@ -45,8 +44,6 @@
 namespace pvr::render::simd {
 
 inline constexpr int kLanes = 8;
-
-#if defined(PVR_SIMD_VECTOR_EXT)
 
 namespace detail {
 typedef float vf8 __attribute__((vector_size(32)));
@@ -307,195 +304,13 @@ inline Float8 gather(const float* base, const Int8& idx) {
 #endif
 }
 
-
-#undef PVR_SIMD_HALVES
-
-#else  // scalar fallback -------------------------------------------------
-
-#define PVR_SIMD_LANEWISE(T, E, expr)                 \
-  T r;                                                \
-  for (int i = 0; i < kLanes; ++i) r.v[i] = E(expr);  \
-  return r
-
-struct Int8 {
-  std::int32_t v[kLanes];
-
-  static Int8 broadcast(std::int32_t x) {
-    Int8 r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = x;
-    return r;
-  }
-  std::int32_t lane(int i) const { return v[i]; }
-  void set_lane(int i, std::int32_t x) { v[i] = x; }
-
-  Int8 operator&(const Int8& o) const {
-    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] & o.v[i]);
-  }
-  Int8 operator~() const { PVR_SIMD_LANEWISE(Int8, std::int32_t, ~v[i]); }
-  Int8 operator+(const Int8& o) const {
-    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] + o.v[i]);
-  }
-  Int8 operator-(const Int8& o) const {
-    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] - o.v[i]);
-  }
-  Int8 operator*(const Int8& o) const {
-    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] * o.v[i]);
-  }
-  Int8 operator<(const Int8& o) const {
-    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] < o.v[i] ? -1 : 0);
-  }
-  Int8 operator>(const Int8& o) const {
-    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] > o.v[i] ? -1 : 0);
-  }
-};
-
-struct Float8 {
-  float v[kLanes];
-
-  static Float8 broadcast(float x) {
-    Float8 r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = x;
-    return r;
-  }
-  static Float8 load(const float* p) {
-    Float8 r;
-    std::memcpy(r.v, p, sizeof r.v);
-    return r;
-  }
-  float lane(int i) const { return v[i]; }
-  void set_lane(int i, float x) { v[i] = x; }
-
-  Float8 operator+(const Float8& o) const {
-    PVR_SIMD_LANEWISE(Float8, float, v[i] + o.v[i]);
-  }
-  Float8 operator-(const Float8& o) const {
-    PVR_SIMD_LANEWISE(Float8, float, v[i] - o.v[i]);
-  }
-  Float8 operator*(const Float8& o) const {
-    PVR_SIMD_LANEWISE(Float8, float, v[i] * o.v[i]);
-  }
-  Float8 operator/(const Float8& o) const {
-    PVR_SIMD_LANEWISE(Float8, float, v[i] / o.v[i]);
-  }
-  Int8 operator>=(const Float8& o) const {
-    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] >= o.v[i] ? -1 : 0);
-  }
-  Int8 operator<(const Float8& o) const {
-    PVR_SIMD_LANEWISE(Int8, std::int32_t, v[i] < o.v[i] ? -1 : 0);
-  }
-};
-
-struct Double8 {
-  double v[kLanes];
-
-  static Double8 broadcast(double x) {
-    Double8 r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = x;
-    return r;
-  }
-  double lane(int i) const { return v[i]; }
-  void set_lane(int i, double x) { v[i] = x; }
-
-  Double8 operator+(const Double8& o) const {
-    PVR_SIMD_LANEWISE(Double8, double, v[i] + o.v[i]);
-  }
-  Double8 operator-(const Double8& o) const {
-    PVR_SIMD_LANEWISE(Double8, double, v[i] - o.v[i]);
-  }
-  Double8 operator*(const Double8& o) const {
-    PVR_SIMD_LANEWISE(Double8, double, v[i] * o.v[i]);
-  }
-  Double8 operator/(const Double8& o) const {
-    PVR_SIMD_LANEWISE(Double8, double, v[i] / o.v[i]);
-  }
-};
-
-/// 8 int64 mask lanes; see the vector backend for the rationale. The
-/// scalar fallback mirrors the API so kernel code stays backend-agnostic.
-struct Mask64 {
-  std::int64_t v[kLanes];
-  Mask64 operator&(const Mask64& o) const {
-    PVR_SIMD_LANEWISE(Mask64, std::int64_t, v[i] & o.v[i]);
-  }
-  Mask64 operator|(const Mask64& o) const {
-    PVR_SIMD_LANEWISE(Mask64, std::int64_t, v[i] | o.v[i]);
-  }
-  Mask64 operator~() const { PVR_SIMD_LANEWISE(Mask64, std::int64_t, ~v[i]); }
-};
-
-inline Mask64 mask_gt(const Double8& a, const Double8& b) {
-  PVR_SIMD_LANEWISE(Mask64, std::int64_t, a.v[i] > b.v[i] ? -1 : 0);
-}
-inline Mask64 mask_ge(const Double8& a, const Double8& b) {
-  PVR_SIMD_LANEWISE(Mask64, std::int64_t, a.v[i] >= b.v[i] ? -1 : 0);
-}
-inline Mask64 mask_lt(const Double8& a, const Double8& b) {
-  PVR_SIMD_LANEWISE(Mask64, std::int64_t, a.v[i] < b.v[i] ? -1 : 0);
-}
-inline Int8 narrow(const Mask64& m) {
-  PVR_SIMD_LANEWISE(Int8, std::int32_t, m.v[i] != 0 ? -1 : 0);
-}
-
-inline Float8 select(const Int8& m, const Float8& a, const Float8& b) {
-  PVR_SIMD_LANEWISE(Float8, float, m.v[i] != 0 ? a.v[i] : b.v[i]);
-}
-inline Double8 select(const Mask64& m, const Double8& a, const Double8& b) {
-  PVR_SIMD_LANEWISE(Double8, double, m.v[i] != 0 ? a.v[i] : b.v[i]);
-}
-
-inline Float8 permute(const Float8& table, const Int8& idx) {
-  PVR_SIMD_LANEWISE(Float8, float, table.v[idx.v[i]]);
-}
-
-inline Int8 to_int(const Double8& x) {
-  PVR_SIMD_LANEWISE(Int8, std::int32_t, x.v[i]);
-}
-inline Float8 to_float(const Double8& x) {
-  PVR_SIMD_LANEWISE(Float8, float, x.v[i]);
-}
-
-inline Double8 floor(const Double8& x) {
-  PVR_SIMD_LANEWISE(Double8, double, std::floor(x.v[i]));
-}
-inline Double8 ceil(const Double8& x) {
-  PVR_SIMD_LANEWISE(Double8, double, std::ceil(x.v[i]));
-}
-inline Double8 sqrt(const Double8& x) {
-  PVR_SIMD_LANEWISE(Double8, double, std::sqrt(x.v[i]));
-}
-
-#undef PVR_SIMD_LANEWISE
-
-inline bool any(const Int8& m) {
-  for (int i = 0; i < kLanes; ++i) {
-    if (m.v[i] != 0) return true;
-  }
-  return false;
-}
-
-inline int popcount(const Int8& m) {
-  int n = 0;
-  for (int i = 0; i < kLanes; ++i) n += m.v[i] != 0 ? 1 : 0;
-  return n;
-}
-
-inline Float8 gather(const float* base, const Int8& idx) {
-  Float8 r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = base[idx.v[i]];
-  return r;
-}
-
-#endif  // backend
-
-/// Shared helpers (element-wise on either backend).
-
 /// base[idx.lane(i)] into *lo and base[idx.lane(i) + 1] into *hi, for
 /// every lane (indices and their successors must be in-bounds). With AVX2
 /// each adjacent pair is one 64-bit gather element and a permute splits the
 /// halves, so 8 lanes cost 8 loads, not 16; the floats are the same.
 inline void gather_pairs(const float* base, const Int8& idx, Float8* lo,
                          Float8* hi) {
-#if defined(PVR_SIMD_VECTOR_EXT) && defined(__AVX512F__)
+#if defined(__AVX512F__)
   const __m512 g = _mm512_castpd_ps(_mm512_mask_i32gather_pd(
       _mm512_setzero_pd(), kAllLanes, (__m256i)idx.v, base, sizeof(float)));
   const __m512 split = _mm512_permutexvar_ps(
@@ -504,7 +319,7 @@ inline void gather_pairs(const float* base, const Int8& idx, Float8* lo,
   *lo = {(detail::vf8)_mm512_castps512_ps256(split)};
   *hi = {(detail::vf8)_mm256_castpd_ps(
       _mm512_extractf64x4_pd(_mm512_castps_pd(split), 1))};
-#elif defined(PVR_SIMD_VECTOR_EXT) && defined(__AVX2__)
+#elif defined(__AVX2__)
   const __m256i iv = (__m256i)idx.v;
   const double* pairs = reinterpret_cast<const double*>(base);
   const __m256 g0 = _mm256_castpd_ps(
@@ -525,16 +340,16 @@ inline void gather_pairs(const float* base, const Int8& idx, Float8* lo,
 #endif
 }
 
-/// The configured backend, for logs/benches.
+#undef PVR_SIMD_HALVES
+
+/// The configured PVR_SIMD target, for logs/benches.
 inline const char* backend_name() {
 #if defined(PVR_SIMD_AVX2)
   return "avx2";
 #elif defined(PVR_SIMD_NATIVE)
   return "native";
-#elif defined(PVR_SIMD_VECTOR_EXT)
-  return "vector-ext";
 #else
-  return "scalar";
+  return "baseline";
 #endif
 }
 

@@ -1,7 +1,7 @@
-// The renderer's one scalar trilinear sample. The packet kernel's scalar
-// tail and the per-ray test oracle call it, and the kernel's vector march
-// replays it expression by expression, so every path interpolates with the
-// same IEEE operations.
+// The renderer's one scalar trilinear sample. The per-ray test oracle calls
+// it, and the packet kernel's vector march replays it expression by
+// expression, so kernel and oracle interpolate with the same IEEE
+// operations.
 #pragma once
 
 #include <algorithm>
@@ -16,7 +16,7 @@ namespace pvr::render {
 /// Trilinear sample of `brick` at world position `world`, with `inv_h` the
 /// reciprocal voxel size h (voxel-center convention: voxel i's value sits
 /// at (i + 0.5) * h). The 2-sample stencil is edge-clamped into the brick.
-/// Force-inlined: the kernel's scalar tail calls it once per sample.
+/// Force-inlined: the oracle calls it once per sample.
 [[gnu::always_inline]] inline float sample_trilinear(const Brick& brick,
                                                    double inv_h,
                                                    const Vec3d& world) {

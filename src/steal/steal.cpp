@@ -216,25 +216,23 @@ StealSchedule StealPlanner::plan(
     sched.claims.push_back(c);
   }
 
-  // --- Replication pricing: one whole-block copy per distinct
-  // (block, thief) pair; merged claims already collapse adjacent bands, and
-  // a rescan of merged claims catches non-adjacent repeats. ---
+  // --- Replication: one whole-block copy per distinct (block, thief)
+  // pair. Claims are sorted by block, so an earlier replica of the pair is
+  // among the trailing replicas of the same block. ---
   if (config_.policy == StealPolicy::kReplicateBlocks) {
-    for (std::size_t k = 0; k < sched.claims.size(); ++k) {
-      const StealClaim& c = sched.claims[k];
-      bool first_for_pair = true;
-      for (std::size_t j = 0; j < k; ++j) {
-        if (sched.claims[j].block == c.block &&
-            sched.claims[j].thief == c.thief) {
-          first_for_pair = false;
-          break;
-        }
+    for (const StealClaim& c : sched.claims) {
+      bool seen = false;
+      for (auto r = sched.replicas.rbegin();
+           !seen && r != sched.replicas.rend() && r->block == c.block; ++r) {
+        seen = r->thief == c.thief;
       }
-      if (!first_for_pair) continue;
+      if (seen) continue;
       const auto it = std::find_if(
           blocks.begin(), blocks.end(),
           [&](const BlockWork& b) { return b.block == c.block; });
       PVR_ASSERT(it != blocks.end());
+      sched.replicas.push_back(
+          StealReplica{c.block, c.victim, c.thief, it->bytes});
       sched.bytes_replicated += it->bytes;
     }
   }

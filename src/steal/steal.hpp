@@ -82,6 +82,15 @@ struct StealClaim {
   std::int64_t samples = 0;  ///< modeled samples migrating with the claim
 };
 
+/// One whole-block copy under kReplicateBlocks: the block's bytes (ghost
+/// included) shipped victim -> thief before the thief renders its bands.
+struct StealReplica {
+  std::int64_t block = 0;
+  std::int64_t victim = 0;
+  std::int64_t thief = 0;
+  std::int64_t bytes = 0;
+};
+
 /// A deterministic steal schedule plus the load-balance accounting that
 /// motivates it. Straggler ratios compare the worst live rank's weighted
 /// render time against the water-filling ideal (total samples spread over
@@ -89,8 +98,11 @@ struct StealClaim {
 struct StealSchedule {
   std::vector<StealClaim> claims;  ///< sorted by (block, row_begin)
   std::int64_t chunks_stolen = 0;  ///< chunk moves before merging
-  /// Bytes the schedule re-replicates (kReplicateBlocks: one whole block per
-  /// distinct (block, thief) pair; 0 under kScanlineChunks).
+  /// kReplicateBlocks: one replica per distinct (block, thief) pair, in
+  /// claim order, from the victim of the pair's first claim. Empty under
+  /// kScanlineChunks.
+  std::vector<StealReplica> replicas;
+  /// Bytes the schedule re-replicates: the replicas' sum.
   std::int64_t bytes_replicated = 0;
   double straggler_before = 1.0;  ///< worst/ideal before stealing
   double straggler_after = 1.0;   ///< worst/ideal after the schedule

@@ -287,6 +287,28 @@ TEST(ProfileTest, ChromeTraceNamesPerRankLanes) {
   EXPECT_EQ(trace, obs::to_chrome_trace_json(tracer2));
 }
 
+TEST(ProfileTest, JsonEscapesSpanNames) {
+  // A span name may hold quotes, backslashes and control characters; the
+  // critical path's "name" must still parse back to it.
+  const std::string name = "stage \"io\"\\\n\x01";
+  obs::Tracer tracer;
+  const auto frame = tracer.begin("frame", obs::Category::kFrame);
+  const auto stage = tracer.begin(name, obs::Category::kIo);
+  tracer.advance(1.0);
+  tracer.end(stage);
+  tracer.end(frame);
+  const FrameProfile profile = analyze_frame(tracer, frame);
+  const JsonPtr doc = parse_json(to_json(tracer, profile));
+  bool found = false;
+  for (const JsonPtr& slice : doc->at("critical_path")->as_array()) {
+    if (slice->number_at("span") == double(stage)) {
+      found = true;
+      EXPECT_EQ(slice->string_at("name"), name);
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
 // --- A/B diff ---
 
 /// Largest absolute per-bucket or total delta of a diff, in seconds.

@@ -339,6 +339,22 @@ TEST(Vec8Test, ConversionsAreExactOnIntegralLanes) {
 
 // ---------------- transfer-function LUT ----------------
 
+/// The LUT's one sampler, lookup8 of all four channels then finish8, with
+/// `value` in every lane. Every lane must come back bitwise equal to lane 0,
+/// which is returned.
+Rgba sample_every_lane(const simd::TfLut& lut, float value) {
+  simd::Float8 ch[4], r, g, b, a;
+  lut.lookup8(simd::Float8::broadcast(value), 0, 4, ch);
+  lut.finish8(ch, &r, &g, &b, &a);
+  for (int i = 1; i < simd::kLanes; ++i) {
+    EXPECT_EQ(bits(r.lane(i)), bits(r.lane(0))) << "lane " << i;
+    EXPECT_EQ(bits(g.lane(i)), bits(g.lane(0))) << "lane " << i;
+    EXPECT_EQ(bits(b.lane(i)), bits(b.lane(0))) << "lane " << i;
+    EXPECT_EQ(bits(a.lane(i)), bits(a.lane(0))) << "lane " << i;
+  }
+  return Rgba{r.lane(0), g.lane(0), b.lane(0), a.lane(0)};
+}
+
 TEST(TfLutTest, MatchesTransferFunctionSampleBitwise) {
   for (const TransferFunction& tf :
        {TransferFunction::supernova(), TransferFunction::grayscale_ramp(0.2f),
@@ -348,7 +364,7 @@ TEST(TfLutTest, MatchesTransferFunctionSampleBitwise) {
       for (int i = -64; i <= 1088; ++i) {
         const float v = float(i) / 1024.0f;  // sweeps below 0 and above 1
         const Rgba want = tf.sample(v, step);
-        const Rgba got = lut.sample1(v);
+        const Rgba got = sample_every_lane(lut, v);
         EXPECT_EQ(want.r, got.r) << "v=" << v << " step=" << step;
         EXPECT_EQ(want.g, got.g) << "v=" << v << " step=" << step;
         EXPECT_EQ(want.b, got.b) << "v=" << v << " step=" << step;
@@ -407,7 +423,7 @@ TEST(TfLutTest, NanTakesTheFirstControlPoint) {
     for (const float step : {1.0f, 0.5f}) {
       SCOPED_TRACE(testing::Message() << "step " << step);
       const Rgba want = tf.sample(nan, step);
-      const Rgba got = simd::TfLut(tf, step).sample1(nan);
+      const Rgba got = sample_every_lane(simd::TfLut(tf, step), nan);
       EXPECT_EQ(bits(got.r), bits(want.r));
       EXPECT_EQ(bits(got.g), bits(want.g));
       EXPECT_EQ(bits(got.b), bits(want.b));
@@ -423,11 +439,10 @@ TEST(TfLutTest, Sample8SweepMatchesTransferFunctionBitwise) {
   // 1 to 12 points: the permute path up to 8 segments, the gather path
   // beyond. Values sweep past both ends and hit every control value and
   // its float neighbors. The univariate sample (lookup8 of all four
-  // channels, then finish8; its scalar sample1) is swept against
-  // TransferFunction on every lane. The bivariate split (lookup8 of colour
-  // and opacity, then finish8; its scalar lookup1/finish1) is swept against
-  // BivariateTransferFunction on every lane, with an opacity function of
-  // 13 - n points, so each table path meets the other.
+  // channels, then finish8) is swept against TransferFunction on every
+  // lane. The bivariate split (lookup8 of colour and opacity, then finish8)
+  // is swept against BivariateTransferFunction on every lane, with an
+  // opacity function of 13 - n points, so each table path meets the other.
   for (int n = 1; n <= 12; ++n) {
     for (std::uint32_t seed = 1; seed <= 3; ++seed) {
       const TransferFunction tf = seeded_tf(n, seed);
@@ -470,20 +485,11 @@ TEST(TfLutTest, Sample8SweepMatchesTransferFunctionBitwise) {
             EXPECT_EQ(bits(bg.lane(i)), bits(bwant.g));
             EXPECT_EQ(bits(bb.lane(i)), bits(bwant.b));
             EXPECT_EQ(bits(ba.lane(i)), bits(bwant.a));
-            float c1[4];
-            lut.lookup1(v.lane(i), 0, 3, c1);
-            opacity_lut.lookup1(ov.lane(i), 3, 4, c1);
-            const Rgba bone = lut.finish1(c1);
-            EXPECT_EQ(bits(bone.r), bits(bwant.r));
-            EXPECT_EQ(bits(bone.a), bits(bwant.a));
             const Rgba want = tf.sample(v.lane(i), step);
             EXPECT_EQ(bits(r.lane(i)), bits(want.r));
             EXPECT_EQ(bits(g.lane(i)), bits(want.g));
             EXPECT_EQ(bits(b.lane(i)), bits(want.b));
             EXPECT_EQ(bits(a.lane(i)), bits(want.a));
-            const Rgba one = lut.sample1(v.lane(i));
-            EXPECT_EQ(bits(one.r), bits(want.r));
-            EXPECT_EQ(bits(one.a), bits(want.a));
           }
         }
       }

@@ -5,6 +5,7 @@
 // baseline image.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -185,6 +186,24 @@ TEST(StealPlannerTest, ReplicationPricesEachBlockThiefPairOnce) {
   }
   EXPECT_EQ(b.bytes_replicated,
             std::int64_t(pairs.size()) * work.front().bytes);
+  // The schedule carries them as its replicas: one per distinct pair in
+  // claim order, from the victim of the pair's first claim, summing to
+  // bytes_replicated.
+  EXPECT_TRUE(a.replicas.empty());
+  ASSERT_EQ(b.replicas.size(), pairs.size());
+  std::int64_t sum = 0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const steal::StealReplica& r = b.replicas[i];
+    EXPECT_EQ(std::make_pair(r.block, r.thief), pairs[i]);
+    const auto first = std::find_if(
+        b.claims.begin(), b.claims.end(), [&](const steal::StealClaim& c) {
+          return c.block == r.block && c.thief == r.thief;
+        });
+    ASSERT_NE(first, b.claims.end());
+    EXPECT_EQ(r.victim, first->victim);
+    sum += r.bytes;
+  }
+  EXPECT_EQ(sum, b.bytes_replicated);
 }
 
 // --- pipeline integration -------------------------------------------------
